@@ -192,6 +192,16 @@ def _adf_fit(y: np.ndarray, k: int, regression: str, offset: int):
     return stat, aic, rows
 
 
+def select_adf_lag(y: np.ndarray, max_lag: int, regression: str) -> int:
+    """Lag order in 0..max_lag with least AIC, all fitted on one common sample."""
+    best = None
+    for k in range(max_lag + 1):
+        _, aic, _ = _adf_fit(y, k, regression, offset=max_lag)
+        if best is None or aic < best[1]:
+            best = (k, aic)
+    return best[0]
+
+
 def adf_test(series, regression: str = "c", max_lag: int | None = None) -> AdfResult:
     """Unit-root test with AIC lag selection.
 
@@ -213,12 +223,7 @@ def adf_test(series, regression: str = "c", max_lag: int | None = None) -> AdfRe
     if np.ptp(y) == 0.0:
         raise DegenerateSeriesError("series is constant")
     # pick the lag on a common sample, then refit with every usable row
-    best = None
-    for k in range(max_lag + 1):
-        _, aic, _ = _adf_fit(y, k, regression, offset=max_lag)
-        if best is None or aic < best[1]:
-            best = (k, aic)
-    used_lag = best[0]
+    used_lag = select_adf_lag(y, max_lag, regression)
     stat, _, nobs = _adf_fit(y, used_lag, regression, offset=used_lag)
     pvalue = mackinnon_pvalue(stat, regression, 1)
     return AdfResult(stat, pvalue, used_lag, nobs, regression)

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import DomainError, ParameterError
 from ..frames import TimeSeriesFrame
-from .adf import adf_stat_fixed_lag, adf_test, default_max_lag, mackinnon_pvalue
+from .adf import adf_stat_fixed_lag, adf_test, default_max_lag, mackinnon_pvalue, select_adf_lag
 
 
 @dataclass(frozen=True)
@@ -79,28 +79,8 @@ def engle_granger(
             design = np.column_stack([np.ones(len(x)), x])
             beta, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
             resid = y - design @ beta
-            stat = _best_residual_stat(resid, lag)
+            stat = adf_stat_fixed_lag(resid, select_adf_lag(resid, lag, "n"), regression="n")
             pvalue = mackinnon_pvalue(stat, regression="c", nseries=2)
             pairs.append(CointegrationPair(left, right, stat, pvalue, pvalue < alpha))
     return CointegrationResult(tuple(pairs), alpha)
 
-
-def _best_residual_stat(resid: np.ndarray, max_lag: int) -> float:
-    """Dickey-Fuller statistic on residuals, lag picked by AIC."""
-    best = None
-    dy = np.diff(resid)
-    for k in range(max_lag + 1):
-        rows = len(dy) - max_lag
-        ylag = resid[max_lag : max_lag + rows]
-        cols = [ylag]
-        for i in range(1, k + 1):
-            cols.append(dy[max_lag - i : max_lag - i + rows])
-        x = np.column_stack(cols)
-        resp = dy[max_lag:]
-        beta, _, _, _ = np.linalg.lstsq(x, resp, rcond=None)
-        r = resp - x @ beta
-        ssr = float(r @ r)
-        aic = rows * np.log(ssr / rows) + 2.0 * x.shape[1]
-        if best is None or aic < best[1]:
-            best = (k, aic)
-    return adf_stat_fixed_lag(resid, best[0], regression="n")

@@ -29,21 +29,42 @@ def build_restriction_mask(
         raise ParameterError(f"rule must be 1, 2 or 3, got {rule}")
     if p < 1:
         raise ParameterError(f"order must be >= 1, got {p}")
+    pvalues = None
+    if GRANGER_THRESHOLDS[rule] is not None:
+        pvalues = granger_pvalues(frame, granger_lags or p)
+    return rule_mask(p, frame.n_columns, rule, pvalues)
+
+
+def _target_cut(n: int) -> np.ndarray:
+    """Rule 1 as an (n, n) mask: the target's lags stay out of every other equation."""
+    cut = np.zeros((n, n), dtype=bool)
+    cut[1:, 0] = True
+    return cut
+
+
+def granger_pvalues(frame: TimeSeriesFrame, lags: int) -> np.ndarray:
+    """Precedence-test p-values that rules 2 and 3 threshold.
+
+    Entry ``[i, j]`` tests column ``j`` as a cause of column ``i``; pairs on
+    the diagonal or already cut by rule 1 are not tested and hold NaN.
+    """
     n = frame.n_columns
-    mask = zero_mask(p, n)
-    # rule 1: the target's lags stay out of every other equation
-    mask[:, 1:, 0] = True
-    threshold = GRANGER_THRESHOLDS[rule]
-    if threshold is None:
-        return mask
-    lags = granger_lags or p
+    skip = _target_cut(n) | np.eye(n, dtype=bool)
+    pvalues = np.full((n, n), np.nan)
     for i, effect in enumerate(frame.names):
         for j, cause in enumerate(frame.names):
-            if i == j or mask[0, i, j]:
-                continue
-            res = granger_wald(frame, cause=cause, effect=effect, lags=lags)
-            if res.pvalue > threshold:
-                mask[:, i, j] = True
+            if not skip[i, j]:
+                pvalues[i, j] = granger_wald(frame, cause=cause, effect=effect, lags=lags).pvalue
+    return pvalues
+
+
+def rule_mask(p: int, n: int, rule: int, pvalues: np.ndarray | None) -> np.ndarray:
+    """Mask of ``rule`` at order ``p``; rules 2 and 3 need ``granger_pvalues``."""
+    mask = zero_mask(p, n)
+    mask[:] = _target_cut(n)
+    threshold = GRANGER_THRESHOLDS[rule]
+    if threshold is not None:
+        mask[:, pvalues > threshold] = True
     return mask
 
 

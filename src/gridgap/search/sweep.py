@@ -5,6 +5,9 @@ the differences for unit roots, screen the levels for cointegration, build
 the restriction mask from precedence tests, estimate, then check stability
 and residual autocorrelation. Survivors are ranked by BIC with AIC as the
 tie-breaker; response-sign requirements act as an admissibility filter.
+
+The gates that depend only on the (subset, window) run once per window, and
+the precedence tests behind rules 2 and 3 once per (window, order).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import datetime as dt
 import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -32,7 +36,13 @@ from ..rvar import (
     stability_test,
 )
 from ..transforms import difference
-from .masks import build_restriction_mask, explainable_rate
+from .masks import (
+    GRANGER_THRESHOLDS,
+    build_restriction_mask,
+    explainable_rate,
+    granger_pvalues,
+    rule_mask,
+)
 
 ORDER_RANGE = range(1, 8)
 
@@ -148,41 +158,54 @@ class SearchResult:
         return tuple(ok + rest)
 
 
-def _evaluate(index, subset, date_range, order, rule, frame: TimeSeriesFrame, scoring: ScoringConfig):
+def _window_stage(subset, date_range, frame: TimeSeriesFrame, scoring: ScoringConfig):
+    """Gates that depend only on (subset, window).
+
+    Returns ``(status, stats, diffed)``; ``status`` is None when the window
+    passes and ``diffed`` is then the differenced window.
+    """
     stats: dict = {}
     try:
         levels = frame.select(subset).slice_dates(*date_range)
     except Exception as exc:
-        return CandidateRecord(index, subset, date_range, order, rule, f"failed:window ({exc})", stats)
+        return f"failed:window ({exc})", stats, None
     try:
         diffed = difference(levels, 1)
     except Exception as exc:
-        return CandidateRecord(index, subset, date_range, order, rule, f"failed:difference ({exc})", stats)
+        return f"failed:difference ({exc})", stats, None
 
     for name in diffed.names:
         try:
             res = adf_test(diffed.column(name), "c")
         except Exception as exc:
-            return CandidateRecord(index, subset, date_range, order, rule, f"failed:adf:{name} ({exc})", stats)
+            return f"failed:adf:{name} ({exc})", stats, None
         stats[f"adf_p:{name}"] = res.pvalue
         if res.pvalue >= scoring.adf_alpha:
-            return CandidateRecord(index, subset, date_range, order, rule, f"failed:adf:{name}", stats)
+            return f"failed:adf:{name}", stats, None
 
     coint = engle_granger(levels, alpha=scoring.adf_alpha, check_inputs=False)
     stats["coint_min_p"] = min(p.pvalue for p in coint.pairs)
     if not coint.screen_ok:
-        return CandidateRecord(index, subset, date_range, order, rule, "failed:cointegration", stats)
+        return "failed:cointegration", stats, None
+    return None, stats, diffed
 
+
+def _rule_stage(record, diffed: TimeSeriesFrame, order, rule, pvalues, stats, scoring: ScoringConfig):
+    """Mask, fit and score one (order, rule); ``record(status, stats)`` builds the verdict.
+
+    ``pvalues`` is the order's ``granger_pvalues`` for rules that threshold
+    precedence tests, else None.
+    """
     try:
-        mask = build_restriction_mask(diffed, order, rule)
+        mask = rule_mask(order, diffed.n_columns, rule, pvalues)
         model = fit_restricted_var(diffed, p=order, mask=mask)
     except Exception as exc:
-        return CandidateRecord(index, subset, date_range, order, rule, f"failed:fit ({exc})", stats)
+        return record(f"failed:fit ({exc})", stats)
 
     stab = stability_test(model)
     stats["max_modulus"] = stab.max_modulus
     if not stab.stable:
-        return CandidateRecord(index, subset, date_range, order, rule, "failed:stability", stats)
+        return record("failed:stability", stats)
 
     resid = residuals(model, diffed)
     lags = min(scoring.lb_lags, len(resid) - 1)
@@ -193,29 +216,66 @@ def _evaluate(index, subset, date_range, order, rule, frame: TimeSeriesFrame, sc
         stats[f"lb_p:{name}"] = lb.pvalue
         stats[f"dw:{name}"] = dw
         if lb.pvalue < scoring.lb_alpha:
-            return CandidateRecord(index, subset, date_range, order, rule, f"failed:whiteness:{name}", stats)
+            return record(f"failed:whiteness:{name}", stats)
         if not scoring.dw_range[0] <= dw <= scoring.dw_range[1]:
-            return CandidateRecord(index, subset, date_range, order, rule, f"failed:dw:{name}", stats)
+            return record(f"failed:dw:{name}", stats)
 
     ic = information_criteria(model, diffed)
     stats["aic"] = ic.aic
     stats["bic"] = ic.bic
 
-    target = subset[0]
-    signs = {}
-    for driver in subset[1:]:
+    target = model.names[0]
+    for driver in model.names[1:]:
         response = irf(model, shock=driver, horizon=scoring.irf_horizon)
         cumulative = float(response.responses[:, 0].sum())
-        signs[driver] = cumulative
+        stats[f"irf_cum:{driver}"] = cumulative
         required = scoring.required_signs.get(driver)
         if required is not None and np.sign(cumulative) not in (0, required):
-            stats[f"irf_cum:{driver}"] = cumulative
-            return CandidateRecord(index, subset, date_range, order, rule, f"failed:sign:{driver}", stats)
-        stats[f"irf_cum:{driver}"] = cumulative
+            return record(f"failed:sign:{driver}", stats)
 
     decomp = fevd(model, horizon=scoring.fevd_horizon)
     stats["explainable_rate"] = explainable_rate(decomp, target)
-    return CandidateRecord(index, subset, date_range, order, rule, "ok", stats)
+    return record("ok", stats)
+
+
+def _evaluate_window(subset, date_range, combos, frame: TimeSeriesFrame, scoring: ScoringConfig):
+    """Records of every ``(index, order, rule)`` in ``combos`` for one window.
+
+    The window gates run once; a rejected window gives all its combinations
+    the same verdict. Rules 2 and 3 share one set of precedence tests per
+    order, since both test at ``lags=order``.
+    """
+    status, stats, diffed = _window_stage(subset, date_range, frame, scoring)
+    if status is not None:
+        return [
+            CandidateRecord(index, subset, date_range, order, rule, status, dict(stats))
+            for index, order, rule in combos
+        ]
+    records = []
+    pvalues: dict = {}
+    for index, order, rule in combos:
+        shared = None
+        if GRANGER_THRESHOLDS[rule] is not None:
+            if order not in pvalues:
+                try:
+                    pvalues[order] = granger_pvalues(diffed, order)
+                except Exception as exc:
+                    pvalues[order] = exc
+            shared = pvalues[order]
+        record = partial(CandidateRecord, index, subset, date_range, order, rule)
+        if isinstance(shared, Exception):
+            records.append(record(f"failed:fit ({shared})", dict(stats)))
+        else:
+            records.append(_rule_stage(record, diffed, order, rule, shared, dict(stats), scoring))
+    return records
+
+
+def _window_units(space: SearchSpace):
+    """Combinations grouped into (subset, window) units, in enumeration order."""
+    units: dict = {}
+    for index, subset, date_range, order, rule in space.combinations():
+        units.setdefault((subset, date_range), []).append((index, order, rule))
+    return [(subset, date_range, combos) for (subset, date_range), combos in units.items()]
 
 
 _SWEEP_STATE: dict = {}
@@ -225,9 +285,9 @@ def _sweep_initializer(frame, scoring):
     _SWEEP_STATE["args"] = (frame, scoring)
 
 
-def _sweep_task(combo):
+def _sweep_task(unit):
     frame, scoring = _SWEEP_STATE["args"]
-    return _evaluate(*combo, frame, scoring)
+    return _evaluate_window(*unit, frame, scoring)
 
 
 def run_search(
@@ -241,6 +301,10 @@ def run_search(
     Per-combination failures never abort the sweep; they are logged with the
     first gate that rejected the candidate. An empty admissible set raises a
     no-model error carrying every failure reason.
+
+    Work is split into (subset, window) units: the window gates run once per
+    unit and its orders and rules reuse them. With ``jobs > 1`` each unit is
+    one pool task, on ``min(jobs, units)`` workers; one worker means no pool.
     """
     scoring = scoring or ScoringConfig()
     missing = [
@@ -251,16 +315,18 @@ def run_search(
     ]
     if missing:
         raise ParameterError(f"frame lacks columns {sorted(set(missing))}")
-    combos = list(space.combinations())
-    if jobs > 1:
+    units = _window_units(space)
+    workers = min(jobs, len(units))
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs,
+            max_workers=workers,
             initializer=_sweep_initializer,
             initargs=(frame, scoring),
         ) as pool:
-            records = list(pool.map(_sweep_task, combos, chunksize=4))
+            batches = list(pool.map(_sweep_task, units, chunksize=1))
     else:
-        records = [_evaluate(*combo, frame, scoring) for combo in combos]
+        batches = [_evaluate_window(*unit, frame, scoring) for unit in units]
+    records = [r for batch in batches for r in batch]
     records.sort(key=lambda r: r.index)
 
     admissible = [r for r in records if r.admissible]

@@ -5,10 +5,13 @@ assertion is the corresponding FAIL.  Runtime-bounded criteria measure only
 the work the bound covers.
 """
 
+import csv
 import datetime as dt
+import io
 import json
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +42,7 @@ from gridgap.rvar import (
     zero_mask,
 )
 from gridgap.backcast import TrainingConfig
-from gridgap.search import ScoringConfig, SearchSpace, run_search
+from gridgap.search import ScoringConfig, SearchSpace, run_search, search_log_csv
 from gridgap.transforms import difference
 
 from conftest import make_dates, make_frame
@@ -326,6 +329,32 @@ def test_c09_qc_recall_and_interpolation():
     _report(9, f"40/40 injected outliers found, 0 false positives; {len(withheld)} exact refills")
 
 
+# The c10 search log as the per-combination sweep wrote it; any refactor of
+# the search must reproduce every verdict and every statistic.
+C10_GOLDEN_LOG = Path(__file__).parent / "data" / "c10_search_log.csv"
+_LOG_TEXT_COLUMNS = ("index", "subset", "start", "end", "order", "rule", "status")
+
+
+def _assert_matches_golden_log(text: str, golden_path: Path) -> None:
+    got_reader = csv.DictReader(io.StringIO(text))
+    got = list(got_reader)
+    with open(golden_path, newline="") as fh:
+        want_reader = csv.DictReader(fh)
+        want = list(want_reader)
+    assert got_reader.fieldnames == want_reader.fieldnames
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for key, expected in w.items():
+            value = g[key]
+            if key in _LOG_TEXT_COLUMNS or expected == "":
+                assert value == expected, (w["index"], key, value, expected)
+            else:
+                assert value != "", (w["index"], key)
+                np.testing.assert_allclose(
+                    float(value), float(expected), rtol=1e-12, err_msg=f"row {w['index']} {key}"
+                )
+
+
 def test_c10_search_over_seeded_system():
     frame = integrated_levels(16)
     end = frame.dates[-1]
@@ -351,6 +380,7 @@ def test_c10_search_over_seeded_system():
     rejected = [r for r in result.records if r.status != "ok"]
     assert rejected and all(r.status.startswith("failed:") for r in rejected)
     admissible = sum(1 for r in result.records if r.status == "ok")
+    _assert_matches_golden_log(search_log_csv(result), C10_GOLDEN_LOG)
     _report(
         10,
         f"207 combinations in {elapsed:.1f}s; order 2 recovered;"

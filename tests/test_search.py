@@ -19,6 +19,7 @@ from gridgap.search import (
     run_search,
     search_log_csv,
 )
+from gridgap.search import masks, sweep
 from gridgap.transforms import difference
 
 
@@ -348,12 +349,81 @@ class TestRunSearch:
 
     def test_deterministic_and_parallel_equivalent(self):
         frame = spiky_levels(0)
-        space = SearchSpace((("y", "u", "v"),), (whole_range(frame),), (1, 2), (1, 2))
+        start, end = whole_range(frame)
+        # three (subset, window) units, so jobs=2 runs a pool; the 15-day
+        # window is too short for the ADF gate
+        windows = (
+            (start, end),
+            (start + dt.timedelta(days=10), end),
+            (start, start + dt.timedelta(days=14)),
+        )
+        space = SearchSpace((("y", "u", "v"),), windows, (1, 2), (1, 2))
         first = run_search(frame, space, ScoringConfig())
         second = run_search(frame, space, ScoringConfig())
         parallel = run_search(frame, space, ScoringConfig(), jobs=2)
         assert first.chosen_index == second.chosen_index == parallel.chosen_index
         assert search_log_csv(first) == search_log_csv(second) == search_log_csv(parallel)
+        statuses = [r.status for r in first.records]
+        assert all(s.startswith("failed:adf:") for s in statuses[8:])
+        assert "ok" in statuses[:8]
+
+    def test_one_window_runs_without_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-window search must not start a pool")
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+        frame = spiky_levels(0)
+        space = SearchSpace((("y", "u", "v"),), (whole_range(frame),), (1, 2), (1, 2))
+        result = run_search(frame, space, ScoringConfig(), jobs=2)
+        assert result.chosen.order == 2
+
+    def test_precedence_failure_shared_by_rules(self, monkeypatch):
+        calls = []
+
+        def broken(frame, cause, effect, lags):
+            calls.append(lags)
+            raise ParameterError(f"no test at lags={lags}")
+
+        monkeypatch.setattr(masks, "granger_wald", broken)
+        frame = spiky_levels(0)
+        space = SearchSpace((("y", "u", "v"),), (whole_range(frame),), (1, 2), (1, 2, 3))
+        result = run_search(frame, space, ScoringConfig())
+        assert calls == [1, 2]
+        for r in result.records:
+            if r.rule == 1:
+                assert not r.status.startswith("failed:fit")
+            else:
+                assert r.status == f"failed:fit (no test at lags={r.order})"
+
+    def _count_tests(self, monkeypatch, space, frame):
+        calls = {"adf_test": 0, "engle_granger": 0, "granger_wald": 0}
+        for module, name in ((sweep, "adf_test"), (sweep, "engle_granger"), (masks, "granger_wald")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        result = run_search(frame, space, ScoringConfig(required_signs=SIGNS5))
+        return dict(calls), result
+
+    def test_window_tests_run_once_per_window(self, monkeypatch):
+        frame = integrated_levels(16)
+        last = frame.dates[-1]
+        windows = tuple((frame.dates[50 * k], last) for k in range(3))
+        windows += ((frame.dates[0], frame.dates[10]),)  # too short for ADF
+        subset = ("y", "a", "b")
+        space = SearchSpace((subset,), windows, (1, 2, 3), (2, 3))
+        calls, result = self._count_tests(monkeypatch, space, frame)
+        past_adf = {r.date_range for r in result.records if not r.status.startswith("failed:adf")}
+        assert len(past_adf) == 3
+        assert calls["engle_granger"] == len(past_adf)
+        assert calls["adf_test"] <= len(subset) * len(windows)
+
+        rule2 = SearchSpace((subset,), windows, (1, 2, 3), (2,))
+        calls2, _ = self._count_tests(monkeypatch, rule2, frame)
+        assert calls2["granger_wald"] == calls["granger_wald"] > 0
 
     def test_ranked_puts_best_bic_first(self):
         frame = integrated_levels(16)
