@@ -196,8 +196,10 @@ def train_ensemble(
 ) -> BackcastEnsemble:
     """Train all candidates and keep the lowest-metric quarter.
 
-    Requires at least a year of rows covering every calendar month and
-    strictly positive targets.
+    Requires at least a year of rows covering every calendar month, finite
+    features and strictly positive, finite targets. With ``jobs > 1``
+    candidates train on ``min(jobs, candidates)`` pool workers; one worker
+    means no pool.
     """
     config = config or TrainingConfig()
     feature_config = feature_config or FeatureConfig()
@@ -220,6 +222,9 @@ def train_ensemble(
         raise DomainError(f"non-positive target on {bad}")
     if not np.isfinite(x).all():
         raise ParameterError("non-finite feature value")
+    finite = np.isfinite(y)
+    if not finite.all():
+        raise ParameterError(f"non-finite target on {dates[int(np.argmin(finite))]}")
 
     input_mean = x.mean(axis=0)
     input_std = x.std(axis=0)
@@ -230,9 +235,10 @@ def train_ensemble(
     yz = (y - target_mean) / target_std
 
     indices = range(config.candidates)
-    if jobs > 1:
+    workers = min(jobs, config.candidates)
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs,
+            max_workers=workers,
             initializer=_pool_initializer,
             initargs=(xz, yz, y, months, config, config.seed),
         ) as pool:

@@ -5,6 +5,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from gridgap.backcast import ensemble as ensemble_module
 from gridgap.backcast import (
     BackcastEnsemble,
     BaseModel,
@@ -322,6 +323,22 @@ class TestEnsembleSelection:
         with pytest.raises(DomainError):
             train_ensemble(x, y, dates, TrainingConfig(candidates=1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_target_rejected_before_training(self, monkeypatch, bad):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return train_network(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble_module, "train_network", counting)
+        dates, x, y = _synthetic_training_data()
+        y = y.copy()
+        y[[100, 200]] = bad
+        with pytest.raises(ParameterError, match=f"non-finite target on {dates[100]}"):
+            train_ensemble(x, y, dates, TrainingConfig(candidates=8, epochs=20))
+        assert calls == []
+
 
 class TestPredict:
     def test_single_member(self):
@@ -461,6 +478,17 @@ class TestSerialization:
 
 
 class TestParallelTraining:
+    def test_one_candidate_runs_without_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-candidate ensemble must not start a pool")
+
+        monkeypatch.setattr(ensemble_module, "ProcessPoolExecutor", no_pool)
+        dates, x, y = _synthetic_training_data()
+        cfg = TrainingConfig(candidates=1, seed=3, epochs=10)
+        pooled = train_ensemble(x, y, dates, cfg, jobs=2)
+        serial = train_ensemble(x, y, dates, cfg, jobs=1)
+        assert pooled.all_metrics == serial.all_metrics
+
     def test_pool_matches_serial(self):
         dates, x, y = _synthetic_training_data()
         cfg = TrainingConfig(candidates=4, seed=3, epochs=40)

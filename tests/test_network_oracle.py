@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from gridgap.backcast import loss_and_grads, train_network
+from gridgap.backcast.network import _Workspace
 
 
 def _reference_init(rng, sizes):
@@ -130,3 +131,16 @@ def test_later_training_leaves_earlier_results_alone():
     train_network(x, y, (8, 8, 8), np.random.default_rng(2), epochs=10)
     train_network(x * 2.0, y, (8, 8, 8), np.random.default_rng(1), epochs=10)
     _assert_pairs_identical(first, saved)
+
+
+def test_reused_workspace_matches_reference():
+    x, y = _data(seed=15)
+    sizes = (x.shape[1], 64, 17, 3, 1)
+    ws = _Workspace(sizes, x.shape[0])
+    for seed in (3, 4):
+        params = _reference_init(np.random.default_rng(seed), sizes)
+        loss, grads = loss_and_grads(params, x, y, ws)
+        want_loss, want_grads = _reference_loss_and_grads(params, x, y)
+        assert loss == want_loss
+        _assert_pairs_identical(grads, want_grads)
+
