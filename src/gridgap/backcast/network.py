@@ -164,7 +164,7 @@ def gradient_check(params, x: np.ndarray, y: np.ndarray, samples: int = 24,
         if pattern_up != pattern_down:
             continue
         numeric = (up - down) / (2 * eps)
-        analytic = ws.grad[c]
+        analytic = ws.grad[c]  # _loss leaves the gradient buffer alone
         scale = max(abs(numeric), abs(analytic), 1e-8)
         worst = max(worst, abs(numeric - analytic) / scale)
     return worst

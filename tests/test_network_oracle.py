@@ -1,8 +1,9 @@
 """Bitwise oracle for network training.
 
-``_reference_loss_and_grads`` and ``_reference_train`` are frozen copies of
-the original per-array implementation: one fresh array per activation,
-gradient and Adam temporary, and Adam as separate numpy calls per array.
+The ``_reference_*`` functions are frozen copies of the original per-array
+implementation: one fresh array per activation, gradient and Adam
+temporary, Adam as separate numpy calls per array, and a separate forward
+pass in each of ``forward``, ``loss_and_grads`` and the gradient probe.
 Any rewrite of ``network.py`` must reproduce their bits exactly, because
 the ensemble digests at a fixed seed depend on them.
 """
@@ -10,7 +11,7 @@ the ensemble digests at a fixed seed depend on them.
 import numpy as np
 import pytest
 
-from gridgap.backcast import loss_and_grads, train_network
+from gridgap.backcast import forward, gradient_check, loss_and_grads, train_network
 from gridgap.backcast.network import _Workspace
 
 
@@ -20,6 +21,57 @@ def _reference_init(rng, sizes):
         w = rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
         params.append((w, np.zeros(fan_out)))
     return params
+
+
+def _reference_forward(params, x):
+    h = x
+    last = len(params) - 1
+    for i, (w, b) in enumerate(params):
+        h = h @ w + b
+        if i != last:
+            h = np.maximum(h, 0.0)
+    return h[:, 0]
+
+
+def _reference_loss_and_pattern(params, x, y):
+    h = x
+    last = len(params) - 1
+    pattern = []
+    for i, (w, b) in enumerate(params):
+        z = h @ w + b
+        if i != last:
+            pattern.append((z > 0.0).tobytes())
+            h = np.maximum(z, 0.0)
+        else:
+            h = z
+    err = h[:, 0] - y
+    return float(err @ err) / x.shape[0], tuple(pattern)
+
+
+def _reference_gradient_check(params, x, y, samples, eps, rng):
+    _, grads = _reference_loss_and_grads(params, x, y)
+    worst = 0.0
+    flat = []
+    for i, (w, b) in enumerate(params):
+        flat.extend((i, 0, idx) for idx in range(w.size))
+        flat.extend((i, 1, idx) for idx in range(b.size))
+    chosen = rng.choice(len(flat), size=min(samples, len(flat)), replace=False)
+    for c in chosen:
+        layer, part, idx = flat[int(c)]
+        arrays = [(np.array(w), np.array(b)) for w, b in params]
+        target = arrays[layer][part].reshape(-1)
+        target[idx] += eps
+        up, pattern_up = _reference_loss_and_pattern(arrays, x, y)
+        target[idx] -= 2 * eps
+        down, pattern_down = _reference_loss_and_pattern(arrays, x, y)
+        target[idx] += eps
+        if pattern_up != pattern_down:
+            continue
+        numeric = (up - down) / (2 * eps)
+        analytic = grads[layer][part].reshape(-1)[idx]
+        scale = max(abs(numeric), abs(analytic), 1e-8)
+        worst = max(worst, abs(numeric - analytic) / scale)
+    return worst
 
 
 def _reference_loss_and_grads(params, x, y):
@@ -122,6 +174,17 @@ def test_loss_and_grads_matches_reference(widths):
     want_loss, want_grads = _reference_loss_and_grads(params, x, y)
     assert loss == want_loss
     _assert_pairs_identical(grads, want_grads)
+    assert _same_bits(forward(params, x), _reference_forward(params, x))
+
+
+@pytest.mark.parametrize("widths", WIDTHS)
+@pytest.mark.parametrize("samples", [5, 10_000])
+def test_gradient_check_matches_reference(widths, samples):
+    x, y = _data(seed=17)
+    params = _reference_init(np.random.default_rng(10), (x.shape[1], *widths, 1))
+    got = gradient_check(params, x, y, samples, 1e-6, np.random.default_rng(2))
+    want = _reference_gradient_check(params, x, y, samples, 1e-6, np.random.default_rng(2))
+    assert got == want
 
 
 def test_later_training_leaves_earlier_results_alone():
