@@ -2,18 +2,23 @@
 
 Many candidate networks are trained on independent random subsamples; the
 quarter with the lowest held-out error survives. Candidate index i draws its
-private stream from (seed, i), so the result is identical whether training
-runs serially or across a process pool.
+private stream from (seed, i), and training runs candidates on threads with
+numpy's OpenBLAS pinned to one thread, so the result is the same whatever
+``jobs`` and the core count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import datetime as dt
+import functools
 import json
 import math
+import threading
 from calendar import month_name
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -130,9 +135,55 @@ class BackcastEnsemble:
         return np.vstack(rows)
 
 
-# -- candidate training ------------------------------------------------------
+# -- BLAS threads ------------------------------------------------------------
 
-_WORKER_STATE: dict = {}
+# held while training has OpenBLAS pinned, so that concurrent trainings in one
+# process cannot read each other's pin as their budget or restore it early
+_BLAS_PIN = threading.Lock()
+
+
+@functools.cache
+def _openblas():
+    """``(get, set)`` for the thread count of numpy's bundled OpenBLAS, or None.
+
+    numpy wheels ship OpenBLAS in ``numpy.libs`` (``numpy/.dylibs`` on
+    macOS); opening that file again returns the library numpy already loaded.
+    """
+    root = Path(np.__file__).parent
+    found = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
+    for path in sorted(found):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+def training_threads(candidates: int, jobs: int) -> tuple[int, int | None]:
+    """Threads that ``train_ensemble`` trains on, and the BLAS budget it reads.
+
+    The budget is numpy's OpenBLAS thread count (it honours
+    ``OPENBLAS_NUM_THREADS``). Training pins BLAS to one thread and spends
+    the budget on candidates instead: ``min(candidates, max(jobs, budget))``
+    threads. Without an OpenBLAS handle the budget is None and
+    ``min(jobs, candidates)`` threads run.
+    """
+    blas = _openblas()
+    if blas is None:
+        return min(jobs, candidates), None
+    budget = blas[0]()
+    return min(candidates, max(jobs, budget)), budget
+
+
+# -- candidate training ------------------------------------------------------
 
 
 def _train_candidate(index, seed, x, y_std, y_orig, months, config: TrainingConfig):
@@ -177,15 +228,6 @@ def _monthly_norm(held_months, pred, actual) -> float:
     return float(np.sqrt(vec @ vec))
 
 
-def _pool_initializer(x, y_std, y_orig, months, config, seed):
-    _WORKER_STATE["args"] = (x, y_std, y_orig, months, config, seed)
-
-
-def _pool_task(index):
-    x, y_std, y_orig, months, config, seed = _WORKER_STATE["args"]
-    return _train_candidate(index, seed, x, y_std, y_orig, months, config)
-
-
 def train_ensemble(
     features: np.ndarray,
     targets,
@@ -197,9 +239,12 @@ def train_ensemble(
     """Train all candidates and keep the lowest-metric quarter.
 
     Requires at least a year of rows covering every calendar month, finite
-    features and strictly positive, finite targets. With ``jobs > 1``
-    candidates train on ``min(jobs, candidates)`` pool workers; one worker
-    means no pool.
+    features and strictly positive, finite targets. Candidates train on
+    ``training_threads(candidates, jobs)`` threads, one meaning a plain loop,
+    with numpy's OpenBLAS pinned to one thread and restored afterwards, so
+    models and metrics do not depend on ``jobs``, the core count or
+    ``OPENBLAS_NUM_THREADS``. Concurrent calls in one process train one
+    after another.
     """
     config = config or TrainingConfig()
     feature_config = feature_config or FeatureConfig()
@@ -234,20 +279,26 @@ def train_ensemble(
     xz = (x - input_mean) / input_std
     yz = (y - target_mean) / target_std
 
-    indices = range(config.candidates)
-    workers = min(jobs, config.candidates)
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_initializer,
-            initargs=(xz, yz, y, months, config, config.seed),
-        ) as pool:
-            results = list(pool.map(_pool_task, indices, chunksize=8))
-    else:
-        results = [
-            _train_candidate(i, config.seed, xz, yz, y, months, config) for i in indices
-        ]
-    results.sort(key=lambda r: r[0])
+    def train(index):
+        return _train_candidate(index, config.seed, xz, yz, y, months, config)
+
+    # numpy releases the GIL inside matmul and ufuncs, so candidates overlap
+    # on threads. Without an OpenBLAS handle nothing is pinned: outputs then
+    # depend on that BLAS's own threading, and its threads may oversubscribe.
+    blas = _openblas()
+    with _BLAS_PIN:
+        threads, budget = training_threads(config.candidates, jobs)
+        if blas is not None:
+            blas[1](1)
+        try:
+            if threads > 1:
+                with ThreadPoolExecutor(threads) as pool:
+                    results = list(pool.map(train, range(config.candidates)))
+            else:
+                results = [train(i) for i in range(config.candidates)]
+        finally:
+            if blas is not None:
+                blas[1](budget)
     metrics = np.array([r[3] for r in results])
     order = np.lexsort((np.arange(len(results)), metrics))
     kept = order[: config.keep_count]

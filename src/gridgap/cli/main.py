@@ -27,6 +27,7 @@ from ..backcast import (
     reduction_series,
     save_ensemble,
     train_ensemble,
+    training_threads,
 )
 from ..errors import ConfigError, CoverageError, GridGapError, NoModelError
 from ..frames import federal_holidays
@@ -329,9 +330,11 @@ def cmd_backcast(args) -> int:
         daily = load_table.daily_mean_frame("load", require_full_day=True)
         daily = daily.slice_dates(train_start, train_end)
         features = feature_matrix(daily.dates, weather, gdp, holidays, feature_config)
+        training = _training_config(cfg, args.seed)
+        threads, budget = training_threads(training.candidates, jobs)
+        rec.details.update(training_threads=threads, blas_budget=budget)
         ensemble = train_ensemble(
-            features, daily.column("load"), daily.dates,
-            _training_config(cfg, args.seed), feature_config, jobs=jobs,
+            features, daily.column("load"), daily.dates, training, feature_config, jobs=jobs,
         )
         print(f"kept {len(ensemble.models)} of {_cfg_int(cfg, 'candidates', 800)} candidates")
     ens_path = rec.output_path("ensemble.json")
@@ -745,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", required=True, help="key-value config file")
         sub.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
-        sub.add_argument("--jobs", type=int, default=None, help=f"worker processes (env {JOBS_ENV})")
+        sub.add_argument("--jobs", type=int, default=None, help=f"parallel workers (env {JOBS_ENV})")
         sub.add_argument("--out", default=None, help=f"output directory (env {OUT_ENV})")
         sub.set_defaults(func=func)
     return parser

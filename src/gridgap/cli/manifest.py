@@ -3,7 +3,8 @@
 Every command records its inputs before doing work and its outputs as they
 are written, then drops ``run_manifest.json`` in the output directory.  The
 digest map is the reproducibility contract: identical inputs and seed must
-reproduce identical output digests (wall time is informational only).
+reproduce identical output digests (wall time and ``details``, how the run
+executed, are informational only).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ class RunRecorder:
     jobs: int = 1
     inputs: dict[str, str] = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
+    details: dict[str, object] = field(default_factory=dict)
     started: float = field(default_factory=time.perf_counter)
 
     def record_input(self, path) -> None:
@@ -64,6 +66,7 @@ class RunRecorder:
             "jobs": self.jobs,
             "inputs": dict(sorted(self.inputs.items())),
             "outputs": digests,
+            "details": self.details,
             "wall_time_s": round(time.perf_counter() - self.started, 3),
         }
         path = self.out_dir / MANIFEST_NAME

@@ -1,6 +1,7 @@
 """Feature encoding, network training, ensemble selection, and reduction math."""
 
 import datetime as dt
+import itertools
 
 import numpy as np
 import pytest
@@ -477,12 +478,34 @@ class TestSerialization:
             load_ensemble(p)
 
 
+@pytest.fixture
+def openblas():
+    """``(get, set)`` of numpy's OpenBLAS thread count, restored after the test."""
+    blas = ensemble_module._openblas()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not a bundled OpenBLAS, so its thread count cannot be set")
+    get, put = blas
+    before = get()
+    yield blas
+    put(before)
+
+
+def _assert_same_bits(a, b):
+    assert a.all_metrics == b.all_metrics
+    assert [m.index for m in a.models] == [m.index for m in b.models]
+    for m1, m2 in zip(a.models, b.models):
+        assert m1.metric == m2.metric
+        for (w1, b1), (w2, b2) in zip(m1.layers, m2.layers):
+            assert np.array_equal(w1, w2)
+            assert np.array_equal(b1, b2)
+
+
 class TestParallelTraining:
     def test_one_candidate_runs_without_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-candidate ensemble must not start a pool")
 
-        monkeypatch.setattr(ensemble_module, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(ensemble_module, "ThreadPoolExecutor", no_pool)
         dates, x, y = _synthetic_training_data()
         cfg = TrainingConfig(candidates=1, seed=3, epochs=10)
         pooled = train_ensemble(x, y, dates, cfg, jobs=2)
@@ -494,9 +517,63 @@ class TestParallelTraining:
         cfg = TrainingConfig(candidates=4, seed=3, epochs=40)
         serial = train_ensemble(x, y, dates, cfg, jobs=1)
         pooled = train_ensemble(x, y, dates, cfg, jobs=2)
-        assert [m.index for m in serial.models] == [m.index for m in pooled.models]
-        for a, b in zip(serial.models, pooled.models):
-            assert a.metric == b.metric
-            for (w1, b1), (w2, b2) in zip(a.layers, b.layers):
-                assert np.array_equal(w1, w2)
-                assert np.array_equal(b1, b2)
+        _assert_same_bits(serial, pooled)
+
+    def test_bits_independent_of_jobs_and_blas_threads(self, openblas):
+        # at widths this large a two-thread OpenBLAS splits the products and
+        # changes the bits, so only a pinned BLAS makes every run agree
+        get, put = openblas
+        dates, x, y = _synthetic_training_data()
+        cfg = TrainingConfig(candidates=6, seed=3, epochs=30, width_range=(48, 64))
+        runs = []
+        for blas_threads in (1, 2):
+            for jobs in (1, 2, 3):
+                put(blas_threads)
+                runs.append(train_ensemble(x, y, dates, cfg, jobs=jobs))
+                assert get() == blas_threads
+        for ens in runs[1:]:
+            _assert_same_bits(runs[0], ens)
+
+    def test_blas_threads_pinned_then_restored(self, openblas, monkeypatch):
+        get, put = openblas
+        put(2)
+        assert ensemble_module.training_threads(6, 1) == (2, 2)
+        assert ensemble_module.training_threads(6, 3) == (3, 2)
+        assert ensemble_module.training_threads(1, 3) == (1, 2)
+        dates, x, y = _synthetic_training_data()
+        cfg = TrainingConfig(candidates=6, seed=3, epochs=5)
+        seen = []
+        calls = itertools.count()
+        real = ensemble_module.train_network
+
+        def recording(*args, **kwargs):
+            seen.append(get())
+            return real(*args, **kwargs)
+
+        def failing(*args, **kwargs):
+            if next(calls) == 2:
+                raise RuntimeError("candidate 2 failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble_module, "train_network", recording)
+        train_ensemble(x, y, dates, cfg, jobs=1)
+        assert seen == [1] * 6
+        assert get() == 2
+        monkeypatch.setattr(ensemble_module, "train_network", failing)
+        with pytest.raises(RuntimeError, match="candidate 2 failed"):
+            train_ensemble(x, y, dates, cfg, jobs=2)
+        assert get() == 2
+
+    def test_without_openblas_handle_nothing_is_pinned(self, openblas, monkeypatch):
+        get, put = openblas
+        # one BLAS thread makes the unpinned runs comparable to the pinned one
+        put(1)
+        dates, x, y = _synthetic_training_data()
+        cfg = TrainingConfig(candidates=4, seed=3, epochs=20)
+        pinned = train_ensemble(x, y, dates, cfg, jobs=1)
+        monkeypatch.setattr(ensemble_module, "_openblas", lambda: None)
+        assert ensemble_module.training_threads(4, 1) == (1, None)
+        assert ensemble_module.training_threads(4, 3) == (3, None)
+        for jobs in (1, 3):
+            _assert_same_bits(pinned, train_ensemble(x, y, dates, cfg, jobs=jobs))
+        assert get() == 1

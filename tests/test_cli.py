@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from gridgap.backcast import training_threads
 from gridgap.cli import MANIFEST_NAME, sha256_file
 from gridgap.cli.main import main
 from gridgap.frames import TimeSeriesFrame
@@ -431,6 +432,21 @@ class TestBackcast:
         assert main(["backcast", "--config", str(tmp_path / "b2.cfg"), "--out", str(out2)]) == 0
         assert sha256_file(out / "reduction.csv") == sha256_file(out2 / "reduction.csv")
         assert sha256_file(out / "ensemble.json") == sha256_file(out2 / "ensemble.json")
+
+    def test_manifest_records_threads_and_jobs_keep_digests(self, tmp_path):
+        cfg = self.build(tmp_path)
+        cfg.write_text(cfg.read_text().replace("epochs = 100", "epochs = 20"))
+        runs = {}
+        for jobs in (1, 3):
+            out = tmp_path / f"jobs{jobs}"
+            args = ["backcast", "--config", str(cfg), "--jobs", str(jobs), "--out", str(out)]
+            assert main(args) == 0
+            runs[jobs] = json.loads((out / MANIFEST_NAME).read_text())
+        assert runs[1]["outputs"] == runs[3]["outputs"]
+        for jobs, payload in runs.items():
+            threads, budget = training_threads(8, jobs)
+            assert payload["details"] == {"training_threads": threads, "blas_budget": budget}
+        assert runs[3]["details"]["training_threads"] == 3
 
     def test_gdp_scalar_and_steps_conflict(self, tmp_path):
         cfg = self.build(tmp_path)
