@@ -492,8 +492,9 @@ def save_ensemble(ensemble: BackcastEnsemble, path) -> None:
             for m in ensemble.models
         ],
     }
+    # one-shot dumps runs CPython's C encoder; dump streams through the Python one
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
 
 
 def load_ensemble(path) -> BackcastEnsemble:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from ..errors import DegenerateSeriesError, InsufficientDataError, ParameterError
 
@@ -135,7 +135,7 @@ def mackinnon_pvalue(stat: float, regression: str = "c", nseries: int = 1) -> fl
         coef = _TAU_SMALLP[regression][row]
     else:
         coef = _TAU_LARGEP[regression][row]
-    return float(norm.cdf(np.polyval(coef[::-1], stat)))
+    return float(ndtr(np.polyval(coef[::-1], stat)))
 
 
 @dataclass(frozen=True)
@@ -155,51 +155,58 @@ def default_max_lag(n: int) -> int:
     return min(12, int(np.floor(12.0 * (n / 100.0) ** 0.25)))
 
 
-def _ols(x: np.ndarray, y: np.ndarray):
-    beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-    resid = y - x @ beta
-    return beta, resid, rank
-
-
-def _adf_fit(y: np.ndarray, k: int, regression: str, offset: int):
-    """Design and fit for lag order k, dropping ``offset`` leading rows.
-
-    ``offset`` >= k lets several lag orders share one estimation sample so
-    their information criteria are comparable.
-    """
+def _adf_fit(y: np.ndarray, k: int, regression: str):
+    """Tau statistic and usable rows of the regression at lag order k."""
     dy = np.diff(y)
-    rows = len(dy) - offset
-    ylag = y[offset : offset + rows]
-    cols = [ylag]
+    rows = len(dy) - k
+    cols = [y[k : k + rows]]
     for i in range(1, k + 1):
-        cols.append(dy[offset - i : offset - i + rows])
+        cols.append(dy[k - i : k - i + rows])
     if regression in ("c", "ct"):
         cols.append(np.ones(rows))
     if regression == "ct":
         cols.append(np.arange(1.0, rows + 1))
     x = np.column_stack(cols)
-    resp = dy[offset:]
-    beta, resid, rank = _ols(x, resp)
+    resp = dy[k:]
+    beta, _, rank, _ = np.linalg.lstsq(x, resp, rcond=None)
     if rank < x.shape[1]:
         raise DegenerateSeriesError("ADF regression design is rank deficient")
-    ssr = float(resid @ resid)
-    nparams = x.shape[1]
-    sigma2 = ssr / (rows - nparams)
+    resid = resp - x @ beta
+    sigma2 = float(resid @ resid) / (rows - x.shape[1])
     xtx_inv = np.linalg.inv(x.T @ x)
     se = np.sqrt(sigma2 * xtx_inv[0, 0])
-    stat = float(beta[0] / se)
-    aic = rows * np.log(ssr / rows) + 2.0 * nparams
-    return stat, aic, rows
+    return float(beta[0] / se), rows
 
 
 def select_adf_lag(y: np.ndarray, max_lag: int, regression: str) -> int:
-    """Lag order in 0..max_lag with least AIC, all fitted on one common sample."""
-    best = None
-    for k in range(max_lag + 1):
-        _, aic, _ = _adf_fit(y, k, regression, offset=max_lag)
-        if best is None or aic < best[1]:
-            best = (k, aic)
-    return best[0]
+    """Lag order in 0..max_lag with least AIC, all fitted on one common sample.
+
+    The columns are ordered ``[y_{t-1}, deterministics, dy_{t-1}, ...,
+    dy_{t-max_lag}]`` so that every lag order is a column prefix, and one QR
+    of ``[X | dy]`` gives every order's residual sum of squares: the squares
+    of R's last column from that prefix's width down.
+    """
+    dy = np.diff(y)
+    rows = len(dy) - max_lag
+    cols = [y[max_lag : max_lag + rows]]
+    if regression in ("c", "ct"):
+        cols.append(np.ones(rows))
+    if regression == "ct":
+        cols.append(np.arange(1.0, rows + 1))
+    cols.extend(dy[max_lag - i : max_lag - i + rows] for i in range(1, max_lag + 1))
+    x = np.column_stack(cols)
+    if rows <= x.shape[1]:
+        raise InsufficientDataError(
+            f"ADF regression at max_lag={max_lag} needs more than {x.shape[1]} rows, has {rows}"
+        )
+    # lstsq's rank tolerance; a deficient prefix makes the whole design deficient
+    if np.linalg.matrix_rank(x) < x.shape[1]:
+        raise DegenerateSeriesError("ADF regression design is rank deficient")
+    tail = np.linalg.qr(np.column_stack([x, dy[max_lag:]]), mode="r")[:, -1]
+    ssr = np.cumsum(tail[::-1] ** 2)[::-1]  # ssr[p]: sum of tail[p:] ** 2
+    nparams = np.arange(x.shape[1] - max_lag, x.shape[1] + 1)
+    aic = rows * np.log(ssr[nparams] / rows) + 2.0 * nparams
+    return int(np.argmin(aic))  # the first minimum keeps the lowest order on ties
 
 
 def adf_test(series, regression: str = "c", max_lag: int | None = None) -> AdfResult:
@@ -224,7 +231,7 @@ def adf_test(series, regression: str = "c", max_lag: int | None = None) -> AdfRe
         raise DegenerateSeriesError("series is constant")
     # pick the lag on a common sample, then refit with every usable row
     used_lag = select_adf_lag(y, max_lag, regression)
-    stat, _, nobs = _adf_fit(y, used_lag, regression, offset=used_lag)
+    stat, nobs = _adf_fit(y, used_lag, regression)
     pvalue = mackinnon_pvalue(stat, regression, 1)
     return AdfResult(stat, pvalue, used_lag, nobs, regression)
 
@@ -232,5 +239,4 @@ def adf_test(series, regression: str = "c", max_lag: int | None = None) -> AdfRe
 def adf_stat_fixed_lag(series, lag: int, regression: str = "n") -> float:
     """Tau statistic at a fixed lag; used on first-stage residuals."""
     y = np.asarray(series, dtype=np.float64).ravel()
-    stat, _, _ = _adf_fit(y, lag, regression, offset=lag)
-    return stat
+    return _adf_fit(y, lag, regression)[0]

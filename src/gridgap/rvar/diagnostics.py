@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from ..errors import InsufficientDataError, ParameterError
 from ..frames import TimeSeriesFrame
@@ -61,7 +61,7 @@ def ljung_box(series, lags: int = 40) -> LjungBoxResult:
         raise ParameterError(f"need more than {lags} observations, have {len(x)}")
     rho = sample_autocorr(x, lags)
     q = ljung_box_statistic(rho, len(x))
-    return LjungBoxResult(q, float(chi2.sf(q, lags)), lags, len(x))
+    return LjungBoxResult(q, float(chdtrc(lags, q)), lags, len(x))
 
 
 def durbin_watson(series) -> float:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from ..errors import CollinearityError, InsufficientDataError, ParameterError
 from ..frames import TimeSeriesFrame
@@ -40,7 +40,7 @@ def granger_wald(frame: TimeSeriesFrame, cause: str, effect: str, lags: int) -> 
     nparams = 1 + 2 * lags
     if t - lags < nparams + 1:
         raise InsufficientDataError(
-            f"need more than {lags + nparams + 1} rows for lags={lags}, have {t}"
+            f"need at least {lags + nparams + 1} rows for lags={lags}, have {t}"
         )
     rows = t - lags
     cols = [np.ones(rows)]
@@ -50,13 +50,13 @@ def granger_wald(frame: TimeSeriesFrame, cause: str, effect: str, lags: int) -> 
         cols.append(x_cause[lags - k : lags - k + rows])
     design = np.column_stack(cols)
     resp = y[lags:]
-    if np.linalg.matrix_rank(design) < design.shape[1]:
+    beta, _, rank, _ = np.linalg.lstsq(design, resp, rcond=None)
+    if rank < design.shape[1]:
         raise CollinearityError(
             f"regressors for {effect!r} on {cause!r} are collinear "
             "(identical or linearly dependent columns)",
             (cause, effect),
         )
-    beta, _, _, _ = np.linalg.lstsq(design, resp, rcond=None)
     resid = resp - design @ beta
     sigma2 = float(resid @ resid) / (rows - nparams)
     xtx_inv = np.linalg.inv(design.T @ design)
@@ -64,5 +64,6 @@ def granger_wald(frame: TimeSeriesFrame, cause: str, effect: str, lags: int) -> 
     b = beta[sel]
     cov = sigma2 * xtx_inv[sel, sel]
     stat = float(b @ np.linalg.solve(cov, b))
-    pvalue = float(chi2.sf(stat, lags))
+    # chdtrc is nan below 0, where the chi-square survival is 1
+    pvalue = float(chdtrc(lags, max(stat, 0.0)))
     return GrangerResult(cause, effect, lags, stat, pvalue)

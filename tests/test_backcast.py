@@ -2,6 +2,7 @@
 
 import datetime as dt
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -470,6 +471,16 @@ class TestSerialization:
         assert back.config == ens.config
         assert back.all_metrics == ens.all_metrics
         assert back.feature_config == ens.feature_config
+
+    def test_bytes_equal_streamed_json_dump(self, tmp_path):
+        dates, x, y = _synthetic_training_data()
+        ens = train_ensemble(x, y, dates, TrainingConfig(candidates=2, seed=3, epochs=5))
+        path = tmp_path / "ens.json"
+        save_ensemble(ens, path)
+        written = path.read_bytes()
+        with open(tmp_path / "streamed.json", "w") as fh:
+            json.dump(json.loads(written), fh)
+        assert written == (tmp_path / "streamed.json").read_bytes()
 
     def test_wrong_format_rejected(self, tmp_path):
         p = tmp_path / "x.json"

@@ -2,10 +2,14 @@
 
 import datetime as dt
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gridgap
 from gridgap.backcast import training_threads
 from gridgap.cli import MANIFEST_NAME, sha256_file
 from gridgap.cli.main import main
@@ -64,6 +68,17 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs import time and resident memory; gridgap needs only scipy.special
+        src = os.path.dirname(os.path.dirname(gridgap.__file__))
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        code = "import sys, gridgap.cli.main; print('scipy.stats' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestIngest:

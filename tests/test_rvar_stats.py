@@ -123,6 +123,13 @@ class TestAdf:
         with pytest.raises(ParameterError):
             adf_test(_walk(9), "ctt")
 
+    def test_no_residual_rows_at_max_lag(self):
+        # 36 points at max_lag=16: the trend design has 19 columns and 19 rows
+        with pytest.raises(InsufficientDataError, match="needs more than 19 rows, has 19"):
+            adf_test(_walk(0, 36), "ct", max_lag=16)
+        # without deterministics the same lags leave two residual rows
+        assert adf_test(_walk(0, 36), "n", max_lag=16).used_lag <= 16
+
     def test_fixed_lag_stat_is_float(self):
         stat = adf_stat_fixed_lag(_walk(5), lag=2, regression="n")
         assert isinstance(stat, float)
@@ -173,6 +180,14 @@ class TestGranger:
         frame = make_frame(np.random.default_rng(0).standard_normal((6, 2)), ("x", "y"))
         with pytest.raises(InsufficientDataError):
             granger_wald(frame, cause="x", effect="y", lags=2)
+
+    def test_row_count_boundary(self):
+        # lags=2 has 5 parameters: 2 + 5 + 1 = 8 rows leave one residual degree of freedom
+        values = np.random.default_rng(3).standard_normal((8, 2))
+        with pytest.raises(InsufficientDataError, match="need at least 8 rows for lags=2, have 7"):
+            granger_wald(make_frame(values[:7], ("x", "y")), cause="x", effect="y", lags=2)
+        res = granger_wald(make_frame(values, ("x", "y")), cause="x", effect="y", lags=2)
+        assert np.isfinite(res.stat) and 0.0 <= res.pvalue <= 1.0
 
 
 class TestEngleGranger:
