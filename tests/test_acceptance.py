@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from gridgap.cli import MANIFEST_NAME
 from gridgap.cli.main import main
@@ -418,8 +419,28 @@ class _Determinism:
         return digests_a
 
 
-def test_c12_cli_determinism(tmp_path):
-    reran = []
+# c12's output digests as one version wrote them, with the numeric stack they
+# were frozen on; a change that moves output bits re-freezes this file and
+# says which outputs moved and why.
+GOLDEN_OUTPUTS = Path(__file__).parent / "data" / "golden_outputs.json"
+
+
+def numeric_stack() -> dict:
+    """The libraries whose arithmetic decides the output bits."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.25 prints its config only
+        blas = "unknown"
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas}
+
+
+def c12_digests(tmp_path) -> dict[str, dict[str, str]]:
+    """Run each of the nine commands twice; their rerun-equal output digests.
+
+    ``scripts/freeze_golden.py`` writes this map to ``GOLDEN_OUTPUTS``.
+    """
+    digests = {}
 
     # ingest + qc-report
     days = make_dates(8, "2020-01-01")
@@ -435,19 +456,17 @@ def test_c12_cli_determinism(tmp_path):
     (tmp_path / "ingest.cfg").write_text(
         "source.load.data = raw.csv\nsource.load.schema = s.schema\n"
     )
-    _Determinism.run_twice(
+    digests["ingest"] = _Determinism.run_twice(
         ["ingest", "--config", str(tmp_path / "ingest.cfg")], tmp_path / "in_a", tmp_path / "in_b"
     )
-    reran.append("ingest")
 
     write_wide_csv(
         WideHourlyTable(days, np.full((8, 24), 500.0), "load"), tmp_path / "wide.csv"
     )
     (tmp_path / "qc.cfg").write_text("table = wide.csv\nkind = load\n")
-    _Determinism.run_twice(
+    digests["qc-report"] = _Determinism.run_twice(
         ["qc-report", "--config", str(tmp_path / "qc.cfg")], tmp_path / "qc_a", tmp_path / "qc_b"
     )
-    reran.append("qc-report")
 
     # trend
     ramp = np.concatenate([np.full(40, 90.0), np.linspace(90, 60, 15), np.full(45, 60.0)])
@@ -457,10 +476,9 @@ def test_c12_cli_determinism(tmp_path):
         tmp_path / "trend.csv",
     )
     (tmp_path / "trend.cfg").write_text("series = trend.csv\ncolumn = demand\n")
-    _Determinism.run_twice(
+    digests["trend"] = _Determinism.run_twice(
         ["trend", "--config", str(tmp_path / "trend.cfg")], tmp_path / "tr_a", tmp_path / "tr_b"
     )
-    reran.append("trend")
 
     # analyze / search share a fixture; analyze output feeds irf/fevd
     rng = np.random.default_rng(3)
@@ -476,26 +494,22 @@ def test_c12_cli_determinism(tmp_path):
     (tmp_path / "an.cfg").write_text(
         "series = levels.csv\ntarget = y\norders = 1,2\nrules = 1,3\nsign.u = 1\n"
     )
-    _Determinism.run_twice(
+    digests["analyze"] = _Determinism.run_twice(
         ["analyze", "--config", str(tmp_path / "an.cfg")], tmp_path / "an_a", tmp_path / "an_b"
     )
-    reran.append("analyze")
-    _Determinism.run_twice(
+    digests["search"] = _Determinism.run_twice(
         ["search", "--config", str(tmp_path / "an.cfg")], tmp_path / "se_a", tmp_path / "se_b"
     )
-    reran.append("search")
 
     model_path = tmp_path / "an_a" / "model.json"
     (tmp_path / "irf.cfg").write_text(f"model = {model_path}\nshock = u\nhorizon = 10\n")
-    _Determinism.run_twice(
+    digests["irf"] = _Determinism.run_twice(
         ["irf", "--config", str(tmp_path / "irf.cfg")], tmp_path / "ir_a", tmp_path / "ir_b"
     )
-    reran.append("irf")
     (tmp_path / "fevd.cfg").write_text(f"model = {model_path}\nhorizon = 10\nvariable = y\n")
-    _Determinism.run_twice(
+    digests["fevd"] = _Determinism.run_twice(
         ["fevd", "--config", str(tmp_path / "fevd.cfg")], tmp_path / "fe_a", tmp_path / "fe_b"
     )
-    reran.append("fevd")
 
     # ntl
     grid = np.random.default_rng(7).uniform(0, 60, (8, 8))
@@ -509,10 +523,9 @@ def test_c12_cli_determinism(tmp_path):
         {"flags_grid": "f.txt", "lunar_angle_grid": "a.txt", "lunar_fraction": 0.6},
     )
     (tmp_path / "ntl.cfg").write_text("grid = g.txt\nmetadata = m.txt\n")
-    _Determinism.run_twice(
+    digests["ntl"] = _Determinism.run_twice(
         ["ntl", "--config", str(tmp_path / "ntl.cfg")], tmp_path / "nt_a", tmp_path / "nt_b"
     )
-    reran.append("ntl")
 
     # backcast, smallest viable training set (full-year month coverage)
     bdays = make_dates(480, "2019-01-01")
@@ -524,15 +537,25 @@ def test_c12_cli_determinism(tmp_path):
         f"eval_start = {final_april}-03-01\neval_end = {final_april}-04-15\n"
         f"summary_month = {final_april}-03\ncandidates = 6\nkeep_fraction = 0.5\nepochs = 40\n"
     )
-    _Determinism.run_twice(
+    digests["backcast"] = _Determinism.run_twice(
         ["backcast", "--config", str(tmp_path / "bc.cfg"), "--seed", "3"],
         tmp_path / "bc_a",
         tmp_path / "bc_b",
     )
-    reran.append("backcast")
+    return digests
 
-    assert len(reran) == 9
-    _report(12, f"identical rerun digests for all commands: {', '.join(reran)}")
+
+def test_c12_cli_determinism(tmp_path):
+    digests = c12_digests(tmp_path)
+    assert len(digests) == 9
+    golden = json.loads(GOLDEN_OUTPUTS.read_text())
+    stack = numeric_stack()
+    if golden["stack"] == stack:
+        assert digests == golden["outputs"]
+        versus = "and equal to the golden digests"
+    else:
+        versus = f"(golden digests not compared: frozen on {golden['stack']}, running on {stack})"
+    _report(12, f"identical rerun digests for all commands: {', '.join(digests)} {versus}")
 
 
 def test_c13_real_data_reproduction():
