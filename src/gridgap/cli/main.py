@@ -318,15 +318,16 @@ def cmd_backcast(args) -> int:
     gdp = _parse_gdp(cfg)
     eval_start, eval_end = _cfg_date(cfg, "eval_start"), _cfg_date(cfg, "eval_end")
     years = {eval_start.year, eval_end.year}
+    if "ensemble" not in cfg:
+        train_start, train_end = _cfg_date(cfg, "train_start"), _cfg_date(cfg, "train_end")
+        years |= {train_start.year, train_end.year}
+    holidays = federal_holidays(range(min(years), max(years) + 1))
 
     feature_config = FeatureConfig()
     if "ensemble" in cfg:
         ensemble = load_ensemble(_cfg_path(cfg, "ensemble", base, rec))
         feature_config = ensemble.feature_config
     else:
-        train_start, train_end = _cfg_date(cfg, "train_start"), _cfg_date(cfg, "train_end")
-        years |= {train_start.year, train_end.year}
-        holidays = federal_holidays(range(min(years), max(years) + 1))
         daily = load_table.daily_mean_frame("load", require_full_day=True)
         daily = daily.slice_dates(train_start, train_end)
         features = feature_matrix(daily.dates, weather, gdp, holidays, feature_config)
@@ -336,12 +337,11 @@ def cmd_backcast(args) -> int:
         ensemble = train_ensemble(
             features, daily.column("load"), daily.dates, training, feature_config, jobs=jobs,
         )
-        print(f"kept {len(ensemble.models)} of {_cfg_int(cfg, 'candidates', 800)} candidates")
+        print(f"kept {len(ensemble.models)} of {training.candidates} candidates")
     ens_path = rec.output_path("ensemble.json")
     save_ensemble(ensemble, ens_path)
     rec.record_output(ens_path)
 
-    holidays = federal_holidays(range(min(years), max(years) + 1))
     eval_dates = [d for d in load_table.dates if eval_start <= d <= eval_end]
     if not eval_dates:
         raise ConfigError(f"no observed days between {eval_start} and {eval_end}")

@@ -6,7 +6,6 @@ from .sweep import (
     ScoringConfig,
     SearchResult,
     SearchSpace,
-    parse_search_space,
     run_search,
     search_log_csv,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "SearchSpace",
     "build_restriction_mask",
     "explainable_rate",
-    "parse_search_space",
     "run_search",
     "search_log_csv",
 ]

@@ -389,39 +389,3 @@ def search_log_csv(result_or_records) -> str:
             row.append("" if v is None else repr(float(v)))
         out.write(",".join(row) + "\n")
     return out.getvalue()
-
-
-def parse_search_space(text: str) -> SearchSpace:
-    """Build a space from key-value text.
-
-    Keys: ``subsets`` (semicolon-separated comma lists), ``ranges``
-    (semicolon-separated ``start..end`` ISO dates), ``orders`` and ``rules``
-    (comma-separated integers).
-    """
-    from ..ingest import parse_keyvalue_text
-
-    pairs = parse_keyvalue_text(text)
-    for key in ("subsets", "ranges", "orders"):
-        if key not in pairs:
-            raise ParameterError(f"search space text lacks {key!r}")
-    subsets = tuple(
-        tuple(n.strip() for n in chunk.split(",") if n.strip())
-        for chunk in pairs["subsets"].split(";")
-        if chunk.strip()
-    )
-    ranges = []
-    for chunk in pairs["ranges"].split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if ".." not in chunk:
-            raise ParameterError(f"range {chunk!r} is not start..end")
-        a, b = chunk.split("..", 1)
-        ranges.append((dt.date.fromisoformat(a.strip()), dt.date.fromisoformat(b.strip())))
-    orders = tuple(int(v) for v in pairs["orders"].split(",") if v.strip())
-    rules = (
-        tuple(int(v) for v in pairs["rules"].split(",") if v.strip())
-        if "rules" in pairs
-        else (1, 2, 3)
-    )
-    return SearchSpace(subsets, tuple(ranges), orders, rules)

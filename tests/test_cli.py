@@ -3,8 +3,10 @@
 import datetime as dt
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +81,13 @@ class TestUsage:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert done.stdout.strip() == "False"
+
+    def test_readme_python_blocks_run(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), flags=re.S)
+        assert blocks
+        for block in blocks:
+            exec(compile(block, str(readme), "exec"), {})
 
 
 class TestIngest:

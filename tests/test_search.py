@@ -15,7 +15,6 @@ from gridgap.search import (
     SearchSpace,
     build_restriction_mask,
     explainable_rate,
-    parse_search_space,
     run_search,
     search_log_csv,
 )
@@ -455,24 +454,3 @@ class TestSearchLog:
         assert float(rows[1]["bic"]) == pytest.approx(result.chosen.stats["bic"])
         # rejected-at-stability row leaves the score columns blank
         assert rows[0]["bic"] == ""
-
-    def test_parse_search_space_round_trip(self):
-        text = """
-        subsets = y,a ; y,a,b
-        ranges = 2020-01-01..2020-06-30 ; 2020-02-01..2020-06-30
-        orders = 1, 2
-        rules = 1, 3
-        """
-        space = parse_search_space(text)
-        assert space.variable_subsets == (("y", "a"), ("y", "a", "b"))
-        assert space.date_ranges[1][0] == dt.date(2020, 2, 1)
-        assert space.orders == (1, 2)
-        assert space.rules == (1, 3)
-
-    def test_parse_search_space_defaults_and_errors(self):
-        base = "subsets = y,a\nranges = 2020-01-01..2020-06-30\norders = 1"
-        assert parse_search_space(base).rules == (1, 2, 3)
-        with pytest.raises(ParameterError):
-            parse_search_space("ranges = 2020-01-01..2020-06-30\norders = 1")
-        with pytest.raises(ParameterError):
-            parse_search_space("subsets = y,a\nranges = 2020-01-01\norders = 1")
