@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from ..errors import DegenerateSeriesError, InsufficientDataError, ParameterError
+from .ols import ols
 
 REGRESSIONS = ("n", "c", "ct")
 
@@ -155,27 +156,28 @@ def default_max_lag(n: int) -> int:
     return min(12, int(np.floor(12.0 * (n / 100.0) ** 0.25)))
 
 
-def _adf_fit(y: np.ndarray, k: int, regression: str):
-    """Tau statistic and usable rows of the regression at lag order k."""
+def _adf_design(y: np.ndarray, lags: int, regression: str):
+    """``[y_{t-1}, deterministics, dy_{t-1}, ..., dy_{t-lags}]`` and ``dy_t`` for t > lags."""
     dy = np.diff(y)
-    rows = len(dy) - k
-    cols = [y[k : k + rows]]
-    for i in range(1, k + 1):
-        cols.append(dy[k - i : k - i + rows])
+    rows = len(dy) - lags
+    cols = [y[lags : lags + rows]]
     if regression in ("c", "ct"):
         cols.append(np.ones(rows))
     if regression == "ct":
         cols.append(np.arange(1.0, rows + 1))
-    x = np.column_stack(cols)
-    resp = dy[k:]
-    beta, _, rank, _ = np.linalg.lstsq(x, resp, rcond=None)
-    if rank < x.shape[1]:
+    cols.extend(dy[lags - i : lags - i + rows] for i in range(1, lags + 1))
+    return np.column_stack(cols), dy[lags:]
+
+
+def adf_stat_fixed_lag(series, lag: int, regression: str = "n") -> float:
+    """Tau statistic of the regression at a fixed lag order, on every usable row."""
+    x, dy = _adf_design(np.asarray(series, dtype=np.float64).ravel(), lag, regression)
+    fit = ols(np.roll(x, -1, axis=1), dy)
+    if fit is None:
         raise DegenerateSeriesError("ADF regression design is rank deficient")
-    resid = resp - x @ beta
-    sigma2 = float(resid @ resid) / (rows - x.shape[1])
-    xtx_inv = np.linalg.inv(x.T @ x)
-    se = np.sqrt(sigma2 * xtx_inv[0, 0])
-    return float(beta[0] / se), rows
+    sigma = np.sqrt(float(fit.resid @ fit.resid) / (x.shape[0] - x.shape[1]))
+    # y_{t-1}, moved last, owns R's next-to-last row: its t-statistic is z_last·sign(R_ll)/σ
+    return float(fit.r[-2, -1] * np.sign(fit.r[-2, -2]) / sigma)
 
 
 def select_adf_lag(y: np.ndarray, max_lag: int, regression: str) -> int:
@@ -186,23 +188,16 @@ def select_adf_lag(y: np.ndarray, max_lag: int, regression: str) -> int:
     of ``[X | dy]`` gives every order's residual sum of squares: the squares
     of R's last column from that prefix's width down.
     """
-    dy = np.diff(y)
-    rows = len(dy) - max_lag
-    cols = [y[max_lag : max_lag + rows]]
-    if regression in ("c", "ct"):
-        cols.append(np.ones(rows))
-    if regression == "ct":
-        cols.append(np.arange(1.0, rows + 1))
-    cols.extend(dy[max_lag - i : max_lag - i + rows] for i in range(1, max_lag + 1))
-    x = np.column_stack(cols)
+    x, dy = _adf_design(y, max_lag, regression)
+    rows = len(dy)
     if rows <= x.shape[1]:
         raise InsufficientDataError(
             f"ADF regression at max_lag={max_lag} needs more than {x.shape[1]} rows, has {rows}"
         )
-    # lstsq's rank tolerance; a deficient prefix makes the whole design deficient
-    if np.linalg.matrix_rank(x) < x.shape[1]:
+    fit = ols(x, dy)  # a deficient prefix makes the whole design deficient
+    if fit is None:
         raise DegenerateSeriesError("ADF regression design is rank deficient")
-    tail = np.linalg.qr(np.column_stack([x, dy[max_lag:]]), mode="r")[:, -1]
+    tail = fit.r[:, -1]
     ssr = np.cumsum(tail[::-1] ** 2)[::-1]  # ssr[p]: sum of tail[p:] ** 2
     nparams = np.arange(x.shape[1] - max_lag, x.shape[1] + 1)
     aic = rows * np.log(ssr[nparams] / rows) + 2.0 * nparams
@@ -231,12 +226,6 @@ def adf_test(series, regression: str = "c", max_lag: int | None = None) -> AdfRe
         raise DegenerateSeriesError("series is constant")
     # pick the lag on a common sample, then refit with every usable row
     used_lag = select_adf_lag(y, max_lag, regression)
-    stat, nobs = _adf_fit(y, used_lag, regression)
+    stat = adf_stat_fixed_lag(y, used_lag, regression)
     pvalue = mackinnon_pvalue(stat, regression, 1)
-    return AdfResult(stat, pvalue, used_lag, nobs, regression)
-
-
-def adf_stat_fixed_lag(series, lag: int, regression: str = "n") -> float:
-    """Tau statistic at a fixed lag; used on first-stage residuals."""
-    y = np.asarray(series, dtype=np.float64).ravel()
-    return _adf_fit(y, lag, regression)[0]
+    return AdfResult(stat, pvalue, used_lag, n - 1 - used_lag, regression)

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DomainError, ParameterError
+from ..errors import DegenerateSeriesError, DomainError, ParameterError
 from ..frames import TimeSeriesFrame
 from .adf import adf_stat_fixed_lag, adf_test, default_max_lag, mackinnon_pvalue, select_adf_lag
+from .ols import ols
 
 
 @dataclass(frozen=True)
@@ -74,11 +75,11 @@ def engle_granger(
     for i in range(frame.n_columns):
         for j in range(i + 1, frame.n_columns):
             left, right = frame.names[i], frame.names[j]
-            x = frame.values[:, i]
-            y = frame.values[:, j]
-            design = np.column_stack([np.ones(len(x)), x])
-            beta, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-            resid = y - design @ beta
+            design = np.column_stack([np.ones(len(frame)), frame.values[:, i]])
+            fit = ols(design, frame.values[:, j])
+            if fit is None:
+                raise DegenerateSeriesError(f"first stage {right!r} on {left!r} is rank deficient")
+            resid = fit.resid
             stat = adf_stat_fixed_lag(resid, select_adf_lag(resid, lag, "n"), regression="n")
             pvalue = mackinnon_pvalue(stat, regression="c", nseries=2)
             pairs.append(CointegrationPair(left, right, stat, pvalue, pvalue < alpha))

@@ -9,6 +9,7 @@ from scipy.special import chdtrc
 
 from ..errors import CollinearityError, InsufficientDataError, ParameterError
 from ..frames import TimeSeriesFrame
+from .ols import ols
 
 
 @dataclass(frozen=True)
@@ -27,15 +28,14 @@ def granger_wald(frame: TimeSeriesFrame, cause: str, effect: str, lags: int) -> 
     """Test whether ``cause`` helps predict ``effect`` beyond its own lags.
 
     The unrestricted regression has a constant and ``lags`` lags of both
-    series; the Wald statistic on the cause-lag block is compared against a
-    chi-square with ``lags`` degrees of freedom.
+    series, the cause lags last; their Wald statistic, nonnegative by
+    construction, is compared against a chi-square with ``lags`` df.
     """
     if lags < 1:
         raise ParameterError(f"lags must be >= 1, got {lags}")
     if cause == effect:
         raise ParameterError("cause and effect must name different columns")
-    x_cause = frame.column(cause)
-    y = frame.column(effect)
+    y, x_cause = frame.column(effect), frame.column(cause)
     t = len(y)
     nparams = 1 + 2 * lags
     if t - lags < nparams + 1:
@@ -43,27 +43,15 @@ def granger_wald(frame: TimeSeriesFrame, cause: str, effect: str, lags: int) -> 
             f"need at least {lags + nparams + 1} rows for lags={lags}, have {t}"
         )
     rows = t - lags
-    cols = [np.ones(rows)]
-    for k in range(1, lags + 1):
-        cols.append(y[lags - k : lags - k + rows])
-    for k in range(1, lags + 1):
-        cols.append(x_cause[lags - k : lags - k + rows])
-    design = np.column_stack(cols)
-    resp = y[lags:]
-    beta, _, rank, _ = np.linalg.lstsq(design, resp, rcond=None)
-    if rank < design.shape[1]:
+    lagged = [s[lags - k : t - k] for s in (y, x_cause) for k in range(1, lags + 1)]
+    fit = ols(np.column_stack([np.ones(rows), *lagged]), y[lags:])
+    if fit is None:
         raise CollinearityError(
             f"regressors for {effect!r} on {cause!r} are collinear "
             "(identical or linearly dependent columns)",
             (cause, effect),
         )
-    resid = resp - design @ beta
-    sigma2 = float(resid @ resid) / (rows - nparams)
-    xtx_inv = np.linalg.inv(design.T @ design)
-    sel = slice(1 + lags, 1 + 2 * lags)
-    b = beta[sel]
-    cov = sigma2 * xtx_inv[sel, sel]
-    stat = float(b @ np.linalg.solve(cov, b))
-    # chdtrc is nan below 0, where the chi-square survival is 1
-    pvalue = float(chdtrc(lags, max(stat, 0.0)))
-    return GrangerResult(cause, effect, lags, stat, pvalue)
+    sigma2 = float(fit.resid @ fit.resid) / (rows - nparams)
+    z = fit.r[1 + lags : -1, -1]  # Qᵀy of the cause lags, the trailing block
+    stat = float(z @ z) / sigma2
+    return GrangerResult(cause, effect, lags, stat, float(chdtrc(lags, stat)))

@@ -27,6 +27,7 @@ from ..errors import (
     SchemaError,
 )
 from ..frames import TimeSeriesFrame
+from .ols import numerical_rank, ols
 
 MODEL_FORMAT = "rvar-model/1"
 
@@ -105,11 +106,7 @@ class RVarModel:
 
 def _lag_design(values: np.ndarray, p: int):
     """Response rows t = p..T-1 and the full lag matrix per (lag, variable)."""
-    t_total, n = values.shape
-    rows = t_total - p
-    lagged = np.empty((rows, p, n))
-    for k in range(1, p + 1):
-        lagged[:, k - 1, :] = values[p - k : p - k + rows, :]
+    lagged = np.stack([values[p - k : len(values) - k] for k in range(1, p + 1)], axis=1)
     return values[p:, :], lagged
 
 
@@ -128,37 +125,41 @@ def fit_restricted_var(
         raise ParameterError(f"order must be >= 1, got {p}")
     if frame.has_missing():
         raise ParameterError("frame contains missing values; clean or drop them first")
-    n = frame.n_columns
-    t_total = len(frame)
+    names, n = frame.names, frame.n_columns
     if mask is None:
         mask = zero_mask(p, n)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (p, n, n):
         raise ParameterError(f"mask shape {mask.shape} != ({p}, {n}, {n})")
-    if t_total <= p:
-        raise InsufficientDataError(f"{t_total} rows cannot support order {p}")
+    if len(frame) <= p:
+        raise InsufficientDataError(f"{len(frame)} rows cannot support order {p}")
     resp, lagged = _lag_design(frame.values, p)
     rows = resp.shape[0]
     coeffs = np.zeros((p, n, n))
     intercept = np.zeros(n)
     residuals = np.empty((rows, n))
     for i in range(n):
-        free = [(k, j) for k in range(p) for j in range(n) if not mask[k, i, j]]
-        labels = ["const"] + [f"{frame.names[j]}.l{k + 1}" for k, j in free]
-        design = np.empty((rows, 1 + len(free)))
-        design[:, 0] = 1.0
-        for col, (k, j) in enumerate(free, start=1):
-            design[:, col] = lagged[:, k, j]
+        free = ~mask[:, i, :]  # boolean indexing keeps the (lag, variable) order
+        design = np.column_stack([np.ones(rows), lagged[:, free]])
         if rows < design.shape[1]:
             raise InsufficientDataError(
-                f"equation {frame.names[i]!r}: {rows} rows for {design.shape[1]} parameters"
+                f"equation {names[i]!r}: {rows} rows for {design.shape[1]} parameters"
             )
-        _assert_full_rank(design, labels, frame.names[i])
-        beta, _, _, _ = np.linalg.lstsq(design, resp[:, i], rcond=None)
-        intercept[i] = beta[0]
-        for col, (k, j) in enumerate(free, start=1):
-            coeffs[k, i, j] = beta[col]
-        residuals[:, i] = resp[:, i] - design @ beta
+        fit = ols(design, resp[:, i])
+        if fit is None:
+            # pivoted QR orders columns by how much new direction they add; the
+            # ones past the numerical rank are the dependent offenders
+            _, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
+            labels = ["const"] + [f"{names[j]}.l{k + 1}" for k, j in zip(*np.nonzero(free))]
+            offenders = tuple(labels[k] for k in piv[numerical_rank(r, rows) :])
+            raise CollinearityError(
+                f"equation {names[i]!r}: design matrix is rank deficient; "
+                f"offending columns {offenders}",
+                offenders,
+            )
+        intercept[i] = fit.beta[0]
+        coeffs[:, i, :][free] = fit.beta[1:]
+        residuals[:, i] = fit.resid
     sigma_e = residuals.T @ residuals / rows
     return RVarModel(
         frame.names,
@@ -169,24 +170,6 @@ def fit_restricted_var(
         sigma_e,
         frame.dates[0],
         frame.dates[-1],
-    )
-
-
-def _assert_full_rank(design: np.ndarray, labels: list[str], equation: str):
-    rank = np.linalg.matrix_rank(design)
-    if rank >= design.shape[1]:
-        return
-    # pivoted QR orders columns by how much new direction they add; the ones
-    # past the numerical rank are the dependent offenders
-    _, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag.max() * max(design.shape) * np.finfo(float).eps if diag.size else 0.0
-    offenders = tuple(labels[piv[k]] for k in range(len(diag)) if diag[k] <= tol)
-    offenders = offenders or tuple(labels[piv[rank:]])
-    raise CollinearityError(
-        f"equation {equation!r}: design matrix is rank deficient; "
-        f"offending columns {offenders}",
-        offenders,
     )
 
 

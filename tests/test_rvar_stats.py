@@ -246,6 +246,13 @@ class TestEngleGranger:
         with pytest.raises(ParameterError):
             engle_granger(frame)
 
+    def test_rank_deficient_first_stage_degenerate(self):
+        # a constant regressor duplicates the first-stage intercept
+        walk = _walk(6, 120)
+        frame = make_frame(np.column_stack([np.full(120, 5.0), walk]), ("flat", "walk"))
+        with pytest.raises(DegenerateSeriesError):
+            engle_granger(frame, check_inputs=False)
+
 
 class TestStatsmodelsCrossChecks:
     """Live agreement checks; skipped when statsmodels is absent."""
