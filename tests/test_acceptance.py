@@ -6,6 +6,7 @@ the work the bound covers.
 """
 
 import csv
+import ctypes
 import datetime as dt
 import io
 import json
@@ -425,14 +426,37 @@ class _Determinism:
 GOLDEN_OUTPUTS = Path(__file__).parent / "data" / "golden_outputs.json"
 
 
+def _openblas_core() -> str:
+    """The kernel family numpy's OpenBLAS chose for this CPU; it decides GEMM rounding."""
+    root = Path(np.__file__).parent
+    found = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
+    for path in sorted(found):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_corename{suffix}", None)
+                if get is not None:
+                    get.restype = ctypes.c_char_p
+                    return get().decode()
+    return "unknown"
+
+
 def numeric_stack() -> dict:
-    """The libraries whose arithmetic decides the output bits."""
+    """The libraries, and the BLAS kernels, whose arithmetic decides the output bits."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy before 1.25 prints its config only
         blas = "unknown"
-    return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas}
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas,
+        "blas_core": _openblas_core(),
+    }
 
 
 def c12_digests(tmp_path) -> dict[str, dict[str, str]]:
