@@ -9,19 +9,17 @@ numpy's OpenBLAS pinned to one thread, so the result is the same whatever
 
 from __future__ import annotations
 
-import ctypes
 import datetime as dt
-import functools
 import json
 import math
-import threading
 from calendar import month_name
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from ..blas import BLAS_PIN as _BLAS_PIN
+from ..blas import openblas as _openblas
 from ..errors import (
     CoverageError,
     DomainError,
@@ -136,35 +134,6 @@ class BackcastEnsemble:
 
 
 # -- BLAS threads ------------------------------------------------------------
-
-# held while training has OpenBLAS pinned, so that concurrent trainings in one
-# process cannot read each other's pin as their budget or restore it early
-_BLAS_PIN = threading.Lock()
-
-
-@functools.cache
-def _openblas():
-    """``(get, set)`` for the thread count of numpy's bundled OpenBLAS, or None.
-
-    numpy wheels ship OpenBLAS in ``numpy.libs`` (``numpy/.dylibs`` on
-    macOS); opening that file again returns the library numpy already loaded.
-    """
-    root = Path(np.__file__).parent
-    found = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
-    for path in sorted(found):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    return get, put
-    return None
 
 
 def training_threads(candidates: int, jobs: int) -> tuple[int, int | None]:

@@ -20,6 +20,7 @@ from functools import partial
 
 import numpy as np
 
+from ..blas import one_blas_thread, openblas
 from ..errors import NoModelError, ParameterError
 from ..frames import TimeSeriesFrame
 from ..rvar import (
@@ -283,6 +284,9 @@ _SWEEP_STATE: dict = {}
 
 def _sweep_initializer(frame, scoring):
     _SWEEP_STATE["args"] = (frame, scoring)
+    blas = openblas()
+    if blas is not None:
+        blas[1](1)  # a worker only runs the sweep; a forked one inherits the pin anyway
 
 
 def _sweep_task(unit):
@@ -305,6 +309,9 @@ def run_search(
     Work is split into (subset, window) units: the window gates run once per
     unit and its orders and rules reuse them. With ``jobs > 1`` each unit is
     one pool task, on ``min(jobs, units)`` workers; one worker means no pool.
+    The regressions are far too small to gain from BLAS threads, whose
+    spinning only takes CPU from the sweep, so the search runs with numpy's
+    OpenBLAS on one thread.
     """
     scoring = scoring or ScoringConfig()
     missing = [
@@ -317,29 +324,30 @@ def run_search(
         raise ParameterError(f"frame lacks columns {sorted(set(missing))}")
     units = _window_units(space)
     workers = min(jobs, len(units))
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_sweep_initializer,
-            initargs=(frame, scoring),
-        ) as pool:
-            batches = list(pool.map(_sweep_task, units, chunksize=1))
-    else:
-        batches = [_evaluate_window(*unit, frame, scoring) for unit in units]
-    records = [r for batch in batches for r in batch]
-    records.sort(key=lambda r: r.index)
+    with one_blas_thread():
+        if workers > 1:
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_sweep_initializer,
+                initargs=(frame, scoring),
+            ) as pool:
+                batches = list(pool.map(_sweep_task, units, chunksize=1))
+        else:
+            batches = [_evaluate_window(*unit, frame, scoring) for unit in units]
+        records = [r for batch in batches for r in batch]
+        records.sort(key=lambda r: r.index)
 
-    admissible = [r for r in records if r.admissible]
-    if not admissible:
-        raise NoModelError(
-            "no combination passed every gate",
-            [(r.index, r.status) for r in records],
-        )
-    best = min(admissible, key=lambda r: (r.stats["bic"], r.stats["aic"], r.index))
-    levels = frame.select(best.subset).slice_dates(*best.date_range)
-    diffed = difference(levels, 1)
-    mask = build_restriction_mask(diffed, best.order, best.rule)
-    model = fit_restricted_var(diffed, p=best.order, mask=mask)
+        admissible = [r for r in records if r.admissible]
+        if not admissible:
+            raise NoModelError(
+                "no combination passed every gate",
+                [(r.index, r.status) for r in records],
+            )
+        best = min(admissible, key=lambda r: (r.stats["bic"], r.stats["aic"], r.index))
+        levels = frame.select(best.subset).slice_dates(*best.date_range)
+        diffed = difference(levels, 1)
+        mask = build_restriction_mask(diffed, best.order, best.rule)
+        model = fit_restricted_var(diffed, p=best.order, mask=mask)
     return SearchResult(tuple(records), best.index, model)
 
 

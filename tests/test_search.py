@@ -8,6 +8,7 @@ import pytest
 from conftest import make_dates, make_frame
 
 from gridgap import TimeSeriesFrame
+from gridgap.blas import openblas
 from gridgap.errors import NoModelError, ParameterError
 from gridgap.rvar import FevdResult, RVarModel, fevd, granger_wald, zero_mask
 from gridgap.search import (
@@ -375,6 +376,32 @@ class TestRunSearch:
         space = SearchSpace((("y", "u", "v"),), (whole_range(frame),), (1, 2), (1, 2))
         result = run_search(frame, space, ScoringConfig(), jobs=2)
         assert result.chosen.order == 2
+
+    def test_blas_on_one_thread_then_restored(self, monkeypatch):
+        blas = openblas()
+        if blas is None:
+            pytest.skip("numpy's BLAS is not a bundled OpenBLAS, so its thread count cannot be set")
+        get, put = blas
+        before = get()
+        seen = []
+        real = sweep.fit_restricted_var
+
+        def recording(*args, **kwargs):
+            seen.append(get())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "fit_restricted_var", recording)
+        frame = spiky_levels(0)
+        space = SearchSpace((("y", "u", "v"),), (whole_range(frame),), (1, 2), (1, 2))
+        try:
+            put(2)
+            run_search(frame, space, ScoringConfig())
+            assert seen and set(seen) == {1}
+            assert get() == 2
+            sweep._sweep_initializer(frame, ScoringConfig())  # a pool worker stays pinned
+            assert get() == 1
+        finally:
+            put(before)
 
     def test_precedence_failure_shared_by_rules(self, monkeypatch):
         calls = []
