@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..blas import BLAS_PIN as _BLAS_PIN
-from ..blas import openblas as _openblas
+from .. import blas
 from ..errors import (
     CoverageError,
     DomainError,
@@ -145,11 +144,13 @@ def training_threads(candidates: int, jobs: int) -> tuple[int, int | None]:
     threads. Without an OpenBLAS handle the budget is None and
     ``min(jobs, candidates)`` threads run.
     """
-    blas = _openblas()
-    if blas is None:
-        return min(jobs, candidates), None
-    budget = blas[0]()
-    return min(candidates, max(jobs, budget)), budget
+    handle = blas.openblas()
+    budget = None if handle is None else handle[0]()
+    return _thread_count(candidates, jobs, budget), budget
+
+
+def _thread_count(candidates: int, jobs: int, budget: int | None) -> int:
+    return min(candidates, max(jobs, budget or 1))
 
 
 # -- candidate training ------------------------------------------------------
@@ -254,20 +255,13 @@ def train_ensemble(
     # numpy releases the GIL inside matmul and ufuncs, so candidates overlap
     # on threads. Without an OpenBLAS handle nothing is pinned: outputs then
     # depend on that BLAS's own threading, and its threads may oversubscribe.
-    blas = _openblas()
-    with _BLAS_PIN:
-        threads, budget = training_threads(config.candidates, jobs)
-        if blas is not None:
-            blas[1](1)
-        try:
-            if threads > 1:
-                with ThreadPoolExecutor(threads) as pool:
-                    results = list(pool.map(train, range(config.candidates)))
-            else:
-                results = [train(i) for i in range(config.candidates)]
-        finally:
-            if blas is not None:
-                blas[1](budget)
+    with blas.one_blas_thread() as budget:
+        threads = _thread_count(config.candidates, jobs, budget)
+        if threads > 1:
+            with ThreadPoolExecutor(threads) as pool:
+                results = list(pool.map(train, range(config.candidates)))
+        else:
+            results = [train(i) for i in range(config.candidates)]
     metrics = np.array([r[3] for r in results])
     order = np.lexsort((np.arange(len(results)), metrics))
     kept = order[: config.keep_count]
@@ -297,18 +291,17 @@ class Prediction:
 
 
 def predict(ensemble: BackcastEnsemble, feature: np.ndarray) -> Prediction:
-    """Ensemble mean plus empirical member quantiles for one date.
+    """Ensemble mean plus empirical member quantiles for one date."""
+    points, quantiles = predict_many(ensemble, np.atleast_2d(feature))
+    return Prediction(float(points[0]), {lvl: float(q[0]) for lvl, q in quantiles.items()})
+
+
+def predict_many(ensemble: BackcastEnsemble, features: np.ndarray):
+    """Ensemble means and member quantiles per row: (points, {level: values}).
 
     Member predictions are sorted before aggregation, so the output is
     bit-identical under any permutation of the members.
     """
-    preds = np.sort(ensemble.member_predictions(np.atleast_2d(feature))[:, 0])
-    qs = np.quantile(preds, PREDICTION_LEVELS, method="linear")
-    return Prediction(float(preds.mean()), dict(zip(PREDICTION_LEVELS, map(float, qs))))
-
-
-def predict_many(ensemble: BackcastEnsemble, features: np.ndarray):
-    """Vectorized predict: (points, {level: values}) across rows."""
     preds = np.sort(ensemble.member_predictions(features), axis=0)
     points = preds.mean(axis=0)
     qs = np.quantile(preds, PREDICTION_LEVELS, axis=0, method="linear")
@@ -370,22 +363,25 @@ def reduction_series(
     if len(dates) != np.atleast_2d(features).shape[0]:
         raise ParameterError("features and dates do not align")
     index = {d: i for i, d in enumerate(actual.dates)}
-    rows = []
-    for d in dates:
-        if d not in index:
-            raise ParameterError(f"observed table has no row for {d}")
-        rows.append(actual.values[index[d]])
-    observed = np.array(rows)
+    missing = [d for d in dates if d not in index]
+    if missing:
+        raise ParameterError(f"observed table has no row for {missing[0]}")
+    observed = actual.values[[index[d] for d in dates]]
+    if np.isnan(observed).any():
+        raise MissingValueError("actual day has missing hours; run QC first")
+    daily = observed.mean(axis=1)
+
+    def rates(baseline):
+        # reduction_rate's arithmetic, one day per entry
+        bad = baseline <= 0
+        if bad.any():
+            raise DomainError(f"baseline must be positive, got {baseline[np.argmax(bad)]}")
+        return (1.0 - daily / baseline) * 100.0
+
     points, quantiles = predict_many(ensemble, features)
-    point_rates = np.array(
-        [reduction_rate(b, day) for b, day in zip(points, observed)]
+    return ReductionSeries(
+        tuple(dates), rates(points), {lvl: rates(b) for lvl, b in quantiles.items()}
     )
-    bounds = {}
-    for lvl, baseline in quantiles.items():
-        bounds[lvl] = np.array(
-            [reduction_rate(b, day) for b, day in zip(baseline, observed)]
-        )
-    return ReductionSeries(tuple(dates), point_rates, bounds)
 
 
 @dataclass(frozen=True)

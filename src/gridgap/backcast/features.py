@@ -7,8 +7,8 @@ weather readings, and an economic scalar.
 
 from __future__ import annotations
 
-import datetime as dt
-from dataclasses import dataclass, field
+import bisect
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -51,7 +51,7 @@ class FeatureConfig:
 
 
 def feature_names(config: FeatureConfig) -> tuple[str, ...]:
-    """Column labels matching FeatureVector.vector positions."""
+    """Column labels of the feature rows, in order."""
     names = [f"month_{m}" for m in range(1, 13)]
     names += [f"weekday_{w}" for w in range(7)]
     names += ["holiday", "day_scaled"]
@@ -61,47 +61,42 @@ def feature_names(config: FeatureConfig) -> tuple[str, ...]:
     return tuple(names)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    calendar: CalendarInfo
-    quantiles: Mapping[str, tuple[float, ...]]
-    gdp_growth: float
-    config: FeatureConfig = field(default_factory=FeatureConfig)
+def _encode(dates, weather, gdp, holidays, config: FeatureConfig) -> np.ndarray:
+    """The (days, dimension) feature matrix of ``dates``.
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "quantiles",
-            {k: tuple(float(v) for v in vals) for k, vals in dict(self.quantiles).items()},
-        )
-        if set(self.quantiles) != set(self.config.weather_kinds):
-            raise ParameterError(
-                f"quantile kinds {sorted(self.quantiles)} != configured {sorted(self.config.weather_kinds)}"
+    ``weather`` maps each configured kind to its (days, 24) readings, row i
+    belonging to ``dates[i]``; ``gdp`` holds one value per date. Quantiles
+    are empirical over each day's non-missing cells, linear interpolation
+    between order statistics.
+    """
+    gdp = np.asarray(gdp, dtype=np.float64)
+    out = np.zeros((len(dates), config.dimension))
+    rows = np.arange(len(dates))
+    out[rows, [d.month - 1 for d in dates]] = 1.0
+    out[rows, [12 + d.weekday() for d in dates]] = 1.0
+    out[:, 19] = [d in holidays for d in dates]
+    out[:, 20] = np.array([d.day for d in dates]) / 31.0
+    levels = config.quantile_levels
+    pos = 21
+    for kind in config.weather_kinds:
+        table = weather[kind]
+        infinite = np.isinf(table).any(axis=1)
+        if infinite.any():
+            first = dates[int(np.argmax(infinite))]
+            raise ParameterError(f"{kind} has an infinite reading on {first}")
+        cells = 24 - np.isnan(table).sum(axis=1)
+        short = cells < MIN_WEATHER_CELLS
+        if short.any():
+            i = int(np.argmax(short))
+            raise InsufficientDataError(
+                f"{kind} has {cells[i]} usable cells on {dates[i]}; need >= {MIN_WEATHER_CELLS}"
             )
-        for kind, vals in self.quantiles.items():
-            if len(vals) != len(self.config.quantile_levels):
-                raise ParameterError(
-                    f"{kind}: {len(vals)} quantile values for {len(self.config.quantile_levels)} levels"
-                )
-            if not all(np.isfinite(v) for v in vals):
-                raise ParameterError(f"{kind}: non-finite quantile value")
-        if not np.isfinite(self.gdp_growth):
-            raise ParameterError("gdp_growth must be finite")
-
-    @property
-    def vector(self) -> np.ndarray:
-        out = np.zeros(self.config.dimension)
-        out[self.calendar.month - 1] = 1.0
-        out[12 + self.calendar.weekday] = 1.0
-        out[19] = 1.0 if self.calendar.holiday_flag else 0.0
-        out[20] = self.calendar.day / 31.0
-        pos = 21
-        for kind in self.config.weather_kinds:
-            vals = self.quantiles[kind]
-            out[pos : pos + len(vals)] = vals
-            pos += len(vals)
-        out[pos] = self.gdp_growth
-        return out
+        out[:, pos : pos + len(levels)] = np.nanquantile(table, levels, axis=1, method="linear").T
+        pos += len(levels)
+    if not np.isfinite(gdp).all():
+        raise ParameterError("gdp_growth must be finite")
+    out[:, pos] = gdp
+    return out
 
 
 def build_features(
@@ -109,48 +104,38 @@ def build_features(
     weather_row: Mapping[str, np.ndarray],
     gdp: float,
     config: FeatureConfig | None = None,
-) -> FeatureVector:
+) -> np.ndarray:
     """Encode one date from its calendar attributes and 24 hourly readings.
 
-    Quantiles are empirical over the day's non-missing cells, linear
-    interpolation between order statistics; a day keeping fewer than
-    MIN_WEATHER_CELLS readings for any kind is refused.
+    Returns the date's feature row, labelled by ``feature_names(config)``. A
+    day keeping fewer than MIN_WEATHER_CELLS readings for any kind, or
+    holding an infinite reading, is refused.
     """
     config = config or FeatureConfig()
-    quantiles = {}
+    weather = {}
     for kind in config.weather_kinds:
         if kind not in weather_row:
             raise UnknownColumnError(f"weather kind {kind!r} missing for {calendar.date}")
         row = np.asarray(weather_row[kind], dtype=np.float64).ravel()
         if row.shape != (24,):
             raise ParameterError(f"{kind} row for {calendar.date} is not 24 hourly values")
-        cells = row[~np.isnan(row)]
-        if len(cells) < MIN_WEATHER_CELLS:
-            raise InsufficientDataError(
-                f"{kind} has {len(cells)} usable cells on {calendar.date}; "
-                f"need >= {MIN_WEATHER_CELLS}"
-            )
-        quantiles[kind] = tuple(
-            float(np.quantile(cells, q, method="linear")) for q in config.quantile_levels
-        )
-    return FeatureVector(calendar, quantiles, float(gdp), config)
+        weather[kind] = row[None, :]
+    holidays = (calendar.date,) if calendar.holiday_flag else ()
+    return _encode([calendar.date], weather, [float(gdp)], holidays, config)[0]
 
 
-def _gdp_for_date(gdp, date: dt.date) -> float:
-    """Resolve the economic scalar: a constant, or a (year, month) step map."""
+def _gdp_values(gdp, dates) -> list[float]:
+    """The economic scalar of each date: a constant, or a (year, month) step map."""
     if isinstance(gdp, (int, float)):
-        return float(gdp)
+        return [float(gdp)] * len(dates)
     keys = sorted(gdp)
-    key = (date.year, date.month)
-    chosen = None
-    for k in keys:
-        if k <= key:
-            chosen = k
-        else:
-            break
-    if chosen is None:
-        raise ParameterError(f"no economic value at or before {date.year}-{date.month:02d}")
-    return float(gdp[chosen])
+    values = []
+    for d in dates:
+        i = bisect.bisect_right(keys, (d.year, d.month))
+        if i == 0:
+            raise ParameterError(f"no economic value at or before {d.year}-{d.month:02d}")
+        values.append(float(gdp[keys[i - 1]]))
+    return values
 
 
 def feature_matrix(
@@ -160,28 +145,23 @@ def feature_matrix(
     holidays=frozenset(),
     config: FeatureConfig | None = None,
 ) -> np.ndarray:
-    """Stack per-date vectors for a span of dates.
+    """Feature rows for a span of dates, one per date.
 
     ``weather`` maps each configured kind to a wide hourly table covering all
     requested dates; ``gdp`` is a constant or a {(year, month): value} map
     applied stepwise.
     """
     config = config or FeatureConfig()
-    indices = {}
+    dates = list(dates)
+    rows = {}
     for kind in config.weather_kinds:
         if kind not in weather:
             raise UnknownColumnError(f"no weather table for kind {kind!r}")
-        indices[kind] = {d: i for i, d in enumerate(weather[kind].dates)}
-    rows = []
-    for d in dates:
-        row = {}
-        for kind in config.weather_kinds:
-            idx = indices[kind].get(d)
-            if idx is None:
-                raise InsufficientDataError(f"{kind} table has no row for {d}")
-            row[kind] = weather[kind].values[idx]
-        cal = CalendarInfo.from_date(d, holidays)
-        rows.append(build_features(cal, row, _gdp_for_date(gdp, d), config).vector)
-    if not rows:
+        index = {d: i for i, d in enumerate(weather[kind].dates)}
+        missing = [d for d in dates if d not in index]
+        if missing:
+            raise InsufficientDataError(f"{kind} table has no row for {missing[0]}")
+        rows[kind] = weather[kind].values[[index[d] for d in dates]]
+    if not dates:
         raise ParameterError("no dates requested")
-    return np.vstack(rows)
+    return _encode(dates, rows, _gdp_values(gdp, dates), holidays, config)

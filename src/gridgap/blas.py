@@ -44,17 +44,19 @@ def openblas():
 def one_blas_thread():
     """Run the body with numpy's OpenBLAS on one thread, then restore its count.
 
-    Without an OpenBLAS handle nothing is pinned.
+    Yields the count read on entry, the budget the caller may spend on its
+    own threads. Without an OpenBLAS handle nothing is pinned and it yields
+    None.
     """
     blas = openblas()
     if blas is None:
-        yield
+        yield None
         return
     get, put = blas
     with BLAS_PIN:
         budget = get()
         put(1)
         try:
-            yield
+            yield budget
         finally:
             put(budget)

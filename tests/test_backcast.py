@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from gridgap import blas as blas_module
 from gridgap.backcast import ensemble as ensemble_module
 from gridgap.backcast import (
     BackcastEnsemble,
@@ -52,24 +53,30 @@ def _weather_row(temp=None, humidity=None, wind=None):
     }
 
 
+def _quantiles(row, kind):
+    """The ``kind`` quantile entries of a default-config feature row."""
+    names = feature_names(FeatureConfig())
+    return tuple(float(v) for n, v in zip(names, row) if n.startswith(f"{kind}_q"))
+
+
 class TestFeatures:
     def test_constant_day_quantiles(self):
         cal = CalendarInfo.from_date(dt.date(2020, 3, 4))
-        fv = build_features(cal, _weather_row(), gdp=1.5)
-        assert fv.quantiles["temperature"] == (20.0, 20.0, 20.0, 20.0)
+        row = build_features(cal, _weather_row(), gdp=1.5)
+        assert _quantiles(row, "temperature") == (20.0, 20.0, 20.0, 20.0)
 
     def test_max_quantile_of_1_to_24(self):
         cal = CalendarInfo.from_date(dt.date(2020, 3, 4))
-        fv = build_features(cal, _weather_row(temp=np.arange(1.0, 25.0)), gdp=0.0)
-        assert fv.quantiles["temperature"][-1] == 24.0
+        row = build_features(cal, _weather_row(temp=np.arange(1.0, 25.0)), gdp=0.0)
+        assert _quantiles(row, "temperature")[-1] == 24.0
         # linear interpolation between order statistics: q25 of 1..24
-        assert fv.quantiles["temperature"][0] == pytest.approx(1 + 0.25 * 23)
+        assert _quantiles(row, "temperature")[0] == pytest.approx(1 + 0.25 * 23)
 
     def test_sunday_holiday_encoding(self):
         # 2020-07-05 was a Sunday; treat it as the observed holiday
         d = dt.date(2020, 7, 5)
         cal = CalendarInfo.from_date(d, holidays={d})
-        vec = build_features(cal, _weather_row(), gdp=0.0).vector
+        vec = build_features(cal, _weather_row(), gdp=0.0)
         assert vec[12 + 6] == 1.0  # weekday one-hot, Sunday slot
         assert vec[19] == 1.0  # holiday bit
         assert vec[12:19].sum() == 1.0
@@ -77,11 +84,8 @@ class TestFeatures:
     def test_vector_layout(self):
         d = dt.date(2020, 11, 17)
         cal = CalendarInfo.from_date(d)
-        fv = build_features(
-            cal, _weather_row(temp=np.arange(1.0, 25.0)), gdp=-2.5
-        )
-        vec = fv.vector
-        names = feature_names(fv.config)
+        vec = build_features(cal, _weather_row(temp=np.arange(1.0, 25.0)), gdp=-2.5)
+        names = feature_names(FeatureConfig())
         assert len(vec) == len(names) == 34
         assert vec[10] == 1.0 and names[10] == "month_11"
         assert vec[:12].sum() == 1.0
@@ -93,8 +97,8 @@ class TestFeatures:
         cal = CalendarInfo.from_date(dt.date(2020, 5, 2))
         temp = np.full(24, 10.0)
         temp[:12] = np.nan  # exactly 12 readings remain
-        fv = build_features(cal, _weather_row(temp=temp), gdp=0.0)
-        assert fv.quantiles["temperature"] == (10.0, 10.0, 10.0, 10.0)
+        row = build_features(cal, _weather_row(temp=temp), gdp=0.0)
+        assert _quantiles(row, "temperature") == (10.0, 10.0, 10.0, 10.0)
         temp[12] = np.nan  # 11 remain
         with pytest.raises(InsufficientDataError):
             build_features(cal, _weather_row(temp=temp), gdp=0.0)
@@ -102,8 +106,8 @@ class TestFeatures:
     def test_quantiles_ignore_missing_cells(self):
         cal = CalendarInfo.from_date(dt.date(2020, 5, 2))
         temp = np.array([np.nan] * 4 + list(range(1, 21)), dtype=float)
-        fv = build_features(cal, _weather_row(temp=temp), gdp=0.0)
-        assert fv.quantiles["temperature"][-1] == 20.0
+        row = build_features(cal, _weather_row(temp=temp), gdp=0.0)
+        assert _quantiles(row, "temperature")[-1] == 20.0
 
     def test_unknown_kind_and_bad_shape(self):
         cal = CalendarInfo.from_date(dt.date(2020, 5, 2))
@@ -148,8 +152,32 @@ class TestFeatures:
             k: WideHourlyTable((d,), np.full((1, 24), 1.0), k)
             for k in ("temperature", "humidity", "wind")
         }
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InsufficientDataError, match="no row for 2020-05-16"):
             feature_matrix([d, d + dt.timedelta(days=1)], tables, 0.0)
+
+    def test_feature_matrix_names_first_short_day(self):
+        dates = tuple(dt.date(2020, 5, 1) + dt.timedelta(days=i) for i in range(4))
+        tables = {
+            k: WideHourlyTable(dates, np.full((4, 24), 1.0), k)
+            for k in ("temperature", "humidity", "wind")
+        }
+        tables["wind"].values[1:, :13] = np.nan
+        with pytest.raises(InsufficientDataError, match="wind has 11 usable cells on 2020-05-02"):
+            feature_matrix(dates, tables, 0.0)
+
+    @pytest.mark.parametrize("reading", [np.inf, -np.inf])
+    def test_infinite_reading_refused(self, reading):
+        dates = tuple(dt.date(2020, 5, 1) + dt.timedelta(days=i) for i in range(3))
+        tables = {
+            k: WideHourlyTable(dates, np.full((3, 24), 1.0), k)
+            for k in ("temperature", "humidity", "wind")
+        }
+        tables["humidity"].values[1:, 5] = reading
+        with pytest.raises(ParameterError, match="humidity has an infinite reading on 2020-05-02"):
+            feature_matrix(dates, tables, 0.0)
+        cal = CalendarInfo.from_date(dates[1])
+        with pytest.raises(ParameterError, match="humidity has an infinite reading on 2020-05-02"):
+            build_features(cal, {k: t.values[1] for k, t in tables.items()}, gdp=0.0)
 
 
 class TestNetwork:
@@ -492,7 +520,7 @@ class TestSerialization:
 @pytest.fixture
 def openblas():
     """``(get, set)`` of numpy's OpenBLAS thread count, restored after the test."""
-    blas = ensemble_module._openblas()
+    blas = blas_module.openblas()
     if blas is None:
         pytest.skip("numpy's BLAS is not a bundled OpenBLAS, so its thread count cannot be set")
     get, put = blas
@@ -582,7 +610,7 @@ class TestParallelTraining:
         dates, x, y = _synthetic_training_data()
         cfg = TrainingConfig(candidates=4, seed=3, epochs=20)
         pinned = train_ensemble(x, y, dates, cfg, jobs=1)
-        monkeypatch.setattr(ensemble_module, "_openblas", lambda: None)
+        monkeypatch.setattr(blas_module, "openblas", lambda: None)
         assert ensemble_module.training_threads(4, 1) == (1, None)
         assert ensemble_module.training_threads(4, 3) == (3, None)
         for jobs in (1, 3):
