@@ -9,6 +9,7 @@ from .diagnostics import (
     LjungBoxResult,
     StabilityResult,
     VariableDiagnostics,
+    criteria_from_residuals,
     durbin_watson,
     information_criteria,
     ljung_box,
@@ -44,6 +45,7 @@ __all__ = [
     "VariableDiagnostics",
     "adf_stat_fixed_lag",
     "adf_test",
+    "criteria_from_residuals",
     "default_max_lag",
     "durbin_watson",
     "engle_granger",

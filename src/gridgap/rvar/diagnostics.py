@@ -109,14 +109,19 @@ class InfoCriteria:
 
 
 def information_criteria(model: RVarModel, frame: TimeSeriesFrame) -> InfoCriteria:
-    """AIC and BIC from the residual covariance determinant.
+    """AIC and BIC of the model's residuals on ``frame``; see ``criteria_from_residuals``."""
+    return criteria_from_residuals(model, residuals(model, frame))
+
+
+def criteria_from_residuals(model: RVarModel, resid: TimeSeriesFrame) -> InfoCriteria:
+    """AIC and BIC from the covariance determinant of ``residuals(model, frame)``.
 
     aic = ln det(Sigma) + 2k/T and bic = ln det(Sigma) + k ln(T)/T, with k the
     count of free coefficients (intercepts included) and T the usable rows.
     """
-    resid = residuals(model, frame).values
-    t_eff = resid.shape[0]
-    sigma = resid.T @ resid / t_eff
+    e = resid.values
+    t_eff = e.shape[0]
+    sigma = e.T @ e / t_eff
     sign, logdet = np.linalg.slogdet(sigma)
     if sign <= 0:
         raise ParameterError("residual covariance is singular; AIC/BIC undefined")
@@ -186,7 +191,7 @@ def run_diagnostics(
         rows.append(
             VariableDiagnostics(name, adf.stat, adf.pvalue, lb.q, lb.pvalue, durbin_watson(e))
         )
-    info = information_criteria(model, frame)
+    info = criteria_from_residuals(model, resid)
     return DiagnosticsReport(
         tuple(rows),
         stability_test(model),

@@ -17,13 +17,11 @@ from ..rvar import FevdResult, granger_wald, zero_mask
 GRANGER_THRESHOLDS = {1: None, 2: 0.1, 3: 0.05}
 
 
-def build_restriction_mask(
-    frame: TimeSeriesFrame, p: int, rule: int, granger_lags: int | None = None
-) -> np.ndarray:
+def build_restriction_mask(frame: TimeSeriesFrame, p: int, rule: int) -> np.ndarray:
     """Zero-restriction tensor of shape (p, n, n), identical across lags.
 
-    ``granger_lags`` defaults to ``p`` so the precedence tests match the
-    candidate order under evaluation.
+    The precedence tests run at ``lags=p``, the candidate order under
+    evaluation.
     """
     if rule not in GRANGER_THRESHOLDS:
         raise ParameterError(f"rule must be 1, 2 or 3, got {rule}")
@@ -31,7 +29,7 @@ def build_restriction_mask(
         raise ParameterError(f"order must be >= 1, got {p}")
     pvalues = None
     if GRANGER_THRESHOLDS[rule] is not None:
-        pvalues = granger_pvalues(frame, granger_lags or p)
+        pvalues = granger_pvalues(frame, p)
     return rule_mask(p, frame.n_columns, rule, pvalues)
 
 

@@ -26,11 +26,11 @@ from ..frames import TimeSeriesFrame
 from ..rvar import (
     RVarModel,
     adf_test,
+    criteria_from_residuals,
     durbin_watson,
     engle_granger,
     fevd,
     fit_restricted_var,
-    information_criteria,
     irf,
     ljung_box,
     residuals,
@@ -221,7 +221,7 @@ def _rule_stage(record, diffed: TimeSeriesFrame, order, rule, pvalues, stats, sc
         if not scoring.dw_range[0] <= dw <= scoring.dw_range[1]:
             return record(f"failed:dw:{name}", stats)
 
-    ic = information_criteria(model, diffed)
+    ic = criteria_from_residuals(model, resid)
     stats["aic"] = ic.aic
     stats["bic"] = ic.bic
 

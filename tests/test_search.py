@@ -10,7 +10,7 @@ from conftest import make_dates, make_frame
 from gridgap import TimeSeriesFrame
 from gridgap.blas import openblas
 from gridgap.errors import NoModelError, ParameterError
-from gridgap.rvar import FevdResult, RVarModel, fevd, granger_wald, zero_mask
+from gridgap.rvar import FevdResult, RVarModel, diagnostics, fevd, granger_wald, zero_mask
 from gridgap.search import (
     ScoringConfig,
     SearchSpace,
@@ -420,6 +420,23 @@ class TestRunSearch:
                 assert not r.status.startswith("failed:fit")
             else:
                 assert r.status == f"failed:fit (no test at lags={r.order})"
+
+    def test_residuals_once_per_fitted_candidate(self, monkeypatch):
+        calls = []
+        real = sweep.residuals
+
+        def counted(model, frame):
+            calls.append(model.p)
+            return real(model, frame)
+
+        monkeypatch.setattr(sweep, "residuals", counted)
+        monkeypatch.setattr(diagnostics, "residuals", counted)
+        frame = spiky_levels(0)
+        space = SearchSpace((("y", "u", "v"),), (whole_range(frame),), (1, 2), (1, 2))
+        result = run_search(frame, space, ScoringConfig())
+        whitened = [r for r in result.records if any(k.startswith("lb_p:") for k in r.stats)]
+        assert any("aic" in r.stats for r in whitened)
+        assert sorted(calls) == sorted(r.order for r in whitened)
 
     def _count_tests(self, monkeypatch, space, frame):
         calls = {"adf_test": 0, "engle_granger": 0, "granger_wald": 0}
