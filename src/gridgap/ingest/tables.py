@@ -151,18 +151,30 @@ def parse_wide_csv(text: str, kind: str) -> WideHourlyTable:
         raise EmptyInputError("wide CSV is empty") from None
     if header != WIDE_HEADER:
         raise SchemaError(f"expected header {WIDE_HEADER[:3]}...,23 got {header[:4]}")
-    dates = []
-    rows = []
+    dates, values = _read_rows(reader, [f"hour {h}" for h in range(24)], "")
+    if not dates:
+        raise EmptyInputError("wide CSV has a header but no rows")
+    return WideHourlyTable(tuple(dates), values, kind)
+
+
+def _read_rows(reader, columns, where: str):
+    """Dates and values of the data rows, empty cells NaN; refuses ragged rows and infinities."""
+    dates, rows, lines = [], [], []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
-        if len(row) != 25:
-            raise SchemaError(f"line {lineno}: expected 25 cells, got {len(row)}")
+        if len(row) != len(columns) + 1:
+            raise SchemaError(
+                f"{where}line {lineno}: expected {len(columns) + 1} cells, got {len(row)}"
+            )
         dates.append(dt.date.fromisoformat(row[0]))
         rows.append([float(c) if c != "" else np.nan for c in row[1:]])
-    if not dates:
-        raise EmptyInputError("wide CSV has a header but no rows")
-    return WideHourlyTable(tuple(dates), np.array(rows), kind)
+        lines.append(lineno)
+    values = np.array(rows)
+    bad = np.argwhere(np.isinf(values))
+    if len(bad):
+        raise SchemaError(f"{where}line {lines[bad[0, 0]]}: {columns[bad[0, 1]]} is infinite")
+    return dates, values
 
 
 def write_series_csv(frame: TimeSeriesFrame, path) -> None:
@@ -183,18 +195,10 @@ def read_series_csv(path, columns=None) -> TimeSeriesFrame:
         if not header or header[0] != "date" or len(header) < 2:
             raise SchemaError(f"{path}: expected header date,<name>,... got {header[:3]}")
         names = tuple(header[1:])
-        dates = []
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(f"{path} line {lineno}: ragged row")
-            dates.append(dt.date.fromisoformat(row[0]))
-            rows.append([float(c) if c != "" else np.nan for c in row[1:]])
+        dates, values = _read_rows(reader, [f"column {n!r}" for n in names], f"{path} ")
     if not dates:
         raise EmptyInputError(f"{path} has a header but no rows")
-    frame = TimeSeriesFrame(tuple(dates), names, np.array(rows))
+    frame = TimeSeriesFrame(tuple(dates), names, values)
     if columns is not None:
         frame = frame.select(columns)
     return frame

@@ -472,6 +472,20 @@ class TestBackcast:
             assert payload["details"] == {"training_threads": threads, "blas_budget": budget}
         assert runs[3]["details"]["training_threads"] == 3
 
+    def test_infinite_load_cell_exits_one(self, tmp_path, capsys):
+        cfg = self.build(tmp_path)
+        load = tmp_path / "load.csv"
+        lines = load.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[3] = "inf"
+        lines[5] = ",".join(cells)
+        load.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["backcast", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "line 6: hour 2 is infinite" in err
+        assert not (out / "reduction.csv").exists()
+
     def test_gdp_scalar_and_steps_conflict(self, tmp_path):
         cfg = self.build(tmp_path)
         text = cfg.read_text() + "gdp.2021-01 = 1.05\n"

@@ -25,6 +25,7 @@ from gridgap.ingest import (
     mobility_metrics,
     parse_source,
     pivot_wide,
+    read_series_csv,
     read_wide_csv,
     resample_weather_hourly,
     retail_visits,
@@ -81,6 +82,26 @@ class TestWideCsv:
         write_wide_csv(table, path)
         row = path.read_text().splitlines()[1].split(",")
         assert row[8] == ""
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity"])
+    def test_infinite_cell_refused(self, tmp_path, cell):
+        table = make_hourly_table(3)
+        path = tmp_path / "t.csv"
+        write_wide_csv(table, path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[8] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match="line 3: hour 7 is infinite"):
+            read_wide_csv(path, "load")
+
+
+def test_series_csv_infinite_cell_refused(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("date,a,b\n2020-01-01,1.0,2.0\n\n2020-01-02,3.0,-inf\n")
+    with pytest.raises(SchemaError, match="line 4: column 'b' is infinite"):
+        read_series_csv(path)
 
 
 class TestSchema:
