@@ -125,11 +125,10 @@ class BackcastEnsemble:
             raise SchemaError(
                 f"feature dimension {features.shape[1]} != ensemble dimension {self.dimension}"
             )
-        z = (features - self.input_mean) / self.input_std
-        rows = []
-        for m in self.models:
-            rows.append(self.target_mean + self.target_std * forward(m.layers, z))
-        return np.vstack(rows)
+        # forward reads x.T, a view of a Fortran-ordered array: no member copies z
+        z = np.asfortranarray((features - self.input_mean) / self.input_std)
+        preds = np.vstack([forward(m.layers, z) for m in self.models])
+        return self.target_mean + self.target_std * preds
 
 
 # -- BLAS threads ------------------------------------------------------------

@@ -6,13 +6,16 @@ determines the trained weights.
 
 Memory layout. Training keeps the weights, their gradients and Adam's first
 and second moments in four flat float64 vectors of equal length, ordered
-``W0, b0, W1, b1, W2, b2, W3, b3`` with each ``W`` in row-major order. Each
-layer sees its parameters as ``(W, b)`` views into a vector, so the per-layer
-passes and the whole-vector Adam step touch the same memory. A
-:class:`_Workspace` holds everything one pass over a fixed number of rows
-writes: per layer the outputs (rectified in place on hidden layers), the
-rectifier masks and the backpropagated deltas, plus the flat gradient. It
-is built once per training run and every epoch writes into it.
+``W0, b0, W1, b1, W2, b2, W3, b3`` with each ``W`` (fan_in, fan_out) in
+row-major order. Each layer sees its parameters as ``(W, b)`` views into a
+vector, so the per-layer passes and the whole-vector Adam step touch the
+same memory. Activations are feature-major, (width, rows): the input is
+laid out so once per call, and a :class:`_Workspace` holds every array one
+pass writes: per layer the outputs (rectified in place on hidden layers),
+the rectifier masks and the backpropagated deltas, plus the flat gradient.
+Bias adds then broadcast along the rows, and the bias gradient is one
+matrix-vector product ``delta @ ones``. The workspace is built once per
+training run and every epoch writes into it.
 """
 
 from __future__ import annotations
@@ -64,39 +67,42 @@ class _Workspace:
     def __init__(self, sizes, rows: int):
         self.grad = np.empty(sum(a * b + b for a, b in zip(sizes, sizes[1:])))
         self.grads = _layer_views(self.grad, sizes)
-        self.outs = [np.empty((rows, s)) for s in sizes[1:]]
-        self.masks = [np.empty((rows, s), dtype=bool) for s in sizes[1:-1]]
-        self.deltas = [np.empty((rows, s)) for s in sizes[1:]]
+        self.outs = [np.empty((s, rows)) for s in sizes[1:]]
+        self.masks = [np.empty((s, rows), dtype=bool) for s in sizes[1:-1]]
+        self.deltas = [np.empty((s, rows)) for s in sizes[1:]]
+        self.ones = np.ones(rows)
 
 
-def _forward(params, x: np.ndarray, outs) -> np.ndarray:
+def _forward(params, xt: np.ndarray, outs) -> np.ndarray:
     """Write each layer's output into ``outs``; returns the predictions, a view.
 
-    Hidden outputs are rectified in place, so ``outs[i] > 0`` is exactly the
-    rectifier's on pattern ``z > 0`` (NaN included: both are false).
+    ``xt`` is the input feature-major, (features, rows). Hidden outputs are
+    rectified in place, so ``outs[i] > 0`` is exactly the rectifier's on
+    pattern ``z > 0`` (NaN included: both are false).
     """
-    h = x
+    h = xt
     last = len(params) - 1
     for i, (w, b) in enumerate(params):
         z = outs[i]
-        np.matmul(h, w, out=z)
-        z += b
+        np.matmul(w.T, h, out=z)
+        z += b[:, None]
         if i != last:
             np.maximum(z, 0.0, out=z)
         h = z
-    return h[:, 0]
+    return h[0]
 
 
-def _loss(params, x: np.ndarray, y: np.ndarray, ws: _Workspace) -> float:
+def _loss(params, xt: np.ndarray, y: np.ndarray, ws: _Workspace) -> float:
     """Mean squared error; leaves the residuals in the last delta buffer."""
-    err = ws.deltas[-1][:, 0]
-    np.subtract(_forward(params, x, ws.outs), y, out=err)
-    return float(err @ err) / x.shape[0]
+    err = ws.deltas[-1][0]
+    np.subtract(_forward(params, xt, ws.outs), y, out=err)
+    return float(err @ err) / xt.shape[1]
 
 
 def forward(params, x: np.ndarray) -> np.ndarray:
     """Predicted values, shape (rows,); input shape (rows, features)."""
-    return _forward(params, x, [np.empty((x.shape[0], w.shape[1])) for w, _ in params])
+    outs = [np.empty((w.shape[1], x.shape[0])) for w, _ in params]
+    return _forward(params, np.ascontiguousarray(x.T), outs)
 
 
 def loss_and_grads(params, x: np.ndarray, y: np.ndarray, workspace: _Workspace | None = None):
@@ -107,23 +113,24 @@ def loss_and_grads(params, x: np.ndarray, y: np.ndarray, workspace: _Workspace |
     builds its own. A workspace built for other shapes makes the first
     ``out=`` product raise.
     """
+    xt = np.ascontiguousarray(x.T)  # a view if x is Fortran-ordered
     ws = _Workspace(_sizes(params), x.shape[0]) if workspace is None else workspace
-    loss = _loss(params, x, y, ws)
+    loss = _loss(params, xt, y, ws)
     last = len(params) - 1
     delta = ws.deltas[last]
     delta *= 2.0 / x.shape[0]
     for i in range(last, -1, -1):
         gw, gb = ws.grads[i]
-        np.matmul((x if i == 0 else ws.outs[i - 1]).T, delta, out=gw)
-        np.sum(delta, axis=0, out=gb)
+        np.matmul(xt if i == 0 else ws.outs[i - 1], delta.T, out=gw)
+        np.matmul(delta, ws.ones, out=gb)
         if i > 0:
             w, _ = params[i]
             below = ws.deltas[i - 1]
             if i == last:
-                # one output column: delta @ w.T is an outer product
-                np.multiply(delta, w.T, out=below)
+                # one output unit: w @ delta is an outer product
+                np.multiply(w, delta, out=below)
             else:
-                np.matmul(delta, w.T, out=below)
+                np.matmul(w, delta, out=below)
             mask = ws.masks[i - 1]
             np.greater(ws.outs[i - 1], 0.0, out=mask)
             below *= mask
@@ -146,6 +153,7 @@ def gradient_check(params, x: np.ndarray, y: np.ndarray, samples: int = 24,
     a kink there and the two-sided difference measures nothing meaningful.
     """
     rng = rng or np.random.default_rng(0)
+    xt = np.ascontiguousarray(x.T)
     ws = _Workspace(_sizes(params), x.shape[0])
     loss_and_grads(params, x, y, ws)
     flat, probe = _packed(params)
@@ -155,10 +163,10 @@ def gradient_check(params, x: np.ndarray, y: np.ndarray, samples: int = 24,
         c = int(c)
         original = flat[c]
         flat[c] += eps
-        up = _loss(probe, x, y, ws)
+        up = _loss(probe, xt, y, ws)
         pattern_up = _pattern(ws)
         flat[c] -= 2 * eps
-        down = _loss(probe, x, y, ws)
+        down = _loss(probe, xt, y, ws)
         pattern_down = _pattern(ws)
         flat[c] = original
         if pattern_up != pattern_down:
@@ -197,6 +205,7 @@ def train_network(
         raise ParameterError(f"x {x.shape} and y {y.shape} do not align")
     if epochs < 1:
         raise ParameterError(f"epochs must be >= 1, got {epochs}")
+    x = np.asfortranarray(x)  # so each epoch's feature-major x.T is a view, not a copy
     sizes = (x.shape[1], *widths, 1)
     theta, params = _packed(init_params(rng, sizes))
     ws = _Workspace(sizes, x.shape[0])

@@ -416,6 +416,28 @@ class TestPredict:
         with pytest.raises(SchemaError):
             predict(ens, np.zeros(7))
 
+    def test_features_laid_out_once_for_all_members(self, monkeypatch):
+        dates, x, y = _synthetic_training_data()
+        ens = train_ensemble(x, y, dates, TrainingConfig(candidates=4, seed=2, epochs=5))
+        want = np.vstack([
+            ens.target_mean
+            + ens.target_std * forward(m.layers, (x - ens.input_mean) / ens.input_std)
+            for m in ens.models
+        ])
+        inputs = []
+
+        def recording(layers, z):
+            inputs.append(z)
+            return forward(layers, z)
+
+        monkeypatch.setattr(ensemble_module, "forward", recording)
+        got = ens.member_predictions(x)
+        assert got.tobytes() == want.tobytes()
+        assert len(inputs) == len(ens.models)
+        assert all(z is inputs[0] for z in inputs)
+        # forward's feature-major view of a Fortran-ordered input is not a copy
+        assert inputs[0].flags.f_contiguous
+
 
 class TestReduction:
     def test_equal_means_zero(self):
