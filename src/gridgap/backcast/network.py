@@ -155,7 +155,7 @@ def gradient_check(params, x: np.ndarray, y: np.ndarray, samples: int = 24,
     rng = rng or np.random.default_rng(0)
     xt = np.ascontiguousarray(x.T)
     ws = _Workspace(_sizes(params), x.shape[0])
-    loss_and_grads(params, x, y, ws)
+    loss_and_grads(params, xt.T, y, ws)
     flat, probe = _packed(params)
     worst = 0.0
     chosen = rng.choice(flat.size, size=min(samples, flat.size), replace=False)
