@@ -14,7 +14,7 @@ import json
 import math
 from calendar import month_name
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .. import blas
 from ..errors import (
     CoverageError,
     DomainError,
+    GridGapError,
     InsufficientDataError,
     MissingValueError,
     ParameterError,
@@ -47,7 +48,6 @@ class TrainingConfig:
     seed: int = 0
     epochs: int = 400
     learning_rate: float = 0.01
-    check_gradients: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "width_range", tuple(int(w) for w in self.width_range))
@@ -155,8 +155,8 @@ def _thread_count(candidates: int, jobs: int, budget: int | None) -> int:
 # -- candidate training ------------------------------------------------------
 
 
-def _train_candidate(index, seed, x, y_std, y_orig, months, config: TrainingConfig):
-    rng = np.random.default_rng((seed, index))
+def _train_candidate(index, x, y_std, y_orig, target_mean, target_std, months, config: TrainingConfig):
+    rng = np.random.default_rng((config.seed, index))
     lo, hi = config.width_range
     widths = tuple(int(v) for v in rng.integers(lo, hi + 1, size=3))
     n = x.shape[0]
@@ -178,10 +178,7 @@ def _train_candidate(index, seed, x, y_std, y_orig, months, config: TrainingConf
         rng,
         epochs=config.epochs,
         learning_rate=config.learning_rate,
-        check_gradients=config.check_gradients,
     )
-    target_std = float(y_orig.std()) or 1.0
-    target_mean = float(y_orig.mean())
     pred_held = target_mean + target_std * forward(params, x[held])
     metric = _monthly_norm(months[held], pred_held, y_orig[held])
     return index, widths, params, metric
@@ -249,7 +246,7 @@ def train_ensemble(
     yz = (y - target_mean) / target_std
 
     def train(index):
-        return _train_candidate(index, config.seed, xz, yz, y, months, config)
+        return _train_candidate(index, xz, yz, y, target_mean, target_std, months, config)
 
     # numpy releases the GIL inside matmul and ufuncs, so candidates overlap
     # on threads. Without an OpenBLAS handle nothing is pinned: outputs then
@@ -428,23 +425,12 @@ def monthly_summary(
 def save_ensemble(ensemble: BackcastEnsemble, path) -> None:
     payload = {
         "format": ENSEMBLE_FORMAT,
-        "feature_config": {
-            "quantile_levels": list(ensemble.feature_config.quantile_levels),
-            "weather_kinds": list(ensemble.feature_config.weather_kinds),
-        },
+        "feature_config": asdict(ensemble.feature_config),
         "input_mean": ensemble.input_mean.tolist(),
         "input_std": ensemble.input_std.tolist(),
         "target_mean": ensemble.target_mean,
         "target_std": ensemble.target_std,
-        "config": {
-            "candidates": ensemble.config.candidates,
-            "keep_fraction": ensemble.config.keep_fraction,
-            "split": ensemble.config.split,
-            "width_range": list(ensemble.config.width_range),
-            "seed": ensemble.config.seed,
-            "epochs": ensemble.config.epochs,
-            "learning_rate": ensemble.config.learning_rate,
-        },
+        "config": asdict(ensemble.config),
         "all_metrics": list(ensemble.all_metrics),
         "models": [
             {
@@ -461,39 +447,45 @@ def save_ensemble(ensemble: BackcastEnsemble, path) -> None:
         fh.write(json.dumps(payload))
 
 
+def _config_from(cls, block: dict):
+    """``cls`` from the block ``asdict`` saved: every field, and no other key."""
+    names = sorted(f.name for f in fields(cls))
+    if sorted(block) != names:
+        raise ValueError(f"{cls.__name__} keys {sorted(block)}, expected {names}")
+    return cls(**block)
+
+
 def load_ensemble(path) -> BackcastEnsemble:
+    """Read a ``save_ensemble`` file; a malformed one raises ``SchemaError``."""
     with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != ENSEMBLE_FORMAT:
-        raise SchemaError(
-            f"expected format {ENSEMBLE_FORMAT!r}, got {payload.get('format')!r}"
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: not a JSON file ({exc})") from None
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt != ENSEMBLE_FORMAT:
+        raise SchemaError(f"expected format {ENSEMBLE_FORMAT!r}, got {fmt!r}")
+    try:
+        models = tuple(
+            BaseModel(
+                m["index"],
+                tuple(m["widths"]),
+                m["metric"],
+                tuple((np.array(l["w"]), np.array(l["b"])) for l in m["layers"]),
+            )
+            for m in payload["models"]
         )
-    fc = payload["feature_config"]
-    cfg = payload["config"]
-    models = tuple(
-        BaseModel(
-            m["index"],
-            tuple(m["widths"]),
-            m["metric"],
-            tuple((np.array(l["w"]), np.array(l["b"])) for l in m["layers"]),
+        return BackcastEnsemble(
+            models,
+            _config_from(FeatureConfig, payload["feature_config"]),
+            np.array(payload["input_mean"]),
+            np.array(payload["input_std"]),
+            payload["target_mean"],
+            payload["target_std"],
+            _config_from(TrainingConfig, payload["config"]),
+            tuple(payload["all_metrics"]),
         )
-        for m in payload["models"]
-    )
-    return BackcastEnsemble(
-        models,
-        FeatureConfig(tuple(fc["quantile_levels"]), tuple(fc["weather_kinds"])),
-        np.array(payload["input_mean"]),
-        np.array(payload["input_std"]),
-        payload["target_mean"],
-        payload["target_std"],
-        TrainingConfig(
-            candidates=cfg["candidates"],
-            keep_fraction=cfg["keep_fraction"],
-            split=cfg["split"],
-            width_range=tuple(cfg["width_range"]),
-            seed=cfg["seed"],
-            epochs=cfg["epochs"],
-            learning_rate=cfg["learning_rate"],
-        ),
-        tuple(payload["all_metrics"]),
-    )
+    except GridGapError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed ensemble ({type(exc).__name__}: {exc})") from None

@@ -185,14 +185,12 @@ def train_network(
     rng: np.random.Generator,
     epochs: int = 400,
     learning_rate: float = 0.01,
-    check_gradients: bool = False,
 ):
     """Fit the network; returns (params, training loss).
 
     Full-batch Adam with a fixed epoch budget. The returned loss is that of
     the parameters before the final Adam step, the last loss the loop
-    computes. ``check_gradients`` inserts a finite-difference probe after
-    the first step and refuses to continue on a relative gap above 1e-4.
+    computes.
 
     The returned ``(W, b)`` pairs are views into one flat vector owned by
     this call alone. Adam runs elementwise over the flat vectors in the
@@ -217,10 +215,6 @@ def train_network(
     loss = np.inf
     for t in range(1, epochs + 1):
         loss, _ = loss_and_grads(params, x, y, ws)
-        if check_gradients and t == 2:
-            gap = gradient_check(params, x, y, rng=np.random.default_rng(1))
-            if gap > 1e-4:
-                raise ParameterError(f"gradient check failed: relative gap {gap:.2e}")
         g = ws.grad
         # m = beta1 * m + (1 - beta1) * g
         m *= beta1

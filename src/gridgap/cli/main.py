@@ -46,7 +46,7 @@ from ..ingest import (
 )
 from ..ntl import load_raster, process_raster, read_metadata, write_grid
 from ..rvar import fevd, irf, irf_cumulative, load_model, run_diagnostics, save_model
-from ..search import ScoringConfig, SearchSpace, explainable_rate, run_search, search_log_csv
+from ..search import ScoringConfig, SearchSpace, run_search, search_log_csv
 from ..transforms import difference, trend_transition
 from .charts import bar_chart, line_chart
 from .manifest import RunRecorder
@@ -269,10 +269,9 @@ def _parse_gdp(cfg: dict):
     for key, raw in cfg.items():
         if not key.startswith("gdp."):
             continue
-        stamp = key[4:]
+        month = _month_key(key, key[4:])
         try:
-            year, month = stamp.split("-")
-            steps[(int(year), int(month))] = float(raw)
+            steps[month] = float(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected gdp.YYYY-MM = value") from None
     if steps and "gdp" in cfg:
@@ -282,14 +281,15 @@ def _parse_gdp(cfg: dict):
     return _cfg_float(cfg, "gdp", 1.0)
 
 
-def _month_key(raw: str) -> tuple[int, int]:
+def _month_key(name: str, raw: str) -> tuple[int, int]:
+    """(year, month) of a YYYY-MM value; ``name`` is the config key it came from."""
     try:
         year, month = raw.split("-")
         key = (int(year), int(month))
     except ValueError:
-        raise ConfigError(f"summary_month: expected YYYY-MM, got '{raw}'") from None
+        raise ConfigError(f"{name}: expected YYYY-MM, got '{raw}'") from None
     if not 1 <= key[1] <= 12:
-        raise ConfigError(f"summary_month: month {key[1]} outside 1..12")
+        raise ConfigError(f"{name}: month {key[1]} outside 1..12")
     return key
 
 
@@ -361,7 +361,7 @@ def cmd_backcast(args) -> int:
     )
 
     if "summary_month" in cfg:
-        months = [_month_key(cfg["summary_month"])]
+        months = [_month_key("summary_month", cfg["summary_month"])]
     else:
         months = sorted({(d.year, d.month) for d in series.dates})
     min_days = _cfg_int(cfg, "summary_min_days", 20)
@@ -561,7 +561,7 @@ def cmd_analyze(args) -> int:
     window = frame.select(chosen.subset).slice_dates(*chosen.date_range)
     diffed = difference(window)
     report = run_diagnostics(model, diffed, cointegration_ok=True, lb_lags=scoring.lb_lags)
-    rate = explainable_rate(fevd(model, scoring.fevd_horizon), target)
+    rate = chosen.stats["explainable_rate"]
     lines = [
         "# diagnostics/1",
         f"chosen_index = {chosen.index}",

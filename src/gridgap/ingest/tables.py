@@ -158,7 +158,11 @@ def parse_wide_csv(text: str, kind: str) -> WideHourlyTable:
 
 
 def _read_rows(reader, columns, where: str):
-    """Dates and values of the data rows, empty cells NaN; refuses ragged rows and infinities."""
+    """Dates and values of the data rows, empty cells NaN.
+
+    Refuses ragged rows, bad dates, non-numeric cells and infinities with a
+    ``SchemaError`` naming the line and the column.
+    """
     dates, rows, lines = [], [], []
     for lineno, row in enumerate(reader, start=2):
         if not row:
@@ -167,14 +171,31 @@ def _read_rows(reader, columns, where: str):
             raise SchemaError(
                 f"{where}line {lineno}: expected {len(columns) + 1} cells, got {len(row)}"
             )
-        dates.append(dt.date.fromisoformat(row[0]))
-        rows.append([float(c) if c != "" else np.nan for c in row[1:]])
+        try:
+            dates.append(dt.date.fromisoformat(row[0]))
+        except ValueError:
+            raise SchemaError(f"{where}line {lineno}: bad date {row[0]!r}") from None
+        try:
+            rows.append([float(c) if c != "" else np.nan for c in row[1:]])
+        except ValueError:
+            j = next(j for j, c in enumerate(row[1:]) if not _is_number(c))
+            raise SchemaError(
+                f"{where}line {lineno}: {columns[j]} is not a number: {row[j + 1]!r}"
+            ) from None
         lines.append(lineno)
     values = np.array(rows)
     bad = np.argwhere(np.isinf(values))
     if len(bad):
         raise SchemaError(f"{where}line {lines[bad[0, 0]]}: {columns[bad[0, 1]]} is infinite")
     return dates, values
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell or "nan")
+    except ValueError:
+        return False
+    return True
 
 
 def write_series_csv(frame: TimeSeriesFrame, path) -> None:

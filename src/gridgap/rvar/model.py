@@ -22,6 +22,7 @@ import scipy.linalg
 from ..errors import (
     CollinearityError,
     FactorizationError,
+    GridGapError,
     InsufficientDataError,
     ParameterError,
     SchemaError,
@@ -239,17 +240,26 @@ def save_model(model: RVarModel, path) -> None:
 
 
 def load_model(path) -> RVarModel:
+    """Read a ``save_model`` file; a malformed one raises ``SchemaError``."""
     with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: not a JSON file ({exc})") from None
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise SchemaError(f"{path}: not a {MODEL_FORMAT} file")
-    return RVarModel(
-        tuple(payload["names"]),
-        int(payload["p"]),
-        np.array(payload["intercept"], dtype=np.float64),
-        np.array(payload["coeffs"], dtype=np.float64),
-        np.array(payload["mask"], dtype=bool),
-        np.array(payload["sigma_e"], dtype=np.float64),
-        dt.date.fromisoformat(payload["train_start"]) if payload["train_start"] else None,
-        dt.date.fromisoformat(payload["train_end"]) if payload["train_end"] else None,
-    )
+    try:
+        return RVarModel(
+            tuple(payload["names"]),
+            int(payload["p"]),
+            np.array(payload["intercept"], dtype=np.float64),
+            np.array(payload["coeffs"], dtype=np.float64),
+            np.array(payload["mask"], dtype=bool),
+            np.array(payload["sigma_e"], dtype=np.float64),
+            dt.date.fromisoformat(payload["train_start"]) if payload["train_start"] else None,
+            dt.date.fromisoformat(payload["train_end"]) if payload["train_end"] else None,
+        )
+    except GridGapError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed model ({type(exc).__name__}: {exc})") from None

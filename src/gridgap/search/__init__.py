@@ -1,6 +1,6 @@
 """Restriction-rule construction and model-space search."""
 
-from .masks import GRANGER_THRESHOLDS, build_restriction_mask, explainable_rate
+from .masks import GRANGER_THRESHOLDS, explainable_rate
 from .sweep import (
     CandidateRecord,
     ScoringConfig,
@@ -16,7 +16,6 @@ __all__ = [
     "ScoringConfig",
     "SearchResult",
     "SearchSpace",
-    "build_restriction_mask",
     "explainable_rate",
     "run_search",
     "search_log_csv",

@@ -17,22 +17,6 @@ from ..rvar import FevdResult, granger_wald, zero_mask
 GRANGER_THRESHOLDS = {1: None, 2: 0.1, 3: 0.05}
 
 
-def build_restriction_mask(frame: TimeSeriesFrame, p: int, rule: int) -> np.ndarray:
-    """Zero-restriction tensor of shape (p, n, n), identical across lags.
-
-    The precedence tests run at ``lags=p``, the candidate order under
-    evaluation.
-    """
-    if rule not in GRANGER_THRESHOLDS:
-        raise ParameterError(f"rule must be 1, 2 or 3, got {rule}")
-    if p < 1:
-        raise ParameterError(f"order must be >= 1, got {p}")
-    pvalues = None
-    if GRANGER_THRESHOLDS[rule] is not None:
-        pvalues = granger_pvalues(frame, p)
-    return rule_mask(p, frame.n_columns, rule, pvalues)
-
-
 def _target_cut(n: int) -> np.ndarray:
     """Rule 1 as an (n, n) mask: the target's lags stay out of every other equation."""
     cut = np.zeros((n, n), dtype=bool)
@@ -57,7 +41,10 @@ def granger_pvalues(frame: TimeSeriesFrame, lags: int) -> np.ndarray:
 
 
 def rule_mask(p: int, n: int, rule: int, pvalues: np.ndarray | None) -> np.ndarray:
-    """Mask of ``rule`` at order ``p``; rules 2 and 3 need ``granger_pvalues``."""
+    """Zero-restriction tensor of ``rule`` at order ``p``, shape (p, n, n), identical across lags.
+
+    Rules 2 and 3 need the ``granger_pvalues`` tested at ``lags=p``.
+    """
     mask = zero_mask(p, n)
     mask[:] = _target_cut(n)
     threshold = GRANGER_THRESHOLDS[rule]

@@ -37,13 +37,7 @@ from ..rvar import (
     stability_test,
 )
 from ..transforms import difference
-from .masks import (
-    GRANGER_THRESHOLDS,
-    build_restriction_mask,
-    explainable_rate,
-    granger_pvalues,
-    rule_mask,
-)
+from .masks import GRANGER_THRESHOLDS, explainable_rate, granger_pvalues, rule_mask
 
 ORDER_RANGE = range(1, 8)
 
@@ -135,10 +129,17 @@ class CandidateRecord:
     rule: int
     status: str  # "ok" or "failed:<gate>"
     stats: dict = field(default_factory=dict)
+    # the fitted model of an admissible record, None on a rejected one
+    model: RVarModel | None = field(default=None, compare=False, repr=False)
 
     @property
     def admissible(self) -> bool:
         return self.status == "ok"
+
+
+def _rank_key(record: CandidateRecord):
+    """Least BIC first, AIC breaks ties, then enumeration order."""
+    return (record.stats["bic"], record.stats["aic"], record.index)
 
 
 @dataclass(frozen=True)
@@ -153,8 +154,7 @@ class SearchResult:
 
     def ranked(self) -> tuple[CandidateRecord, ...]:
         """Admissible candidates by (BIC, AIC), then rejected ones in order."""
-        ok = [r for r in self.records if r.admissible]
-        ok.sort(key=lambda r: (r.stats["bic"], r.stats["aic"], r.index))
+        ok = sorted((r for r in self.records if r.admissible), key=_rank_key)
         rest = [r for r in self.records if not r.admissible]
         return tuple(ok + rest)
 
@@ -195,7 +195,8 @@ def _rule_stage(record, diffed: TimeSeriesFrame, order, rule, pvalues, stats, sc
     """Mask, fit and score one (order, rule); ``record(status, stats)`` builds the verdict.
 
     ``pvalues`` is the order's ``granger_pvalues`` for rules that threshold
-    precedence tests, else None.
+    precedence tests, else None. An admissible record also carries the model
+    fitted here, which is what the search returns if it is chosen.
     """
     try:
         mask = rule_mask(order, diffed.n_columns, rule, pvalues)
@@ -236,7 +237,7 @@ def _rule_stage(record, diffed: TimeSeriesFrame, order, rule, pvalues, stats, sc
 
     decomp = fevd(model, horizon=scoring.fevd_horizon)
     stats["explainable_rate"] = explainable_rate(decomp, target)
-    return record("ok", stats)
+    return record("ok", stats, model)
 
 
 def _evaluate_window(subset, date_range, combos, frame: TimeSeriesFrame, scoring: ScoringConfig):
@@ -302,6 +303,8 @@ def run_search(
 ) -> SearchResult:
     """Evaluate every combination, then pick the admissible one with least BIC.
 
+    The result's model is the one the sweep fitted for the chosen record.
+
     Per-combination failures never abort the sweep; they are logged with the
     first gate that rejected the candidate. An empty admissible set raises a
     no-model error carrying every failure reason.
@@ -334,51 +337,29 @@ def run_search(
                 batches = list(pool.map(_sweep_task, units, chunksize=1))
         else:
             batches = [_evaluate_window(*unit, frame, scoring) for unit in units]
-        records = [r for batch in batches for r in batch]
-        records.sort(key=lambda r: r.index)
-
-        admissible = [r for r in records if r.admissible]
-        if not admissible:
-            raise NoModelError(
-                "no combination passed every gate",
-                [(r.index, r.status) for r in records],
-            )
-        best = min(admissible, key=lambda r: (r.stats["bic"], r.stats["aic"], r.index))
-        levels = frame.select(best.subset).slice_dates(*best.date_range)
-        diffed = difference(levels, 1)
-        mask = build_restriction_mask(diffed, best.order, best.rule)
-        model = fit_restricted_var(diffed, p=best.order, mask=mask)
-    return SearchResult(tuple(records), best.index, model)
+    records = sorted((r for batch in batches for r in batch), key=lambda r: r.index)
+    admissible = [r for r in records if r.admissible]
+    if not admissible:
+        raise NoModelError(
+            "no combination passed every gate",
+            [(r.index, r.status) for r in records],
+        )
+    best = min(admissible, key=_rank_key)
+    return SearchResult(tuple(records), best.index, best.model)
 
 
-_LOG_COLUMNS = (
-    "index",
-    "subset",
-    "start",
-    "end",
-    "order",
-    "rule",
-    "status",
-    "aic",
-    "bic",
-    "explainable_rate",
-    "max_modulus",
-)
+_PARAM_COLUMNS = ("index", "subset", "start", "end", "order", "rule", "status")
+# stats columns that lead the log; every other stat follows in sorted order
+_STAT_COLUMNS = ("aic", "bic", "explainable_rate", "max_modulus")
 
 
-def search_log_csv(result_or_records) -> str:
+def search_log_csv(result: SearchResult) -> str:
     """One CSV row per combination: parameters, key statistics, verdict."""
-    records = (
-        result_or_records.records
-        if isinstance(result_or_records, SearchResult)
-        else tuple(result_or_records)
-    )
+    records = result.records
+    extra = sorted({k for r in records for k in r.stats if k not in _STAT_COLUMNS})
+    stat_keys = _STAT_COLUMNS + tuple(extra)
     out = io.StringIO()
-    extra = sorted(
-        {k for r in records for k in r.stats if k not in _LOG_COLUMNS}
-    )
-    header = list(_LOG_COLUMNS) + extra
-    out.write(",".join(header) + "\n")
+    out.write(",".join(_PARAM_COLUMNS + stat_keys) + "\n")
     for r in records:
         row = [
             str(r.index),
@@ -389,10 +370,7 @@ def search_log_csv(result_or_records) -> str:
             str(r.rule),
             r.status,
         ]
-        for key in ("aic", "bic", "explainable_rate", "max_modulus"):
-            v = r.stats.get(key)
-            row.append("" if v is None else repr(float(v)))
-        for key in extra:
+        for key in stat_keys:
             v = r.stats.get(key)
             row.append("" if v is None else repr(float(v)))
         out.write(",".join(row) + "\n")

@@ -209,12 +209,6 @@ class TestNetwork:
             assert np.array_equal(w1, w2)
             assert np.array_equal(b1, b2)
 
-    def test_check_gradients_path(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((30, 3))
-        y = x.sum(axis=1)
-        train_network(x, y, (4, 4, 4), np.random.default_rng(0), epochs=3, check_gradients=True)
-
     def test_loss_and_grads_shapes(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((10, 3))
@@ -537,6 +531,34 @@ class TestSerialization:
         p.write_text('{"format": "other/1"}')
         with pytest.raises(SchemaError):
             load_ensemble(p)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda payload: payload.pop("models"),
+            lambda payload: payload["config"].pop("epochs"),
+            lambda payload: payload["config"].update(check_gradients=True),
+            lambda payload: payload["feature_config"].update(extra=1),
+            lambda payload: payload["models"][0].update(widths=None),
+        ],
+        ids=["missing_models", "missing_config_key", "unknown_config_key", "unknown_feature_key", "bad_widths"],
+    )
+    def test_malformed_payload_is_schema_error(self, tmp_path, edit):
+        dates, x, y = _synthetic_training_data()
+        path = tmp_path / "ens.json"
+        save_ensemble(train_ensemble(x, y, dates, TrainingConfig(candidates=1, epochs=2)), path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="malformed ensemble"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", ""])
+    def test_not_a_json_object_is_schema_error(self, tmp_path, text):
+        path = tmp_path / "ens.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError):
+            load_ensemble(path)
 
 
 @pytest.fixture

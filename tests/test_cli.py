@@ -182,6 +182,17 @@ class TestQcReport:
         cleaned = read_wide_csv(out / "cleaned.wide.csv", "load")
         assert np.array_equal(cleaned.values, vals)
 
+    def test_non_numeric_cell_exits_one(self, tmp_path, capsys):
+        vals = np.full((6, 24), 500.0)
+        write_wide_csv(WideHourlyTable(make_dates(6), vals, "load"), tmp_path / "t.csv")
+        table = tmp_path / "t.csv"
+        table.write_text(table.read_text().replace("500.0", "abc", 1))
+        (tmp_path / "qc.cfg").write_text("table = t.csv\nkind = load\n")
+        out = tmp_path / "out"
+        assert main(["qc-report", "--config", str(tmp_path / "qc.cfg"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: line 2: hour 0 is not a number: 'abc'" in err
+
 
 class TestTrend:
     def test_transition_window(self, tmp_path):
@@ -491,6 +502,12 @@ class TestBackcast:
         text = cfg.read_text() + "gdp.2021-01 = 1.05\n"
         cfg.write_text(text)
         assert main(["backcast", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    def test_gdp_step_month_out_of_range(self, tmp_path, capsys):
+        cfg = self.build(tmp_path)
+        cfg.write_text(cfg.read_text().replace("gdp = 1.0\n", "gdp.2020-13 = 5\n"))
+        assert main(["backcast", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "error: gdp.2020-13: month 13 outside 1..12" in capsys.readouterr().err
 
     def test_summary_month_without_coverage(self, tmp_path):
         cfg = self.build(tmp_path)

@@ -104,6 +104,34 @@ def test_series_csv_infinite_cell_refused(tmp_path):
         read_series_csv(path)
 
 
+@pytest.mark.parametrize(
+    "position, cell, message",
+    [(8, "abc", "line 3: hour 7 is not a number: 'abc'"), (0, "2020-13-01", "line 3: bad date '2020-13-01'")],
+)
+def test_wide_csv_malformed_cell_refused(tmp_path, position, cell, message):
+    table = make_hourly_table(3)
+    path = tmp_path / "t.csv"
+    write_wide_csv(table, path)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[position] = cell
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match=message):
+        read_wide_csv(path, "load")
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("2020-01-02,3.0,x1", "line 3: column 'b' is not a number: 'x1'"), ("Jan 2,3.0,4.0", "line 3: bad date 'Jan 2'")],
+)
+def test_series_csv_malformed_cell_refused(tmp_path, row, message):
+    path = tmp_path / "s.csv"
+    path.write_text(f"date,a,b\n2020-01-01,1.0,2.0\n{row}\n")
+    with pytest.raises(SchemaError, match=message):
+        read_series_csv(path)
+
+
 class TestSchema:
     def test_descriptor_round_trip(self):
         text = """

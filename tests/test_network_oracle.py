@@ -228,17 +228,6 @@ def test_train_network_matches_reference(widths, epochs):
 
 
 @pytest.mark.parametrize("widths", WIDTHS)
-def test_gradient_check_leaves_training_unchanged(widths):
-    x, y = _data(seed=12)
-    got, got_loss = train_network(
-        x, y, widths, np.random.default_rng(8), epochs=25, check_gradients=True
-    )
-    want, want_loss = _fm_reference_train(x, y, widths, np.random.default_rng(8), 25)
-    _assert_pairs_identical(got, want)
-    assert got_loss == want_loss
-
-
-@pytest.mark.parametrize("widths", WIDTHS)
 def test_loss_and_grads_matches_reference(widths):
     x, y = _data(seed=13)
     params = _reference_init(np.random.default_rng(9), (x.shape[1], *widths, 1))

@@ -1,6 +1,7 @@
 """Restricted VAR estimation, simulation, and serialization tests."""
 
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
@@ -236,5 +237,30 @@ class TestSerialization:
     def test_wrong_format_tag_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else/9"}')
+        with pytest.raises(SchemaError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda payload: payload.pop("coeffs"),
+            lambda payload: payload.update(p="two"),
+            lambda payload: payload.update(train_start="2020-02-30"),
+        ],
+        ids=["missing_key", "bad_order", "bad_date"],
+    )
+    def test_malformed_payload_is_schema_error(self, tmp_path, edit):
+        path = tmp_path / "m.json"
+        save_model(fit_restricted_var(_sim_frame(300), p=1, mask=zero_mask(1, 3)), path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="malformed model"):
+            load_model(path)
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", ""])
+    def test_not_a_json_object_is_schema_error(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
         with pytest.raises(SchemaError):
             load_model(path)

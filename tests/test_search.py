@@ -8,18 +8,20 @@ import pytest
 from conftest import make_dates, make_frame
 
 from gridgap import TimeSeriesFrame
-from gridgap.blas import openblas
+from gridgap.blas import one_blas_thread, openblas
 from gridgap.errors import NoModelError, ParameterError
-from gridgap.rvar import FevdResult, RVarModel, diagnostics, fevd, granger_wald, zero_mask
-from gridgap.search import (
-    ScoringConfig,
-    SearchSpace,
-    build_restriction_mask,
-    explainable_rate,
-    run_search,
-    search_log_csv,
+from gridgap.rvar import (
+    FevdResult,
+    RVarModel,
+    diagnostics,
+    fevd,
+    fit_restricted_var,
+    granger_wald,
+    zero_mask,
 )
+from gridgap.search import ScoringConfig, SearchSpace, explainable_rate, run_search, search_log_csv
 from gridgap.search import masks, sweep
+from gridgap.search.masks import granger_pvalues, rule_mask
 from gridgap.transforms import difference
 
 
@@ -112,10 +114,15 @@ def whole_range(frame):
 # ------------------------------------------------------------------- masks
 
 
+def frame_mask(frame, p, rule):
+    """The mask the sweep builds for ``rule`` at order ``p`` on ``frame``."""
+    return rule_mask(p, frame.n_columns, rule, granger_pvalues(frame, p))
+
+
 class TestRestrictionMask:
     def test_rule1_masks_target_column_only(self):
         frame = chained_frame(4, 0.5)
-        mask = build_restriction_mask(frame, 2, 1)
+        mask = rule_mask(2, frame.n_columns, 1, None)
         assert mask.shape == (2, 3, 3)
         assert int(mask.sum()) == 4
         assert mask[:, 1:, 0].all()
@@ -123,9 +130,7 @@ class TestRestrictionMask:
 
     def test_rules_nest(self):
         frame = chained_frame(2, 0.12)
-        m1 = build_restriction_mask(frame, 1, 1)
-        m2 = build_restriction_mask(frame, 1, 2)
-        m3 = build_restriction_mask(frame, 1, 3)
+        m1, m2, m3 = (frame_mask(frame, 1, rule) for rule in (1, 2, 3))
         assert np.all(m1 <= m2)
         assert np.all(m2 <= m3)
         # this draw has one precedence p-value inside (0.05, 0.1], so the
@@ -137,21 +142,14 @@ class TestRestrictionMask:
         i_y, i_u = frame.index_of("y"), frame.index_of("u")
         assert granger_wald(frame, "u", "y", 1).pvalue < 1e-4
         for rule in (2, 3):
-            mask = build_restriction_mask(frame, 1, rule)
+            mask = frame_mask(frame, 1, rule)
             assert not mask[:, i_y, i_u].any()
 
     def test_mask_constant_across_lags(self):
         frame = chained_frame(2, 0.12)
-        mask = build_restriction_mask(frame, 3, 3)
+        mask = frame_mask(frame, 3, 3)
         for k in (1, 2):
             assert np.array_equal(mask[0], mask[k])
-
-    def test_bad_rule_rejected(self):
-        frame = chained_frame(4, 0.5)
-        with pytest.raises(ParameterError):
-            build_restriction_mask(frame, 2, 4)
-        with pytest.raises(ParameterError):
-            build_restriction_mask(frame, 0, 1)
 
 
 # --------------------------------------------------------- explainable rate
@@ -477,6 +475,45 @@ class TestRunSearch:
         ok = [r for r in ranked if r.admissible]
         bics = [r.stats["bic"] for r in ok]
         assert bics == sorted(bics)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_chosen_model_is_the_sweeps_fit(self, jobs):
+        frame = integrated_levels(16)
+        # six (subset, window) units, so jobs=2 fits in pool workers; the
+        # chosen record sits between two other admissible ones, and rule 3
+        # masks driver pairs beyond rule 1's cut through the precedence tests
+        subsets = (("y", "a", "b", "c"), NAMES5, ("y", "b", "c", "d"))
+        windows = tuple((frame.dates[50 * k], frame.dates[-1]) for k in range(2))
+        space = SearchSpace(subsets, windows, (2,), (3,))
+        result = run_search(frame, space, ScoringConfig(required_signs=SIGNS5), jobs=jobs)
+        chosen = result.chosen
+        assert [r.index for r in result.records if r.admissible] == [0, 2, 4, 5]
+        assert chosen.index == 2
+        assert result.model.mask.sum() > rule_mask(2, 5, 1, None).sum()
+        assert result.model is chosen.model
+        for r in result.records:
+            assert (r.model is not None) == r.admissible
+        diffed = difference(frame.select(chosen.subset).slice_dates(*chosen.date_range))
+        with one_blas_thread():
+            want = fit_restricted_var(diffed, chosen.order, frame_mask(diffed, chosen.order, chosen.rule))
+        got = result.model
+        assert (got.names, got.p, got.train_start, got.train_end) == (
+            want.names, want.p, want.train_start, want.train_end
+        )
+        for name in ("intercept", "coeffs", "mask", "sigma_e"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_model_field_left_out_of_equality_and_repr(self):
+        frame = spiky_levels(0)
+        space = SearchSpace((("y", "u", "v"),), (whole_range(frame),), (2,), (1,))
+        chosen = run_search(frame, space, ScoringConfig()).chosen
+        bare = sweep.CandidateRecord(
+            chosen.index, chosen.subset, chosen.date_range, chosen.order, chosen.rule,
+            chosen.status, chosen.stats,
+        )
+        assert chosen.model is not None and bare.model is None
+        assert chosen == bare
+        assert repr(chosen) == repr(bare)
 
 
 # ----------------------------------------------------------------- log + io
