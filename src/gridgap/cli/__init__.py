@@ -1,7 +1,7 @@
 """Command-line interface: subcommand entry point, run manifests, SVG charts."""
 
 from .main import EXIT_ERROR, EXIT_GAPS, EXIT_NO_MODEL, EXIT_OK, build_parser, main
-from .manifest import MANIFEST_NAME, RunRecorder, read_manifest, sha256_file
+from .manifest import MANIFEST_NAME, RunRecorder, sha256_file
 
 __all__ = [
     "EXIT_ERROR",
@@ -12,6 +12,5 @@ __all__ = [
     "RunRecorder",
     "build_parser",
     "main",
-    "read_manifest",
     "sha256_file",
 ]

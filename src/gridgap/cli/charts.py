@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+from ..errors import ParameterError
+
 WIDTH = 640
 HEIGHT = 360
 MARGIN_LEFT = 62
@@ -39,7 +41,7 @@ def _limits(all_values):
     lo = min(all_values)
     hi = max(all_values)
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("chart values must be finite")
+        raise ParameterError("chart values must be finite")
     if hi == lo:
         pad = 1.0 if hi == 0.0 else abs(hi) * 0.1
         return lo - pad, hi + pad

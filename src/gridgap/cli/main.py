@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Every subcommand reads one key-value config file (paths inside it resolve
-against the config file's directory), funnels all randomness through a
-single ``--seed`` flag, and finishes by writing ``run_manifest.json`` next
-to its outputs.  Exit codes: 0 success, 1 error or bad usage, 2 finished
-but with unresolved data gaps, 3 model search rejected every candidate.
+against the config file's directory) and funnels all randomness through a
+single ``--seed`` flag.  ``main`` owns the run: it loads the config, hands
+the command a ``RunRecorder``, and writes ``run_manifest.json`` next to the
+outputs when the command returns.  Exit codes: 0 success, 1 error or bad
+usage (no manifest), 2 finished but with unresolved data gaps, 3 model
+search rejected every candidate.
 """
 
 from __future__ import annotations
@@ -162,18 +164,6 @@ def _resolve_jobs(args) -> int:
     return raw
 
 
-def _recorder(command: str, args) -> RunRecorder:
-    rec = RunRecorder(
-        command,
-        _resolve_out(args),
-        config_path=str(args.config),
-        seed=args.seed,
-        jobs=_resolve_jobs(args),
-    )
-    rec.record_input(args.config)
-    return rec
-
-
 def _write_text(rec: RunRecorder, name: str, text: str) -> None:
     path = rec.output_path(name)
     path.write_text(text if text.endswith("\n") else text + "\n")
@@ -209,9 +199,7 @@ def _read_source(data_path: Path, schema_path: Path):
     return wide, len(dropped) + len(long_table.rejects)
 
 
-def cmd_ingest(args) -> int:
-    cfg, base = _load_config(args.config)
-    rec = _recorder("ingest", args)
+def cmd_ingest(cfg: dict, base: Path, rec: RunRecorder) -> int:
     labels = sorted({k.split(".")[1] for k in cfg if k.startswith("source.") and k.count(".") == 2})
     if not labels:
         raise ConfigError("config defines no source.<label>.data / source.<label>.schema pairs")
@@ -235,13 +223,10 @@ def cmd_ingest(args) -> int:
             f"{label}: {len(cleaned.dates)} days, {len(report.outliers)} outliers,"
             f" {len(report.fills)} fills, {len(report.unresolved)} unresolved"
         )
-    rec.write()
     return EXIT_GAPS if unresolved else EXIT_OK
 
 
-def cmd_qc_report(args) -> int:
-    cfg, base = _load_config(args.config)
-    rec = _recorder("qc-report", args)
+def cmd_qc_report(cfg: dict, base: Path, rec: RunRecorder) -> int:
     kind = _cfg_get(cfg, "kind")
     table = read_wide_csv(_cfg_path(cfg, "table", base, rec), kind)
     backup = None
@@ -252,7 +237,6 @@ def cmd_qc_report(args) -> int:
     write_wide_csv(cleaned, out_csv)
     rec.record_output(out_csv)
     _write_text(rec, "qc_report.txt", report.to_text())
-    rec.write()
     print(
         f"{len(cleaned.dates)} days, {len(report.outliers)} outliers,"
         f" {len(report.fills)} fills, {len(report.unresolved)} unresolved"
@@ -305,11 +289,7 @@ def _training_config(cfg: dict, seed: int) -> TrainingConfig:
     )
 
 
-def cmd_backcast(args) -> int:
-    cfg, base = _load_config(args.config)
-    rec = _recorder("backcast", args)
-    jobs = _resolve_jobs(args)
-
+def cmd_backcast(cfg: dict, base: Path, rec: RunRecorder) -> int:
     load_table = read_wide_csv(_cfg_path(cfg, "load", base, rec), "load")
     weather = {
         kind: read_wide_csv(_cfg_path(cfg, f"weather.{kind}", base, rec), kind)
@@ -331,11 +311,11 @@ def cmd_backcast(args) -> int:
         daily = load_table.daily_mean_frame("load", require_full_day=True)
         daily = daily.slice_dates(train_start, train_end)
         features = feature_matrix(daily.dates, weather, gdp, holidays, feature_config)
-        training = _training_config(cfg, args.seed)
-        threads, budget = training_threads(training.candidates, jobs)
+        training = _training_config(cfg, rec.seed)
+        threads, budget = training_threads(training.candidates, rec.jobs)
         rec.details.update(training_threads=threads, blas_budget=budget)
         ensemble = train_ensemble(
-            features, daily.column("load"), daily.dates, training, feature_config, jobs=jobs,
+            features, daily.column("load"), daily.dates, training, feature_config, jobs=rec.jobs,
         )
         print(f"kept {len(ensemble.models)} of {training.candidates} candidates")
     ens_path = rec.output_path("ensemble.json")
@@ -388,7 +368,6 @@ def cmd_backcast(args) -> int:
         ],
     )
     rec.record_output(chart)
-    rec.write()
     for row in rows:
         print(row)
     return EXIT_OK
@@ -465,22 +444,20 @@ def _space_and_scoring(cfg: dict, frame) -> tuple[SearchSpace, ScoringConfig]:
     return space, scoring
 
 
-def _sweep(args, command: str):
-    """Shared search body: returns (exit_code, recorder, context).
+def _sweep(cfg: dict, base: Path, rec: RunRecorder):
+    """Shared search body: returns (frame, scoring, result).
 
-    On exit 3 the failure log and manifest are already written.
+    When every combination is rejected it writes the failure log instead and
+    returns None.
     """
-    cfg, base = _load_config(args.config)
-    rec = _recorder(command, args)
     frame = read_series_csv(_cfg_path(cfg, "series", base, rec))
     space, scoring = _space_and_scoring(cfg, frame)
     try:
-        result = run_search(frame, space, scoring, jobs=_resolve_jobs(args))
+        result = run_search(frame, space, scoring, jobs=rec.jobs)
     except NoModelError as exc:
         _write_csv(rec, "failures.csv", ["index", "status"], exc.failures)
-        rec.write()
         print(f"error: {exc} ({space.size()} combinations rejected)", file=sys.stderr)
-        return EXIT_NO_MODEL, rec, None
+        return None
     _write_text(rec, "search_log.csv", search_log_csv(result))
     model_path = rec.output_path("model.json")
     save_model(result.model, model_path)
@@ -491,15 +468,11 @@ def _sweep(args, command: str):
         f" window={chosen.date_range[0]}..{chosen.date_range[1]}"
         f" order={chosen.order} rule={chosen.rule} bic={chosen.stats['bic']:.4f}"
     )
-    return EXIT_OK, rec, (frame, scoring, result)
+    return frame, scoring, result
 
 
-def cmd_search(args) -> int:
-    code, rec, context = _sweep(args, "search")
-    if code != EXIT_OK:
-        return code
-    rec.write()
-    return EXIT_OK
+def cmd_search(cfg: dict, base: Path, rec: RunRecorder) -> int:
+    return EXIT_NO_MODEL if _sweep(cfg, base, rec) is None else EXIT_OK
 
 
 def _write_irf_outputs(rec: RunRecorder, model, shocks, horizon: int, focus: str) -> None:
@@ -549,11 +522,11 @@ def _write_fevd_outputs(rec: RunRecorder, model, horizon: int, focus: str, order
     rec.record_output(chart)
 
 
-def cmd_analyze(args) -> int:
-    code, rec, context = _sweep(args, "analyze")
-    if code != EXIT_OK:
-        return code
-    frame, scoring, result = context
+def cmd_analyze(cfg: dict, base: Path, rec: RunRecorder) -> int:
+    swept = _sweep(cfg, base, rec)
+    if swept is None:
+        return EXIT_NO_MODEL
+    frame, scoring, result = swept
     chosen = result.chosen
     model = result.model
     target = chosen.subset[0]
@@ -588,14 +561,11 @@ def cmd_analyze(args) -> int:
     drivers = list(chosen.subset[1:])
     _write_irf_outputs(rec, model, drivers, scoring.irf_horizon, target)
     _write_fevd_outputs(rec, model, scoring.fevd_horizon, target)
-    rec.write()
     print(f"explainable rate of {target} at horizon {scoring.fevd_horizon}: {rate:.2f}%")
     return EXIT_OK
 
 
-def cmd_irf(args) -> int:
-    cfg, base = _load_config(args.config)
-    rec = _recorder("irf", args)
+def cmd_irf(cfg: dict, base: Path, rec: RunRecorder) -> int:
     model = load_model(_cfg_path(cfg, "model", base, rec))
     shock = _cfg_get(cfg, "shock")
     horizon = _cfg_int(cfg, "horizon", 10)
@@ -620,13 +590,10 @@ def cmd_irf(args) -> int:
         rec.record_output(chart)
     else:
         _write_irf_outputs(rec, model, [shock], horizon, focus)
-    rec.write()
     return EXIT_OK
 
 
-def cmd_fevd(args) -> int:
-    cfg, base = _load_config(args.config)
-    rec = _recorder("fevd", args)
+def cmd_fevd(cfg: dict, base: Path, rec: RunRecorder) -> int:
     model = load_model(_cfg_path(cfg, "model", base, rec))
     horizon = _cfg_int(cfg, "horizon", 10)
     focus = cfg.get("variable", model.names[0])
@@ -636,16 +603,13 @@ def cmd_fevd(args) -> int:
     if "ordering" in cfg:
         ordering = tuple(part.strip() for part in cfg["ordering"].split(",") if part.strip())
     _write_fevd_outputs(rec, model, horizon, focus, ordering)
-    rec.write()
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- trend / ntl
 
 
-def cmd_trend(args) -> int:
-    cfg, base = _load_config(args.config)
-    rec = _recorder("trend", args)
+def cmd_trend(cfg: dict, base: Path, rec: RunRecorder) -> int:
     frame = read_series_csv(_cfg_path(cfg, "series", base, rec))
     column = cfg.get("column", frame.names[0])
     period = _cfg_int(cfg, "period", 7)
@@ -683,15 +647,12 @@ def cmd_trend(args) -> int:
         [(column, raw), ("trend", result.trend)],
     )
     rec.record_output(chart)
-    rec.write()
     flag = " (degenerate)" if transition.degenerate else ""
     print(f"transition {transition.begin.isoformat()}..{transition.end.isoformat()}{flag}")
     return EXIT_OK
 
 
-def cmd_ntl(args) -> int:
-    cfg, base = _load_config(args.config)
-    rec = _recorder("ntl", args)
+def cmd_ntl(cfg: dict, base: Path, rec: RunRecorder) -> int:
     grid_path = _cfg_path(cfg, "grid", base, rec)
     meta_path = None
     if "metadata" in cfg:
@@ -721,7 +682,6 @@ def cmd_ntl(args) -> int:
     lines += [f"repaired,{r},{c}" for r, c in result.repaired]
     lines += [f"isolated,{r},{c}" for r, c in result.isolated]
     _write_text(rec, "ntl_report.txt", "\n".join(lines))
-    rec.write()
     print(f"{raster.height}x{raster.width} grid: {len(result.repaired)} repaired, {len(result.isolated)} isolated")
     return EXIT_OK
 
@@ -761,11 +721,14 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:
-        return args.func(args)
-    except GridGapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+        cfg, base = _load_config(args.config)
+        out, jobs = _resolve_out(args), _resolve_jobs(args)
+        rec = RunRecorder(args.command, out, str(args.config), args.seed, jobs)
+        rec.record_input(args.config)
+        code = args.func(cfg, base, rec)
+        rec.write()
+        return code
+    except (GridGapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -1,7 +1,8 @@
 """Run manifests: what a command read, what it wrote, and the digests.
 
 Every command records its inputs before doing work and its outputs as they
-are written, then drops ``run_manifest.json`` in the output directory.  The
+are written; when it returns, ``main`` drops ``run_manifest.json`` in the
+output directory (a run that fails with an error writes none).  The
 digest map is the reproducibility contract: identical inputs and seed must
 reproduce identical output digests (wall time and ``details``, how the run
 executed, are informational only).
@@ -74,8 +75,3 @@ class RunRecorder:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return path
-
-
-def read_manifest(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

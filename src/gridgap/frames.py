@@ -107,14 +107,6 @@ class TimeSeriesFrame:
             tuple(self.dates[i] for i in keep), self.names, self.values[keep, :]
         )
 
-    def with_values(self, values: np.ndarray) -> "TimeSeriesFrame":
-        return TimeSeriesFrame(self.dates, self.names, values)
-
-    def rename(self, mapping: dict) -> "TimeSeriesFrame":
-        return TimeSeriesFrame(
-            self.dates, tuple(mapping.get(n, n) for n in self.names), self.values
-        )
-
     def has_missing(self) -> bool:
         return bool(np.isnan(self.values).any())
 

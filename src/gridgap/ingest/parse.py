@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import math
 
 import numpy as np
 
@@ -22,10 +23,10 @@ def _decode(data) -> str:
 def parse_source(data, schema: SourceSchema) -> LongRecordTable:
     """Parse one raw CSV according to its descriptor.
 
-    Rows that fail to parse (bad date, non-numeric value, hour out of range)
-    are collected as rejects with their line number instead of aborting the
-    whole file.  Values are multiplied by the descriptor's unit factor and
-    timestamps shifted by its whole-hour offset.
+    Rows that fail to parse (bad date, non-numeric or non-finite value, hour
+    out of range) are collected as rejects with their line number instead of
+    aborting the whole file.  Values are multiplied by the descriptor's unit
+    factor and timestamps shifted by its whole-hour offset.
     """
     text = _decode(data)
     reader = csv.reader(io.StringIO(text), delimiter=schema.delimiter)
@@ -61,6 +62,8 @@ def parse_source(data, schema: SourceSchema) -> LongRecordTable:
         try:
             value = float(raw)
         except ValueError:
+            value = math.nan  # refused below along with inf and nan cells
+        if not math.isfinite(value):
             table.rejects.append((lineno, f"bad value {raw!r}"))
             continue
         if schema.hour_shift:

@@ -49,10 +49,6 @@ class QcReport:
             self.duplicates_dropped + other.duplicates_dropped,
         )
 
-    @property
-    def mutation_count(self) -> int:
-        return len(self.outliers) + len(self.fills)
-
     def is_empty(self) -> bool:
         return (
             not self.outliers

@@ -94,10 +94,6 @@ class WideHourlyTable:
     def copy(self) -> "WideHourlyTable":
         return WideHourlyTable(self.dates, np.array(self.values), self.kind)
 
-    def flatten(self) -> np.ndarray:
-        """Hour-by-hour 1-D view in chronological order (length n_days*24)."""
-        return self.values.reshape(-1)
-
     def missing_cells(self) -> list[tuple[dt.date, int]]:
         out = []
         rows, cols = np.nonzero(np.isnan(self.values))

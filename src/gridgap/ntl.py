@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, SchemaError
+from .ingest import parse_keyvalue_text
 
 
 @dataclass(frozen=True)
@@ -154,15 +155,11 @@ def lowpass_5x5(raster: Raster) -> Raster:
     return Raster(acc / 25.0, raster.flags, raster.lunar_fraction, raster.lunar_angle)
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    raster: Raster
-    repaired: tuple[tuple[int, int], ...]
-    isolated: tuple[tuple[int, int], ...]
+def process_raster(raster: Raster, floor: float = 10.0, smooth: bool = True) -> RepairResult:
+    """Repair, de-moonlight (when metadata exists), floor, then smooth.
 
-
-def process_raster(raster: Raster, floor: float = 10.0, smooth: bool = True) -> PipelineResult:
-    """Repair, de-moonlight (when metadata exists), floor, then smooth."""
+    The result holds the final raster and the repair step's pixel lists.
+    """
     step = repair_pixels(raster)
     current = step.raster
     if current.lunar_fraction is not None and current.lunar_angle is not None:
@@ -170,7 +167,7 @@ def process_raster(raster: Raster, floor: float = 10.0, smooth: bool = True) -> 
     current = threshold_floor(current, floor)
     if smooth:
         current = lowpass_5x5(current)
-    return PipelineResult(current, step.repaired, step.isolated)
+    return RepairResult(current, step.repaired, step.isolated)
 
 
 # -------------------------------------------------------------------- text
@@ -220,16 +217,10 @@ def write_metadata(path, meta: dict) -> None:
 
 
 def read_metadata(path) -> dict[str, str]:
-    meta = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise SchemaError(f"{path}: metadata line {line!r} is not 'key = value'")
-        key, value = line.split("=", 1)
-        meta[key.strip()] = value.strip()
-    return meta
+    try:
+        return parse_keyvalue_text(Path(path).read_text())
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def load_raster(grid_path, meta_path=None) -> Raster:

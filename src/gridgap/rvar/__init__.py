@@ -11,7 +11,6 @@ from .diagnostics import (
     VariableDiagnostics,
     criteria_from_residuals,
     durbin_watson,
-    information_criteria,
     ljung_box,
     ljung_box_statistic,
     run_diagnostics,
@@ -52,7 +51,6 @@ __all__ = [
     "fevd",
     "fit_restricted_var",
     "granger_wald",
-    "information_criteria",
     "irf",
     "irf_cumulative",
     "ljung_box",

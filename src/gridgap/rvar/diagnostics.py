@@ -23,9 +23,9 @@ def sample_autocorr(series: np.ndarray, max_lag: int) -> np.ndarray:
     denom = float(centered @ centered)
     if denom == 0.0:
         raise ParameterError("zero-variance series has no autocorrelation")
-    return np.array(
-        [float(centered[k:] @ centered[:-k]) / denom for k in range(1, max_lag + 1)]
-    )
+    # the "full" correlation holds lag k at index n - 1 + k, each a dot
+    # product over the n - k overlapping points
+    return np.correlate(centered, centered, "full")[n : n + max_lag] / denom
 
 
 def ljung_box_statistic(autocorr: np.ndarray, n: int) -> float:
@@ -108,18 +108,12 @@ class InfoCriteria:
     nobs: int
 
 
-def information_criteria(model: RVarModel, frame: TimeSeriesFrame) -> InfoCriteria:
-    """AIC and BIC of the model's residuals on ``frame``; see ``criteria_from_residuals``."""
-    return criteria_from_residuals(model, residuals(model, frame))
-
-
-def criteria_from_residuals(model: RVarModel, resid: TimeSeriesFrame) -> InfoCriteria:
-    """AIC and BIC from the covariance determinant of ``residuals(model, frame)``.
+def criteria_from_residuals(model: RVarModel, e: np.ndarray) -> InfoCriteria:
+    """AIC and BIC from the covariance determinant of ``e = residuals(model, frame)``.
 
     aic = ln det(Sigma) + 2k/T and bic = ln det(Sigma) + k ln(T)/T, with k the
     count of free coefficients (intercepts included) and T the usable rows.
     """
-    e = resid.values
     t_eff = e.shape[0]
     sigma = e.T @ e / t_eff
     sign, logdet = np.linalg.slogdet(sigma)
@@ -184,8 +178,7 @@ def run_diagnostics(
     resid = residuals(model, frame)
     lags = min(lb_lags, len(resid) - 1)
     rows = []
-    for name in model.names:
-        e = resid.column(name)
+    for name, e in zip(model.names, resid.T):
         adf = adf_test(e, regression="c", max_lag=adf_max_lag)
         lb = ljung_box(e, lags)
         rows.append(

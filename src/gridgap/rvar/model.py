@@ -174,8 +174,12 @@ def fit_restricted_var(
     )
 
 
-def residuals(model: RVarModel, frame: TimeSeriesFrame) -> TimeSeriesFrame:
-    """One-step-ahead residuals of the fitted model on a frame."""
+def residuals(model: RVarModel, frame: TimeSeriesFrame) -> np.ndarray:
+    """One-step-ahead residuals of the fitted model on a frame.
+
+    A ``(len(frame) - p, n)`` matrix: row t is the residual at
+    ``frame.dates[p + t]``, columns follow ``model.names``.
+    """
     if frame.names != model.names:
         raise ParameterError(f"frame columns {frame.names} != model {model.names}")
     if len(frame) <= model.p:
@@ -184,7 +188,7 @@ def residuals(model: RVarModel, frame: TimeSeriesFrame) -> TimeSeriesFrame:
     pred = np.tile(model.intercept, (resp.shape[0], 1))
     for k in range(model.p):
         pred += lagged[:, k, :] @ model.coeffs[k].T
-    return TimeSeriesFrame(frame.dates[model.p :], model.names, resp - pred)
+    return resp - pred
 
 
 def simulate_var(

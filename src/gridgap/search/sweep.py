@@ -211,8 +211,7 @@ def _rule_stage(record, diffed: TimeSeriesFrame, order, rule, pvalues, stats, sc
 
     resid = residuals(model, diffed)
     lags = min(scoring.lb_lags, len(resid) - 1)
-    for name in model.names:
-        e = resid.column(name)
+    for name, e in zip(model.names, resid.T):
         lb = ljung_box(e, lags)
         dw = durbin_watson(e)
         stats[f"lb_p:{name}"] = lb.pvalue

@@ -18,7 +18,14 @@ from gridgap.cli.main import main
 from gridgap.frames import TimeSeriesFrame
 from gridgap.ingest import WideHourlyTable, read_wide_csv, write_series_csv, write_wide_csv
 from gridgap.ntl import read_grid, write_grid, write_metadata
-from gridgap.rvar import fit_restricted_var, load_model, save_model, simulate_var
+from gridgap.rvar import (
+    RVarModel,
+    fit_restricted_var,
+    load_model,
+    save_model,
+    simulate_var,
+    zero_mask,
+)
 
 from conftest import make_dates
 
@@ -65,6 +72,18 @@ class TestUsage:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("series = missing.csv\n")
         assert main(["trend", "--config", str(cfg), "--jobs", "0"]) == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        ["ingest", "qc-report", "backcast", "analyze", "irf", "fevd", "search", "trend", "ntl"],
+    )
+    def test_config_error_exits_one_without_manifest(self, tmp_path, command, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("x = 1\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / MANIFEST_NAME).exists()
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
@@ -130,6 +149,23 @@ class TestIngest:
         # spike flagged then refilled, plus the injected gap
         assert sum(1 for line in qc.splitlines() if line.startswith("outlier,")) == 1
         assert sum(1 for line in qc.splitlines() if line.startswith("fill,")) == 2
+
+    def test_infinite_raw_value_filled_like_a_gap(self, tmp_path):
+        cfg = self.build(tmp_path, gap_hours=())
+        raw = tmp_path / "raw.csv"
+        lines = raw.read_text().splitlines()
+        day, hour, _ = lines[1 + 5 * 24 + 10].split(",")
+        lines[1 + 5 * 24 + 10] = f"{day},{hour},inf"
+        raw.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 0
+        table = read_wide_csv(out / "load.wide.csv", "load")
+        assert np.isfinite(table.values).all()
+        qc = (out / "load.qc.txt").read_text().splitlines()
+        fills = [line for line in qc if line.startswith("fill,")]
+        # the spike's refill plus exactly one fill for the refused cell
+        assert len(fills) == 2
+        assert sum(line.startswith(f"fill,{day},10,") for line in fills) == 1
 
     def test_manifest_digests_match_files(self, tmp_path):
         cfg = self.build(tmp_path)
@@ -357,6 +393,20 @@ class TestIrfFevdCommands:
     def test_irf_unknown_shock(self, tmp_path, model_path, capsys):
         (tmp_path / "i.cfg").write_text(f"model = {model_path}\nshock = nope\n")
         assert main(["irf", "--config", str(tmp_path / "i.cfg"), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes
+    def test_irf_overflow_exits_one_without_manifest(self, tmp_path, capsys):
+        # an explosive root of 2 overflows float64 within 1100 steps
+        model = RVarModel(
+            ("y", "x"), 1, np.zeros(2), np.array([[[2.0, 0.0], [0.0, 0.5]]]),
+            zero_mask(1, 2), np.eye(2),
+        )
+        save_model(model, tmp_path / "model.json")
+        (tmp_path / "i.cfg").write_text("model = model.json\nshock = y\nhorizon = 1100\n")
+        out = tmp_path / "out"
+        assert main(["irf", "--config", str(tmp_path / "i.cfg"), "--out", str(out)]) == 1
+        assert "error: chart values must be finite" in capsys.readouterr().err
+        assert not (out / MANIFEST_NAME).exists()
 
     def test_fevd_with_ordering(self, tmp_path, model_path):
         (tmp_path / "f.cfg").write_text(

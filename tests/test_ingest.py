@@ -210,6 +210,13 @@ class TestParseSource:
         assert len(table.records) == 1
         assert [lineno for lineno, _ in table.rejects] == [3, 4, 5]
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "Infinity"])
+    def test_non_finite_value_is_a_reject(self, cell):
+        raw = f"Date,HourEnding,Load\n01/02/2020,1,55.5\n01/02/2020,2,{cell}\n"
+        table = parse_source(raw, LOAD_SCHEMA)
+        assert [r.value for r in table.records] == [55.5]
+        assert table.rejects == [(3, f"bad value {cell!r}")]
+
     def test_missing_column_is_schema_error(self):
         with pytest.raises(SchemaError):
             parse_source("Date,Load\n01/02/2020,5\n", LOAD_SCHEMA)

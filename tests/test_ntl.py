@@ -284,6 +284,13 @@ class TestGridText:
         write_metadata(path, meta)
         assert read_metadata(path) == meta
 
+    def test_metadata_line_without_equals_names_file_and_line(self, tmp_path):
+        path = tmp_path / "scene.meta"
+        path.write_text("# sidecar\nlunar_fraction = 0.5\ncolormap magma\n")
+        with pytest.raises(SchemaError) as exc:
+            read_metadata(path)
+        assert str(exc.value) == f"{path}: line 3: expected 'key = value', got 'colormap magma'"
+
     def test_load_raster_with_sidecar(self, tmp_path):
         grid = hand_raster_8x8()
         flags = np.zeros((8, 8), dtype=int)

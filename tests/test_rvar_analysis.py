@@ -13,14 +13,15 @@ from gridgap.errors import (
 )
 from gridgap.rvar import (
     RVarModel,
+    criteria_from_residuals,
     durbin_watson,
     fevd,
     fit_restricted_var,
-    information_criteria,
     irf,
     irf_cumulative,
     ljung_box,
     ljung_box_statistic,
+    residuals,
     run_diagnostics,
     sample_autocorr,
     simulate_var,
@@ -306,10 +307,8 @@ class TestInformationCriteria:
             ("a", "b"),
         )
         model = fit_restricted_var(frame, p=1, mask=zero_mask(1, 2))
-        ic = information_criteria(model, frame)
-        from gridgap.rvar import residuals
-
-        resid = residuals(model, frame).values
+        resid = residuals(model, frame)
+        ic = criteria_from_residuals(model, resid)
         t = resid.shape[0]
         sigma = resid.T @ resid / t
         logdet = float(np.linalg.slogdet(sigma)[1])
@@ -335,8 +334,8 @@ class TestInformationCriteria:
         mask[0, 0, 1] = True
         mask[0, 1, 0] = True
         thin = fit_restricted_var(frame, p=1, mask=mask)
-        ic_full = information_criteria(full, frame)
-        ic_thin = information_criteria(thin, frame)
+        ic_full = criteria_from_residuals(full, residuals(full, frame))
+        ic_thin = criteria_from_residuals(thin, residuals(thin, frame))
         assert ic_thin.free_params == ic_full.free_params - 2
         # the generator is diagonal, so BIC should prefer the restricted fit
         assert ic_thin.bic < ic_full.bic

@@ -89,7 +89,7 @@ class TestFit:
     def test_sigma_e_scaling(self):
         frame = _sim_frame(300)
         model = fit_restricted_var(frame, p=2, mask=zero_mask(2, 3))
-        resid = residuals(model, frame).values
+        resid = residuals(model, frame)
         expected = resid.T @ resid / resid.shape[0]
         assert np.allclose(model.sigma_e, expected, atol=1e-12)
 
@@ -171,16 +171,15 @@ class TestResiduals:
         frame = _sim_frame(60)
         model = fit_restricted_var(frame, p=2, mask=zero_mask(2, 3))
         res = residuals(model, frame)
-        assert res.dates == frame.dates[2:]
-        assert res.names == frame.names
+        assert res.shape == (len(frame) - 2, 3)
         y = frame.values
         pred = model.intercept + y[1:-1] @ model.coeffs[0].T + y[:-2] @ model.coeffs[1].T
-        assert np.allclose(res.values, y[2:] - pred, atol=1e-12)
+        assert np.allclose(res, y[2:] - pred, atol=1e-12)
 
     def test_residuals_orthogonal_to_design(self):
         frame = _sim_frame(300)
         model = fit_restricted_var(frame, p=2, mask=zero_mask(2, 3))
-        res = residuals(model, frame).values
+        res = residuals(model, frame)
         # unrestricted least squares leaves residuals orthogonal to every regressor
         y = frame.values
         for lag in (1, 2):
@@ -231,7 +230,7 @@ class TestSerialization:
         save_model(model, tmp_path / "m.json")
         loaded = load_model(tmp_path / "m.json")
         assert np.array_equal(
-            residuals(model, frame).values, residuals(loaded, frame).values
+            residuals(model, frame), residuals(loaded, frame)
         )
 
     def test_wrong_format_tag_rejected(self, tmp_path):
