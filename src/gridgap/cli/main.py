@@ -194,9 +194,9 @@ def _read_source(data_path: Path, schema_path: Path):
     schema = SourceSchema.from_file(schema_path)
     long_table = parse_source(data_path.read_text(), schema)
     if schema.time_column:
-        return resample_weather_hourly(long_table), len(long_table.rejects)
+        return resample_weather_hourly(long_table), 0
     wide, dropped = pivot_wide(long_table, schema.kind)
-    return wide, len(dropped) + len(long_table.rejects)
+    return wide, len(dropped)
 
 
 def cmd_ingest(cfg: dict, base: Path, rec: RunRecorder) -> int:

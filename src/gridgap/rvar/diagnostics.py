@@ -23,9 +23,9 @@ def sample_autocorr(series: np.ndarray, max_lag: int) -> np.ndarray:
     denom = float(centered @ centered)
     if denom == 0.0:
         raise ParameterError("zero-variance series has no autocorrelation")
-    # the "full" correlation holds lag k at index n - 1 + k, each a dot
-    # product over the n - k overlapping points
-    return np.correlate(centered, centered, "full")[n : n + max_lag] / denom
+    return np.array(
+        [float(centered[k:] @ centered[:-k]) / denom for k in range(1, max_lag + 1)]
+    )
 
 
 def ljung_box_statistic(autocorr: np.ndarray, n: int) -> float:

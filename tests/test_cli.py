@@ -166,6 +166,8 @@ class TestIngest:
         # the spike's refill plus exactly one fill for the refused cell
         assert len(fills) == 2
         assert sum(line.startswith(f"fill,{day},10,") for line in fills) == 1
+        # a refused cell is not a dropped duplicate
+        assert "duplicates_dropped = 0" in qc
 
     def test_manifest_digests_match_files(self, tmp_path):
         cfg = self.build(tmp_path)

