@@ -6,14 +6,11 @@ from .ensemble import (
     BackcastEnsemble,
     BaseModel,
     MonthlySummary,
-    Prediction,
     ReductionSeries,
     TrainingConfig,
     load_ensemble,
     monthly_summary,
-    predict,
     predict_many,
-    reduction_rate,
     reduction_series,
     save_ensemble,
     train_ensemble,
@@ -24,7 +21,6 @@ from .features import (
     DEFAULT_WEATHER_KINDS,
     MIN_WEATHER_CELLS,
     FeatureConfig,
-    build_features,
     feature_matrix,
     feature_names,
 )
@@ -40,10 +36,8 @@ __all__ = [
     "MIN_WEATHER_CELLS",
     "MonthlySummary",
     "PREDICTION_LEVELS",
-    "Prediction",
     "ReductionSeries",
     "TrainingConfig",
-    "build_features",
     "feature_matrix",
     "feature_names",
     "forward",
@@ -52,9 +46,7 @@ __all__ = [
     "load_ensemble",
     "loss_and_grads",
     "monthly_summary",
-    "predict",
     "predict_many",
-    "reduction_rate",
     "reduction_series",
     "save_ensemble",
     "train_ensemble",

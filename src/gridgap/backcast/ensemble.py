@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import math
 from calendar import month_name
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -280,18 +279,6 @@ def train_ensemble(
 # -- prediction and reduction -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Prediction:
-    point: float
-    quantiles: dict[float, float]
-
-
-def predict(ensemble: BackcastEnsemble, feature: np.ndarray) -> Prediction:
-    """Ensemble mean plus empirical member quantiles for one date."""
-    points, quantiles = predict_many(ensemble, np.atleast_2d(feature))
-    return Prediction(float(points[0]), {lvl: float(q[0]) for lvl, q in quantiles.items()})
-
-
 def predict_many(ensemble: BackcastEnsemble, features: np.ndarray):
     """Ensemble means and member quantiles per row: (points, {level: values}).
 
@@ -302,18 +289,6 @@ def predict_many(ensemble: BackcastEnsemble, features: np.ndarray):
     points = preds.mean(axis=0)
     qs = np.quantile(preds, PREDICTION_LEVELS, axis=0, method="linear")
     return points, {lvl: qs[i] for i, lvl in enumerate(PREDICTION_LEVELS)}
-
-
-def reduction_rate(backcast_daily: float, actual_hourly) -> float:
-    """Percent shortfall of the observed daily mean against the baseline."""
-    if backcast_daily <= 0:
-        raise DomainError(f"baseline must be positive, got {backcast_daily}")
-    actual = np.asarray(actual_hourly, dtype=np.float64).ravel()
-    if actual.shape != (24,):
-        raise ParameterError(f"need 24 hourly values, got {actual.shape}")
-    if np.isnan(actual).any():
-        raise MissingValueError("actual day has missing hours; run QC first")
-    return float((1.0 - actual.mean() / backcast_daily) * 100.0)
 
 
 @dataclass(frozen=True)
@@ -352,8 +327,10 @@ def reduction_series(
 ) -> ReductionSeries:
     """Daily reduction of observed consumption against the backcast.
 
-    The point rate uses the ensemble mean; each interval bound applies the
-    same arithmetic to the corresponding member quantile.
+    A day's rate is the percent shortfall of its observed daily mean against
+    a positive baseline. The point rate uses the ensemble mean as baseline;
+    each interval bound applies the same arithmetic to the corresponding
+    member quantile.
     """
     dates = list(dates)
     if len(dates) != np.atleast_2d(features).shape[0]:
@@ -368,7 +345,6 @@ def reduction_series(
     daily = observed.mean(axis=1)
 
     def rates(baseline):
-        # reduction_rate's arithmetic, one day per entry
         bad = baseline <= 0
         if bad.any():
             raise DomainError(f"baseline must be positive, got {baseline[np.argmax(bad)]}")

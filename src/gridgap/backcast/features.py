@@ -14,7 +14,6 @@ from typing import Mapping
 import numpy as np
 
 from ..errors import InsufficientDataError, ParameterError, UnknownColumnError
-from ..frames import CalendarInfo
 from ..ingest import WideHourlyTable
 
 DEFAULT_QUANTILE_LEVELS = (0.25, 0.50, 0.75, 1.00)
@@ -97,31 +96,6 @@ def _encode(dates, weather, gdp, holidays, config: FeatureConfig) -> np.ndarray:
         raise ParameterError("gdp_growth must be finite")
     out[:, pos] = gdp
     return out
-
-
-def build_features(
-    calendar: CalendarInfo,
-    weather_row: Mapping[str, np.ndarray],
-    gdp: float,
-    config: FeatureConfig | None = None,
-) -> np.ndarray:
-    """Encode one date from its calendar attributes and 24 hourly readings.
-
-    Returns the date's feature row, labelled by ``feature_names(config)``. A
-    day keeping fewer than MIN_WEATHER_CELLS readings for any kind, or
-    holding an infinite reading, is refused.
-    """
-    config = config or FeatureConfig()
-    weather = {}
-    for kind in config.weather_kinds:
-        if kind not in weather_row:
-            raise UnknownColumnError(f"weather kind {kind!r} missing for {calendar.date}")
-        row = np.asarray(weather_row[kind], dtype=np.float64).ravel()
-        if row.shape != (24,):
-            raise ParameterError(f"{kind} row for {calendar.date} is not 24 hourly values")
-        weather[kind] = row[None, :]
-    holidays = (calendar.date,) if calendar.holiday_flag else ()
-    return _encode([calendar.date], weather, [float(gdp)], holidays, config)[0]
 
 
 def _gdp_values(gdp, dates) -> list[float]:

@@ -34,6 +34,7 @@ from ..backcast import (
 from ..errors import ConfigError, CoverageError, GridGapError, NoModelError
 from ..frames import federal_holidays
 from ..ingest import (
+    QcReport,
     SourceSchema,
     format_value,
     parse_keyvalue_text,
@@ -165,9 +166,7 @@ def _resolve_jobs(args) -> int:
 
 
 def _write_text(rec: RunRecorder, name: str, text: str) -> None:
-    path = rec.output_path(name)
-    path.write_text(text if text.endswith("\n") else text + "\n")
-    rec.record_output(path)
+    rec.output(name).write_text(text if text.endswith("\n") else text + "\n")
 
 
 def _write_csv(rec: RunRecorder, name: str, header: list[str], rows) -> None:
@@ -181,22 +180,23 @@ def _write_csv(rec: RunRecorder, name: str, header: list[str], rows) -> None:
 # ---------------------------------------------------------------- ingest / qc
 
 
-def _clean_table(table, backup, parse_dropped: int = 0):
-    """Outlier pass, gap fill, then one merged report."""
+def _clean_table(table, backup, parsed: QcReport | None = None):
+    """Outlier pass, gap fill, then one report merged after ``parsed``."""
     flagged, outlier_report = qc_outliers(table)
     filled, fill_report = qc_fill_missing(flagged, backup)
-    report = outlier_report.merge(fill_report)
-    report.duplicates_dropped += parse_dropped
-    return filled, report
+    return filled, (parsed or QcReport()).merge(outlier_report).merge(fill_report)
 
 
 def _read_source(data_path: Path, schema_path: Path):
+    """The source's wide table, and a report of the rows parsing refused or dropped."""
     schema = SourceSchema.from_file(schema_path)
     long_table = parse_source(data_path.read_text(), schema)
+    parsed = QcReport(rejects=list(long_table.rejects))
     if schema.time_column:
-        return resample_weather_hourly(long_table), 0
+        return resample_weather_hourly(long_table), parsed
     wide, dropped = pivot_wide(long_table, schema.kind)
-    return wide, len(dropped)
+    parsed.duplicates_dropped = len(dropped)
+    return wide, parsed
 
 
 def cmd_ingest(cfg: dict, base: Path, rec: RunRecorder) -> int:
@@ -207,16 +207,14 @@ def cmd_ingest(cfg: dict, base: Path, rec: RunRecorder) -> int:
     for label in labels:
         data_path = _cfg_path(cfg, f"source.{label}.data", base, rec)
         schema_path = _cfg_path(cfg, f"source.{label}.schema", base, rec)
-        wide, dropped = _read_source(data_path, schema_path)
+        wide, parsed = _read_source(data_path, schema_path)
         backup = None
         if f"backup.{label}.data" in cfg:
             bdata = _cfg_path(cfg, f"backup.{label}.data", base, rec)
             bschema = _cfg_path(cfg, f"backup.{label}.schema", base, rec)
             backup, _ = _read_source(bdata, bschema)
-        cleaned, report = _clean_table(wide, backup, dropped)
-        out_csv = rec.output_path(f"{label}.wide.csv")
-        write_wide_csv(cleaned, out_csv)
-        rec.record_output(out_csv)
+        cleaned, report = _clean_table(wide, backup, parsed)
+        write_wide_csv(cleaned, rec.output(f"{label}.wide.csv"))
         _write_text(rec, f"{label}.qc.txt", report.to_text())
         unresolved += len(report.unresolved)
         print(
@@ -231,11 +229,9 @@ def cmd_qc_report(cfg: dict, base: Path, rec: RunRecorder) -> int:
     table = read_wide_csv(_cfg_path(cfg, "table", base, rec), kind)
     backup = None
     if "backup" in cfg:
-        backup = read_wide_csv(_cfg_path(cfg, "backup", base, rec), cfg.get("backup_kind", kind))
+        backup = read_wide_csv(_cfg_path(cfg, "backup", base, rec), kind)
     cleaned, report = _clean_table(table, backup)
-    out_csv = rec.output_path("cleaned.wide.csv")
-    write_wide_csv(cleaned, out_csv)
-    rec.record_output(out_csv)
+    write_wide_csv(cleaned, rec.output("cleaned.wide.csv"))
     _write_text(rec, "qc_report.txt", report.to_text())
     print(
         f"{len(cleaned.dates)} days, {len(report.outliers)} outliers,"
@@ -318,9 +314,7 @@ def cmd_backcast(cfg: dict, base: Path, rec: RunRecorder) -> int:
             features, daily.column("load"), daily.dates, training, feature_config, jobs=rec.jobs,
         )
         print(f"kept {len(ensemble.models)} of {training.candidates} candidates")
-    ens_path = rec.output_path("ensemble.json")
-    save_ensemble(ensemble, ens_path)
-    rec.record_output(ens_path)
+    save_ensemble(ensemble, rec.output("ensemble.json"))
 
     eval_dates = [d for d in load_table.dates if eval_start <= d <= eval_end]
     if not eval_dates:
@@ -356,9 +350,8 @@ def cmd_backcast(cfg: dict, base: Path, rec: RunRecorder) -> int:
         raise CoverageError(f"no month between {eval_start} and {eval_end} has {min_days} days")
     _write_text(rec, "summary.txt", "\n".join(rows))
 
-    chart = rec.output_path("reduction.svg")
     line_chart(
-        chart,
+        rec.output("reduction.svg"),
         "daily consumption reduction (%)",
         [d.isoformat() for d in series.dates],
         [
@@ -367,7 +360,6 @@ def cmd_backcast(cfg: dict, base: Path, rec: RunRecorder) -> int:
             ("q90", series.bounds[0.90]),
         ],
     )
-    rec.record_output(chart)
     for row in rows:
         print(row)
     return EXIT_OK
@@ -459,9 +451,7 @@ def _sweep(cfg: dict, base: Path, rec: RunRecorder):
         print(f"error: {exc} ({space.size()} combinations rejected)", file=sys.stderr)
         return None
     _write_text(rec, "search_log.csv", search_log_csv(result))
-    model_path = rec.output_path("model.json")
-    save_model(result.model, model_path)
-    rec.record_output(model_path)
+    save_model(result.model, rec.output("model.json"))
     chosen = result.chosen
     print(
         f"chosen combination {chosen.index}: subset={'|'.join(chosen.subset)}"
@@ -476,8 +466,19 @@ def cmd_search(cfg: dict, base: Path, rec: RunRecorder) -> int:
 
 
 def _write_irf_outputs(rec: RunRecorder, model, shocks, horizon: int, focus: str) -> None:
-    """irf.csv over all requested shocks plus a chart of the focus variable."""
+    """irf.csv over all requested shocks plus a chart of the focus variable.
+
+    The chart goes first: it refuses non-finite responses, so an overflowing
+    model leaves no CSV behind.
+    """
     results = [irf(model, shock, horizon) for shock in shocks]
+    focus_idx = model.names.index(focus)
+    line_chart(
+        rec.output("irf.svg"),
+        f"response of {focus} to unit shocks",
+        [str(t) for t in range(horizon + 1)],
+        [(r.shock, r.responses[:, focus_idx]) for r in results],
+    )
     _write_csv(
         rec,
         "irf.csv",
@@ -488,19 +489,18 @@ def _write_irf_outputs(rec: RunRecorder, model, shocks, horizon: int, focus: str
             for t in range(horizon + 1)
         ),
     )
-    focus_idx = model.names.index(focus)
-    chart = rec.output_path("irf.svg")
-    line_chart(
-        chart,
-        f"response of {focus} to unit shocks",
-        [str(t) for t in range(horizon + 1)],
-        [(r.shock, r.responses[:, focus_idx]) for r in results],
-    )
-    rec.record_output(chart)
 
 
 def _write_fevd_outputs(rec: RunRecorder, model, horizon: int, focus: str, ordering=None) -> None:
+    """fevd.csv plus a chart of the focus variable, chart first as for irf."""
     result = fevd(model, horizon, ordering)
+    focus_idx = model.names.index(focus)
+    bar_chart(
+        rec.output("fevd.svg"),
+        f"variance shares of {focus} at horizon {horizon}",
+        list(model.names),
+        result.shares[horizon - 1, focus_idx],
+    )
     _write_csv(
         rec,
         "fevd.csv",
@@ -511,15 +511,6 @@ def _write_fevd_outputs(rec: RunRecorder, model, horizon: int, focus: str, order
             for i, name in enumerate(model.names)
         ),
     )
-    focus_idx = model.names.index(focus)
-    chart = rec.output_path("fevd.svg")
-    bar_chart(
-        chart,
-        f"variance shares of {focus} at horizon {horizon}",
-        list(model.names),
-        result.shares[horizon - 1, focus_idx],
-    )
-    rec.record_output(chart)
 
 
 def cmd_analyze(cfg: dict, base: Path, rec: RunRecorder) -> int:
@@ -574,20 +565,18 @@ def cmd_irf(cfg: dict, base: Path, rec: RunRecorder) -> int:
         raise ConfigError(f"variable: '{focus}' not in model ({', '.join(model.names)})")
     if _cfg_bool(cfg, "cumulative", False):
         cum = irf_cumulative(model, shock, horizon)
+        line_chart(
+            rec.output("irf.svg"),
+            f"cumulative response to a unit {cum.shock} shock",
+            [str(t) for t in range(horizon + 1)],
+            [(name, cum.path[: horizon + 1, i]) for i, name in enumerate(model.names)],
+        )
         _write_csv(
             rec,
             "irf.csv",
             ["shock", "step", *model.names],
             ([cum.shock, t, *(format_value(v) for v in cum.path[t])] for t in range(horizon + 1)),
         )
-        chart = rec.output_path("irf.svg")
-        line_chart(
-            chart,
-            f"cumulative response to a unit {cum.shock} shock",
-            [str(t) for t in range(horizon + 1)],
-            [(name, cum.path[: horizon + 1, i]) for i, name in enumerate(model.names)],
-        )
-        rec.record_output(chart)
     else:
         _write_irf_outputs(rec, model, [shock], horizon, focus)
     return EXIT_OK
@@ -639,14 +628,12 @@ def cmd_trend(cfg: dict, base: Path, rec: RunRecorder) -> int:
             ]
         ),
     )
-    chart = rec.output_path("trend.svg")
     line_chart(
-        chart,
+        rec.output("trend.svg"),
         f"{column}: {period}-day trend",
         [d.isoformat() for d in result.dates],
         [(column, raw), ("trend", result.trend)],
     )
-    rec.record_output(chart)
     flag = " (degenerate)" if transition.degenerate else ""
     print(f"transition {transition.begin.isoformat()}..{transition.end.isoformat()}{flag}")
     return EXIT_OK
@@ -666,9 +653,7 @@ def cmd_ntl(cfg: dict, base: Path, rec: RunRecorder) -> int:
                 rec.record_input(companion)
     raster = load_raster(grid_path, meta_path)
     result = process_raster(raster, _cfg_float(cfg, "floor", 10.0), _cfg_bool(cfg, "smooth", True))
-    out_grid = rec.output_path("processed.grid.txt")
-    write_grid(out_grid, result.raster.intensity)
-    rec.record_output(out_grid)
+    write_grid(rec.output("processed.grid.txt"), result.raster.intensity)
     lines = [
         "# ntl-report/1",
         f"height = {raster.height}",

@@ -1,11 +1,11 @@
 """Run manifests: what a command read, what it wrote, and the digests.
 
-Every command records its inputs before doing work and its outputs as they
-are written; when it returns, ``main`` drops ``run_manifest.json`` in the
-output directory (a run that fails with an error writes none).  The
-digest map is the reproducibility contract: identical inputs and seed must
-reproduce identical output digests (wall time and ``details``, how the run
-executed, are informational only).
+Every command records its inputs before doing work and takes the path of
+each output from ``RunRecorder.output``, which records it; when it returns,
+``main`` drops ``run_manifest.json`` in the output directory (a run that
+fails with an error writes none).  The digest map is the reproducibility
+contract: identical inputs and seed must reproduce identical output digests
+(wall time and ``details``, how the run executed, are informational only).
 """
 
 from __future__ import annotations
@@ -46,15 +46,12 @@ class RunRecorder:
         if key not in self.inputs:
             self.inputs[key] = sha256_file(path)
 
-    def record_output(self, path) -> None:
-        name = str(Path(path).relative_to(self.out_dir))
-        if name not in self.outputs:
-            self.outputs.append(name)
-
-    def output_path(self, name: str) -> Path:
-        """Resolve a file name inside the run's output directory."""
+    def output(self, name: str) -> Path:
+        """The path of output ``name``, its directory made and the file recorded."""
         path = self.out_dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
+        if name not in self.outputs:
+            self.outputs.append(name)
         return path
 
     def write(self) -> Path:

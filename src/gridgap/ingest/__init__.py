@@ -19,7 +19,6 @@ from .tables import (
     LongRecordTable,
     WideHourlyTable,
     format_value,
-    parse_wide_csv,
     read_series_csv,
     read_wide_csv,
     write_series_csv,
@@ -43,7 +42,6 @@ __all__ = [
     "mobility_metrics",
     "parse_keyvalue_text",
     "parse_source",
-    "parse_wide_csv",
     "pivot_wide",
     "qc_fill_missing",
     "qc_outliers",

@@ -12,7 +12,7 @@ Two passes, run in order:
    unresolved.
 
 Every mutation is recorded in a :class:`QcReport` that serializes to plain
-text, one record per line.
+text, one record per line; ``ingest`` adds the raw rows its parser refused.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ class QcReport:
     unresolved: list[tuple[dt.date, int]] = field(default_factory=list)
     skipped_days: list[dt.date] = field(default_factory=list)
     duplicates_dropped: int = 0
+    rejects: list[tuple[int, str]] = field(default_factory=list)
 
     def merge(self, other: "QcReport") -> "QcReport":
         return QcReport(
@@ -47,6 +48,7 @@ class QcReport:
             self.unresolved + other.unresolved,
             self.skipped_days + other.skipped_days,
             self.duplicates_dropped + other.duplicates_dropped,
+            self.rejects + other.rejects,
         )
 
     def is_empty(self) -> bool:
@@ -56,6 +58,7 @@ class QcReport:
             and not self.unresolved
             and not self.skipped_days
             and self.duplicates_dropped == 0
+            and not self.rejects
         )
 
     def to_text(self) -> str:
@@ -68,6 +71,8 @@ class QcReport:
             lines.append(f"unresolved,{d.isoformat()},{h}")
         for d in self.skipped_days:
             lines.append(f"skipped_day,{d.isoformat()}")
+        for lineno, reason in self.rejects:
+            lines.append(f"reject,{lineno},{reason}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -96,6 +101,10 @@ class QcReport:
                 report.unresolved.append((dt.date.fromisoformat(parts[1]), int(parts[2])))
             elif tag == "skipped_day":
                 report.skipped_days.append(dt.date.fromisoformat(parts[1]))
+            elif tag == "reject":
+                # the reason is free text and may hold commas
+                _, lineno, reason = line.split(",", 2)
+                report.rejects.append((int(lineno), reason))
             else:
                 raise SchemaError(f"unknown qc record {tag!r}")
         return report

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,18 +135,14 @@ def write_wide_csv(table: WideHourlyTable, path) -> None:
 
 def read_wide_csv(path, kind: str) -> WideHourlyTable:
     with open(path, newline="") as fh:
-        return parse_wide_csv(fh.read(), kind)
-
-
-def parse_wide_csv(text: str, kind: str) -> WideHourlyTable:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyInputError("wide CSV is empty") from None
-    if header != WIDE_HEADER:
-        raise SchemaError(f"expected header {WIDE_HEADER[:3]}...,23 got {header[:4]}")
-    dates, values = _read_rows(reader, [f"hour {h}" for h in range(24)], "")
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyInputError("wide CSV is empty") from None
+        if header != WIDE_HEADER:
+            raise SchemaError(f"expected header {WIDE_HEADER[:3]}...,23 got {header[:4]}")
+        dates, values = _read_rows(reader, [f"hour {h}" for h in range(24)], "")
     if not dates:
         raise EmptyInputError("wide CSV has a header but no rows")
     return WideHourlyTable(tuple(dates), values, kind)

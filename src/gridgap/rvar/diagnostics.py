@@ -172,14 +172,13 @@ def run_diagnostics(
     frame: TimeSeriesFrame,
     cointegration_ok: bool | None = None,
     lb_lags: int = 40,
-    adf_max_lag: int | None = None,
 ) -> DiagnosticsReport:
     """Compute the full residual health report for a fitted model."""
     resid = residuals(model, frame)
     lags = min(lb_lags, len(resid) - 1)
     rows = []
     for name, e in zip(model.names, resid.T):
-        adf = adf_test(e, regression="c", max_lag=adf_max_lag)
+        adf = adf_test(e, regression="c")
         lb = ljung_box(e, lags)
         rows.append(
             VariableDiagnostics(name, adf.stat, adf.pvalue, lb.q, lb.pvalue, durbin_watson(e))

@@ -417,6 +417,12 @@ class _Determinism:
         digests_a = json.loads((out_a / MANIFEST_NAME).read_text())["outputs"]
         digests_b = json.loads((out_b / MANIFEST_NAME).read_text())["outputs"]
         assert digests_a and digests_a == digests_b
+        # every file a run wrote is in its digest map, and nothing else is
+        for out, digests in ((out_a, digests_a), (out_b, digests_b)):
+            written = {
+                str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()
+            } - {MANIFEST_NAME}
+            assert written == set(digests)
         return digests_a
 
 

@@ -15,7 +15,6 @@ from gridgap.backcast import (
     FeatureConfig,
     ReductionSeries,
     TrainingConfig,
-    build_features,
     feature_matrix,
     feature_names,
     forward,
@@ -24,9 +23,7 @@ from gridgap.backcast import (
     load_ensemble,
     loss_and_grads,
     monthly_summary,
-    predict,
     predict_many,
-    reduction_rate,
     reduction_series,
     save_ensemble,
     train_ensemble,
@@ -41,7 +38,7 @@ from gridgap.errors import (
     SchemaError,
     UnknownColumnError,
 )
-from gridgap.frames import CalendarInfo, federal_holidays
+from gridgap.frames import federal_holidays
 from gridgap.ingest import WideHourlyTable
 
 
@@ -53,6 +50,12 @@ def _weather_row(temp=None, humidity=None, wind=None):
     }
 
 
+def _one_day(d, weather_row, gdp=0.0, holidays=frozenset()):
+    """``feature_matrix``'s row for the single date ``d`` with these 24 readings per kind."""
+    tables = {k: WideHourlyTable((d,), [v], k) for k, v in weather_row.items()}
+    return feature_matrix([d], tables, gdp, holidays)[0]
+
+
 def _quantiles(row, kind):
     """The ``kind`` quantile entries of a default-config feature row."""
     names = feature_names(FeatureConfig())
@@ -61,13 +64,11 @@ def _quantiles(row, kind):
 
 class TestFeatures:
     def test_constant_day_quantiles(self):
-        cal = CalendarInfo.from_date(dt.date(2020, 3, 4))
-        row = build_features(cal, _weather_row(), gdp=1.5)
+        row = _one_day(dt.date(2020, 3, 4), _weather_row(), gdp=1.5)
         assert _quantiles(row, "temperature") == (20.0, 20.0, 20.0, 20.0)
 
     def test_max_quantile_of_1_to_24(self):
-        cal = CalendarInfo.from_date(dt.date(2020, 3, 4))
-        row = build_features(cal, _weather_row(temp=np.arange(1.0, 25.0)), gdp=0.0)
+        row = _one_day(dt.date(2020, 3, 4), _weather_row(temp=np.arange(1.0, 25.0)))
         assert _quantiles(row, "temperature")[-1] == 24.0
         # linear interpolation between order statistics: q25 of 1..24
         assert _quantiles(row, "temperature")[0] == pytest.approx(1 + 0.25 * 23)
@@ -75,16 +76,14 @@ class TestFeatures:
     def test_sunday_holiday_encoding(self):
         # 2020-07-05 was a Sunday; treat it as the observed holiday
         d = dt.date(2020, 7, 5)
-        cal = CalendarInfo.from_date(d, holidays={d})
-        vec = build_features(cal, _weather_row(), gdp=0.0)
+        vec = _one_day(d, _weather_row(), holidays={d})
         assert vec[12 + 6] == 1.0  # weekday one-hot, Sunday slot
         assert vec[19] == 1.0  # holiday bit
         assert vec[12:19].sum() == 1.0
+        assert _one_day(d, _weather_row())[19] == 0.0
 
     def test_vector_layout(self):
-        d = dt.date(2020, 11, 17)
-        cal = CalendarInfo.from_date(d)
-        vec = build_features(cal, _weather_row(temp=np.arange(1.0, 25.0)), gdp=-2.5)
+        vec = _one_day(dt.date(2020, 11, 17), _weather_row(temp=np.arange(1.0, 25.0)), gdp=-2.5)
         names = feature_names(FeatureConfig())
         assert len(vec) == len(names) == 34
         assert vec[10] == 1.0 and names[10] == "month_11"
@@ -94,29 +93,29 @@ class TestFeatures:
         assert vec[names.index("gdp_growth")] == -2.5
 
     def test_missing_cells_tolerated_down_to_floor(self):
-        cal = CalendarInfo.from_date(dt.date(2020, 5, 2))
+        d = dt.date(2020, 5, 2)
         temp = np.full(24, 10.0)
         temp[:12] = np.nan  # exactly 12 readings remain
-        row = build_features(cal, _weather_row(temp=temp), gdp=0.0)
+        row = _one_day(d, _weather_row(temp=temp))
         assert _quantiles(row, "temperature") == (10.0, 10.0, 10.0, 10.0)
         temp[12] = np.nan  # 11 remain
         with pytest.raises(InsufficientDataError):
-            build_features(cal, _weather_row(temp=temp), gdp=0.0)
+            _one_day(d, _weather_row(temp=temp))
 
     def test_quantiles_ignore_missing_cells(self):
-        cal = CalendarInfo.from_date(dt.date(2020, 5, 2))
         temp = np.array([np.nan] * 4 + list(range(1, 21)), dtype=float)
-        row = build_features(cal, _weather_row(temp=temp), gdp=0.0)
+        row = _one_day(dt.date(2020, 5, 2), _weather_row(temp=temp))
         assert _quantiles(row, "temperature")[-1] == 20.0
 
     def test_unknown_kind_and_bad_shape(self):
-        cal = CalendarInfo.from_date(dt.date(2020, 5, 2))
+        d = dt.date(2020, 5, 2)
         row = _weather_row()
         del row["wind"]
         with pytest.raises(UnknownColumnError):
-            build_features(cal, row, gdp=0.0)
+            _one_day(d, row)
+        # a day is 24 hourly values: the table refuses any other width
         with pytest.raises(ParameterError):
-            build_features(cal, _weather_row(temp=np.ones(23)), gdp=0.0)
+            _one_day(d, _weather_row(temp=np.ones(23)))
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
@@ -175,9 +174,8 @@ class TestFeatures:
         tables["humidity"].values[1:, 5] = reading
         with pytest.raises(ParameterError, match="humidity has an infinite reading on 2020-05-02"):
             feature_matrix(dates, tables, 0.0)
-        cal = CalendarInfo.from_date(dates[1])
         with pytest.raises(ParameterError, match="humidity has an infinite reading on 2020-05-02"):
-            build_features(cal, {k: t.values[1] for k, t in tables.items()}, gdp=0.0)
+            _one_day(dates[1], {k: t.values[1] for k, t in tables.items()})
 
 
 class TestNetwork:
@@ -367,20 +365,22 @@ class TestEnsembleSelection:
 class TestPredict:
     def test_single_member(self):
         ens = _constant_ensemble([42.0])
-        res = predict(ens, np.zeros(34))
-        assert res.point == 42.0
-        assert all(v == 42.0 for v in res.quantiles.values())
+        points, quantiles = predict_many(ens, np.zeros((1, 34)))
+        assert points.tolist() == [42.0]
+        assert all(q.tolist() == [42.0] for q in quantiles.values())
 
     def test_two_members_mean(self):
         ens = _constant_ensemble([90.0, 110.0])
-        assert predict(ens, np.zeros(34)).point == 100.0
+        points, _ = predict_many(ens, np.zeros((3, 34)))
+        assert points.tolist() == [100.0, 100.0, 100.0]
 
     def test_quantile_rule_1_to_100(self):
         ens = _constant_ensemble(list(range(1, 101)))
-        res = predict(ens, np.zeros(34))
-        assert res.quantiles[0.10] == pytest.approx(10.9)
-        assert res.quantiles[0.25] == pytest.approx(25.75)
-        assert res.quantiles[0.90] == pytest.approx(90.1)
+        _, quantiles = predict_many(ens, np.zeros((1, 34)))
+        assert sorted(quantiles) == [0.10, 0.25, 0.75, 0.90]
+        assert quantiles[0.10][0] == pytest.approx(10.9)
+        assert quantiles[0.25][0] == pytest.approx(25.75)
+        assert quantiles[0.90][0] == pytest.approx(90.1)
 
     def test_quantile_bounds_monotone(self):
         dates, x, y = _synthetic_training_data()
@@ -401,14 +401,18 @@ class TestPredict:
             ens.target_std,
             ens.config,
         )
-        f = np.zeros(34)
-        assert predict(ens, f).point == predict(shuffled, f).point
-        assert predict(ens, f).quantiles == predict(shuffled, f).quantiles
+        f = np.zeros((2, 34))
+        points, quantiles = predict_many(ens, f)
+        points_shuffled, quantiles_shuffled = predict_many(shuffled, f)
+        assert points.tobytes() == points_shuffled.tobytes()
+        assert quantiles.keys() == quantiles_shuffled.keys()
+        for lvl, q in quantiles.items():
+            assert q.tobytes() == quantiles_shuffled[lvl].tobytes()
 
     def test_dimension_mismatch(self):
         ens = _constant_ensemble([1.0])
         with pytest.raises(SchemaError):
-            predict(ens, np.zeros(7))
+            predict_many(ens, np.zeros((1, 7)))
 
     def test_features_laid_out_once_for_all_members(self, monkeypatch):
         dates, x, y = _synthetic_training_data()
@@ -433,29 +437,34 @@ class TestPredict:
         assert inputs[0].flags.f_contiguous
 
 
+def _day_rates(baseline, days):
+    """``reduction_series`` of observed ``days`` against a constant ``baseline``."""
+    dates = tuple(dt.date(2020, 4, 1) + dt.timedelta(days=i) for i in range(len(days)))
+    actual = WideHourlyTable(dates, days, "load")
+    return reduction_series(_constant_ensemble([baseline]), np.zeros((len(days), 34)), dates, actual)
+
+
 class TestReduction:
     def test_equal_means_zero(self):
-        assert reduction_rate(100.0, np.full(24, 100.0)) == 0.0
+        assert _day_rates(100.0, [np.full(24, 100.0)]).point.tolist() == [0.0]
 
     def test_ten_percent(self):
-        assert reduction_rate(100.0, np.full(24, 90.0)) == pytest.approx(10.0)
+        assert _day_rates(100.0, [np.full(24, 90.0)]).point[0] == pytest.approx(10.0)
 
     def test_mirror_linearity(self):
         rng = np.random.default_rng(0)
         day = 80.0 + rng.uniform(-5, 5, 24)
         b = 100.0
         mirrored = 2 * b - day.mean() + (day - day.mean())
-        assert reduction_rate(b, day) + reduction_rate(b, mirrored) == pytest.approx(0.0, abs=1e-10)
+        assert _day_rates(b, [day, mirrored]).point.sum() == pytest.approx(0.0, abs=1e-10)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            reduction_rate(0.0, np.full(24, 90.0))
+        with pytest.raises(DomainError, match="baseline must be positive"):
+            _day_rates(0.0, [np.full(24, 90.0)])
         bad = np.full(24, 90.0)
         bad[3] = np.nan
         with pytest.raises(MissingValueError):
-            reduction_rate(100.0, bad)
-        with pytest.raises(ParameterError):
-            reduction_rate(100.0, np.full(23, 90.0))
+            _day_rates(100.0, [np.full(24, 90.0), bad])
 
     def test_series_bound_ordering_enforced(self):
         dates = (dt.date(2020, 4, 1), dt.date(2020, 4, 2))

@@ -166,8 +166,11 @@ class TestIngest:
         # the spike's refill plus exactly one fill for the refused cell
         assert len(fills) == 2
         assert sum(line.startswith(f"fill,{day},10,") for line in fills) == 1
-        # a refused cell is not a dropped duplicate
+        # a refused cell is not a dropped duplicate; it is listed as a reject
         assert "duplicates_dropped = 0" in qc
+        assert [line for line in qc if line.startswith("reject,")] == [
+            f"reject,{1 + 5 * 24 + 10 + 1},bad value 'inf'"
+        ]
 
     def test_manifest_digests_match_files(self, tmp_path):
         cfg = self.build(tmp_path)
@@ -219,6 +222,22 @@ class TestQcReport:
         assert main(["qc-report", "--config", str(tmp_path / "qc.cfg"), "--out", str(out)]) == 0
         cleaned = read_wide_csv(out / "cleaned.wide.csv", "load")
         assert np.array_equal(cleaned.values, vals)
+
+    def test_backup_read_as_table_kind(self, tmp_path):
+        vals = np.full((6, 24), 500.0)
+        vals[2, 10:14] = np.nan
+        write_wide_csv(WideHourlyTable(make_dates(6), vals, "load"), tmp_path / "t.csv")
+        write_wide_csv(
+            WideHourlyTable(make_dates(6), np.full((6, 24), 450.0), "load"), tmp_path / "b.csv"
+        )
+        # backup_kind is not a config key: the backup is always read as `kind`
+        (tmp_path / "qc.cfg").write_text(
+            "table = t.csv\nkind = load\nbackup = b.csv\nbackup_kind = price\n"
+        )
+        out = tmp_path / "out"
+        assert main(["qc-report", "--config", str(tmp_path / "qc.cfg"), "--out", str(out)]) == 0
+        cleaned = read_wide_csv(out / "cleaned.wide.csv", "load")
+        assert (cleaned.values[2, 10:14] == 450.0).all()
 
     def test_non_numeric_cell_exits_one(self, tmp_path, capsys):
         vals = np.full((6, 24), 500.0)
@@ -396,19 +415,32 @@ class TestIrfFevdCommands:
         (tmp_path / "i.cfg").write_text(f"model = {model_path}\nshock = nope\n")
         assert main(["irf", "--config", str(tmp_path / "i.cfg"), "--out", str(tmp_path)]) == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes
-    def test_irf_overflow_exits_one_without_manifest(self, tmp_path, capsys):
+    @pytest.fixture()
+    def explosive_model(self, tmp_path):
         # an explosive root of 2 overflows float64 within 1100 steps
         model = RVarModel(
             ("y", "x"), 1, np.zeros(2), np.array([[[2.0, 0.0], [0.0, 0.5]]]),
             zero_mask(1, 2), np.eye(2),
         )
         save_model(model, tmp_path / "model.json")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes
+    def test_irf_overflow_exits_one_without_manifest(self, tmp_path, capsys, explosive_model):
         (tmp_path / "i.cfg").write_text("model = model.json\nshock = y\nhorizon = 1100\n")
         out = tmp_path / "out"
         assert main(["irf", "--config", str(tmp_path / "i.cfg"), "--out", str(out)]) == 1
         assert "error: chart values must be finite" in capsys.readouterr().err
         assert not (out / MANIFEST_NAME).exists()
+        assert not (out / "irf.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes
+    def test_fevd_overflow_exits_one_without_csv(self, tmp_path, capsys, explosive_model):
+        (tmp_path / "f.cfg").write_text("model = model.json\nhorizon = 1100\n")
+        out = tmp_path / "out"
+        assert main(["fevd", "--config", str(tmp_path / "f.cfg"), "--out", str(out)]) == 1
+        assert "error: chart values must be finite" in capsys.readouterr().err
+        assert not (out / MANIFEST_NAME).exists()
+        assert not (out / "fevd.csv").exists()
 
     def test_fevd_with_ordering(self, tmp_path, model_path):
         (tmp_path / "f.cfg").write_text(

@@ -157,12 +157,17 @@ class TestReport:
             unresolved=[(dt.date(2020, 1, 4), 22)],
             skipped_days=[dt.date(2020, 1, 5)],
             duplicates_dropped=2,
+            rejects=[(7, "bad date '2020,01,02'"), (9, "bad value 'inf'")],
         )
         text = report.to_text()
+        # a reject's reason is free text, commas included
+        assert "reject,7,bad date '2020,01,02'" in text.splitlines()
         back = QcReport.from_text(text)
         assert back.to_text() == text
         assert back.duplicates_dropped == 2
         assert back.outliers[0][2] == 601.25
+        assert back.rejects == report.rejects
+        assert not QcReport(rejects=back.rejects).is_empty()
 
     def test_one_line_per_mutation(self):
         report = QcReport(outliers=[(dt.date(2020, 1, 1), 3, 9.0)])
