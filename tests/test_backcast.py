@@ -174,8 +174,6 @@ class TestFeatures:
         tables["humidity"].values[1:, 5] = reading
         with pytest.raises(ParameterError, match="humidity has an infinite reading on 2020-05-02"):
             feature_matrix(dates, tables, 0.0)
-        with pytest.raises(ParameterError, match="humidity has an infinite reading on 2020-05-02"):
-            _one_day(dates[1], {k: t.values[1] for k, t in tables.items()})
 
 
 class TestNetwork:
