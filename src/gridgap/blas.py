@@ -1,4 +1,11 @@
-"""numpy's bundled OpenBLAS, reached through ctypes to read and pin its thread count."""
+"""numpy's bundled OpenBLAS, reached through ctypes to read and pin its thread count.
+
+Never call ``set_num_threads`` with the count OpenBLAS already has: a fork
+stops its thread server, and ``set_num_threads`` starts it again in the child
+at any count, whose helper thread spins about 0.12 s of CPU before it sleeps.
+A forked pool worker inherits the parent's one-thread pin and so keeps it
+without a call.
+"""
 
 from __future__ import annotations
 
@@ -40,6 +47,13 @@ def openblas():
     return None
 
 
+def pin_threads(blas, count: int) -> None:
+    """Set the ``(get, set)`` handle's thread count unless it already reads ``count``."""
+    get, put = blas
+    if get() != count:
+        put(count)
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the body with numpy's OpenBLAS on one thread, then restore its count.
@@ -52,11 +66,10 @@ def one_blas_thread():
     if blas is None:
         yield None
         return
-    get, put = blas
     with BLAS_PIN:
-        budget = get()
-        put(1)
+        budget = blas[0]()
+        pin_threads(blas, 1)
         try:
             yield budget
         finally:
-            put(budget)
+            pin_threads(blas, budget)

@@ -30,6 +30,16 @@ OUTLIER_LOW = 0.2
 MIN_CELLS_FOR_DAY_RULE = 4
 
 
+# qc-report/1 record tag -> the QcReport list it fills and its cell parsers
+_RECORDS = {
+    "outlier": ("outliers", (dt.date.fromisoformat, int, float)),
+    "fill": ("fills", (dt.date.fromisoformat, int, str, float)),
+    "unresolved": ("unresolved", (dt.date.fromisoformat, int)),
+    "skipped_day": ("skipped_days", (dt.date.fromisoformat,)),
+    "reject": ("rejects", (int, str)),
+}
+
+
 @dataclass
 class QcReport:
     """Audit trail of one QC run over one table."""
@@ -77,36 +87,28 @@ class QcReport:
 
     @classmethod
     def from_text(cls, text: str) -> "QcReport":
+        """Read :meth:`to_text`'s output; a malformed line raises SchemaError naming it."""
         lines = text.splitlines()
         if not lines or lines[0] != "# qc-report/1":
             raise SchemaError("not a qc-report/1 file")
         report = cls()
-        for line in lines[1:]:
+        for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
-            if line.startswith("duplicates_dropped"):
-                report.duplicates_dropped = int(line.split("=")[1])
-                continue
-            parts = line.split(",")
-            tag = parts[0]
-            if tag == "outlier":
-                report.outliers.append(
-                    (dt.date.fromisoformat(parts[1]), int(parts[2]), float(parts[3]))
-                )
-            elif tag == "fill":
-                report.fills.append(
-                    (dt.date.fromisoformat(parts[1]), int(parts[2]), parts[3], float(parts[4]))
-                )
-            elif tag == "unresolved":
-                report.unresolved.append((dt.date.fromisoformat(parts[1]), int(parts[2])))
-            elif tag == "skipped_day":
-                report.skipped_days.append(dt.date.fromisoformat(parts[1]))
-            elif tag == "reject":
-                # the reason is free text and may hold commas
-                _, lineno, reason = line.split(",", 2)
-                report.rejects.append((int(lineno), reason))
-            else:
-                raise SchemaError(f"unknown qc record {tag!r}")
+            tag, _, rest = line.partition(",")
+            try:
+                if tag.startswith("duplicates_dropped"):
+                    report.duplicates_dropped = int(line.partition("=")[2])
+                    continue
+                name, parsers = _RECORDS[tag]
+                # the last cell takes the rest of the line: a reject's reason may hold commas
+                cells = rest.split(",", len(parsers) - 1)
+                record = tuple(parse(cell) for parse, cell in zip(parsers, cells, strict=True))
+            except KeyError:
+                raise SchemaError(f"line {lineno}: unknown qc record {tag!r}") from None
+            except ValueError:
+                raise SchemaError(f"line {lineno}: malformed qc record {line!r}") from None
+            getattr(report, name).append(record if len(record) > 1 else record[0])
         return report
 
 

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from ..blas import one_blas_thread, openblas
+from ..blas import one_blas_thread, openblas, pin_threads
 from ..errors import NoModelError, ParameterError
 from ..frames import TimeSeriesFrame
 from ..rvar import (
@@ -286,7 +286,7 @@ def _sweep_initializer(frame, scoring):
     _SWEEP_STATE["args"] = (frame, scoring)
     blas = openblas()
     if blas is not None:
-        blas[1](1)  # a worker only runs the sweep; a forked one inherits the pin anyway
+        pin_threads(blas, 1)  # a forked worker has the pin already; a spawned one does not
 
 
 def _sweep_task(unit):

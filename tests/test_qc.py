@@ -3,6 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from gridgap.errors import SchemaError
 from gridgap.ingest import QcReport, WideHourlyTable, qc_fill_missing, qc_outliers, write_wide_csv
 from gridgap.ingest.tables import format_value
 
@@ -168,6 +169,20 @@ class TestReport:
         assert back.outliers[0][2] == 601.25
         assert back.rejects == report.rejects
         assert not QcReport(rejects=back.rejects).is_empty()
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "reject,abc,x",
+            "outlier,2020-01-01",
+            "duplicates_dropped=x",
+            "fill,2020-13-01,3,backup,1.0",
+        ],
+    )
+    def test_malformed_record_names_its_line(self, record):
+        text = f"# qc-report/1\nduplicates_dropped = 0\n{record}\n"
+        with pytest.raises(SchemaError, match=f"line 3: malformed qc record '{record}'"):
+            QcReport.from_text(text)
 
     def test_one_line_per_mutation(self):
         report = QcReport(outliers=[(dt.date(2020, 1, 1), 3, 9.0)])

@@ -1,6 +1,8 @@
 """Restriction masks, explainable rate, and the model-space sweep."""
 
 import datetime as dt
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -400,6 +402,47 @@ class TestRunSearch:
             assert get() == 1
         finally:
             put(before)
+
+    @pytest.mark.parametrize("inherited, puts", [(1, []), (2, [1])])
+    def test_worker_pins_only_an_unpinned_blas(self, monkeypatch, inherited, puts):
+        calls = []
+        monkeypatch.setattr(sweep, "openblas", lambda: (lambda: inherited, calls.append))
+        sweep._sweep_initializer(spiky_levels(0), ScoringConfig())
+        assert calls == puts
+
+    def test_pool_workers_run_one_os_thread(self, monkeypatch, tmp_path):
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count a process's OS threads")
+        blas = openblas()
+        if blas is None:
+            pytest.skip("numpy's BLAS is not a bundled OpenBLAS, so its thread count cannot be set")
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the thread count is taken in a patched function only forked workers inherit")
+        get, put = blas
+        log = tmp_path / "threads.txt"
+        real = sweep._evaluate_window
+
+        def counting(*args):
+            batch = real(*args)
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {len(os.listdir('/proc/self/task'))}\n")
+            return batch
+
+        monkeypatch.setattr(sweep, "_evaluate_window", counting)
+        frame = spiky_levels(0)
+        start, end = whole_range(frame)
+        windows = tuple((start + dt.timedelta(days=d), end) for d in (0, 5, 10, 15))
+        space = SearchSpace((("y", "u", "v"),), windows, (1, 2), (1, 2))
+        before = get()
+        try:
+            put(2)  # a multi-core budget, so the parent pins before it forks
+            run_search(frame, space, ScoringConfig(), jobs=2)
+        finally:
+            put(before)
+        units = [line.split() for line in log.read_text().splitlines()]
+        assert len(units) == len(windows)
+        assert str(os.getpid()) not in {pid for pid, _ in units}
+        assert [threads for _, threads in units] == ["1"] * len(windows)
 
     def test_precedence_failure_shared_by_rules(self, monkeypatch):
         calls = []
