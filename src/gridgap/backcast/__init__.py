@@ -14,7 +14,7 @@ from .ensemble import (
     reduction_series,
     save_ensemble,
     train_ensemble,
-    training_threads,
+    training_workers,
 )
 from .features import (
     DEFAULT_QUANTILE_LEVELS,
@@ -50,5 +50,5 @@ __all__ = [
     "reduction_series",
     "save_ensemble",
     "train_ensemble",
-    "training_threads",
+    "training_workers",
 ]

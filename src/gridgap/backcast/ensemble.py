@@ -2,17 +2,19 @@
 
 Many candidate networks are trained on independent random subsamples; the
 quarter with the lowest held-out error survives. Candidate index i draws its
-private stream from (seed, i), and training runs candidates on threads with
-numpy's OpenBLAS pinned to one thread, so the result is the same whatever
-``jobs`` and the core count.
+private stream from (seed, i). Enough training work runs on a process pool,
+one candidate per task, with numpy's OpenBLAS pinned to one thread in every
+worker; less runs in a plain loop. So the result is the same whatever
+``jobs``, the core count and the pool's start method.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
+import multiprocessing
 from calendar import month_name
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -21,7 +23,6 @@ from .. import blas
 from ..errors import (
     CoverageError,
     DomainError,
-    GridGapError,
     InsufficientDataError,
     MissingValueError,
     ParameterError,
@@ -84,9 +85,18 @@ class BaseModel:
         )
         if len(self.layers) != 4:
             raise ParameterError(f"expected 4 weight layers, got {len(self.layers)}")
-        for w, b in self.layers:
+        fan_in = None
+        for i, (w, b) in enumerate(self.layers):
+            if w.ndim != 2 or b.shape != w.shape[1:] or fan_in not in (None, w.shape[0]):
+                raise ParameterError(f"layer {i}: W {w.shape} and b {b.shape} do not chain")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ParameterError("non-finite weight in base model")
+            fan_in = w.shape[1]
+        if fan_in != 1:
+            raise ParameterError(f"last layer has {fan_in} outputs, expected 1")
+        hidden = tuple(w.shape[1] for w, _ in self.layers[:3])
+        if self.widths != hidden:
+            raise ParameterError(f"widths {self.widths} differ from the hidden layers {hidden}")
 
 
 @dataclass(frozen=True)
@@ -130,25 +140,53 @@ class BackcastEnsemble:
         return self.target_mean + self.target_std * preds
 
 
-# -- BLAS threads ------------------------------------------------------------
+# -- workers -----------------------------------------------------------------
+
+# Least training work, candidates x epochs, that repays starting the pool
+# twice over, per start method: 2 x start-up / saving per candidate-epoch.
+# Measured on a 2-vCPU box at jobs=2, 790 training rows, widths 8-64: in the
+# plain loop a candidate-epoch costs about 1 ms (16 x 150 took 2.2-2.8 s), so
+# two workers save about 0.5 ms each. A fork pool starts in about 35 ms wall
+# (2 x 5: 46-52 ms on the pool, 21 ms in the loop) and 70 ms CPU, the
+# parent's BLAS restart spin included. forkserver and spawn workers import
+# numpy first: at 16 x 150 and 32 x 150 they finished about 0.45 s and
+# 0.65 s behind an even split of the loop's time (fork about 1.3 s).
+_POOL_MIN_WORK = {"fork": 150, "forkserver": 1800, "spawn": 2600}
 
 
-def training_threads(candidates: int, jobs: int) -> tuple[int, int | None]:
-    """Threads that ``train_ensemble`` trains on, and the BLAS budget it reads.
+def training_workers(candidates: int, epochs: int, jobs: int) -> tuple[int, int | None]:
+    """Processes that ``train_ensemble`` trains on, and the BLAS budget it reads.
 
     The budget is numpy's OpenBLAS thread count (it honours
     ``OPENBLAS_NUM_THREADS``). Training pins BLAS to one thread and spends
-    the budget on candidates instead: ``min(candidates, max(jobs, budget))``
-    threads. Without an OpenBLAS handle the budget is None and
-    ``min(jobs, candidates)`` threads run.
+    the budget on worker processes instead: ``min(candidates, max(jobs,
+    budget))`` of them, or 1, a plain loop in this process, when
+    ``candidates * epochs`` is below the start method's threshold. Without
+    an OpenBLAS handle the budget is None and counts as one.
     """
     handle = blas.openblas()
     budget = None if handle is None else handle[0]()
-    return _thread_count(candidates, jobs, budget), budget
+    return _worker_count(candidates, epochs, jobs, budget), budget
 
 
-def _thread_count(candidates: int, jobs: int, budget: int | None) -> int:
+def _worker_count(candidates: int, epochs: int, jobs: int, budget: int | None) -> int:
+    if candidates * epochs < _POOL_MIN_WORK[multiprocessing.get_start_method()]:
+        return 1
     return min(candidates, max(jobs, budget or 1))
+
+
+_TRAIN_STATE: dict = {}
+
+
+def _pool_initializer(*args):
+    _TRAIN_STATE["args"] = args
+    handle = blas.openblas()
+    if handle is not None:
+        blas.pin_threads(handle, 1)  # a forked worker has the pin already; a spawned one does not
+
+
+def _pool_task(index):
+    return _train_candidate(index, *_TRAIN_STATE["args"])
 
 
 # -- candidate training ------------------------------------------------------
@@ -205,11 +243,11 @@ def train_ensemble(
 
     Requires at least a year of rows covering every calendar month, finite
     features and strictly positive, finite targets. Candidates train on
-    ``training_threads(candidates, jobs)`` threads, one meaning a plain loop,
-    with numpy's OpenBLAS pinned to one thread and restored afterwards, so
-    models and metrics do not depend on ``jobs``, the core count or
-    ``OPENBLAS_NUM_THREADS``. Concurrent calls in one process train one
-    after another.
+    ``training_workers(candidates, epochs, jobs)`` processes, one meaning a
+    plain loop, with numpy's OpenBLAS pinned to one thread and restored
+    afterwards, so models and metrics do not depend on ``jobs``, the core
+    count or ``OPENBLAS_NUM_THREADS``. Concurrent calls in one process train
+    one after another.
     """
     config = config or TrainingConfig()
     feature_config = feature_config or FeatureConfig()
@@ -244,19 +282,19 @@ def train_ensemble(
     xz = (x - input_mean) / input_std
     yz = (y - target_mean) / target_std
 
-    def train(index):
-        return _train_candidate(index, xz, yz, y, target_mean, target_std, months, config)
-
-    # numpy releases the GIL inside matmul and ufuncs, so candidates overlap
-    # on threads. Without an OpenBLAS handle nothing is pinned: outputs then
-    # depend on that BLAS's own threading, and its threads may oversubscribe.
+    args = (xz, yz, y, target_mean, target_std, months, config)
+    # forked workers inherit the one-thread pin and make no BLAS call. Without
+    # an OpenBLAS handle nothing is pinned: outputs then depend on that BLAS's
+    # own threading, and its threads may oversubscribe.
     with blas.one_blas_thread() as budget:
-        threads = _thread_count(config.candidates, jobs, budget)
-        if threads > 1:
-            with ThreadPoolExecutor(threads) as pool:
-                results = list(pool.map(train, range(config.candidates)))
+        workers = _worker_count(config.candidates, config.epochs, jobs, budget)
+        if workers > 1:
+            with ProcessPoolExecutor(
+                workers, initializer=_pool_initializer, initargs=args
+            ) as pool:
+                results = list(pool.map(_pool_task, range(config.candidates)))
         else:
-            results = [train(i) for i in range(config.candidates)]
+            results = [_train_candidate(i, *args) for i in range(config.candidates)]
     metrics = np.array([r[3] for r in results])
     order = np.lexsort((np.arange(len(results)), metrics))
     kept = order[: config.keep_count]
@@ -461,7 +499,5 @@ def load_ensemble(path) -> BackcastEnsemble:
             _config_from(TrainingConfig, payload["config"]),
             tuple(payload["all_metrics"]),
         )
-    except GridGapError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed ensemble ({type(exc).__name__}: {exc})") from None

@@ -29,7 +29,7 @@ from ..backcast import (
     reduction_series,
     save_ensemble,
     train_ensemble,
-    training_threads,
+    training_workers,
 )
 from ..errors import ConfigError, CoverageError, GridGapError, NoModelError
 from ..frames import federal_holidays
@@ -144,10 +144,7 @@ def _cfg_date(cfg: dict, key: str) -> dt.date:
 
 
 def _resolve_out(args) -> Path:
-    out = args.out or os.environ.get(OUT_ENV) or DEFAULT_OUT
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(args.out or os.environ.get(OUT_ENV) or DEFAULT_OUT)
 
 
 def _resolve_jobs(args) -> int:
@@ -308,8 +305,8 @@ def cmd_backcast(cfg: dict, base: Path, rec: RunRecorder) -> int:
         daily = daily.slice_dates(train_start, train_end)
         features = feature_matrix(daily.dates, weather, gdp, holidays, feature_config)
         training = _training_config(cfg, rec.seed)
-        threads, budget = training_threads(training.candidates, rec.jobs)
-        rec.details.update(training_threads=threads, blas_budget=budget)
+        workers, budget = training_workers(training.candidates, training.epochs, rec.jobs)
+        rec.details.update(training_workers=workers, blas_budget=budget)
         ensemble = train_ensemble(
             features, daily.column("load"), daily.dates, training, feature_config, jobs=rec.jobs,
         )

@@ -3,7 +3,8 @@
 Every command records its inputs before doing work and takes the path of
 each output from ``RunRecorder.output``, which records it; when it returns,
 ``main`` drops ``run_manifest.json`` in the output directory (a run that
-fails with an error writes none).  The digest map is the reproducibility
+fails with an error writes none, and makes no directory before its first
+output).  The digest map is the reproducibility
 contract: identical inputs and seed must reproduce identical output digests
 (wall time and ``details``, how the run executed, are informational only).
 """
@@ -67,6 +68,7 @@ class RunRecorder:
             "details": self.details,
             "wall_time_s": round(time.perf_counter() - self.started, 3),
         }
+        self.out_dir.mkdir(parents=True, exist_ok=True)  # a run with no output made none
         path = self.out_dir / MANIFEST_NAME
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

@@ -1,8 +1,9 @@
 """Feature encoding, network training, ensemble selection, and reduction math."""
 
 import datetime as dt
-import itertools
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from gridgap.errors import (
 )
 from gridgap.frames import federal_holidays
 from gridgap.ingest import WideHourlyTable
+from pool_probe import probed_pool, worker_reads
 
 
 def _weather_row(temp=None, humidity=None, wind=None):
@@ -547,8 +549,20 @@ class TestSerialization:
             lambda payload: payload["config"].update(check_gradients=True),
             lambda payload: payload["feature_config"].update(extra=1),
             lambda payload: payload["models"][0].update(widths=None),
+            lambda payload: payload["models"][0]["layers"][1]["w"].pop(),
+            lambda payload: payload["models"][0]["layers"][2]["b"].pop(),
+            lambda payload: payload["models"][0].update(widths=[1, 2, 3]),
         ],
-        ids=["missing_models", "missing_config_key", "unknown_config_key", "unknown_feature_key", "bad_widths"],
+        ids=[
+            "missing_models",
+            "missing_config_key",
+            "unknown_config_key",
+            "unknown_feature_key",
+            "bad_widths",
+            "layers_do_not_chain",
+            "bias_shorter_than_layer",
+            "widths_not_the_layers",
+        ],
     )
     def test_malformed_payload_is_schema_error(self, tmp_path, edit):
         dates, x, y = _synthetic_training_data()
@@ -590,80 +604,158 @@ def _assert_same_bits(a, b):
             assert np.array_equal(b1, b2)
 
 
+START_METHODS = ("fork", "forkserver", "spawn")
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("this training must not start a pool")
+
+
+def _loop_ensemble(monkeypatch, *args, **kwargs):
+    """``train_ensemble`` in the plain loop, whatever the work."""
+    with monkeypatch.context() as m:
+        m.setattr(ensemble_module, "_POOL_MIN_WORK", dict.fromkeys(START_METHODS, np.inf))
+        m.setattr(ensemble_module, "ProcessPoolExecutor", _no_pool)
+        return train_ensemble(*args, **kwargs)
+
+
+@pytest.fixture
+def forced_pool(monkeypatch, tmp_path):
+    """``force(method)`` makes any training of two candidates or more start a
+    probed pool on ``method``; it returns the started pools' worker counts and
+    the log of ``(pid, BLAS threads)`` written inside the workers."""
+
+    def force(method="fork"):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"this platform has no {method} start method")
+        started, log = [], tmp_path / f"{method}.log"
+        monkeypatch.setattr(ensemble_module, "_POOL_MIN_WORK", dict.fromkeys(START_METHODS, 0))
+        monkeypatch.setattr(ensemble_module, "ProcessPoolExecutor", probed_pool(method, log, started))
+        return started, log
+
+    return force
+
+
+def _worker_blas(log, tasks):
+    """BLAS threads per task, after checking that ``tasks`` ran in pool workers."""
+    reads = worker_reads(log)
+    assert len(reads) == tasks
+    assert os.getpid() not in {pid for pid, _ in reads}
+    return [threads for _, threads in reads]
+
+
 class TestParallelTraining:
     def test_one_candidate_runs_without_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-candidate ensemble must not start a pool")
-
-        monkeypatch.setattr(ensemble_module, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(ensemble_module, "_POOL_MIN_WORK", dict.fromkeys(START_METHODS, 0))
+        monkeypatch.setattr(ensemble_module, "ProcessPoolExecutor", _no_pool)
         dates, x, y = _synthetic_training_data()
         cfg = TrainingConfig(candidates=1, seed=3, epochs=10)
         pooled = train_ensemble(x, y, dates, cfg, jobs=2)
         serial = train_ensemble(x, y, dates, cfg, jobs=1)
         assert pooled.all_metrics == serial.all_metrics
 
-    def test_pool_matches_serial(self):
+    def test_small_work_runs_without_pool(self, monkeypatch):
+        monkeypatch.setattr(ensemble_module, "ProcessPoolExecutor", _no_pool)
+        assert 2 * 5 < ensemble_module._POOL_MIN_WORK[multiprocessing.get_start_method()]
+        assert ensemble_module.training_workers(2, 5, 2)[0] == 1
+        dates, x, y = _synthetic_training_data()
+        train_ensemble(x, y, dates, TrainingConfig(candidates=2, seed=3, epochs=5), jobs=2)
+
+    def test_pool_matches_serial(self, monkeypatch, forced_pool):
         dates, x, y = _synthetic_training_data()
         cfg = TrainingConfig(candidates=4, seed=3, epochs=40)
-        serial = train_ensemble(x, y, dates, cfg, jobs=1)
+        serial = _loop_ensemble(monkeypatch, x, y, dates, cfg)
+        started, log = forced_pool()
         pooled = train_ensemble(x, y, dates, cfg, jobs=2)
+        assert started == [2]
+        _worker_blas(log, 4)
         _assert_same_bits(serial, pooled)
 
-    def test_bits_independent_of_jobs_and_blas_threads(self, openblas):
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_start_methods_match_serial(self, monkeypatch, openblas, forced_pool, method):
+        # a worker left on a two-thread BLAS would split these products and
+        # change the bits; spawned and forkserver workers must pin themselves
+        get, put = openblas
+        put(2)
+        dates, x, y = _synthetic_training_data()
+        cfg = TrainingConfig(candidates=4, seed=3, epochs=10, width_range=(48, 64))
+        serial = _loop_ensemble(monkeypatch, x, y, dates, cfg)
+        started, log = forced_pool(method)
+        pooled = train_ensemble(x, y, dates, cfg, jobs=2)
+        assert started == [2]
+        assert _worker_blas(log, 4) == [1] * 4
+        assert get() == 2
+        _assert_same_bits(serial, pooled)
+
+    def test_bits_independent_of_jobs_and_blas_threads(self, monkeypatch, openblas, forced_pool):
         # at widths this large a two-thread OpenBLAS splits the products and
         # changes the bits, so only a pinned BLAS makes every run agree
         get, put = openblas
         dates, x, y = _synthetic_training_data()
         cfg = TrainingConfig(candidates=6, seed=3, epochs=30, width_range=(48, 64))
-        runs = []
+        put(2)
+        serial = _loop_ensemble(monkeypatch, x, y, dates, cfg)
+        started, log = forced_pool()
         for blas_threads in (1, 2):
             for jobs in (1, 2, 3):
                 put(blas_threads)
-                runs.append(train_ensemble(x, y, dates, cfg, jobs=jobs))
+                _assert_same_bits(serial, train_ensemble(x, y, dates, cfg, jobs=jobs))
                 assert get() == blas_threads
-        for ens in runs[1:]:
-            _assert_same_bits(runs[0], ens)
+        # a budget of 1 at jobs 1 trains in the loop; every other run on
+        # max(jobs, budget) workers
+        assert started == [2, 3, 2, 2, 3]
+        assert _worker_blas(log, 5 * 6) == [1] * 30
 
-    def test_blas_threads_pinned_then_restored(self, openblas, monkeypatch):
+    def test_blas_threads_pinned_then_restored(self, openblas, monkeypatch, forced_pool):
         get, put = openblas
         put(2)
-        assert ensemble_module.training_threads(6, 1) == (2, 2)
-        assert ensemble_module.training_threads(6, 3) == (3, 2)
-        assert ensemble_module.training_threads(1, 3) == (1, 2)
+        monkeypatch.setattr(ensemble_module, "_POOL_MIN_WORK", dict.fromkeys(START_METHODS, 100))
+        assert ensemble_module.training_workers(6, 20, 1) == (2, 2)
+        assert ensemble_module.training_workers(6, 20, 3) == (3, 2)
+        assert ensemble_module.training_workers(1, 200, 3) == (1, 2)
+        assert ensemble_module.training_workers(6, 10, 3) == (1, 2)
         dates, x, y = _synthetic_training_data()
         cfg = TrainingConfig(candidates=6, seed=3, epochs=5)
         seen = []
-        calls = itertools.count()
-        real = ensemble_module.train_network
+        real_network = ensemble_module.train_network
+        real_candidate = ensemble_module._train_candidate
 
         def recording(*args, **kwargs):
             seen.append(get())
-            return real(*args, **kwargs)
+            return real_network(*args, **kwargs)
 
-        def failing(*args, **kwargs):
-            if next(calls) == 2:
+        def failing(index, *args):
+            if index == 2:
                 raise RuntimeError("candidate 2 failed")
-            return real(*args, **kwargs)
+            return real_candidate(index, *args)
 
         monkeypatch.setattr(ensemble_module, "train_network", recording)
-        train_ensemble(x, y, dates, cfg, jobs=1)
+        train_ensemble(x, y, dates, cfg, jobs=1)  # 6 x 5 is below the threshold: the loop
         assert seen == [1] * 6
         assert get() == 2
-        monkeypatch.setattr(ensemble_module, "train_network", failing)
+        started, log = forced_pool()
+        monkeypatch.setattr(ensemble_module, "_train_candidate", failing)
         with pytest.raises(RuntimeError, match="candidate 2 failed"):
             train_ensemble(x, y, dates, cfg, jobs=2)
+        assert started == [2]
+        # candidates 0 and 1 finish before candidate 2's error is read
+        blas_reads = _worker_blas(log, len(worker_reads(log)))
+        assert len(blas_reads) >= 2 and set(blas_reads) == {1}
         assert get() == 2
 
-    def test_without_openblas_handle_nothing_is_pinned(self, openblas, monkeypatch):
+    def test_without_openblas_handle_nothing_is_pinned(self, openblas, monkeypatch, forced_pool):
         get, put = openblas
         # one BLAS thread makes the unpinned runs comparable to the pinned one
         put(1)
         dates, x, y = _synthetic_training_data()
         cfg = TrainingConfig(candidates=4, seed=3, epochs=20)
-        pinned = train_ensemble(x, y, dates, cfg, jobs=1)
+        pinned = _loop_ensemble(monkeypatch, x, y, dates, cfg)
+        started, log = forced_pool()
         monkeypatch.setattr(blas_module, "openblas", lambda: None)
-        assert ensemble_module.training_threads(4, 1) == (1, None)
-        assert ensemble_module.training_threads(4, 3) == (3, None)
+        assert ensemble_module.training_workers(4, 20, 1) == (1, None)
+        assert ensemble_module.training_workers(4, 20, 3) == (3, None)
         for jobs in (1, 3):
             _assert_same_bits(pinned, train_ensemble(x, y, dates, cfg, jobs=jobs))
+        assert started == [3]
+        assert _worker_blas(log, 4) == [None] * 4
         assert get() == 1

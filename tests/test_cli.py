@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import gridgap
-from gridgap.backcast import training_threads
+from gridgap.backcast import ensemble as ensemble_module
+from gridgap.backcast import training_workers
 from gridgap.cli import MANIFEST_NAME, sha256_file
 from gridgap.cli.main import main
 from gridgap.frames import TimeSeriesFrame
@@ -83,7 +84,24 @@ class TestUsage:
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
-        assert not (out / MANIFEST_NAME).exists()
+        assert not out.exists()
+
+    def test_failed_runs_make_no_output_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("GRIDGAP_OUT", raising=False)
+        monkeypatch.delenv("GRIDGAP_JOBS", raising=False)
+        (tmp_path / "c.cfg").write_text("series = missing.csv\n")
+        (tmp_path / "empty.cfg").write_text("# only a comment\n")
+        (tmp_path / "x.cfg").write_text("x = 1\n")
+        for argv in (
+            ["trend", "--config", "c.cfg", "--jobs", "0"],
+            ["trend", "--config", "c.cfg"],
+            ["trend", "--config", "empty.cfg"],
+            ["trend", "--config", "nope.cfg"],
+            ["backcast", "--config", "x.cfg"],
+        ):
+            assert main(argv) == 1, argv
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "empty.cfg", "x.cfg"]
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
@@ -552,7 +570,35 @@ class TestBackcast:
         assert sha256_file(out / "reduction.csv") == sha256_file(out2 / "reduction.csv")
         assert sha256_file(out / "ensemble.json") == sha256_file(out2 / "ensemble.json")
 
-    def test_manifest_records_threads_and_jobs_keep_digests(self, tmp_path):
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda member: member["layers"][1]["w"].pop(),
+            lambda member: member.update(widths=[1, 2, 3]),
+        ],
+        ids=["layers_do_not_chain", "widths_not_the_layers"],
+    )
+    def test_malformed_saved_ensemble_exits_one(self, tmp_path, capsys, edit):
+        cfg = self.build(tmp_path)
+        cfg.write_text(cfg.read_text().replace("epochs = 100", "epochs = 5"))
+        out = tmp_path / "out"
+        assert main(["backcast", "--config", str(cfg), "--out", str(out)]) == 0
+        saved = tmp_path / "ensemble.json"
+        payload = json.loads((out / "ensemble.json").read_text())
+        edit(payload["models"][0])
+        saved.write_text(json.dumps(payload))
+        cfg.write_text(cfg.read_text() + "ensemble = ensemble.json\n")
+        out2 = tmp_path / "out2"
+        capsys.readouterr()
+        assert main(["backcast", "--config", str(cfg), "--out", str(out2)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "malformed ensemble" in err
+        assert not out2.exists()
+
+    def test_manifest_records_workers_and_jobs_keep_digests(self, tmp_path, monkeypatch):
+        # 8 x 20 trains on the pool whatever the start method
+        no_threshold = dict.fromkeys(("fork", "forkserver", "spawn"), 0)
+        monkeypatch.setattr(ensemble_module, "_POOL_MIN_WORK", no_threshold)
         cfg = self.build(tmp_path)
         cfg.write_text(cfg.read_text().replace("epochs = 100", "epochs = 20"))
         runs = {}
@@ -563,9 +609,9 @@ class TestBackcast:
             runs[jobs] = json.loads((out / MANIFEST_NAME).read_text())
         assert runs[1]["outputs"] == runs[3]["outputs"]
         for jobs, payload in runs.items():
-            threads, budget = training_threads(8, jobs)
-            assert payload["details"] == {"training_threads": threads, "blas_budget": budget}
-        assert runs[3]["details"]["training_threads"] == 3
+            workers, budget = training_workers(8, 20, jobs)
+            assert payload["details"] == {"training_workers": workers, "blas_budget": budget}
+        assert runs[3]["details"]["training_workers"] == 3
 
     def test_infinite_load_cell_exits_one(self, tmp_path, capsys):
         cfg = self.build(tmp_path)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dates, make_frame
+from pool_probe import probed_pool, worker_reads
 
 from gridgap import TimeSeriesFrame
 from gridgap.blas import one_blas_thread, openblas
@@ -443,6 +444,35 @@ class TestRunSearch:
         assert len(units) == len(windows)
         assert str(os.getpid()) not in {pid for pid, _ in units}
         assert [threads for _, threads in units] == ["1"] * len(windows)
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_on_start_method_matches_serial(self, monkeypatch, tmp_path, method):
+        blas = openblas()
+        if blas is None:
+            pytest.skip("numpy's BLAS is not a bundled OpenBLAS, so its thread count cannot be read")
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"this platform has no {method} start method")
+        frame = spiky_levels(0)
+        start, end = whole_range(frame)
+        windows = tuple((start + dt.timedelta(days=d), end) for d in (0, 5, 10, 15))
+        space = SearchSpace((("y", "u", "v"),), windows, (1, 2), (1, 2))
+        serial = run_search(frame, space, ScoringConfig())
+        started, log = [], tmp_path / "workers.txt"
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", probed_pool(method, log, started))
+        pooled = run_search(frame, space, ScoringConfig(), jobs=2)
+        assert started == [2]
+        reads = worker_reads(log)
+        assert len(reads) == len(windows)
+        assert os.getpid() not in {pid for pid, _ in reads}
+        assert [threads for _, threads in reads] == [1] * len(windows)  # a spawned worker pins itself
+        assert pooled.chosen_index == serial.chosen_index
+        assert search_log_csv(pooled) == search_log_csv(serial)
+        assert any(r.model is not None for r in serial.records)
+        for a, b in zip(serial.records, pooled.records):
+            assert (a.model is None) == (b.model is None)
+            if a.model is not None:
+                for name in ("intercept", "coeffs", "sigma_e"):
+                    assert np.array_equal(getattr(a.model, name), getattr(b.model, name))
 
     def test_precedence_failure_shared_by_rules(self, monkeypatch):
         calls = []
