@@ -469,13 +469,19 @@ def _config_from(cls, block: dict):
     return cls(**block)
 
 
-def load_ensemble(path) -> BackcastEnsemble:
-    """Read a ``save_ensemble`` file; a malformed one raises ``SchemaError``."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise SchemaError(f"{path}: not a JSON file ({exc})") from None
+def load_ensemble(path, raw: bytes | None = None) -> BackcastEnsemble:
+    """Read a ``save_ensemble`` file; a malformed one raises ``SchemaError``.
+
+    ``raw``, when given, holds the file's bytes already read, and is parsed
+    instead of reading ``path`` again.
+    """
+    if raw is None:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    try:
+        payload = json.loads(raw)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: not a JSON file ({exc})") from None
     fmt = payload.get("format") if isinstance(payload, dict) else None
     if fmt != ENSEMBLE_FORMAT:
         raise SchemaError(f"expected format {ENSEMBLE_FORMAT!r}, got {fmt!r}")

@@ -90,7 +90,17 @@ def _encode(dates, weather, gdp, holidays, config: FeatureConfig) -> np.ndarray:
             raise InsufficientDataError(
                 f"{kind} has {cells[i]} usable cells on {dates[i]}; need >= {MIN_WEATHER_CELLS}"
             )
-        out[:, pos : pos + len(levels)] = np.nanquantile(table, levels, axis=1, method="linear").T
+        # One quantile call per count of usable cells, over days compacted as
+        # np.nanquantile compacts each day on its own: the first ``n`` cells,
+        # their NaN holes filled in order by the usable cells after them. The
+        # same sequences give the same bits, signs of zero included.
+        for n in np.unique(cells):
+            same = cells == n
+            head, tail = table[same, :n], table[same, n:]
+            head[np.isnan(head)] = tail[~np.isnan(tail)]
+            out[same, pos : pos + len(levels)] = np.quantile(
+                head, levels, axis=1, method="linear"
+            ).T
         pos += len(levels)
     if not np.isfinite(gdp).all():
         raise ParameterError("gdp_growth must be finite")

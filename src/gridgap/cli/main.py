@@ -298,8 +298,13 @@ def cmd_backcast(cfg: dict, base: Path, rec: RunRecorder) -> int:
 
     feature_config = FeatureConfig()
     if "ensemble" in cfg:
-        ensemble = load_ensemble(_cfg_path(cfg, "ensemble", base, rec))
+        path = _cfg_path(cfg, "ensemble", base, rec)
+        raw = path.read_bytes()
+        ensemble = load_ensemble(path, raw)
         feature_config = ensemble.feature_config
+        # the validated bytes, not a re-serialization: save(load(f)) == f for
+        # every file save_ensemble wrote
+        rec.output("ensemble.json").write_bytes(raw)
     else:
         daily = load_table.daily_mean_frame("load", require_full_day=True)
         daily = daily.slice_dates(train_start, train_end)
@@ -311,7 +316,7 @@ def cmd_backcast(cfg: dict, base: Path, rec: RunRecorder) -> int:
             features, daily.column("load"), daily.dates, training, feature_config, jobs=rec.jobs,
         )
         print(f"kept {len(ensemble.models)} of {training.candidates} candidates")
-    save_ensemble(ensemble, rec.output("ensemble.json"))
+        save_ensemble(ensemble, rec.output("ensemble.json"))
 
     eval_dates = [d for d in load_table.dates if eval_start <= d <= eval_end]
     if not eval_dates:

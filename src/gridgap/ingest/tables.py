@@ -106,53 +106,66 @@ class WideHourlyTable:
         With ``require_full_day`` days missing any hour are dropped; otherwise
         a day needs at least one observed hour.
         """
-        means = []
-        dates = []
-        for i, d in enumerate(self.dates):
-            row = self.values[i]
-            ok = ~np.isnan(row)
-            if require_full_day and not ok.all():
-                continue
-            if not ok.any():
-                continue
-            means.append(float(np.mean(row[ok])))
-            dates.append(d)
-        if not dates:
+        missing = np.isnan(self.values)
+        cells = 24 - missing.sum(axis=1)
+        keep = cells == 24 if require_full_day else cells > 0
+        if not keep.any():
             raise EmptyInputError("no usable days in table")
-        return TimeSeriesFrame(tuple(dates), (name,), np.array(means).reshape(-1, 1))
+        # each row's observed cells first, in their own order, so one mean per
+        # observed count sums them as a per-row mean over row[~missing] does
+        order = np.argsort(missing[keep], axis=1, kind="stable")
+        observed = np.take_along_axis(self.values[keep], order, axis=1)
+        cells = cells[keep]
+        means = np.empty(len(cells))
+        for n in np.unique(cells):
+            same = cells == n
+            means[same] = observed[same, :n].mean(axis=1)
+        dates = tuple(d for d, k in zip(self.dates, keep) if k)
+        return TimeSeriesFrame(dates, (name,), means.reshape(-1, 1))
 
 
 WIDE_HEADER = ["date"] + [str(h) for h in range(24)]
+WIDE_COLUMNS = [f"hour {h}" for h in range(24)]
+
+
+def _write_rows(path, header, dates, values: np.ndarray) -> None:
+    """``header``, then one row per date; cells as ``format_value`` writes them."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [d.isoformat()] + ["" if v != v else repr(v) for v in row]
+            for d, row in zip(dates, values.tolist())
+        )
 
 
 def write_wide_csv(table: WideHourlyTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(WIDE_HEADER)
-        for d, row in zip(table.dates, table.values):
-            writer.writerow([d.isoformat()] + [format_value(v) for v in row])
+    _write_rows(path, WIDE_HEADER, table.dates, table.values)
 
 
 def read_wide_csv(path, kind: str) -> WideHourlyTable:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInputError("wide CSV is empty") from None
+        header = _header(reader, path)
         if header != WIDE_HEADER:
-            raise SchemaError(f"expected header {WIDE_HEADER[:3]}...,23 got {header[:4]}")
-        dates, values = _read_rows(reader, [f"hour {h}" for h in range(24)], "")
-    if not dates:
-        raise EmptyInputError("wide CSV has a header but no rows")
+            raise SchemaError(f"{path}: expected header {WIDE_HEADER[:3]}...,23 got {header[:4]}")
+        dates, values = _read_rows(reader, WIDE_COLUMNS, path)
     return WideHourlyTable(tuple(dates), values, kind)
 
 
-def _read_rows(reader, columns, where: str):
+def _header(reader, path) -> list[str]:
+    try:
+        return next(reader)
+    except StopIteration:
+        raise EmptyInputError(f"{path} is empty") from None
+
+
+def _read_rows(reader, columns, path):
     """Dates and values of the data rows, empty cells NaN.
 
     Refuses ragged rows, bad dates, non-numeric cells and infinities with a
-    ``SchemaError`` naming the line and the column.
+    ``SchemaError`` naming the file, the line and the column, and a file
+    without data rows with an ``EmptyInputError``.
     """
     dates, rows, lines = [], [], []
     for lineno, row in enumerate(reader, start=2):
@@ -160,24 +173,30 @@ def _read_rows(reader, columns, where: str):
             continue
         if len(row) != len(columns) + 1:
             raise SchemaError(
-                f"{where}line {lineno}: expected {len(columns) + 1} cells, got {len(row)}"
+                f"{path} line {lineno}: expected {len(columns) + 1} cells, got {len(row)}"
             )
         try:
             dates.append(dt.date.fromisoformat(row[0]))
         except ValueError:
-            raise SchemaError(f"{where}line {lineno}: bad date {row[0]!r}") from None
+            raise SchemaError(f"{path} line {lineno}: bad date {row[0]!r}") from None
+        cells = row[1:]
         try:
-            rows.append([float(c) if c != "" else np.nan for c in row[1:]])
+            if "" in cells:
+                rows.append([float(c) if c != "" else np.nan for c in cells])
+            else:
+                rows.append(list(map(float, cells)))
         except ValueError:
-            j = next(j for j, c in enumerate(row[1:]) if not _is_number(c))
+            j = next(j for j, c in enumerate(cells) if not _is_number(c))
             raise SchemaError(
-                f"{where}line {lineno}: {columns[j]} is not a number: {row[j + 1]!r}"
+                f"{path} line {lineno}: {columns[j]} is not a number: {cells[j]!r}"
             ) from None
         lines.append(lineno)
+    if not dates:
+        raise EmptyInputError(f"{path} has a header but no rows")
     values = np.array(rows)
     bad = np.argwhere(np.isinf(values))
     if len(bad):
-        raise SchemaError(f"{where}line {lines[bad[0, 0]]}: {columns[bad[0, 1]]} is infinite")
+        raise SchemaError(f"{path} line {lines[bad[0, 0]]}: {columns[bad[0, 1]]} is infinite")
     return dates, values
 
 
@@ -190,26 +209,17 @@ def _is_number(cell: str) -> bool:
 
 
 def write_series_csv(frame: TimeSeriesFrame, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", *frame.names])
-        for d, row in zip(frame.dates, frame.values):
-            writer.writerow([d.isoformat()] + [format_value(v) for v in row])
+    _write_rows(path, ["date", *frame.names], frame.dates, frame.values)
 
 
 def read_series_csv(path, columns=None) -> TimeSeriesFrame:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInputError(f"{path} is empty") from None
+        header = _header(reader, path)
         if not header or header[0] != "date" or len(header) < 2:
             raise SchemaError(f"{path}: expected header date,<name>,... got {header[:3]}")
         names = tuple(header[1:])
-        dates, values = _read_rows(reader, [f"column {n!r}" for n in names], f"{path} ")
-    if not dates:
-        raise EmptyInputError(f"{path} has a header but no rows")
+        dates, values = _read_rows(reader, [f"column {n!r}" for n in names], path)
     frame = TimeSeriesFrame(tuple(dates), names, values)
     if columns is not None:
         frame = frame.select(columns)

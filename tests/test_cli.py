@@ -266,7 +266,7 @@ class TestQcReport:
         out = tmp_path / "out"
         assert main(["qc-report", "--config", str(tmp_path / "qc.cfg"), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "error: line 2: hour 0 is not a number: 'abc'" in err
+        assert f"error: {table} line 2: hour 0 is not a number: 'abc'" in err
 
 
 class TestTrend:
@@ -594,6 +594,45 @@ class TestBackcast:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "malformed ensemble" in err
         assert not out2.exists()
+
+    def test_saved_ensemble_copied_as_it_is(self, tmp_path):
+        cfg = self.build(tmp_path)
+        cfg.write_text(cfg.read_text().replace("epochs = 100", "epochs = 5"))
+        out = tmp_path / "out"
+        assert main(["backcast", "--config", str(cfg), "--out", str(out)]) == 0
+        # valid but not as save_ensemble writes it
+        indented = json.dumps(json.loads((out / "ensemble.json").read_text()), indent=2)
+        (tmp_path / "ensemble.json").write_text(indented)
+        cfg.write_text(cfg.read_text() + "ensemble = ensemble.json\n")
+        out2 = tmp_path / "out2"
+        assert main(["backcast", "--config", str(cfg), "--out", str(out2)]) == 0
+        assert (out2 / "ensemble.json").read_text() == indented
+        assert sha256_file(out / "reduction.csv") == sha256_file(out2 / "reduction.csv")
+        outputs = json.loads((out2 / MANIFEST_NAME).read_text())["outputs"]
+        assert outputs["ensemble.json"] == sha256_file(tmp_path / "ensemble.json")
+
+    @pytest.mark.parametrize(
+        "name, line, message",
+        [
+            ("hum.csv", 39, " line 40: hour 0 is not a number: 'abc'"),
+            ("temp.csv", 0, ": expected header ['date', '0', '1']...,23 got ['date', 'abc', '1', '2']"),
+            ("wind.csv", None, " is empty"),
+        ],
+        ids=["bad-cell", "bad-header", "empty"],
+    )
+    def test_wide_csv_errors_name_the_file(self, tmp_path, capsys, name, line, message):
+        cfg = self.build(tmp_path)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        if line is None:
+            lines = []
+        else:
+            cells = lines[line].split(",")
+            cells[1] = "abc"
+            lines[line] = ",".join(cells)
+        path.write_text("".join(row + "\n" for row in lines))
+        assert main(["backcast", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
 
     def test_manifest_records_workers_and_jobs_keep_digests(self, tmp_path, monkeypatch):
         # 8 x 20 trains on the pool whatever the start method

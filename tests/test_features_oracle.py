@@ -196,3 +196,53 @@ def test_refusals_match_reference_error_types(name):
         _reference_matrix(*args)
     with pytest.raises(expected.type):
         feature_matrix(*args)
+
+
+def _zeros_and_ties_table():
+    """Every usable count from 12 to 24 in one table, on days that mix -0.0
+    and 0.0 in one row and repeat readings."""
+    rng = np.random.default_rng(7)
+    days = 3 * (24 - MIN_WEATHER_CELLS + 1)
+    dates = tuple(dt.date(2019, 3, 1) + dt.timedelta(days=i) for i in range(days))
+    values = np.round(rng.normal(0, 1.5, (days, 24)))  # ties, and zeros of both signs
+    values[::3, :8] = np.where(rng.random((days, 8))[::3] < 0.5, -0.0, 0.0)
+    values[1::3, 5:] = values[1::3, 5:6]  # one reading repeated all day
+    for i in range(days):
+        values[i, rng.permutation(24)[: i % (24 - MIN_WEATHER_CELLS + 1)]] = np.nan
+    return dates, {k: WideHourlyTable(dates, values[:, rng.permutation(24)], k) for k in KINDS}
+
+
+@pytest.mark.parametrize("levels", [(0.01, 1.0), (0.25, 0.5, 0.75, 1.0), (0.5,)])
+def test_zeros_ties_and_every_usable_count(levels):
+    """Values equal the per-row reference's. Its bytes may differ in the
+    sign of a zero quantile: a tie between -0.0 and 0.0 falls to the
+    partition, and the reference partitions each day's cells in their own
+    order, one level at a time. The bytes equal np.nanquantile's, whose
+    per-day compaction the whole-table path follows.
+    """
+    dates, tables = _zeros_and_ties_table()
+    counts = 24 - np.isnan(tables["temperature"].values).sum(axis=1)
+    assert set(counts) == set(range(MIN_WEATHER_CELLS, 25))
+    assert ((tables["humidity"].values == 0) & np.signbit(tables["humidity"].values)).any()
+    config = FeatureConfig(quantile_levels=levels)
+    got = feature_matrix(dates, tables, 1.0, config=config)
+    assert np.array_equal(got, _reference_matrix(dates, tables, 1.0, config=config))
+    quantiles = got[:, 21:-1]
+    expected = np.hstack(
+        [np.nanquantile(tables[k].values, levels, axis=1, method="linear").T for k in KINDS]
+    )
+    assert quantiles.tobytes() == expected.tobytes()
+
+
+def test_no_per_row_numpy_path(monkeypatch):
+    """The whole-table kernels run no per-row apply_along_axis, which
+    np.nanquantile over an axis does."""
+    dates, tables = _tables(days=40, missing=0.1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-row apply_along_axis called")
+
+    monkeypatch.setattr(np, "apply_along_axis", refuse)
+    assert feature_matrix(dates, tables, 1.0).shape == (40, FeatureConfig().dimension)
+    for full in (True, False):
+        tables["wind"].daily_mean_frame("wind", require_full_day=full)
