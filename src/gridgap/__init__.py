@@ -1,48 +1,35 @@
 """Counterfactual load backcasting and restricted-VAR attribution.
 
-The package harmonizes hourly electricity, weather, health, and mobility
-data; estimates what consumption would have been absent a disruption with a
-neural-network ensemble; and explains the measured consumption gap with a
-restricted vector-autoregression engine (unit-root, cointegration, and
-causality screening; constrained least squares; impulse responses; forecast
-error variance decomposition; automated model search).
+The package harmonizes hourly load and weather data; estimates what
+consumption would have been absent a disruption with a neural-network
+ensemble; and explains the measured consumption gap with a restricted
+vector-autoregression engine (unit-root, cointegration, and causality
+screening; constrained least squares; impulse responses; forecast error
+variance decomposition; automated model search).  The search takes any
+driver, mobility included, as a prepared series column.
 """
 
 __version__ = "0.1.0"
 
 from .frames import (
     CalendarInfo,
-    PairedFrame,
     TimeSeriesFrame,
     TransitionPeriod,
     federal_holidays,
-    merge_frames,
 )
 from .transforms import (
-    align_day_of_week,
     centered_trend,
     difference,
-    difference_initials,
-    log_transform,
     trend_transition,
-    undifference,
-    weekly_moving_average,
 )
 
 __all__ = [
     "CalendarInfo",
-    "PairedFrame",
     "TimeSeriesFrame",
     "TransitionPeriod",
     "__version__",
-    "align_day_of_week",
     "centered_trend",
     "difference",
-    "difference_initials",
     "federal_holidays",
-    "log_transform",
-    "merge_frames",
     "trend_transition",
-    "undifference",
-    "weekly_moving_average",
 ]

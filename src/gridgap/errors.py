@@ -30,10 +30,6 @@ class MissingValueError(GridGapError, ValueError):
     """A core transform received missing values; run QC first."""
 
 
-class AlignmentError(GridGapError, ValueError):
-    """Calendar alignment produced no paired dates."""
-
-
 class DegenerateSeriesError(GridGapError, ValueError):
     """A series is constant or otherwise carries no usable variation."""
 
@@ -44,10 +40,6 @@ class SchemaError(GridGapError, ValueError):
 
 class MixedFieldError(GridGapError, ValueError):
     """A long table holds more than one field or location where one is required."""
-
-
-class MappingError(GridGapError, ValueError):
-    """A geographic aggregation references an unknown region."""
 
 
 class DomainError(GridGapError, ValueError):

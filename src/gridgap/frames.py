@@ -9,12 +9,11 @@ values are NaN, which keeps them distinguishable from legitimate zeros.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    AlignmentError,
     EmptyInputError,
     ParameterError,
     UnknownColumnError,
@@ -111,32 +110,6 @@ class TimeSeriesFrame:
         return bool(np.isnan(self.values).any())
 
 
-def merge_frames(frames: list[TimeSeriesFrame]) -> TimeSeriesFrame:
-    """Inner-join frames on their date index, concatenating columns.
-
-    Column names must be disjoint across inputs.  Rows survive only for dates
-    present in every frame.
-    """
-    if not frames:
-        raise EmptyInputError("nothing to merge")
-    names: list[str] = []
-    for f in frames:
-        names.extend(f.names)
-    if len(set(names)) != len(names):
-        raise ParameterError(f"overlapping column names across frames: {names}")
-    common = set(frames[0].dates)
-    for f in frames[1:]:
-        common &= set(f.dates)
-    if not common:
-        raise AlignmentError("merged frames share no dates")
-    dates = tuple(sorted(common))
-    blocks = []
-    for f in frames:
-        pos = {d: i for i, d in enumerate(f.dates)}
-        blocks.append(f.values[[pos[d] for d in dates], :])
-    return TimeSeriesFrame(dates, tuple(names), np.hstack(blocks))
-
-
 # Observed US federal holidays; fixed-date holidays falling on a weekend are
 # kept on their actual date because the electricity data is calendar-daily.
 def federal_holidays(years) -> frozenset[dt.date]:
@@ -205,23 +178,3 @@ class TransitionPeriod:
         object.__setattr__(self, "end", _as_date(self.end))
         if self.begin > self.end:
             raise ParameterError(f"transition begin {self.begin} after end {self.end}")
-
-
-@dataclass(frozen=True)
-class PairedFrame:
-    """Row-aligned (current, reference) observations from calendar alignment.
-
-    Row i of ``reference`` is the matched prior-year observation for row i of
-    ``current``.  ``dropped`` lists current dates that found no usable
-    reference row, together with the reason.
-    """
-
-    current: TimeSeriesFrame
-    reference: TimeSeriesFrame
-    dropped: tuple[tuple[dt.date, str], ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.current.names != self.reference.names:
-            raise ParameterError("paired frames must share column names")
-        if len(self.current) != len(self.reference):
-            raise ParameterError("paired frames must share row count")

@@ -13,49 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AlignmentError,
     InsufficientDataError,
     MissingValueError,
     ParameterError,
 )
-from .frames import PairedFrame, TimeSeriesFrame, TransitionPeriod
-
-
-def _resolve_columns(frame: TimeSeriesFrame, columns) -> list[int]:
-    if columns is None:
-        return list(range(frame.n_columns))
-    return [frame.index_of(c) for c in columns]
+from .frames import TimeSeriesFrame, TransitionPeriod
 
 
 def _reject_missing(values: np.ndarray, what: str):
     if np.isnan(values).any():
         raise MissingValueError(f"{what} contains missing values; run QC first")
-
-
-def log_transform(frame: TimeSeriesFrame, columns=None, drop_nonpositive: bool = True) -> TimeSeriesFrame:
-    """Natural log of the named columns (all columns when None).
-
-    With ``drop_nonpositive`` (the default) any row where a named column is
-    <= 0 is dropped before taking logs, so the output is always finite.
-    Otherwise non-positive entries become missing (NaN) and the row count is
-    preserved.
-    """
-    idx = _resolve_columns(frame, columns)
-    _reject_missing(frame.values[:, idx], "log_transform input")
-    values = np.array(frame.values)
-    if drop_nonpositive:
-        keep = np.all(values[:, idx] > 0.0, axis=1)
-        values = values[keep]
-        dates = tuple(d for d, k in zip(frame.dates, keep) if k)
-        if len(dates) == 0:
-            raise InsufficientDataError("log_transform dropped every row")
-        values[:, idx] = np.log(values[:, idx])
-        return TimeSeriesFrame(dates, frame.names, values)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logged = np.log(values[:, idx])
-    logged[~(values[:, idx] > 0.0)] = np.nan
-    values[:, idx] = logged
-    return TimeSeriesFrame(frame.dates, frame.names, values)
 
 
 def difference(frame: TimeSeriesFrame, order: int = 1) -> TimeSeriesFrame:
@@ -71,97 +38,6 @@ def difference(frame: TimeSeriesFrame, order: int = 1) -> TimeSeriesFrame:
     for _ in range(order):
         values = values[1:] - values[:-1]
     return TimeSeriesFrame(frame.dates[order:], frame.names, values)
-
-
-def difference_initials(frame: TimeSeriesFrame, order: int = 1):
-    """First rows of each intermediate differencing stage, for reconstruction.
-
-    Returns ``(initials, initial_dates)`` where ``initials[s]`` is the first
-    row after differencing ``s`` times and ``initial_dates`` are the leading
-    dates the differenced frame loses.
-    """
-    if order < 1 or len(frame) <= order:
-        raise ParameterError("order out of range for this frame")
-    values = np.array(frame.values)
-    initials = np.empty((order, frame.n_columns))
-    for s in range(order):
-        initials[s] = values[0]
-        values = values[1:] - values[:-1]
-    return initials, frame.dates[:order]
-
-
-def undifference(diffed: TimeSeriesFrame, initials: np.ndarray, initial_dates) -> TimeSeriesFrame:
-    """Invert :func:`difference` given the recorded stage initials."""
-    initials = np.asarray(initials, dtype=np.float64)
-    order = initials.shape[0]
-    if len(initial_dates) != order:
-        raise ParameterError("one initial date per differencing stage required")
-    values = np.array(diffed.values)
-    for s in range(order - 1, -1, -1):
-        values = np.vstack([initials[s], initials[s] + np.cumsum(values, axis=0)])
-    dates = tuple(initial_dates) + diffed.dates
-    return TimeSeriesFrame(dates, diffed.names, values)
-
-
-def weekly_moving_average(frame: TimeSeriesFrame, columns=None, window: int = 7) -> TimeSeriesFrame:
-    """Trailing ``window``-day mean; the first days average what is available.
-
-    Length is preserved: entry t is the mean of rows max(0, t-window+1)..t.
-    """
-    if window < 1:
-        raise ParameterError(f"window must be >= 1, got {window}")
-    idx = _resolve_columns(frame, columns)
-    _reject_missing(frame.values[:, idx], "moving-average input")
-    values = np.array(frame.values)
-    csum = np.cumsum(values[:, idx], axis=0)
-    out = np.empty_like(csum)
-    n = len(frame)
-    for t in range(n):
-        lo = max(0, t - window + 1)
-        total = csum[t] - (csum[lo - 1] if lo > 0 else 0.0)
-        out[t] = total / (t - lo + 1)
-    values[:, idx] = out
-    return TimeSeriesFrame(frame.dates, frame.names, values)
-
-
-def align_day_of_week(current: TimeSeriesFrame, reference: TimeSeriesFrame) -> PairedFrame:
-    """Pair each date with the same ISO week and weekday one year earlier.
-
-    A Monday in the sixth ISO week of 2020 (2020-02-03) pairs with the Monday
-    of the sixth ISO week of 2019 (2019-02-04).  Dates whose counterpart does
-    not exist (week 53) or is absent from ``reference`` are dropped and
-    reported.
-    """
-    if current.names != reference.names:
-        raise ParameterError(
-            f"column names differ: {current.names} vs {reference.names}"
-        )
-    ref_pos = {d: i for i, d in enumerate(reference.dates)}
-    keep_cur: list[int] = []
-    keep_ref: list[int] = []
-    ref_dates: list[dt.date] = []
-    dropped: list[tuple[dt.date, str]] = []
-    for i, d in enumerate(current.dates):
-        iso_year, iso_week, iso_day = d.isocalendar()
-        try:
-            target = dt.date.fromisocalendar(iso_year - 1, iso_week, iso_day)
-        except ValueError:
-            dropped.append((d, "no matching ISO week in prior year"))
-            continue
-        j = ref_pos.get(target)
-        if j is None:
-            dropped.append((d, f"reference missing {target.isoformat()}"))
-            continue
-        keep_cur.append(i)
-        keep_ref.append(j)
-        ref_dates.append(target)
-    if not keep_cur:
-        raise AlignmentError("no dates could be paired with the reference year")
-    cur = TimeSeriesFrame(
-        tuple(current.dates[i] for i in keep_cur), current.names, current.values[keep_cur, :]
-    )
-    ref = TimeSeriesFrame(tuple(ref_dates), reference.names, reference.values[keep_ref, :])
-    return PairedFrame(cur, ref, tuple(dropped))
 
 
 def centered_trend(series: np.ndarray, period: int = 7) -> np.ndarray:

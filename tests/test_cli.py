@@ -1,6 +1,8 @@
 """End-to-end command-line tests: exit codes, outputs, manifests, determinism."""
 
+import ast
 import datetime as dt
+import importlib
 import json
 import os
 import re
@@ -125,6 +127,20 @@ class TestUsage:
         assert blocks
         for block in blocks:
             exec(compile(block, str(readme), "exec"), {})
+            # a submodule imported by name also resolves, so check the export list
+            for node in ast.walk(ast.parse(block)):
+                if isinstance(node, ast.ImportFrom) and node.module.startswith("gridgap."):
+                    exported = importlib.import_module(node.module).__all__
+                    for alias in node.names:
+                        assert alias.name in exported, f"{node.module}.{alias.name}"
+
+    @pytest.mark.parametrize(
+        "module",
+        ["gridgap"] + [f"gridgap.{p}" for p in ("ingest", "rvar", "search", "backcast", "cli")],
+    )
+    def test_every_export_resolves(self, module):
+        package = importlib.import_module(module)
+        assert [n for n in package.__all__ if not hasattr(package, n)] == []
 
 
 class TestIngest:

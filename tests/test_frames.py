@@ -3,8 +3,8 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from gridgap import CalendarInfo, TimeSeriesFrame, TransitionPeriod, federal_holidays, merge_frames
-from gridgap.errors import AlignmentError, ParameterError, UnknownColumnError
+from gridgap import CalendarInfo, TimeSeriesFrame, TransitionPeriod, federal_holidays
+from gridgap.errors import ParameterError, UnknownColumnError
 
 from conftest import make_dates, make_frame
 
@@ -59,28 +59,6 @@ class TestTimeSeriesFrame:
         assert not np.isnan(f.values[0, 0])
         assert np.isnan(f.values[1, 0])
         assert f.has_missing()
-
-
-class TestMergeFrames:
-    def test_inner_join_on_dates(self):
-        a = make_frame([1.0, 2.0, 3.0], names=("a",), start="2020-01-01")
-        b = make_frame([10.0, 20.0, 30.0], names=("b",), start="2020-01-02")
-        merged = merge_frames([a, b])
-        assert merged.names == ("a", "b")
-        assert len(merged) == 2
-        assert merged.values.tolist() == [[2.0, 10.0], [3.0, 20.0]]
-
-    def test_disjoint_dates_raise(self):
-        a = make_frame([1.0], start="2020-01-01")
-        b = make_frame([2.0], names=("b",), start="2021-01-01")
-        with pytest.raises(AlignmentError):
-            merge_frames([a, b])
-
-    def test_name_collision_rejected(self):
-        a = make_frame([1.0], names=("a",))
-        b = make_frame([2.0], names=("a",))
-        with pytest.raises(ParameterError):
-            merge_frames([a, b])
 
 
 class TestCalendar:

@@ -2,37 +2,25 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gridgap.errors import (
-    DomainError,
     EmptyInputError,
-    MappingError,
     MixedFieldError,
     SchemaError,
 )
 from gridgap.ingest import (
-    RETAIL_CATEGORIES,
     LongRecord,
     LongRecordTable,
-    MobilityPanelRow,
-    PoiVisitRow,
     SourceSchema,
-    WideHourlyTable,
-    aggregate_geo,
-    metrics_frames,
-    mobility_metrics,
     parse_source,
     pivot_wide,
     read_series_csv,
     read_wide_csv,
     resample_weather_hourly,
-    retail_visits,
     write_wide_csv,
 )
 
-from conftest import make_dates, make_frame, make_hourly_table
+from conftest import make_hourly_table
 
 LOAD_SCHEMA = SourceSchema(
     name="toy",
@@ -277,119 +265,3 @@ class TestResample:
         assert wide.values[0, 0] == 15.0
         assert wide.values[0, 1] == 7.0
         assert np.isnan(wide.values[0, 2])
-
-
-class TestAggregateGeo:
-    def test_sums_counties_into_region(self):
-        a = make_frame([1.0, 2.0], names=("cases",))
-        b = make_frame([10.0, 20.0], names=("cases",))
-        regions, warnings = aggregate_geo(
-            [("kings", a), ("queens", b)], {"kings": "nyc", "queens": "nyc"}
-        )
-        assert regions["nyc"].values[:, 0].tolist() == [11.0, 22.0]
-        assert warnings == []
-
-    def test_missing_date_contributes_zero_with_warning(self):
-        a = make_frame([1.0, 2.0], names=("cases",), start="2020-01-01")
-        b = make_frame([10.0], names=("cases",), start="2020-01-01")
-        regions, warnings = aggregate_geo(
-            [("kings", a), ("queens", b)], {"kings": "nyc", "queens": "nyc"}
-        )
-        assert regions["nyc"].values[:, 0].tolist() == [11.0, 2.0]
-        assert any("missing 2020-01-02" in w for w in warnings)
-
-    def test_unmapped_county_excluded_with_warning(self):
-        a = make_frame([1.0], names=("cases",))
-        regions, warnings = aggregate_geo([("kings", a), ("nowhere", a)], {"kings": "nyc"})
-        assert list(regions) == ["nyc"]
-        assert any("nowhere" in w for w in warnings)
-
-    def test_unknown_region_is_mapping_error(self):
-        a = make_frame([1.0], names=("cases",))
-        with pytest.raises(MappingError):
-            aggregate_geo([("kings", a)], {"kings": "atlantis"}, regions=("nyc",))
-
-
-class TestMobility:
-    def test_hand_computed_rates(self):
-        row = MobilityPanelRow(dt.date(2020, 3, 1), "kings", 1000, 350, 720.0, 100, 50)
-        (m,) = mobility_metrics([row])
-        assert m.stay_home == pytest.approx(0.35)
-        assert m.home_dwell == pytest.approx(0.5)
-        assert m.parttime_onsite == pytest.approx(0.1)
-        assert m.fulltime_onsite == pytest.approx(0.05)
-
-    def test_empty_panel_rejected(self):
-        with pytest.raises(DomainError):
-            MobilityPanelRow(dt.date(2020, 3, 1), "kings", 0, 0, 0.0, 0, 0)
-
-    def test_count_exceeding_devices_rejected(self):
-        with pytest.raises(DomainError):
-            MobilityPanelRow(dt.date(2020, 3, 1), "kings", 10, 11, 0.0, 0, 0)
-
-    def test_dwell_minutes_bounded(self):
-        with pytest.raises(DomainError):
-            MobilityPanelRow(dt.date(2020, 3, 1), "kings", 10, 1, 2000.0, 0, 0)
-
-    @given(
-        st.integers(1, 10**6),
-        st.floats(0, 1, allow_nan=False),
-        st.floats(0, 1, allow_nan=False),
-        st.floats(0, 1, allow_nan=False),
-        st.floats(0, 1440, allow_nan=False),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_rates_always_in_unit_interval(self, devices, f1, f3, f4, dwell):
-        row = MobilityPanelRow(
-            dt.date(2020, 3, 1),
-            "kings",
-            devices,
-            int(f1 * devices),
-            dwell,
-            int(f3 * devices),
-            int(f4 * devices),
-        )
-        (m,) = mobility_metrics([row])
-        for rate in (m.stay_home, m.home_dwell, m.parttime_onsite, m.fulltime_onsite):
-            assert 0.0 <= rate <= 1.0
-
-    def test_metrics_frames_group_by_county(self):
-        rows = [
-            MobilityPanelRow(dt.date(2020, 3, 2), "kings", 100, 50, 720.0, 10, 5),
-            MobilityPanelRow(dt.date(2020, 3, 1), "kings", 100, 40, 700.0, 10, 5),
-            MobilityPanelRow(dt.date(2020, 3, 1), "queens", 200, 40, 600.0, 10, 5),
-        ]
-        frames = metrics_frames(mobility_metrics(rows))
-        assert set(frames) == {"kings", "queens"}
-        assert frames["kings"].dates == make_dates(2, "2020-03-01")
-        assert frames["kings"].column("stay_home").tolist() == [0.4, 0.5]
-
-
-class TestRetailVisits:
-    def test_exactly_25_categories(self):
-        assert len(RETAIL_CATEGORIES) == 25
-        assert "Grocery Stores" in RETAIL_CATEGORIES
-        assert "Restaurants and Other Eating Places" in RETAIL_CATEGORIES
-        assert "Gasoline Stations" in RETAIL_CATEGORIES
-
-    def test_non_retail_categories_ignored(self):
-        d = dt.date(2020, 3, 1)
-        rows = [
-            PoiVisitRow(d, "kings", "Grocery Stores", 120.0),
-            PoiVisitRow(d, "kings", "Hospitals", 500.0),
-            PoiVisitRow(d, "kings", "Clothing Stores", 30.0),
-        ]
-        frames = retail_visits(rows)
-        assert frames["kings"].values[0, 0] == 150.0
-
-    def test_day_with_only_nonretail_is_explicit_zero(self):
-        rows = [
-            PoiVisitRow(dt.date(2020, 3, 1), "kings", "Grocery Stores", 10.0),
-            PoiVisitRow(dt.date(2020, 3, 2), "kings", "Hospitals", 99.0),
-        ]
-        frame = retail_visits(rows)["kings"]
-        assert frame.values[:, 0].tolist() == [10.0, 0.0]
-
-    def test_negative_visits_rejected(self):
-        with pytest.raises(DomainError):
-            PoiVisitRow(dt.date(2020, 3, 1), "kings", "Grocery Stores", -1.0)

@@ -1,29 +1,16 @@
-import datetime as dt
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridgap import (
-    TimeSeriesFrame,
-    align_day_of_week,
-    centered_trend,
-    difference,
-    difference_initials,
-    log_transform,
-    trend_transition,
-    undifference,
-    weekly_moving_average,
-)
+from gridgap import centered_trend, difference, trend_transition
 from gridgap.errors import (
-    AlignmentError,
     InsufficientDataError,
     MissingValueError,
     ParameterError,
 )
 
-from conftest import make_dates, make_frame
+from conftest import make_frame
 
 finite_rows = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=4, max_size=40
@@ -54,108 +41,10 @@ class TestDifference:
     @given(finite_rows, st.integers(min_value=1, max_value=3))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_reconstruction(self, xs, order):
-        if len(xs) <= order:
-            return
         f = make_frame(xs)
         d = difference(f, order)
-        initials, initial_dates = difference_initials(f, order)
-        back = undifference(d, initials, initial_dates)
-        assert back.dates == f.dates
-        np.testing.assert_allclose(back.values, f.values, atol=1e-12 * max(1.0, np.abs(f.values).max()))
-
-
-class TestLogTransform:
-    def test_drops_nonpositive_rows(self):
-        f = make_frame([[1.0, 5.0], [-2.0, 6.0], [3.0, 0.0]], names=("a", "b"))
-        out = log_transform(f, ("a",))
-        # only the row with a <= 0 goes; b==0 is untouched because b was not named
-        assert len(out) == 2
-        assert out.values[0, 0] == pytest.approx(np.log(1.0))
-        assert out.values[1, 1] == 0.0
-
-    def test_keep_rows_marks_missing(self):
-        f = make_frame([[1.0], [-1.0]])
-        out = log_transform(f, drop_nonpositive=False)
-        assert len(out) == 2
-        assert np.isnan(out.values[1, 0])
-
-    @given(st.lists(st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=1, max_size=30))
-    @settings(max_examples=60, deadline=None)
-    def test_drop_mode_never_emits_nonfinite(self, xs):
-        if not any(x > 0 for x in xs):
-            return
-        f = make_frame(xs)
-        out = log_transform(f)
-        assert np.isfinite(out.values).all()
-
-
-class TestWeeklyMovingAverage:
-    def test_linear_series_hand_values(self):
-        f = make_frame(np.arange(10.0))
-        out = weekly_moving_average(f)
-        # trailing 7-day mean of t is t-3 once the window is full
-        assert out.values[6, 0] == pytest.approx(3.0)
-        assert out.values[9, 0] == pytest.approx(6.0)
-        # shrinking prefix: mean of 0..t
-        assert out.values[0, 0] == 0.0
-        assert out.values[3, 0] == pytest.approx(1.5)
-
-    def test_length_preserved(self):
-        f = make_frame(np.arange(5.0))
-        assert len(weekly_moving_average(f)) == 5
-
-    @given(st.floats(min_value=-100, max_value=100, allow_nan=False), st.integers(8, 40))
-    @settings(max_examples=40, deadline=None)
-    def test_constant_series_fixed_point(self, c, n):
-        f = make_frame(np.full(n, c))
-        out = weekly_moving_average(f)
-        np.testing.assert_allclose(out.values[:, 0], c, atol=1e-12)
-
-    def test_only_named_columns_touched(self):
-        f = make_frame([[1.0, 1.0], [3.0, 3.0]], names=("a", "b"))
-        out = weekly_moving_average(f, columns=("a",))
-        assert out.values[1, 0] == pytest.approx(2.0)
-        assert out.values[1, 1] == 3.0
-
-
-class TestAlignDayOfWeek:
-    def test_known_iso_week_pairing(self):
-        # 2020-02-03 is the Monday of ISO week 6; its prior-year twin is 2019-02-04.
-        cur = make_frame([50.0], start="2020-02-03")
-        ref = make_frame([40.0], start="2019-02-04")
-        paired = align_day_of_week(cur, ref)
-        assert paired.reference.dates == (dt.date(2019, 2, 4),)
-        assert paired.current.values.tolist() == [[50.0]]
-        assert paired.reference.values.tolist() == [[40.0]]
-        assert paired.dropped == ()
-
-    def test_weekday_always_matches(self):
-        cur = make_frame(np.arange(40.0), start="2020-02-03")
-        ref = make_frame(np.arange(400.0), start="2019-01-01")
-        paired = align_day_of_week(cur, ref)
-        for c, r in zip(paired.current.dates, paired.reference.dates):
-            assert c.weekday() == r.weekday()
-            assert c.isocalendar()[1] == r.isocalendar()[1]
-
-    def test_missing_reference_dropped_and_reported(self):
-        cur = make_frame([1.0, 2.0], start="2020-02-03")
-        ref = make_frame([40.0], start="2019-02-04")  # only covers the first date
-        paired = align_day_of_week(cur, ref)
-        assert len(paired.current) == 1
-        assert len(paired.dropped) == 1
-        assert paired.dropped[0][0] == dt.date(2020, 2, 4)
-
-    def test_empty_overlap_raises(self):
-        cur = make_frame([1.0], start="2020-02-03")
-        ref = make_frame([1.0], start="2010-01-04")
-        with pytest.raises(AlignmentError):
-            align_day_of_week(cur, ref)
-
-    def test_name_mismatch_rejected(self):
-        cur = make_frame([1.0], names=("a",))
-        ref = make_frame([1.0], names=("b",))
-        with pytest.raises(ParameterError):
-            align_day_of_week(cur, ref)
+        np.testing.assert_array_equal(d.values, np.diff(f.values, n=order, axis=0))
+        assert d.dates == f.dates[order:]
 
 
 def step_series(n=70):
