@@ -14,7 +14,6 @@ import datetime as dt
 import json
 import multiprocessing
 from calendar import month_name
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -175,20 +174,6 @@ def _worker_count(candidates: int, epochs: int, jobs: int, budget: int | None) -
     return min(candidates, max(jobs, budget or 1))
 
 
-_TRAIN_STATE: dict = {}
-
-
-def _pool_initializer(*args):
-    _TRAIN_STATE["args"] = args
-    handle = blas.openblas()
-    if handle is not None:
-        blas.pin_threads(handle, 1)  # a forked worker has the pin already; a spawned one does not
-
-
-def _pool_task(index):
-    return _train_candidate(index, *_TRAIN_STATE["args"])
-
-
 # -- candidate training ------------------------------------------------------
 
 
@@ -288,13 +273,7 @@ def train_ensemble(
     # own threading, and its threads may oversubscribe.
     with blas.one_blas_thread() as budget:
         workers = _worker_count(config.candidates, config.epochs, jobs, budget)
-        if workers > 1:
-            with ProcessPoolExecutor(
-                workers, initializer=_pool_initializer, initargs=args
-            ) as pool:
-                results = list(pool.map(_pool_task, range(config.candidates)))
-        else:
-            results = [_train_candidate(i, *args) for i in range(config.candidates)]
+        results = blas.pool_map(_train_candidate, range(config.candidates), args, workers)
     metrics = np.array([r[3] for r in results])
     order = np.lexsort((np.arange(len(results)), metrics))
     kept = order[: config.keep_count]

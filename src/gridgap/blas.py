@@ -1,10 +1,11 @@
-"""numpy's bundled OpenBLAS, reached through ctypes to read and pin its thread count.
+"""numpy's bundled OpenBLAS, reached through ctypes to read and pin its thread
+count, and the process pool that keeps every worker on one BLAS thread.
 
 Never call ``set_num_threads`` with the count OpenBLAS already has: a fork
 stops its thread server, and ``set_num_threads`` starts it again in the child
 at any count, whose helper thread spins about 0.12 s of CPU before it sleeps.
 A forked pool worker inherits the parent's one-thread pin and so keeps it
-without a call.
+without a call; a spawned or forkserver worker pins itself on start.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import contextlib
 import ctypes
 import functools
 import threading
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -73,3 +75,34 @@ def one_blas_thread():
             yield budget
         finally:
             pin_threads(blas, budget)
+
+
+_POOL_STATE: dict = {}
+
+
+def _pool_initializer(fn, shared):
+    _POOL_STATE["job"] = fn, shared
+    handle = openblas()
+    if handle is not None:
+        pin_threads(handle, 1)  # a forked worker has the pin already; a spawned one does not
+
+
+def _pool_task(item):
+    fn, shared = _POOL_STATE["job"]
+    return fn(item, *shared)
+
+
+def pool_map(fn, items, shared: tuple, workers: int) -> list:
+    """``[fn(item, *shared) for item in items]``, on ``workers`` processes.
+
+    One worker or fewer is a plain loop in this process. Otherwise each item
+    is one task on a process pool whose workers receive ``fn`` and ``shared``
+    once and run numpy's OpenBLAS on one thread; results keep the order of
+    ``items``. Call it inside ``one_blas_thread``, so the parent is pinned too
+    and forked workers inherit the pin. ``fn`` must be a module-level
+    function unless the start method is fork.
+    """
+    if workers <= 1:
+        return [fn(item, *shared) for item in items]
+    with ProcessPoolExecutor(workers, initializer=_pool_initializer, initargs=(fn, shared)) as pool:
+        return list(pool.map(_pool_task, items))

@@ -654,14 +654,15 @@ def cmd_ntl(cfg: dict, base: Path, rec: RunRecorder) -> int:
                     companion = meta_path.parent / companion
                 rec.record_input(companion)
     raster = load_raster(grid_path, meta_path)
-    result = process_raster(raster, _cfg_float(cfg, "floor", 10.0), _cfg_bool(cfg, "smooth", True))
+    floor, smooth = _cfg_float(cfg, "floor", 10.0), _cfg_bool(cfg, "smooth", True)
+    result = process_raster(raster, floor, smooth)
     write_grid(rec.output("processed.grid.txt"), result.raster.intensity)
     lines = [
         "# ntl-report/1",
         f"height = {raster.height}",
         f"width = {raster.width}",
-        f"floor = {format_value(_cfg_float(cfg, 'floor', 10.0))}",
-        f"smooth = {str(_cfg_bool(cfg, 'smooth', True)).lower()}",
+        f"floor = {format_value(floor)}",
+        f"smooth = {str(smooth).lower()}",
         f"colormap = {cfg.get('colormap', 'viridis')}",
         f"repaired = {len(result.repaired)}",
         f"isolated = {len(result.isolated)}",

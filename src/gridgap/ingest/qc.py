@@ -61,16 +61,6 @@ class QcReport:
             self.rejects + other.rejects,
         )
 
-    def is_empty(self) -> bool:
-        return (
-            not self.outliers
-            and not self.fills
-            and not self.unresolved
-            and not self.skipped_days
-            and self.duplicates_dropped == 0
-            and not self.rejects
-        )
-
     def to_text(self) -> str:
         lines = ["# qc-report/1", f"duplicates_dropped = {self.duplicates_dropped}"]
         for d, h, v in self.outliers:

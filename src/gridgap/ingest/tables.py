@@ -93,13 +93,6 @@ class WideHourlyTable:
     def copy(self) -> "WideHourlyTable":
         return WideHourlyTable(self.dates, np.array(self.values), self.kind)
 
-    def missing_cells(self) -> list[tuple[dt.date, int]]:
-        out = []
-        rows, cols = np.nonzero(np.isnan(self.values))
-        for r, c in zip(rows, cols):
-            out.append((self.dates[r], int(c)))
-        return out
-
     def daily_mean_frame(self, name: str, require_full_day: bool = False) -> TimeSeriesFrame:
         """Daily means over non-missing cells as a one-column frame.
 

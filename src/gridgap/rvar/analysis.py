@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DivergenceError, FactorizationError, ParameterError
+from .diagnostics import stability_test
 from .model import RVarModel
 
 
@@ -69,8 +70,6 @@ def irf_cumulative(
     iterated to convergence).  Models whose companion spectrum touches the
     unit circle cannot converge and are refused.
     """
-    from .diagnostics import stability_test
-
     j = model.shock_index(shock)
     if not stability_test(model, strict=True).stable:
         raise DivergenceError(

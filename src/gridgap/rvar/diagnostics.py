@@ -47,10 +47,6 @@ class LjungBoxResult:
     lags: int
     nobs: int
 
-    def whiteness_ok(self, alpha: float = 0.05) -> bool:
-        """True when the no-autocorrelation null survives at level alpha."""
-        return self.pvalue >= alpha
-
 
 def ljung_box(series, lags: int = 40) -> LjungBoxResult:
     """Portmanteau whiteness test; the p-value uses chi-square with ``lags`` df."""

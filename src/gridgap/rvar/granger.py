@@ -20,9 +20,6 @@ class GrangerResult:
     stat: float
     pvalue: float
 
-    def causal(self, alpha: float = 0.05) -> bool:
-        return self.pvalue < alpha
-
 
 def granger_wald(frame: TimeSeriesFrame, cause: str, effect: str, lags: int) -> GrangerResult:
     """Test whether ``cause`` helps predict ``effect`` beyond its own lags.

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import datetime as dt
 import io
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from ..blas import one_blas_thread, openblas, pin_threads
+from ..blas import one_blas_thread, pool_map
 from ..errors import NoModelError, ParameterError
 from ..frames import TimeSeriesFrame
 from ..rvar import (
@@ -239,13 +238,15 @@ def _rule_stage(record, diffed: TimeSeriesFrame, order, rule, pvalues, stats, sc
     return record("ok", stats, model)
 
 
-def _evaluate_window(subset, date_range, combos, frame: TimeSeriesFrame, scoring: ScoringConfig):
-    """Records of every ``(index, order, rule)`` in ``combos`` for one window.
+def _evaluate_window(unit, frame: TimeSeriesFrame, scoring: ScoringConfig):
+    """Records of every ``(index, order, rule)`` in ``combos`` for one
+    ``(subset, date_range, combos)`` window unit.
 
     The window gates run once; a rejected window gives all its combinations
     the same verdict. Rules 2 and 3 share one set of precedence tests per
     order, since both test at ``lags=order``.
     """
+    subset, date_range, combos = unit
     status, stats, diffed = _window_stage(subset, date_range, frame, scoring)
     if status is not None:
         return [
@@ -279,21 +280,6 @@ def _window_units(space: SearchSpace):
     return [(subset, date_range, combos) for (subset, date_range), combos in units.items()]
 
 
-_SWEEP_STATE: dict = {}
-
-
-def _sweep_initializer(frame, scoring):
-    _SWEEP_STATE["args"] = (frame, scoring)
-    blas = openblas()
-    if blas is not None:
-        pin_threads(blas, 1)  # a forked worker has the pin already; a spawned one does not
-
-
-def _sweep_task(unit):
-    frame, scoring = _SWEEP_STATE["args"]
-    return _evaluate_window(*unit, frame, scoring)
-
-
 def run_search(
     frame: TimeSeriesFrame,
     space: SearchSpace,
@@ -325,17 +311,8 @@ def run_search(
     if missing:
         raise ParameterError(f"frame lacks columns {sorted(set(missing))}")
     units = _window_units(space)
-    workers = min(jobs, len(units))
     with one_blas_thread():
-        if workers > 1:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_sweep_initializer,
-                initargs=(frame, scoring),
-            ) as pool:
-                batches = list(pool.map(_sweep_task, units, chunksize=1))
-        else:
-            batches = [_evaluate_window(*unit, frame, scoring) for unit in units]
+        batches = pool_map(_evaluate_window, units, (frame, scoring), min(jobs, len(units)))
     records = sorted((r for batch in batches for r in batch), key=lambda r: r.index)
     admissible = [r for r in records if r.admissible]
     if not admissible:

@@ -1,9 +1,10 @@
 """A process pool for tests: a chosen start method, and a log written inside each worker.
 
 ``probed_pool(method, log, started)`` returns a ``ProcessPoolExecutor``
-subclass to patch in for the one a module starts. It runs on start method
-``method``, appends each pool's worker count to ``started``, and after every
-task appends the worker's pid and numpy's OpenBLAS thread count to ``log``.
+subclass to patch in, as ``gridgap.blas.ProcessPoolExecutor``, for the one
+``gridgap.blas.pool_map`` starts. It runs on start method ``method``, appends
+each pool's worker count to ``started``, and after every task appends the
+worker's pid and numpy's OpenBLAS thread count to ``log``.
 The task wrapper is a module-level function, so spawned and forkserver
 workers, which import this module by name, run it too.
 """

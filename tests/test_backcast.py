@@ -615,7 +615,7 @@ def _loop_ensemble(monkeypatch, *args, **kwargs):
     """``train_ensemble`` in the plain loop, whatever the work."""
     with monkeypatch.context() as m:
         m.setattr(ensemble_module, "_POOL_MIN_WORK", dict.fromkeys(START_METHODS, np.inf))
-        m.setattr(ensemble_module, "ProcessPoolExecutor", _no_pool)
+        m.setattr(blas_module, "ProcessPoolExecutor", _no_pool)
         return train_ensemble(*args, **kwargs)
 
 
@@ -630,7 +630,7 @@ def forced_pool(monkeypatch, tmp_path):
             pytest.skip(f"this platform has no {method} start method")
         started, log = [], tmp_path / f"{method}.log"
         monkeypatch.setattr(ensemble_module, "_POOL_MIN_WORK", dict.fromkeys(START_METHODS, 0))
-        monkeypatch.setattr(ensemble_module, "ProcessPoolExecutor", probed_pool(method, log, started))
+        monkeypatch.setattr(blas_module, "ProcessPoolExecutor", probed_pool(method, log, started))
         return started, log
 
     return force
@@ -647,7 +647,7 @@ def _worker_blas(log, tasks):
 class TestParallelTraining:
     def test_one_candidate_runs_without_pool(self, monkeypatch):
         monkeypatch.setattr(ensemble_module, "_POOL_MIN_WORK", dict.fromkeys(START_METHODS, 0))
-        monkeypatch.setattr(ensemble_module, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(blas_module, "ProcessPoolExecutor", _no_pool)
         dates, x, y = _synthetic_training_data()
         cfg = TrainingConfig(candidates=1, seed=3, epochs=10)
         pooled = train_ensemble(x, y, dates, cfg, jobs=2)
@@ -655,7 +655,7 @@ class TestParallelTraining:
         assert pooled.all_metrics == serial.all_metrics
 
     def test_small_work_runs_without_pool(self, monkeypatch):
-        monkeypatch.setattr(ensemble_module, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(blas_module, "ProcessPoolExecutor", _no_pool)
         assert 2 * 5 < ensemble_module._POOL_MIN_WORK[multiprocessing.get_start_method()]
         assert ensemble_module.training_workers(2, 5, 2)[0] == 1
         dates, x, y = _synthetic_training_data()

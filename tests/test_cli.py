@@ -134,6 +134,16 @@ class TestUsage:
                     for alias in node.names:
                         assert alias.name in exported, f"{node.module}.{alias.name}"
 
+    def test_only_blas_names_a_process_pool(self):
+        # a pool started anywhere else could skip the workers' one-thread BLAS pin
+        package = Path(gridgap.__file__).parent
+        naming = set()
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if "ProcessPoolExecutor" in {getattr(node, k, None) for k in ("id", "attr", "name")}:
+                    naming.add(path.relative_to(package).as_posix())
+        assert naming == {"blas.py"}
+
     @pytest.mark.parametrize(
         "module",
         ["gridgap"] + [f"gridgap.{p}" for p in ("ingest", "rvar", "search", "backcast", "cli")],
@@ -177,7 +187,7 @@ class TestIngest:
         assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 0
         table = read_wide_csv(out / "load.wide.csv", "load")
         assert len(table.dates) == 10
-        assert not table.missing_cells()
+        assert not np.isnan(table.values).any()
         qc = (out / "load.qc.txt").read_text()
         assert qc.startswith("# qc-report/1")
         # spike flagged then refilled, plus the injected gap

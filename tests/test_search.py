@@ -11,6 +11,7 @@ from conftest import make_dates, make_frame
 from pool_probe import probed_pool, worker_reads
 
 from gridgap import TimeSeriesFrame
+from gridgap import blas as blas_module
 from gridgap.blas import one_blas_thread, openblas
 from gridgap.errors import NoModelError, ParameterError
 from gridgap.rvar import (
@@ -372,7 +373,7 @@ class TestRunSearch:
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-window search must not start a pool")
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(blas_module, "ProcessPoolExecutor", no_pool)
         frame = spiky_levels(0)
         space = SearchSpace((("y", "u", "v"),), (whole_range(frame),), (1, 2), (1, 2))
         result = run_search(frame, space, ScoringConfig(), jobs=2)
@@ -399,7 +400,9 @@ class TestRunSearch:
             run_search(frame, space, ScoringConfig())
             assert seen and set(seen) == {1}
             assert get() == 2
-            sweep._sweep_initializer(frame, ScoringConfig())  # a pool worker stays pinned
+            monkeypatch.setattr(blas_module, "_POOL_STATE", {})
+            # a pool worker stays pinned
+            blas_module._pool_initializer(sweep._evaluate_window, (frame, ScoringConfig()))
             assert get() == 1
         finally:
             put(before)
@@ -407,8 +410,9 @@ class TestRunSearch:
     @pytest.mark.parametrize("inherited, puts", [(1, []), (2, [1])])
     def test_worker_pins_only_an_unpinned_blas(self, monkeypatch, inherited, puts):
         calls = []
-        monkeypatch.setattr(sweep, "openblas", lambda: (lambda: inherited, calls.append))
-        sweep._sweep_initializer(spiky_levels(0), ScoringConfig())
+        monkeypatch.setattr(blas_module, "openblas", lambda: (lambda: inherited, calls.append))
+        monkeypatch.setattr(blas_module, "_POOL_STATE", {})
+        blas_module._pool_initializer(sweep._evaluate_window, (spiky_levels(0), ScoringConfig()))
         assert calls == puts
 
     def test_pool_workers_run_one_os_thread(self, monkeypatch, tmp_path):
@@ -458,7 +462,7 @@ class TestRunSearch:
         space = SearchSpace((("y", "u", "v"),), windows, (1, 2), (1, 2))
         serial = run_search(frame, space, ScoringConfig())
         started, log = [], tmp_path / "workers.txt"
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", probed_pool(method, log, started))
+        monkeypatch.setattr(blas_module, "ProcessPoolExecutor", probed_pool(method, log, started))
         pooled = run_search(frame, space, ScoringConfig(), jobs=2)
         assert started == [2]
         reads = worker_reads(log)
