@@ -36,10 +36,10 @@ def write_raw_load(out: Path, rng) -> None:
             if d == days[2] and h == 18:
                 v *= 9
             lines.append(f"{d.isoformat()},{h},{v:.3f}")
-    lines.append(lines[30])  # duplicate record, dropped during the pivot
+    lines.append(lines[30])  # duplicate record, dropped during ingest
     (out / "raw_load.csv").write_text("\n".join(lines) + "\n")
     (out / "load.schema").write_text(
-        "name = demo-feed\nkind = load\nfield = load\nlocation = all\n"
+        "name = demo-feed\nkind = load\n"
         "date_column = day\nhour_column = h\nvalue_column = mw\n"
     )
     (out / "ingest.cfg").write_text(

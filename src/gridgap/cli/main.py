@@ -39,12 +39,10 @@ from ..ingest import (
     format_value,
     parse_keyvalue_text,
     parse_source,
-    pivot_wide,
     qc_fill_missing,
     qc_outliers,
     read_series_csv,
     read_wide_csv,
-    resample_weather_hourly,
     write_wide_csv,
 )
 from ..ntl import load_raster, process_raster, read_metadata, write_grid
@@ -184,18 +182,6 @@ def _clean_table(table, backup, parsed: QcReport | None = None):
     return filled, (parsed or QcReport()).merge(outlier_report).merge(fill_report)
 
 
-def _read_source(data_path: Path, schema_path: Path):
-    """The source's wide table, and a report of the rows parsing refused or dropped."""
-    schema = SourceSchema.from_file(schema_path)
-    long_table = parse_source(data_path.read_text(), schema)
-    parsed = QcReport(rejects=list(long_table.rejects))
-    if schema.time_column:
-        return resample_weather_hourly(long_table), parsed
-    wide, dropped = pivot_wide(long_table, schema.kind)
-    parsed.duplicates_dropped = len(dropped)
-    return wide, parsed
-
-
 def cmd_ingest(cfg: dict, base: Path, rec: RunRecorder) -> int:
     labels = sorted({k.split(".")[1] for k in cfg if k.startswith("source.") and k.count(".") == 2})
     if not labels:
@@ -203,13 +189,13 @@ def cmd_ingest(cfg: dict, base: Path, rec: RunRecorder) -> int:
     unresolved = 0
     for label in labels:
         data_path = _cfg_path(cfg, f"source.{label}.data", base, rec)
-        schema_path = _cfg_path(cfg, f"source.{label}.schema", base, rec)
-        wide, parsed = _read_source(data_path, schema_path)
+        schema = SourceSchema.from_file(_cfg_path(cfg, f"source.{label}.schema", base, rec))
+        wide, parsed = parse_source(data_path.read_text(), schema)
         backup = None
         if f"backup.{label}.data" in cfg:
             bdata = _cfg_path(cfg, f"backup.{label}.data", base, rec)
-            bschema = _cfg_path(cfg, f"backup.{label}.schema", base, rec)
-            backup, _ = _read_source(bdata, bschema)
+            bschema = SourceSchema.from_file(_cfg_path(cfg, f"backup.{label}.schema", base, rec))
+            backup, _ = parse_source(bdata.read_text(), bschema)
         cleaned, report = _clean_table(wide, backup, parsed)
         write_wide_csv(cleaned, rec.output(f"{label}.wide.csv"))
         _write_text(rec, f"{label}.qc.txt", report.to_text())
@@ -649,10 +635,7 @@ def cmd_ntl(cfg: dict, base: Path, rec: RunRecorder) -> int:
         meta = read_metadata(meta_path)
         for key in ("flags_grid", "lunar_angle_grid"):
             if key in meta:
-                companion = Path(meta[key])
-                if not companion.is_absolute():
-                    companion = meta_path.parent / companion
-                rec.record_input(companion)
+                rec.record_input(meta_path.parent / meta[key])
     raster = load_raster(grid_path, meta_path)
     floor, smooth = _cfg_float(cfg, "floor", 10.0), _cfg_bool(cfg, "smooth", True)
     result = process_raster(raster, floor, smooth)

@@ -38,10 +38,6 @@ class SchemaError(GridGapError, ValueError):
     """A source descriptor or raw file does not match its declared layout."""
 
 
-class MixedFieldError(GridGapError, ValueError):
-    """A long table holds more than one field or location where one is required."""
-
-
 class DomainError(GridGapError, ValueError):
     """A record violates a physical or accounting constraint."""
 

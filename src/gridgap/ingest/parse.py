@@ -1,4 +1,4 @@
-"""Raw source parsing and reshaping into wide hourly tables."""
+"""Raw source parsing straight into wide hourly tables."""
 
 from __future__ import annotations
 
@@ -9,9 +9,10 @@ import math
 
 import numpy as np
 
-from ..errors import EmptyInputError, MixedFieldError, SchemaError
+from ..errors import EmptyInputError, SchemaError
+from .qc import QcReport
 from .schema import SourceSchema
-from .tables import LongRecord, LongRecordTable, WideHourlyTable
+from .tables import WideHourlyTable
 
 
 def _decode(data) -> str:
@@ -20,13 +21,18 @@ def _decode(data) -> str:
     return data
 
 
-def parse_source(data, schema: SourceSchema) -> LongRecordTable:
-    """Parse one raw CSV according to its descriptor.
+def parse_source(data, schema: SourceSchema) -> tuple[WideHourlyTable, QcReport]:
+    """Parse one raw CSV into the wide hourly table its descriptor names.
 
-    Rows that fail to parse (bad date, non-numeric or non-finite value, hour
-    out of range) are collected as rejects with their line number instead of
-    aborting the whole file.  Values are multiplied by the descriptor's unit
-    factor and timestamps shifted by its whole-hour offset.
+    Rows that fail to parse (bad date, hour or time, non-numeric or
+    non-finite value, hour out of range) are collected in the report as
+    rejects with their line number instead of aborting the whole file.
+    Values are multiplied by the descriptor's unit factor and timestamps
+    shifted by its whole-hour offset.  The table covers the full calendar
+    span of the accepted rows, so absent days and hours are missing cells for
+    QC to deal with.  An hourly source keeps the first reading of each cell
+    and counts the rest as dropped duplicates; a sub-hourly source
+    (``time_column``) averages each hour's readings.
     """
     text = _decode(data)
     reader = csv.reader(io.StringIO(text), delimiter=schema.delimiter)
@@ -41,22 +47,23 @@ def parse_source(data, schema: SourceSchema) -> LongRecordTable:
     i_date = header.index(schema.date_column)
     i_time = header.index(schema.hour_column or schema.time_column)
     i_value = header.index(schema.value_column)
-    table = LongRecordTable()
+    days, hours, values = [], [], []
+    report = QcReport()
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) <= max(i_date, i_time, i_value):
-            table.rejects.append((lineno, "too few cells"))
+            report.rejects.append((lineno, "too few cells"))
             continue
         try:
             date = dt.datetime.strptime(row[i_date].strip(), schema.date_format).date()
         except ValueError:
-            table.rejects.append((lineno, f"bad date {row[i_date]!r}"))
+            report.rejects.append((lineno, f"bad date {row[i_date]!r}"))
             continue
         try:
-            hour, minute = _parse_time(row[i_time].strip(), schema)
+            hour = _parse_hour(row[i_time].strip(), schema)
         except ValueError as exc:
-            table.rejects.append((lineno, str(exc)))
+            report.rejects.append((lineno, str(exc)))
             continue
         raw = row[i_value].strip()
         try:
@@ -64,84 +71,51 @@ def parse_source(data, schema: SourceSchema) -> LongRecordTable:
         except ValueError:
             value = math.nan  # refused below along with inf and nan cells
         if not math.isfinite(value):
-            table.rejects.append((lineno, f"bad value {raw!r}"))
+            report.rejects.append((lineno, f"bad value {raw!r}"))
             continue
         if schema.hour_shift:
             delta, hour = divmod(hour + schema.hour_shift, 24)
             date = date + dt.timedelta(days=delta)
-        table.records.append(
-            LongRecord(date, hour, schema.field, value * schema.unit_factor,
-                       schema.location, minute)
-        )
-    return table
+        days.append(date.toordinal())
+        hours.append(hour)
+        values.append(value * schema.unit_factor)
+    if not days:
+        raise EmptyInputError(f"source {schema.name}: no usable rows")
+    first = min(days)
+    n_days = max(days) - first + 1
+    cells = (np.array(days) - first) * 24 + np.array(hours)
+    readings = np.array(values)
+    grid = np.full(n_days * 24, np.nan)
+    if schema.time_column:
+        # np.add.at adds in row order, as a running sum per cell would
+        sums = np.zeros(n_days * 24)
+        np.add.at(sums, cells, readings)
+        counts = np.bincount(cells, minlength=n_days * 24)
+        seen = counts > 0
+        grid[seen] = sums[seen] / counts[seen]
+    else:
+        kept, first_rows = np.unique(cells, return_index=True)
+        grid[kept] = readings[first_rows]
+        report.duplicates_dropped = len(cells) - len(kept)
+    dates = tuple(dt.date.fromordinal(first + i) for i in range(n_days))
+    return WideHourlyTable(dates, grid.reshape(n_days, 24), schema.kind), report
 
 
-def _parse_time(text: str, schema: SourceSchema) -> tuple[int, int]:
+def _parse_hour(text: str, schema: SourceSchema) -> int:
+    """The 0-based hour of a time cell; a bad or out-of-range cell raises ValueError."""
     if schema.time_column:
         parts = text.split(":")
-        if len(parts) < 2:
-            raise ValueError(f"bad time {text!r}")
-        hour, minute = int(parts[0]), int(parts[1])
+        try:
+            hour, minute = int(parts[0]), int(parts[1])
+        except (IndexError, ValueError):
+            raise ValueError(f"bad time {text!r}") from None
     else:
-        hour, minute = int(text), 0
+        try:
+            hour, minute = int(text), 0
+        except ValueError:
+            raise ValueError(f"bad hour {text!r}") from None
         if schema.hour_convention == "hour-ending":
             hour -= 1  # hour ending 01..24 labels the interval starting 00..23
     if not 0 <= hour <= 23 or not 0 <= minute <= 59:
         raise ValueError(f"time {text!r} out of range")
-    return hour, minute
-
-
-def _full_date_span(dates) -> tuple[dt.date, ...]:
-    lo, hi = min(dates), max(dates)
-    return tuple(lo + dt.timedelta(days=i) for i in range((hi - lo).days + 1))
-
-
-def pivot_wide(table: LongRecordTable, kind: str) -> tuple[WideHourlyTable, list[LongRecord]]:
-    """Reshape long records into one-day-per-row form.
-
-    The output covers the full calendar span of the input; days or hours with
-    no record become missing cells for QC to deal with.  Duplicate
-    (date, hour) records keep the first occurrence; the rest are returned as
-    dropped.
-    """
-    if not table.records:
-        raise EmptyInputError("no records to pivot")
-    fields = table.fields()
-    if len(fields) > 1:
-        raise MixedFieldError(f"pivot needs a single field, found {sorted(fields)}")
-    locations = table.locations()
-    if len(locations) > 1:
-        raise MixedFieldError(f"pivot needs a single location, found {sorted(locations)}")
-    dates = _full_date_span([r.date for r in table.records])
-    index = {d: i for i, d in enumerate(dates)}
-    values = np.full((len(dates), 24), np.nan)
-    dropped: list[LongRecord] = []
-    for rec in table.records:
-        i = index[rec.date]
-        if np.isnan(values[i, rec.hour]):
-            values[i, rec.hour] = rec.value
-        else:
-            dropped.append(rec)
-    return WideHourlyTable(dates, values, kind), dropped
-
-
-def resample_weather_hourly(table: LongRecordTable) -> WideHourlyTable:
-    """Average sub-hourly weather records into an hourly wide table."""
-    if not table.records:
-        raise EmptyInputError("no records to resample")
-    fields = table.fields()
-    if len(fields) > 1:
-        raise MixedFieldError(f"resample needs a single field, found {sorted(fields)}")
-    kind = next(iter(fields))
-    dates = _full_date_span([r.date for r in table.records])
-    index = {d: i for i, d in enumerate(dates)}
-    sums = np.zeros((len(dates), 24))
-    counts = np.zeros((len(dates), 24), dtype=np.int64)
-    for rec in table.records:
-        i = index[rec.date]
-        sums[i, rec.hour] += rec.value
-        counts[i, rec.hour] += 1
-    values = np.full_like(sums, np.nan)
-    seen = counts > 0
-    values[seen] = sums[seen] / counts[seen]
-    return WideHourlyTable(dates, values, kind)
+    return hour

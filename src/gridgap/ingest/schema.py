@@ -1,13 +1,12 @@
 """Source descriptors: how to read one provider's raw CSV.
 
 A descriptor is a plain key-value text file (``key = value`` per line, ``#``
-comments).  It names the columns to read, the hour convention, a unit factor,
-and an optional whole-hour shift applied to every timestamp:
+comments).  It names the table kind, the columns to read, the hour
+convention, a unit factor, and an optional whole-hour shift applied to every
+timestamp:
 
     name = toy_market
     kind = load
-    field = load
-    location = CITY
     date_column = Date
     date_format = %m/%d/%Y
     hour_column = HourEnding
@@ -16,12 +15,16 @@ and an optional whole-hour shift applied to every timestamp:
     unit_factor = 1.0
     hour_shift = 0
 
+``kind`` names the wide table the source becomes.  An hourly source keeps
+the first reading of each (date, hour) cell and drops later duplicates.
 ``time_column`` (HH:MM) replaces ``hour_column`` for sub-hourly sources such
-as minute-level weather.
+as minute-level weather, whose readings are averaged per hour.  Keys the
+descriptor does not use are ignored.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import SchemaError
@@ -50,8 +53,6 @@ class SourceSchema:
 
     name: str
     kind: str
-    field: str
-    location: str
     date_column: str
     value_column: str
     date_format: str = "%Y-%m-%d"
@@ -71,8 +72,8 @@ class SourceSchema:
             )
         if bool(self.hour_column) == bool(self.time_column):
             raise SchemaError("exactly one of hour_column / time_column is required")
-        if self.unit_factor <= 0:
-            raise SchemaError(f"unit_factor must be positive, got {self.unit_factor}")
+        if not (math.isfinite(self.unit_factor) and self.unit_factor > 0):
+            raise SchemaError(f"unit_factor must be positive and finite, got {self.unit_factor}")
 
     @property
     def required_columns(self) -> tuple[str, ...]:
@@ -82,15 +83,13 @@ class SourceSchema:
     @classmethod
     def from_text(cls, text: str) -> "SourceSchema":
         pairs = parse_keyvalue_text(text)
-        required = ("name", "kind", "field", "location", "date_column", "value_column")
+        required = ("name", "kind", "date_column", "value_column")
         missing = [k for k in required if k not in pairs]
         if missing:
             raise SchemaError(f"descriptor missing keys: {missing}")
         kwargs = dict(
             name=pairs["name"],
             kind=pairs["kind"],
-            field=pairs["field"],
-            location=pairs["location"],
             date_column=pairs["date_column"],
             value_column=pairs["value_column"],
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,41 +29,6 @@ def format_value(v: float) -> str:
     if np.isnan(v):
         return ""
     return repr(float(v))
-
-
-@dataclass(frozen=True)
-class LongRecord:
-    """One observation from a raw source file."""
-
-    date: dt.date
-    hour: int
-    field: str
-    value: float
-    location: str
-    minute: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.hour <= 23:
-            raise ParameterError(f"hour {self.hour} outside 0..23")
-        if not 0 <= self.minute <= 59:
-            raise ParameterError(f"minute {self.minute} outside 0..59")
-
-
-@dataclass
-class LongRecordTable:
-    """Parsed records plus the raw lines that failed to parse."""
-
-    records: list[LongRecord] = field(default_factory=list)
-    rejects: list[tuple[int, str]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def fields(self) -> set[str]:
-        return {r.field for r in self.records}
-
-    def locations(self) -> set[str]:
-        return {r.location for r in self.records}
 
 
 @dataclass

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -37,15 +38,22 @@ def irf(model: RVarModel, shock, horizon: int) -> IrfResult:
     if horizon < 0:
         raise ParameterError(f"horizon must be >= 0, got {horizon}")
     j = model.shock_index(shock)
-    n, p = model.n_vars, model.p
-    resp = np.zeros((horizon + 1, n))
-    resp[0, j] = 1.0
-    for t in range(1, horizon + 1):
-        acc = np.zeros(n)
-        for k in range(1, min(t, p) + 1):
-            acc += model.coeffs[k - 1] @ resp[t - k]
-        resp[t] = acc
+    resp = np.array(list(islice(_response_steps(model, j), horizon + 1)))
     return IrfResult(model.names, model.names[j], resp)
+
+
+def _response_steps(model: RVarModel, j: int):
+    """Responses to a unit impulse in variable ``j``: the impact, then one per step."""
+    n, p, coeffs = model.n_vars, model.p, list(model.coeffs)
+    step = np.zeros(n)
+    step[j] = 1.0
+    recent: list[np.ndarray] = []  # the last p responses, newest first
+    while True:
+        yield step
+        recent = [step] + recent[: p - 1]
+        step = np.zeros(n)
+        for coeff, lagged in zip(coeffs, recent):
+            step += coeff @ lagged
 
 
 @dataclass(frozen=True)
@@ -75,21 +83,12 @@ def irf_cumulative(
         raise DivergenceError(
             "cumulative responses diverge: companion eigenvalue modulus >= 1"
         )
-    n, p = model.n_vars, model.p
-    recent = [np.zeros(n) for _ in range(p)]
-    step = np.zeros(n)
-    step[j] = 1.0
-    total = step.copy()
+    steps = _response_steps(model, j)
+    total = next(steps).copy()
     path = [total.copy()]
-    t = 0
-    while True:
-        t += 1
+    for t, step in enumerate(steps, start=1):
         if t > max_steps:
             raise DivergenceError(f"no convergence within {max_steps} steps")
-        recent = [step] + recent[:-1]
-        step = np.zeros(n)
-        for k in range(1, min(t, p) + 1):
-            step += model.coeffs[k - 1] @ recent[k - 1]
         total += step
         if horizon is None or t <= horizon:
             path.append(total.copy())

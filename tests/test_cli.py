@@ -241,6 +241,26 @@ class TestIngest:
         table = read_wide_csv(out / "load.wide.csv", "load")
         assert table.values[3, 6] == 900.0
 
+    def test_minute_source_averaged_per_hour(self, tmp_path):
+        days = make_dates(3, "2020-01-01")
+        lines = ["day,time,rh"]
+        for d in days:
+            for h in range(24):
+                for minute in (0, 20, 40):
+                    lines.append(f"{d.isoformat()},{h:02d}:{minute:02d},{50 + h + minute / 10}")
+        (tmp_path / "raw.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "rh.schema").write_text(
+            "name = wx\nkind = humidity\nfield = rh\nlocation = all\n"
+            "date_column = day\ntime_column = time\nvalue_column = rh\n"
+        )
+        (tmp_path / "ingest.cfg").write_text("source.rh.data = raw.csv\nsource.rh.schema = rh.schema\n")
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(tmp_path / "ingest.cfg"), "--out", str(out)]) == 0
+        table = read_wide_csv(out / "rh.wide.csv", "humidity")
+        assert table.dates == days
+        assert table.values.tolist() == [[52.0 + h for h in range(24)]] * 3  # mean of h:00, h:20, h:40
+        assert "duplicates_dropped = 0" in (out / "rh.qc.txt").read_text().splitlines()
+
     def test_missing_data_file(self, tmp_path, capsys):
         (tmp_path / "ingest.cfg").write_text("source.x.data = gone.csv\nsource.x.schema = s\n")
         assert main(["ingest", "--config", str(tmp_path / "ingest.cfg")]) == 1

@@ -5,18 +5,13 @@ import pytest
 
 from gridgap.errors import (
     EmptyInputError,
-    MixedFieldError,
     SchemaError,
 )
 from gridgap.ingest import (
-    LongRecord,
-    LongRecordTable,
     SourceSchema,
     parse_source,
-    pivot_wide,
     read_series_csv,
     read_wide_csv,
-    resample_weather_hourly,
     write_wide_csv,
 )
 
@@ -25,8 +20,6 @@ from conftest import make_hourly_table
 LOAD_SCHEMA = SourceSchema(
     name="toy",
     kind="load",
-    field="load",
-    location="CITY",
     date_column="Date",
     value_column="Load",
     date_format="%m/%d/%Y",
@@ -126,7 +119,7 @@ class TestSchema:
         # toy descriptor
         name = toy
         kind = load
-        field = load
+        field = load  # a key the descriptor does not use is ignored
         location = CITY
         date_column = Date
         date_format = %m/%d/%Y
@@ -139,6 +132,14 @@ class TestSchema:
         assert schema.unit_factor == 0.001
         assert schema.hour_convention == "hour-ending"
 
+    @pytest.mark.parametrize("factor", [0.0, -1.0, float("inf"), float("nan")])
+    def test_unit_factor_must_be_positive_and_finite(self, factor):
+        with pytest.raises(SchemaError, match="unit_factor"):
+            SourceSchema(
+                name="x", kind="load", date_column="d", value_column="v", hour_column="h",
+                unit_factor=factor,
+            )
+
     def test_missing_keys_rejected(self):
         with pytest.raises(SchemaError):
             SourceSchema.from_text("name = x\nkind = load\n")
@@ -146,7 +147,7 @@ class TestSchema:
     def test_bad_convention_rejected(self):
         with pytest.raises(SchemaError):
             SourceSchema(
-                name="x", kind="load", field="load", location="Y",
+                name="x", kind="load",
                 date_column="d", value_column="v", hour_column="h",
                 hour_convention="sideways",
             )
@@ -154,7 +155,7 @@ class TestSchema:
     def test_hour_and_time_column_mutually_exclusive(self):
         with pytest.raises(SchemaError):
             SourceSchema(
-                name="x", kind="load", field="load", location="Y",
+                name="x", kind="load",
                 date_column="d", value_column="v",
                 hour_column="h", time_column="t",
             )
@@ -163,28 +164,31 @@ class TestSchema:
 class TestParseSource:
     def test_hour_ending_shifts_to_zero_based(self):
         raw = "Date,HourEnding,Load\n01/02/2020,1,55.5\n01/02/2020,24,60.0\n"
-        table = parse_source(raw, LOAD_SCHEMA)
-        assert [r.hour for r in table.records] == [0, 23]
-        assert table.records[0].date == dt.date(2020, 1, 2)
+        wide, report = parse_source(raw, LOAD_SCHEMA)
+        assert wide.dates == (dt.date(2020, 1, 2),)
+        assert (wide.values[0, 0], wide.values[0, 23]) == (55.5, 60.0)
+        assert np.isnan(wide.values[0, 1:23]).all()
+        assert (wide.kind, report.rejects, report.duplicates_dropped) == ("load", [], 0)
 
     def test_unit_factor_applied(self):
         schema = SourceSchema(
-            name="x", kind="load", field="load", location="Y",
+            name="x", kind="load",
             date_column="Date", value_column="Load", hour_column="H",
             unit_factor=0.5,
         )
-        table = parse_source("Date,H,Load\n2020-01-01,0,10\n", schema)
-        assert table.records[0].value == 5.0
+        wide, _ = parse_source("Date,H,Load\n2020-01-01,0,10\n", schema)
+        assert wide.values[0, 0] == 5.0
 
     def test_hour_shift_crosses_midnight(self):
         schema = SourceSchema(
-            name="x", kind="load", field="load", location="Y",
+            name="x", kind="load",
             date_column="Date", value_column="Load", hour_column="H",
             hour_shift=-5,
         )
-        table = parse_source("Date,H,Load\n2020-01-01,2,10\n", schema)
-        rec = table.records[0]
-        assert (rec.date, rec.hour) == (dt.date(2019, 12, 31), 21)
+        wide, _ = parse_source("Date,H,Load\n2020-01-01,2,10\n2020-01-01,9,20\n", schema)
+        assert wide.dates == (dt.date(2019, 12, 31), dt.date(2020, 1, 1))
+        assert (wide.values[0, 21], wide.values[1, 4]) == (10.0, 20.0)
+        assert np.isfinite(wide.values).sum() == 2
 
     def test_malformed_rows_become_rejects_with_line_numbers(self):
         raw = (
@@ -194,16 +198,30 @@ class TestParseSource:
             "01/02/2020,99,10\n"
             "01/02/2020,3,notanumber\n"
         )
-        table = parse_source(raw, LOAD_SCHEMA)
-        assert len(table.records) == 1
-        assert [lineno for lineno, _ in table.rejects] == [3, 4, 5]
+        wide, report = parse_source(raw, LOAD_SCHEMA)
+        assert np.isfinite(wide.values).sum() == 1
+        assert [lineno for lineno, _ in report.rejects] == [3, 4, 5]
+
+    @pytest.mark.parametrize(
+        "time_column, cell, reason",
+        [("", "ab", "bad hour 'ab'"), ("T", "1:xx", "bad time '1:xx'"), ("T", "7", "bad time '7'")],
+    )
+    def test_unparseable_time_cell_reason_names_the_cell(self, time_column, cell, reason):
+        schema = SourceSchema(
+            name="x", kind="load", date_column="Date", value_column="Load",
+            hour_column="" if time_column else "T", time_column=time_column,
+        )
+        first = "0:00" if time_column else "0"
+        _, report = parse_source(f"Date,T,Load\n2020-01-01,{first},1\n2020-01-01,{cell},2\n", schema)
+        assert report.rejects == [(3, reason)]
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "Infinity"])
     def test_non_finite_value_is_a_reject(self, cell):
         raw = f"Date,HourEnding,Load\n01/02/2020,1,55.5\n01/02/2020,2,{cell}\n"
-        table = parse_source(raw, LOAD_SCHEMA)
-        assert [r.value for r in table.records] == [55.5]
-        assert table.rejects == [(3, f"bad value {cell!r}")]
+        wide, report = parse_source(raw, LOAD_SCHEMA)
+        assert wide.values[0, 0] == 55.5
+        assert np.isnan(wide.values[0, 1:]).all()
+        assert report.rejects == [(3, f"bad value {cell!r}")]
 
     def test_missing_column_is_schema_error(self):
         with pytest.raises(SchemaError):
@@ -216,52 +234,39 @@ class TestParseSource:
 
 class TestPivot:
     def test_duplicates_keep_first_occurrence(self):
-        table = LongRecordTable(
-            records=[
-                LongRecord(dt.date(2020, 1, 1), 3, "load", 10.0, "CITY"),
-                LongRecord(dt.date(2020, 1, 1), 3, "load", 99.0, "CITY"),
-            ]
-        )
-        wide, dropped = pivot_wide(table, "load")
+        raw = "Date,HourEnding,Load\n01/01/2020,4,10\n01/01/2020,4,99\n"
+        wide, report = parse_source(raw, LOAD_SCHEMA)
         assert wide.values[0, 3] == 10.0
-        assert len(dropped) == 1 and dropped[0].value == 99.0
+        assert report.duplicates_dropped == 1
 
     def test_absent_cells_missing_and_full_span(self):
-        table = LongRecordTable(
-            records=[
-                LongRecord(dt.date(2020, 1, 1), 0, "load", 1.0, "CITY"),
-                LongRecord(dt.date(2020, 1, 3), 0, "load", 3.0, "CITY"),
-            ]
-        )
-        wide, _ = pivot_wide(table, "load")
+        raw = "Date,HourEnding,Load\n01/01/2020,1,1\n01/03/2020,1,3\n"
+        wide, _ = parse_source(raw, LOAD_SCHEMA)
         assert len(wide) == 3  # includes the empty middle day
         assert np.isnan(wide.values[1]).all()
         assert np.isnan(wide.values[0, 1:]).all()
-
-    def test_mixed_fields_rejected(self):
-        table = LongRecordTable(
-            records=[
-                LongRecord(dt.date(2020, 1, 1), 0, "load", 1.0, "CITY"),
-                LongRecord(dt.date(2020, 1, 1), 1, "temperature", 1.0, "CITY"),
-            ]
-        )
-        with pytest.raises(MixedFieldError):
-            pivot_wide(table, "load")
+        assert wide.values[2, 0] == 3.0
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
-            pivot_wide(LongRecordTable(), "load")
+        with pytest.raises(EmptyInputError, match="source toy: no usable rows"):
+            parse_source("Date,HourEnding,Load\n", LOAD_SCHEMA)
+
+    def test_every_row_rejected(self):
+        raw = "Date,HourEnding,Load\nnot-a-date,1,5\n01/01/2020,1,inf\n"
+        with pytest.raises(EmptyInputError, match="source toy: no usable rows"):
+            parse_source(raw, LOAD_SCHEMA)
 
 
 class TestResample:
     def test_minute_records_average_within_hour(self):
-        records = [
-            LongRecord(dt.date(2020, 1, 1), 0, "temperature", 10.0, "CITY", minute=0),
-            LongRecord(dt.date(2020, 1, 1), 0, "temperature", 20.0, "CITY", minute=30),
-            LongRecord(dt.date(2020, 1, 1), 1, "temperature", 7.0, "CITY", minute=15),
-        ]
-        wide = resample_weather_hourly(LongRecordTable(records=records))
+        schema = SourceSchema(
+            name="wx", kind="temperature",
+            date_column="Date", value_column="T", time_column="Time",
+        )
+        raw = "Date,Time,T\n2020-01-01,00:00,10\n2020-01-01,00:30,20\n2020-01-01,01:15,7\n"
+        wide, report = parse_source(raw, schema)
         assert wide.kind == "temperature"
         assert wide.values[0, 0] == 15.0
         assert wide.values[0, 1] == 7.0
         assert np.isnan(wide.values[0, 2])
+        assert report.duplicates_dropped == 0
