@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Every subcommand reads one key-value config file (paths inside it resolve
-against the config file's directory) and funnels all randomness through a
-single ``--seed`` flag.  ``main`` owns the run: it loads the config, hands
-the command a ``RunRecorder``, and writes ``run_manifest.json`` next to the
-outputs when the command returns.  Exit codes: 0 success, 1 error or bad
-usage (no manifest), 2 finished but with unresolved data gaps, 3 model
-search rejected every candidate.
+Every subcommand reads one key-value config file, parsed by ``main`` against
+the command's key table (``parse_config``) before the command runs, and
+funnels all randomness through a single ``--seed`` flag.  ``main`` hands the
+command the typed values and a ``RunRecorder``, and writes
+``run_manifest.json`` next to the outputs when the command returns.  Exit
+codes: 0 success, 1 error or bad usage (no manifest), 2 finished but with
+unresolved data gaps, 3 model search rejected every candidate.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime as dt
+import difflib
 import io
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -45,6 +47,7 @@ from ..ingest import (
     read_wide_csv,
     write_wide_csv,
 )
+from ..ingest.schema import decode_text
 from ..ntl import load_raster, process_raster, read_metadata, write_grid
 from ..rvar import fevd, irf, irf_cumulative, load_model, run_diagnostics, save_model
 from ..search import ScoringConfig, SearchSpace, run_search, search_log_csv
@@ -61,9 +64,6 @@ OUT_ENV = "GRIDGAP_OUT"
 JOBS_ENV = "GRIDGAP_JOBS"
 DEFAULT_OUT = "gridgap-out"
 
-_TRUTHY = {"true", "yes", "1", "on"}
-_FALSY = {"false", "no", "0", "off"}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of exiting, so main() owns exit codes."""
@@ -72,92 +72,92 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# ---------------------------------------------------------------- config access
+# ---------------------------------------------------------------- config keys
+
+REQUIRED = object()  # a default: the command cannot run without the key
+_BOOLS = {"true": True, "yes": True, "1": True, "on": True}
+_BOOLS |= {"false": False, "no": False, "0": False, "off": False}
+# how each scalar type reads a value, and what a bad one should have been
+_SCALARS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    bool: (lambda text: _BOOLS[text.strip().lower()], "true/false"),
+    dt.date: (dt.date.fromisoformat, "YYYY-MM-DD"),
+}
 
 
-def _load_config(path: str) -> tuple[dict[str, str], Path]:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
-    cfg = parse_keyvalue_text(p.read_text())
-    if not cfg:
-        raise ConfigError(f"{p}: config file defines no keys")
-    return cfg, p.parent
+def _missing(key: str) -> ConfigError:
+    return ConfigError(f"config is missing required key '{key}'")
 
 
-def _cfg_get(cfg: dict, key: str) -> str:
-    if key not in cfg:
-        raise ConfigError(f"config is missing required key '{key}'")
-    return cfg[key]
-
-
-def _cfg_path(cfg: dict, key: str, base: Path, recorder: RunRecorder) -> Path:
-    path = Path(_cfg_get(cfg, key))
-    if not path.is_absolute():
-        path = base / path
+def _value(kind, key: str, text: str, base=None, rec=None):
+    if kind in _SCALARS:
+        convert, expected = _SCALARS[kind]
+        try:
+            return convert(text)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{key}: expected {expected}, got '{text}'") from None
+    if kind is str:
+        return text
+    if kind not in (Path, bytes):
+        return kind(key, text)
+    path = base / text
     if not path.is_file():
         raise ConfigError(f"{key}: file not found: {path}")
-    recorder.record_input(path)
-    return path
+    data = path.read_bytes() if kind is bytes else None
+    rec.record_input(path, data)
+    return path if data is None else (path, data)
 
 
-def _cfg_int(cfg: dict, key: str, default: int) -> int:
-    raw = cfg.get(key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got '{raw}'") from None
+def parse_config(config: str, keys: dict, rec: RunRecorder) -> dict:
+    """Typed values of the config file ``config`` by a command's table ``keys``.
 
-
-def _cfg_float(cfg: dict, key: str, default: float) -> float:
-    raw = cfg.get(key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got '{raw}'") from None
-
-
-def _cfg_bool(cfg: dict, key: str, default: bool) -> bool:
-    raw = cfg.get(key)
-    if raw is None:
-        return default
-    low = raw.strip().lower()
-    if low in _TRUTHY:
-        return True
-    if low in _FALSY:
-        return False
-    raise ConfigError(f"{key}: expected true/false, got '{raw}'")
-
-
-def _cfg_date(cfg: dict, key: str) -> dt.date:
-    raw = _cfg_get(cfg, key)
-    try:
-        return dt.date.fromisoformat(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected YYYY-MM-DD, got '{raw}'") from None
-
-
-def _resolve_out(args) -> Path:
-    return Path(args.out or os.environ.get(OUT_ENV) or DEFAULT_OUT)
+    The table maps a key, or a family such as ``sign.<variable>``, to (kind,
+    default).  A family's value maps each member to its value.  A kind is a
+    type of ``_SCALARS``, ``str``, a parser ``kind(key, text)``, or a file
+    resolved against the config's directory and recorded: ``Path`` gives its
+    path, ``bytes`` (path, contents).  An absent key takes its default, is
+    left out when that is None, and fails when it is ``REQUIRED``; a key in
+    no row fails before any value is read.
+    """
+    path = Path(config)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    data = path.read_bytes()
+    raw = parse_keyvalue_text(decode_text(data, path))
+    if not raw:
+        raise ConfigError(f"{path}: config file defines no keys")
+    rec.record_input(config, data)
+    patterns = {name: re.compile(re.sub(r"<\w+>", "(.+)", re.escape(name))) for name in keys}
+    found = []
+    for key in raw:
+        match = next(((n, m) for n, p in patterns.items() if (m := p.fullmatch(key))), None)
+        if match is None:
+            closest = difflib.get_close_matches(key, list(keys), n=1, cutoff=0)[0]
+            raise ConfigError(f"unknown key '{key}' (closest known key: '{closest}')")
+        found.append((key, *match))
+    values = {name: {} for name in keys if "<" in name}
+    for name, (kind, default) in keys.items():
+        if name not in raw and name not in values and default is not None:
+            if default is REQUIRED:
+                raise _missing(name)
+            values[name] = default
+    for key, name, match in found:
+        value = _value(keys[name][0], key, raw[key], path.parent, rec)
+        if match.lastindex:
+            values[name][match[1]] = value
+        else:
+            values[name] = value
+    return values
 
 
 def _resolve_jobs(args) -> int:
-    raw = args.jobs
-    if raw is None:
-        env = os.environ.get(JOBS_ENV)
-        if env is None:
-            return 1
-        try:
-            raw = int(env)
-        except ValueError:
-            raise ConfigError(f"{JOBS_ENV}: expected an integer, got '{env}'") from None
-    if raw < 1:
-        raise ConfigError(f"jobs must be >= 1, got {raw}")
-    return raw
+    jobs = args.jobs
+    if jobs is None:
+        jobs = _value(int, JOBS_ENV, os.environ.get(JOBS_ENV, "1"))
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    return jobs
 
 
 def _write_text(rec: RunRecorder, name: str, text: str) -> None:
@@ -175,73 +175,52 @@ def _write_csv(rec: RunRecorder, name: str, header: list[str], rows) -> None:
 # ---------------------------------------------------------------- ingest / qc
 
 
-def _clean_table(table, backup, parsed: QcReport | None = None):
-    """Outlier pass, gap fill, then one report merged after ``parsed``."""
+def _clean(rec: RunRecorder, names, table, backup, parsed=None, label: str = "") -> int:
+    """Outlier pass and gap fill, the report merged after ``parsed``; writes
+    the cleaned table and the report to ``names``, returns the unresolved count."""
     flagged, outlier_report = qc_outliers(table)
-    filled, fill_report = qc_fill_missing(flagged, backup)
-    return filled, (parsed or QcReport()).merge(outlier_report).merge(fill_report)
+    cleaned, fill_report = qc_fill_missing(flagged, backup)
+    report = (parsed or QcReport()).merge(outlier_report).merge(fill_report)
+    write_wide_csv(cleaned, rec.output(names[0]))
+    _write_text(rec, names[1], report.to_text())
+    print(
+        f"{label}{len(cleaned.dates)} days, {len(report.outliers)} outliers,"
+        f" {len(report.fills)} fills, {len(report.unresolved)} unresolved"
+    )
+    return len(report.unresolved)
 
 
-def cmd_ingest(cfg: dict, base: Path, rec: RunRecorder) -> int:
-    labels = sorted({k.split(".")[1] for k in cfg if k.startswith("source.") and k.count(".") == 2})
-    if not labels:
+def _sources(cfg: dict, prefix: str) -> dict:
+    """{label: (raw bytes, descriptor)} of the ``prefix.<label>.data|schema`` pairs."""
+    data, schemas = cfg[f"{prefix}.<label>.data"], cfg[f"{prefix}.<label>.schema"]
+    for label in sorted(data.keys() ^ schemas.keys()):
+        raise _missing(f"{prefix}.{label}.{'schema' if label in data else 'data'}")
+    return {label: (data[label][1], SourceSchema.from_file(schemas[label])) for label in data}
+
+
+def cmd_ingest(cfg: dict, rec: RunRecorder) -> int:
+    sources, backups = _sources(cfg, "source"), _sources(cfg, "backup")
+    if not sources:
         raise ConfigError("config defines no source.<label>.data / source.<label>.schema pairs")
+    for label in sorted(backups.keys() - sources.keys()):
+        raise ConfigError(f"backup.{label}.data: no source.{label}.data to back up")
     unresolved = 0
-    for label in labels:
-        data_path = _cfg_path(cfg, f"source.{label}.data", base, rec)
-        schema = SourceSchema.from_file(_cfg_path(cfg, f"source.{label}.schema", base, rec))
-        wide, parsed = parse_source(data_path.read_text(), schema)
-        backup = None
-        if f"backup.{label}.data" in cfg:
-            bdata = _cfg_path(cfg, f"backup.{label}.data", base, rec)
-            bschema = SourceSchema.from_file(_cfg_path(cfg, f"backup.{label}.schema", base, rec))
-            backup, _ = parse_source(bdata.read_text(), bschema)
-        cleaned, report = _clean_table(wide, backup, parsed)
-        write_wide_csv(cleaned, rec.output(f"{label}.wide.csv"))
-        _write_text(rec, f"{label}.qc.txt", report.to_text())
-        unresolved += len(report.unresolved)
-        print(
-            f"{label}: {len(cleaned.dates)} days, {len(report.outliers)} outliers,"
-            f" {len(report.fills)} fills, {len(report.unresolved)} unresolved"
-        )
+    for label, (raw, schema) in sorted(sources.items()):
+        wide, parsed = parse_source(raw, schema)
+        backup = parse_source(*backups[label])[0] if label in backups else None
+        names = (f"{label}.wide.csv", f"{label}.qc.txt")
+        unresolved += _clean(rec, names, wide, backup, parsed, f"{label}: ")
     return EXIT_GAPS if unresolved else EXIT_OK
 
 
-def cmd_qc_report(cfg: dict, base: Path, rec: RunRecorder) -> int:
-    kind = _cfg_get(cfg, "kind")
-    table = read_wide_csv(_cfg_path(cfg, "table", base, rec), kind)
-    backup = None
-    if "backup" in cfg:
-        backup = read_wide_csv(_cfg_path(cfg, "backup", base, rec), kind)
-    cleaned, report = _clean_table(table, backup)
-    write_wide_csv(cleaned, rec.output("cleaned.wide.csv"))
-    _write_text(rec, "qc_report.txt", report.to_text())
-    print(
-        f"{len(cleaned.dates)} days, {len(report.outliers)} outliers,"
-        f" {len(report.fills)} fills, {len(report.unresolved)} unresolved"
-    )
-    return EXIT_GAPS if report.unresolved else EXIT_OK
+def cmd_qc_report(cfg: dict, rec: RunRecorder) -> int:
+    table = read_wide_csv(cfg["table"], cfg["kind"])
+    backup = read_wide_csv(cfg["backup"], cfg["kind"]) if "backup" in cfg else None
+    unresolved = _clean(rec, ("cleaned.wide.csv", "qc_report.txt"), table, backup)
+    return EXIT_GAPS if unresolved else EXIT_OK
 
 
 # ---------------------------------------------------------------- backcast
-
-
-def _parse_gdp(cfg: dict):
-    """Scalar 'gdp' key, or 'gdp.YYYY-MM' step keys applied per month."""
-    steps = {}
-    for key, raw in cfg.items():
-        if not key.startswith("gdp."):
-            continue
-        month = _month_key(key, key[4:])
-        try:
-            steps[month] = float(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected gdp.YYYY-MM = value") from None
-    if steps and "gdp" in cfg:
-        raise ConfigError("give either a scalar 'gdp' or 'gdp.YYYY-MM' steps, not both")
-    if steps:
-        return steps
-    return _cfg_float(cfg, "gdp", 1.0)
 
 
 def _month_key(name: str, raw: str) -> tuple[int, int]:
@@ -256,36 +235,37 @@ def _month_key(name: str, raw: str) -> tuple[int, int]:
     return key
 
 
-def _training_config(cfg: dict, seed: int) -> TrainingConfig:
-    return TrainingConfig(
-        candidates=_cfg_int(cfg, "candidates", 800),
-        keep_fraction=_cfg_float(cfg, "keep_fraction", 0.25),
-        split=_cfg_float(cfg, "split", 0.85),
-        width_range=(_cfg_int(cfg, "width_lo", 8), _cfg_int(cfg, "width_hi", 64)),
-        seed=seed,
-        epochs=_cfg_int(cfg, "epochs", 400),
-        learning_rate=_cfg_float(cfg, "learning_rate", 0.01),
-    )
+def _gdp(cfg: dict):
+    """Scalar 'gdp' key, or 'gdp.YYYY-MM' step keys applied per month."""
+    steps = {}
+    for month, text in cfg["gdp.<month>"].items():
+        key = _month_key(f"gdp.{month}", month)
+        try:
+            steps[key] = float(text)
+        except ValueError:
+            raise ConfigError(f"gdp.{month}: expected gdp.YYYY-MM = value") from None
+    if steps and "gdp" in cfg:
+        raise ConfigError("give either a scalar 'gdp' or 'gdp.YYYY-MM' steps, not both")
+    return steps or cfg.get("gdp", 1.0)
 
 
-def cmd_backcast(cfg: dict, base: Path, rec: RunRecorder) -> int:
-    load_table = read_wide_csv(_cfg_path(cfg, "load", base, rec), "load")
-    weather = {
-        kind: read_wide_csv(_cfg_path(cfg, f"weather.{kind}", base, rec), kind)
-        for kind in DEFAULT_WEATHER_KINDS
-    }
-    gdp = _parse_gdp(cfg)
-    eval_start, eval_end = _cfg_date(cfg, "eval_start"), _cfg_date(cfg, "eval_end")
+def cmd_backcast(cfg: dict, rec: RunRecorder) -> int:
+    load_table = read_wide_csv(cfg["load"], "load")
+    weather = {kind: read_wide_csv(cfg[f"weather.{kind}"], kind) for kind in DEFAULT_WEATHER_KINDS}
+    gdp = _gdp(cfg)
+    eval_start, eval_end = cfg["eval_start"], cfg["eval_end"]
     years = {eval_start.year, eval_end.year}
     if "ensemble" not in cfg:
-        train_start, train_end = _cfg_date(cfg, "train_start"), _cfg_date(cfg, "train_end")
+        for key in ("train_start", "train_end"):
+            if key not in cfg:
+                raise _missing(key)
+        train_start, train_end = cfg["train_start"], cfg["train_end"]
         years |= {train_start.year, train_end.year}
     holidays = federal_holidays(range(min(years), max(years) + 1))
 
     feature_config = FeatureConfig()
     if "ensemble" in cfg:
-        path = _cfg_path(cfg, "ensemble", base, rec)
-        raw = path.read_bytes()
+        path, raw = cfg["ensemble"]
         ensemble = load_ensemble(path, raw)
         feature_config = ensemble.feature_config
         # the validated bytes, not a re-serialization: save(load(f)) == f for
@@ -295,7 +275,12 @@ def cmd_backcast(cfg: dict, base: Path, rec: RunRecorder) -> int:
         daily = load_table.daily_mean_frame("load", require_full_day=True)
         daily = daily.slice_dates(train_start, train_end)
         features = feature_matrix(daily.dates, weather, gdp, holidays, feature_config)
-        training = _training_config(cfg, rec.seed)
+        names = ("candidates", "keep_fraction", "split", "epochs", "learning_rate")
+        training = TrainingConfig(
+            **{n: cfg[n] for n in names},
+            width_range=(cfg["width_lo"], cfg["width_hi"]),
+            seed=rec.seed,
+        )
         workers, budget = training_workers(training.candidates, training.epochs, rec.jobs)
         rec.details.update(training_workers=workers, blas_budget=budget)
         ensemble = train_ensemble(
@@ -322,11 +307,10 @@ def cmd_backcast(cfg: dict, base: Path, rec: RunRecorder) -> int:
         ),
     )
 
+    months = sorted({(d.year, d.month) for d in series.dates})
     if "summary_month" in cfg:
-        months = [_month_key("summary_month", cfg["summary_month"])]
-    else:
-        months = sorted({(d.year, d.month) for d in series.dates})
-    min_days = _cfg_int(cfg, "summary_min_days", 20)
+        months = [cfg["summary_month"]]
+    min_days = cfg["summary_min_days"]
     rows = []
     for year, month in months:
         try:
@@ -342,37 +326,29 @@ def cmd_backcast(cfg: dict, base: Path, rec: RunRecorder) -> int:
         rec.output("reduction.svg"),
         "daily consumption reduction (%)",
         [d.isoformat() for d in series.dates],
-        [
-            ("point", series.point),
-            ("q10", series.bounds[0.10]),
-            ("q90", series.bounds[0.90]),
-        ],
+        [("point", series.point), ("q10", series.bounds[0.10]), ("q90", series.bounds[0.90])],
     )
-    for row in rows:
-        print(row)
+    print("\n".join(rows))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- rvar search
 
 
-def _parse_subsets(raw: str) -> tuple[tuple[str, ...], ...]:
-    subsets = []
-    for chunk in raw.split(";"):
-        names = tuple(part.strip() for part in chunk.split(",") if part.strip())
-        if names:
-            subsets.append(names)
+def _parse_subsets(key: str, raw: str) -> tuple[tuple[str, ...], ...]:
+    subsets = tuple(names for chunk in raw.split(";") if (names := _parse_names(key, chunk)))
     if not subsets:
         raise ConfigError(f"subsets: no variable lists in '{raw}'")
-    return tuple(subsets)
+    return subsets
 
 
-def _parse_ranges(raw: str) -> tuple[tuple[dt.date, dt.date], ...]:
+def _parse_names(key: str, raw: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+def _parse_ranges(key: str, raw: str) -> tuple[tuple[dt.date, dt.date], ...]:
     ranges = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, (part.strip() for part in raw.split(";"))):
         start, sep, end = chunk.partition("..")
         if not sep:
             raise ConfigError(f"ranges: expected 'start..end', got '{chunk}'")
@@ -385,7 +361,7 @@ def _parse_ranges(raw: str) -> tuple[tuple[dt.date, dt.date], ...]:
     return tuple(ranges)
 
 
-def _parse_ints(raw: str, key: str) -> tuple[int, ...]:
+def _parse_ints(key: str, raw: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in raw.split(",") if part.strip())
     except ValueError:
@@ -397,40 +373,22 @@ def _parse_ints(raw: str, key: str) -> tuple[int, ...]:
 
 def _space_and_scoring(cfg: dict, frame) -> tuple[SearchSpace, ScoringConfig]:
     target = cfg.get("target", frame.names[0])
-    if "subsets" in cfg:
-        subsets = _parse_subsets(cfg["subsets"])
-    else:
-        subsets = ((target, *[n for n in frame.names if n != target]),)
-    if "ranges" in cfg:
-        ranges = _parse_ranges(cfg["ranges"])
-    else:
-        ranges = ((frame.dates[0], frame.dates[-1]),)
-    orders = _parse_ints(cfg.get("orders", "1,2,3"), "orders")
-    rules = _parse_ints(cfg.get("rules", "1,2,3"), "rules")
-    space = SearchSpace(subsets, ranges, orders, rules)
-    signs = {}
-    for key, raw in cfg.items():
-        if key.startswith("sign."):
-            signs[key[5:]] = _cfg_int(cfg, key, 0)
+    subsets = cfg.get("subsets", ((target, *[n for n in frame.names if n != target]),))
+    ranges = cfg.get("ranges", ((frame.dates[0], frame.dates[-1]),))
+    space = SearchSpace(subsets, ranges, cfg["orders"], cfg["rules"])
+    names = ("adf_alpha", "lb_alpha", "lb_lags", "irf_horizon", "fevd_horizon")
     scoring = ScoringConfig(
-        adf_alpha=_cfg_float(cfg, "adf_alpha", 0.05),
-        lb_alpha=_cfg_float(cfg, "lb_alpha", 0.05),
-        lb_lags=_cfg_int(cfg, "lb_lags", 40),
-        dw_range=(_cfg_float(cfg, "dw_lo", 1.5), _cfg_float(cfg, "dw_hi", 2.5)),
-        required_signs=signs,
-        irf_horizon=_cfg_int(cfg, "irf_horizon", 10),
-        fevd_horizon=_cfg_int(cfg, "fevd_horizon", 10),
+        **{n: cfg[n] for n in names},
+        dw_range=(cfg["dw_lo"], cfg["dw_hi"]),
+        required_signs=cfg["sign.<variable>"],
     )
     return space, scoring
 
 
-def _sweep(cfg: dict, base: Path, rec: RunRecorder):
-    """Shared search body: returns (frame, scoring, result).
-
-    When every combination is rejected it writes the failure log instead and
-    returns None.
-    """
-    frame = read_series_csv(_cfg_path(cfg, "series", base, rec))
+def _sweep(cfg: dict, rec: RunRecorder):
+    """Shared search body: (frame, scoring, result), or None once it has
+    written the failure log because every combination was rejected."""
+    frame = read_series_csv(cfg["series"])
     space, scoring = _space_and_scoring(cfg, frame)
     try:
         result = run_search(frame, space, scoring, jobs=rec.jobs)
@@ -449,34 +407,32 @@ def _sweep(cfg: dict, base: Path, rec: RunRecorder):
     return frame, scoring, result
 
 
-def cmd_search(cfg: dict, base: Path, rec: RunRecorder) -> int:
-    return EXIT_NO_MODEL if _sweep(cfg, base, rec) is None else EXIT_OK
+def cmd_search(cfg: dict, rec: RunRecorder) -> int:
+    return EXIT_NO_MODEL if _sweep(cfg, rec) is None else EXIT_OK
 
 
-def _write_irf_outputs(rec: RunRecorder, model, shocks, horizon: int, focus: str) -> None:
-    """irf.csv over all requested shocks plus a chart of the focus variable.
-
-    The chart goes first: it refuses non-finite responses, so an overflowing
-    model leaves no CSV behind.
-    """
-    results = [irf(model, shock, horizon) for shock in shocks]
-    focus_idx = model.names.index(focus)
-    line_chart(
-        rec.output("irf.svg"),
-        f"response of {focus} to unit shocks",
-        [str(t) for t in range(horizon + 1)],
-        [(r.shock, r.responses[:, focus_idx]) for r in results],
-    )
+def _write_irf(rec: RunRecorder, model, title: str, horizon: int, series, paths) -> None:
+    """irf.svg of ``series``, then irf.csv of each (shock, response path): the
+    chart refuses non-finite responses, so an overflowing model leaves no CSV."""
+    line_chart(rec.output("irf.svg"), title, [str(t) for t in range(horizon + 1)], series)
     _write_csv(
         rec,
         "irf.csv",
         ["shock", "step", *model.names],
         (
-            [r.shock, t, *(format_value(v) for v in r.responses[t])]
-            for r in results
+            [shock, t, *(format_value(v) for v in path[t])]
+            for shock, path in paths
             for t in range(horizon + 1)
         ),
     )
+
+
+def _write_irf_outputs(rec: RunRecorder, model, shocks, horizon: int, focus: str) -> None:
+    """Responses to each shock; the chart shows the focus variable's."""
+    paths = [(r.shock, r.responses) for r in (irf(model, shock, horizon) for shock in shocks)]
+    i = model.names.index(focus)
+    series = [(shock, path[:, i]) for shock, path in paths]
+    _write_irf(rec, model, f"response of {focus} to unit shocks", horizon, series, paths)
 
 
 def _write_fevd_outputs(rec: RunRecorder, model, horizon: int, focus: str, ordering=None) -> None:
@@ -501,17 +457,14 @@ def _write_fevd_outputs(rec: RunRecorder, model, horizon: int, focus: str, order
     )
 
 
-def cmd_analyze(cfg: dict, base: Path, rec: RunRecorder) -> int:
-    swept = _sweep(cfg, base, rec)
+def cmd_analyze(cfg: dict, rec: RunRecorder) -> int:
+    swept = _sweep(cfg, rec)
     if swept is None:
         return EXIT_NO_MODEL
     frame, scoring, result = swept
-    chosen = result.chosen
-    model = result.model
-    target = chosen.subset[0]
+    chosen, model, target = result.chosen, result.model, result.chosen.subset[0]
 
-    window = frame.select(chosen.subset).slice_dates(*chosen.date_range)
-    diffed = difference(window)
+    diffed = difference(frame.select(chosen.subset).slice_dates(*chosen.date_range))
     report = run_diagnostics(model, diffed, cointegration_ok=True, lb_lags=scoring.lb_lags)
     rate = chosen.stats["explainable_rate"]
     lines = [
@@ -529,69 +482,52 @@ def cmd_analyze(cfg: dict, base: Path, rec: RunRecorder) -> int:
         f"all_pass = {report.all_pass(lb_alpha=scoring.lb_alpha, dw_range=scoring.dw_range)}",
         "variable,adf_stat,adf_p,lb_q,lb_p,dw",
     ]
-    for v in report.variables:
-        lines.append(
-            ",".join(
-                [v.name] + [format_value(x) for x in (v.adf_stat, v.adf_p, v.lb_q, v.lb_p, v.dw)]
-            )
-        )
+    lines += [
+        ",".join([v.name, *(format_value(x) for x in (v.adf_stat, v.adf_p, v.lb_q, v.lb_p, v.dw))])
+        for v in report.variables
+    ]
     _write_text(rec, "diagnostics.txt", "\n".join(lines))
 
-    drivers = list(chosen.subset[1:])
-    _write_irf_outputs(rec, model, drivers, scoring.irf_horizon, target)
+    _write_irf_outputs(rec, model, chosen.subset[1:], scoring.irf_horizon, target)
     _write_fevd_outputs(rec, model, scoring.fevd_horizon, target)
     print(f"explainable rate of {target} at horizon {scoring.fevd_horizon}: {rate:.2f}%")
     return EXIT_OK
 
 
-def cmd_irf(cfg: dict, base: Path, rec: RunRecorder) -> int:
-    model = load_model(_cfg_path(cfg, "model", base, rec))
-    shock = _cfg_get(cfg, "shock")
-    horizon = _cfg_int(cfg, "horizon", 10)
+def _focus(cfg: dict, model) -> str:
     focus = cfg.get("variable", model.names[0])
     if focus not in model.names:
         raise ConfigError(f"variable: '{focus}' not in model ({', '.join(model.names)})")
-    if _cfg_bool(cfg, "cumulative", False):
+    return focus
+
+
+def cmd_irf(cfg: dict, rec: RunRecorder) -> int:
+    model = load_model(cfg["model"])
+    shock, horizon, focus = cfg["shock"], cfg["horizon"], _focus(cfg, model)
+    if cfg["cumulative"]:
         cum = irf_cumulative(model, shock, horizon)
-        line_chart(
-            rec.output("irf.svg"),
-            f"cumulative response to a unit {cum.shock} shock",
-            [str(t) for t in range(horizon + 1)],
-            [(name, cum.path[: horizon + 1, i]) for i, name in enumerate(model.names)],
-        )
-        _write_csv(
-            rec,
-            "irf.csv",
-            ["shock", "step", *model.names],
-            ([cum.shock, t, *(format_value(v) for v in cum.path[t])] for t in range(horizon + 1)),
-        )
+        series = [(name, cum.path[: horizon + 1, i]) for i, name in enumerate(model.names)]
+        title = f"cumulative response to a unit {cum.shock} shock"
+        _write_irf(rec, model, title, horizon, series, [(cum.shock, cum.path)])
     else:
         _write_irf_outputs(rec, model, [shock], horizon, focus)
     return EXIT_OK
 
 
-def cmd_fevd(cfg: dict, base: Path, rec: RunRecorder) -> int:
-    model = load_model(_cfg_path(cfg, "model", base, rec))
-    horizon = _cfg_int(cfg, "horizon", 10)
-    focus = cfg.get("variable", model.names[0])
-    if focus not in model.names:
-        raise ConfigError(f"variable: '{focus}' not in model ({', '.join(model.names)})")
-    ordering = None
-    if "ordering" in cfg:
-        ordering = tuple(part.strip() for part in cfg["ordering"].split(",") if part.strip())
-    _write_fevd_outputs(rec, model, horizon, focus, ordering)
+def cmd_fevd(cfg: dict, rec: RunRecorder) -> int:
+    model = load_model(cfg["model"])
+    _write_fevd_outputs(rec, model, cfg["horizon"], _focus(cfg, model), cfg.get("ordering"))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- trend / ntl
 
 
-def cmd_trend(cfg: dict, base: Path, rec: RunRecorder) -> int:
-    frame = read_series_csv(_cfg_path(cfg, "series", base, rec))
+def cmd_trend(cfg: dict, rec: RunRecorder) -> int:
+    frame = read_series_csv(cfg["series"])
     column = cfg.get("column", frame.names[0])
-    period = _cfg_int(cfg, "period", 7)
-    mode = cfg.get("mode", "mean")
-    result = trend_transition(frame, column, period, mode, _cfg_float(cfg, "tol_fraction", 0.05))
+    period, mode = cfg["period"], cfg["mode"]
+    result = trend_transition(frame, column, period, mode, cfg["tol_fraction"])
     raw = frame.column(column)
     _write_csv(
         rec,
@@ -603,19 +539,14 @@ def cmd_trend(cfg: dict, base: Path, rec: RunRecorder) -> int:
         ),
     )
     transition = result.transition
-    _write_text(
-        rec,
-        "transition.txt",
-        "\n".join(
-            [
-                f"begin = {transition.begin.isoformat()}",
-                f"end = {transition.end.isoformat()}",
-                f"degenerate = {str(transition.degenerate).lower()}",
-                f"mode = {mode}",
-                f"period = {period}",
-            ]
-        ),
-    )
+    lines = [
+        f"begin = {transition.begin.isoformat()}",
+        f"end = {transition.end.isoformat()}",
+        f"degenerate = {str(transition.degenerate).lower()}",
+        f"mode = {mode}",
+        f"period = {period}",
+    ]
+    _write_text(rec, "transition.txt", "\n".join(lines))
     line_chart(
         rec.output("trend.svg"),
         f"{column}: {period}-day trend",
@@ -627,17 +558,15 @@ def cmd_trend(cfg: dict, base: Path, rec: RunRecorder) -> int:
     return EXIT_OK
 
 
-def cmd_ntl(cfg: dict, base: Path, rec: RunRecorder) -> int:
-    grid_path = _cfg_path(cfg, "grid", base, rec)
-    meta_path = None
-    if "metadata" in cfg:
-        meta_path = _cfg_path(cfg, "metadata", base, rec)
+def cmd_ntl(cfg: dict, rec: RunRecorder) -> int:
+    meta_path = cfg.get("metadata")
+    if meta_path is not None:
         meta = read_metadata(meta_path)
         for key in ("flags_grid", "lunar_angle_grid"):
             if key in meta:
                 rec.record_input(meta_path.parent / meta[key])
-    raster = load_raster(grid_path, meta_path)
-    floor, smooth = _cfg_float(cfg, "floor", 10.0), _cfg_bool(cfg, "smooth", True)
+    raster = load_raster(cfg["grid"], meta_path)
+    floor, smooth = cfg["floor"], cfg["smooth"]
     result = process_raster(raster, floor, smooth)
     write_grid(rec.output("processed.grid.txt"), result.raster.intensity)
     lines = [
@@ -646,7 +575,7 @@ def cmd_ntl(cfg: dict, base: Path, rec: RunRecorder) -> int:
         f"width = {raster.width}",
         f"floor = {format_value(floor)}",
         f"smooth = {str(smooth).lower()}",
-        f"colormap = {cfg.get('colormap', 'viridis')}",
+        f"colormap = {cfg['colormap']}",
         f"repaired = {len(result.repaired)}",
         f"isolated = {len(result.isolated)}",
     ]
@@ -659,29 +588,82 @@ def cmd_ntl(cfg: dict, base: Path, rec: RunRecorder) -> int:
 
 # ---------------------------------------------------------------- entry point
 
-_COMMANDS = {
-    "ingest": (cmd_ingest, "parse raw sources into cleaned wide tables plus QC reports"),
-    "qc-report": (cmd_qc_report, "run outlier and gap checks over one wide table"),
-    "backcast": (cmd_backcast, "train the baseline ensemble and compute daily reductions"),
-    "analyze": (cmd_analyze, "model search plus diagnostics, responses, and variance shares"),
-    "irf": (cmd_irf, "impulse responses of a saved model"),
-    "fevd": (cmd_fevd, "forecast error variance shares of a saved model"),
-    "search": (cmd_search, "sweep subsets, windows, orders, and rules for one admissible model"),
-    "trend": (cmd_trend, "smoothed trend and regime-transition window of one series"),
-    "ntl": (cmd_ntl, "repair, rescale, floor, and smooth a nighttime radiance grid"),
+# search and analyze share one table: the demo feeds both the same file
+_SEARCH_KEYS = {
+    "series": (Path, REQUIRED), "target": (str, None),
+    "subsets": (_parse_subsets, None), "ranges": (_parse_ranges, None),
+    "orders": (_parse_ints, (1, 2, 3)), "rules": (_parse_ints, SearchSpace.rules),
+    "sign.<variable>": (int, None),
+    # scoring keys default to ScoringConfig's fields
+    "adf_alpha": (float, ScoringConfig.adf_alpha), "lb_alpha": (float, ScoringConfig.lb_alpha),
+    "lb_lags": (int, ScoringConfig.lb_lags),
+    "dw_lo": (float, ScoringConfig.dw_range[0]), "dw_hi": (float, ScoringConfig.dw_range[1]),
+    "irf_horizon": (int, ScoringConfig.irf_horizon),
+    "fevd_horizon": (int, ScoringConfig.fevd_horizon),
+}
+
+# each command's function, help line, and table of the keys it reads (see parse_config)
+COMMANDS = {
+    "ingest": (cmd_ingest, "parse raw sources into cleaned wide tables plus QC reports", {
+        "source.<label>.data": (bytes, None), "source.<label>.schema": (Path, None),
+        "backup.<label>.data": (bytes, None), "backup.<label>.schema": (Path, None),
+    }),
+    "qc-report": (cmd_qc_report, "run outlier and gap checks over one wide table", {
+        "table": (Path, REQUIRED), "kind": (str, REQUIRED), "backup": (Path, None),
+    }),
+    "backcast": (cmd_backcast, "train the baseline ensemble and compute daily reductions", {
+        "load": (Path, REQUIRED),
+        **{f"weather.{kind}": (Path, REQUIRED) for kind in DEFAULT_WEATHER_KINDS},
+        "gdp": (float, None), "gdp.<month>": (str, None),
+        "train_start": (dt.date, None), "train_end": (dt.date, None),
+        "eval_start": (dt.date, REQUIRED), "eval_end": (dt.date, REQUIRED),
+        "ensemble": (bytes, None),
+        "summary_month": (_month_key, None), "summary_min_days": (int, 20),
+        # training keys default to TrainingConfig's fields
+        "candidates": (int, TrainingConfig.candidates), "epochs": (int, TrainingConfig.epochs),
+        "keep_fraction": (float, TrainingConfig.keep_fraction),
+        "split": (float, TrainingConfig.split),
+        "width_lo": (int, TrainingConfig.width_range[0]),
+        "width_hi": (int, TrainingConfig.width_range[1]),
+        "learning_rate": (float, TrainingConfig.learning_rate),
+    }),
+    "analyze": (
+        cmd_analyze, "model search plus diagnostics, responses, and variance shares", _SEARCH_KEYS
+    ),
+    "irf": (cmd_irf, "impulse responses of a saved model", {
+        "model": (Path, REQUIRED), "shock": (str, REQUIRED), "horizon": (int, 10),
+        "variable": (str, None), "cumulative": (bool, False),
+    }),
+    "fevd": (cmd_fevd, "forecast error variance shares of a saved model", {
+        "model": (Path, REQUIRED), "horizon": (int, 10),
+        "variable": (str, None), "ordering": (_parse_names, None),
+    }),
+    "search": (
+        cmd_search,
+        "sweep subsets, windows, orders, and rules for one admissible model",
+        _SEARCH_KEYS,
+    ),
+    "trend": (cmd_trend, "smoothed trend and regime-transition window of one series", {
+        "series": (Path, REQUIRED), "column": (str, None),
+        "period": (int, 7), "mode": (str, "mean"), "tol_fraction": (float, 0.05),
+    }),
+    "ntl": (cmd_ntl, "repair, rescale, floor, and smooth a nighttime radiance grid", {
+        "grid": (Path, REQUIRED), "metadata": (Path, None),
+        "floor": (float, 10.0), "smooth": (bool, True), "colormap": (str, "viridis"),
+    }),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gridgap", description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (func, help_text) in _COMMANDS.items():
+    for name, (func, help_text, keys) in COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", required=True, help="key-value config file")
         sub.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
         sub.add_argument("--jobs", type=int, default=None, help=f"parallel workers (env {JOBS_ENV})")
         sub.add_argument("--out", default=None, help=f"output directory (env {OUT_ENV})")
-        sub.set_defaults(func=func)
+        sub.set_defaults(func=func, keys=keys)
     return parser
 
 
@@ -692,11 +674,9 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:
-        cfg, base = _load_config(args.config)
-        out, jobs = _resolve_out(args), _resolve_jobs(args)
-        rec = RunRecorder(args.command, out, str(args.config), args.seed, jobs)
-        rec.record_input(args.config)
-        code = args.func(cfg, base, rec)
+        out = Path(args.out or os.environ.get(OUT_ENV) or DEFAULT_OUT)
+        rec = RunRecorder(args.command, out, str(args.config), args.seed, _resolve_jobs(args))
+        code = args.func(parse_config(args.config, args.keys, rec), rec)
         rec.write()
         return code
     except (GridGapError, OSError) as exc:

@@ -42,10 +42,12 @@ class RunRecorder:
     details: dict[str, object] = field(default_factory=dict)
     started: float = field(default_factory=time.perf_counter)
 
-    def record_input(self, path) -> None:
+    def record_input(self, path, data: bytes | None = None) -> None:
+        """Record ``path``'s digest: of ``data``, its bytes already read, when given."""
         key = str(path)
         if key not in self.inputs:
-            self.inputs[key] = sha256_file(path)
+            digest = sha256_file(path) if data is None else hashlib.sha256(data).hexdigest()
+            self.inputs[key] = digest
 
     def output(self, name: str) -> Path:
         """The path of output ``name``, its directory made and the file recorded."""

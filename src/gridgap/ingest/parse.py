@@ -11,14 +11,8 @@ import numpy as np
 
 from ..errors import EmptyInputError, SchemaError
 from .qc import QcReport
-from .schema import SourceSchema
+from .schema import SourceSchema, decode_text
 from .tables import WideHourlyTable
-
-
-def _decode(data) -> str:
-    if isinstance(data, bytes):
-        return data.decode("utf-8-sig")
-    return data
 
 
 def parse_source(data, schema: SourceSchema) -> tuple[WideHourlyTable, QcReport]:
@@ -34,7 +28,7 @@ def parse_source(data, schema: SourceSchema) -> tuple[WideHourlyTable, QcReport]
     and counts the rest as dropped duplicates; a sub-hourly source
     (``time_column``) averages each hour's readings.
     """
-    text = _decode(data)
+    text = decode_text(data, f"source {schema.name}") if isinstance(data, bytes) else data
     reader = csv.reader(io.StringIO(text), delimiter=schema.delimiter)
     try:
         header = next(reader)
@@ -75,7 +69,11 @@ def parse_source(data, schema: SourceSchema) -> tuple[WideHourlyTable, QcReport]
             continue
         if schema.hour_shift:
             delta, hour = divmod(hour + schema.hour_shift, 24)
-            date = date + dt.timedelta(days=delta)
+            try:
+                date = date + dt.timedelta(days=delta)
+            except OverflowError:
+                report.rejects.append((lineno, "date out of range"))
+                continue
         days.append(date.toordinal())
         hours.append(hour)
         values.append(value * schema.unit_factor)

@@ -26,11 +26,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 from ..errors import SchemaError
 from .tables import TABLE_KINDS
 
 HOUR_CONVENTIONS = ("hour-beginning", "hour-ending")
+
+
+def decode_text(data: bytes, name) -> str:
+    """UTF-8 text of ``data`` without a leading byte-order mark; a bad byte
+    raises ``SchemaError`` naming ``name`` and the byte's offset."""
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{name}: not UTF-8 text (byte {exc.start})") from None
 
 
 def parse_keyvalue_text(text: str) -> dict[str, str]:
@@ -110,5 +120,4 @@ class SourceSchema:
 
     @classmethod
     def from_file(cls, path) -> "SourceSchema":
-        with open(path) as fh:
-            return cls.from_text(fh.read())
+        return cls.from_text(decode_text(Path(path).read_bytes(), path))

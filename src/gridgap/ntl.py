@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ParameterError, SchemaError
 from .ingest import parse_keyvalue_text
+from .ingest.schema import decode_text
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,7 @@ def write_grid(path, grid: np.ndarray) -> None:
 
 
 def read_grid(path) -> np.ndarray:
-    text = Path(path).read_text()
+    text = decode_text(Path(path).read_bytes(), path)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise SchemaError(f"{path}: empty grid file")
@@ -217,8 +218,9 @@ def write_metadata(path, meta: dict) -> None:
 
 
 def read_metadata(path) -> dict[str, str]:
+    text = decode_text(Path(path).read_bytes(), path)
     try:
-        return parse_keyvalue_text(Path(path).read_text())
+        return parse_keyvalue_text(text)
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 

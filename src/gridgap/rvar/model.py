@@ -74,6 +74,10 @@ class RVarModel:
             raise ParameterError(f"sigma_e shape {self.sigma_e.shape} != ({n}, {n})")
         if (self.coeffs[self.mask] != 0.0).any():
             raise ParameterError("masked coefficients must be exactly zero")
+        if not all(np.isfinite(a).all() for a in (self.intercept, self.coeffs, self.sigma_e)):
+            raise ParameterError("intercept, coeffs and sigma_e must be finite")
+        if len(set(self.names)) != n or not all(self.names):
+            raise ParameterError(f"names must be unique and non-empty, got {self.names}")
 
     @property
     def n_vars(self) -> int:
@@ -252,10 +256,12 @@ def load_model(path) -> RVarModel:
             raise SchemaError(f"{path}: not a JSON file ({exc})") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise SchemaError(f"{path}: not a {MODEL_FORMAT} file")
+    if type(payload.get("p")) is not int:
+        raise SchemaError(f"{path}: malformed model (p {payload.get('p')!r} is not a JSON integer)")
     try:
         return RVarModel(
             tuple(payload["names"]),
-            int(payload["p"]),
+            payload["p"],
             np.array(payload["intercept"], dtype=np.float64),
             np.array(payload["coeffs"], dtype=np.float64),
             np.array(payload["mask"], dtype=bool),

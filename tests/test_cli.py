@@ -16,6 +16,7 @@ import pytest
 import gridgap
 from gridgap.backcast import ensemble as ensemble_module
 from gridgap.backcast import training_workers
+from gridgap.cli import manifest as manifest_module
 from gridgap.cli import MANIFEST_NAME, sha256_file
 from gridgap.cli.main import main
 from gridgap.frames import TimeSeriesFrame
@@ -70,6 +71,14 @@ class TestUsage:
         cfg = tmp_path / "empty.cfg"
         cfg.write_text("# only a comment\n")
         assert main(["trend", "--config", str(cfg)]) == 1
+
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"series = s.csv\ncolumn = \xff\n")
+        out = tmp_path / "out"
+        assert main(["trend", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text (byte 24)\n"
+        assert not out.exists()
 
     def test_bad_jobs_value(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -261,6 +270,34 @@ class TestIngest:
         assert table.values.tolist() == [[52.0 + h for h in range(24)]] * 3  # mean of h:00, h:20, h:40
         assert "duplicates_dropped = 0" in (out / "rh.qc.txt").read_text().splitlines()
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("raw.csv", "source demo: not UTF-8 text"),
+            ("load.schema", "load.schema: not UTF-8 text"),
+        ],
+        ids=["raw-csv", "descriptor"],
+    )
+    def test_non_utf8_byte_exits_one(self, tmp_path, capsys, name, message):
+        cfg = self.build(tmp_path)
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes().replace(b"mw", b"m\xff", 1))
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_byte_order_mark_ingests_like_plain_text(self, tmp_path):
+        cfg = self.build(tmp_path)
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "plain")]) == 0
+        raw = tmp_path / "raw.csv"
+        raw.write_bytes(b"\xef\xbb\xbf" + raw.read_bytes())
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "bom")]) == 0
+        for name in ("load.wide.csv", "load.qc.txt"):
+            plain, bom = (tmp_path / out / name for out in ("plain", "bom"))
+            assert bom.read_bytes() == plain.read_bytes()
+
     def test_missing_data_file(self, tmp_path, capsys):
         (tmp_path / "ingest.cfg").write_text("source.x.data = gone.csv\nsource.x.schema = s\n")
         assert main(["ingest", "--config", str(tmp_path / "ingest.cfg")]) == 1
@@ -294,10 +331,8 @@ class TestQcReport:
         write_wide_csv(
             WideHourlyTable(make_dates(6), np.full((6, 24), 450.0), "load"), tmp_path / "b.csv"
         )
-        # backup_kind is not a config key: the backup is always read as `kind`
-        (tmp_path / "qc.cfg").write_text(
-            "table = t.csv\nkind = load\nbackup = b.csv\nbackup_kind = price\n"
-        )
+        # the backup is always read as `kind`
+        (tmp_path / "qc.cfg").write_text("table = t.csv\nkind = load\nbackup = b.csv\n")
         out = tmp_path / "out"
         assert main(["qc-report", "--config", str(tmp_path / "qc.cfg"), "--out", str(out)]) == 0
         cleaned = read_wide_csv(out / "cleaned.wide.csv", "load")
@@ -506,6 +541,32 @@ class TestIrfFevdCommands:
         assert not (out / MANIFEST_NAME).exists()
         assert not (out / "fevd.csv").exists()
 
+    def test_irf_refuses_non_finite_coefficient(self, tmp_path, capsys, model_path):
+        payload = json.loads(model_path.read_text())
+        payload["coeffs"][0][0][1] = float("nan")
+        model_path.write_text(json.dumps(payload))
+        (tmp_path / "i.cfg").write_text(f"model = {model_path}\nshock = x\nhorizon = 6\n")
+        out = tmp_path / "out"
+        assert main(["irf", "--config", str(tmp_path / "i.cfg"), "--out", str(out)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fevd_refuses_repeated_names(self, tmp_path, capsys):
+        values = simulate_var(
+            np.array([np.diag([0.5, 0.3, 0.2])]), np.zeros(3), np.eye(3), 300,
+            np.random.default_rng(5),
+        )
+        frame = TimeSeriesFrame(make_dates(300), ("load", "mobility", "price"), values)
+        save_model(fit_restricted_var(frame, 1), tmp_path / "model.json")
+        payload = json.loads((tmp_path / "model.json").read_text())
+        payload["names"] = ["load", "load", "price"]
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        (tmp_path / "f.cfg").write_text("model = model.json\nhorizon = 5\n")
+        out = tmp_path / "out"
+        assert main(["fevd", "--config", str(tmp_path / "f.cfg"), "--out", str(out)]) == 1
+        assert "unique and non-empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fevd_with_ordering(self, tmp_path, model_path):
         (tmp_path / "f.cfg").write_text(
             f"model = {model_path}\nhorizon = 5\nvariable = y\nordering = x,y\n"
@@ -656,6 +717,24 @@ class TestBackcast:
         assert sha256_file(out / "reduction.csv") == sha256_file(out2 / "reduction.csv")
         outputs = json.loads((out2 / MANIFEST_NAME).read_text())["outputs"]
         assert outputs["ensemble.json"] == sha256_file(tmp_path / "ensemble.json")
+
+    def test_reused_ensemble_is_hashed_from_the_bytes_read(self, tmp_path, monkeypatch):
+        cfg = self.build(tmp_path)
+        cfg.write_text(cfg.read_text().replace("epochs = 100", "epochs = 5"))
+        assert main(["backcast", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        saved = tmp_path / "ensemble.json"
+        saved.write_bytes((tmp_path / "out" / "ensemble.json").read_bytes())
+        cfg.write_text(cfg.read_text() + "ensemble = ensemble.json\n")
+        hashed = []
+        sha256_of_file = manifest_module.sha256_file
+        monkeypatch.setattr(
+            manifest_module, "sha256_file", lambda path: hashed.append(path) or sha256_of_file(path)
+        )
+        out = tmp_path / "out2"
+        assert main(["backcast", "--config", str(cfg), "--out", str(out)]) == 0
+        assert saved not in hashed  # the output copy is still hashed, once
+        inputs = json.loads((out / MANIFEST_NAME).read_text())["inputs"]
+        assert inputs[str(saved)] == sha256_file(saved)
 
     @pytest.mark.parametrize(
         "name, line, message",

@@ -223,6 +223,30 @@ class TestParseSource:
         assert np.isnan(wide.values[0, 1:]).all()
         assert report.rejects == [(3, f"bad value {cell!r}")]
 
+    def test_hour_shift_past_the_calendar_is_a_reject(self):
+        schema = SourceSchema(
+            name="x", kind="load",
+            date_column="Date", value_column="Load", hour_column="H",
+            hour_shift=1,
+        )
+        raw = "Date,H,Load\n9999-12-31,22,1\n9999-12-31,23,2\n"
+        wide, report = parse_source(raw, schema)
+        assert wide.dates == (dt.date(9999, 12, 31),)
+        assert wide.values[0, 23] == 1.0
+        assert report.rejects == [(3, "date out of range")]
+
+    def test_byte_order_mark_is_dropped(self):
+        raw = "Date,HourEnding,Load\n01/02/2020,1,55.5\n"
+        plain, _ = parse_source(raw.encode(), LOAD_SCHEMA)
+        marked, _ = parse_source(b"\xef\xbb\xbf" + raw.encode(), LOAD_SCHEMA)
+        assert marked.dates == plain.dates
+        assert np.array_equal(marked.values, plain.values, equal_nan=True)
+
+    def test_non_utf8_byte_names_source_and_offset(self):
+        raw = b"Date,HourEnding,Load\n01/02/2020,1,5\xff\n"
+        with pytest.raises(SchemaError, match=r"^source toy: not UTF-8 text \(byte 35\)$"):
+            parse_source(raw, LOAD_SCHEMA)
+
     def test_missing_column_is_schema_error(self):
         with pytest.raises(SchemaError):
             parse_source("Date,Load\n01/02/2020,5\n", LOAD_SCHEMA)

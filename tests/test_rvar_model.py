@@ -138,6 +138,25 @@ class TestModelObject:
         with pytest.raises(ParameterError):
             RVarModel(("a", "b"), 1, np.zeros(2), coeffs, mask, np.eye(2))
 
+    @pytest.mark.parametrize("field", ["intercept", "coeffs", "sigma_e"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        parts = {
+            "intercept": np.zeros(2),
+            "coeffs": np.full((1, 2, 2), 0.1),
+            "sigma_e": np.eye(2),
+        }
+        parts[field].flat[-1] = value
+        with pytest.raises(ParameterError, match="must be finite"):
+            RVarModel(
+                ("a", "b"), 1, parts["intercept"], parts["coeffs"], zero_mask(1, 2), parts["sigma_e"]
+            )
+
+    @pytest.mark.parametrize("names", [("a", "a"), ("a", "")])
+    def test_duplicate_or_empty_names_rejected(self, names):
+        with pytest.raises(ParameterError, match="unique and non-empty"):
+            RVarModel(names, 1, np.zeros(2), np.zeros((1, 2, 2)), zero_mask(1, 2), np.eye(2))
+
     def test_free_coefficients(self):
         mask = zero_mask(2, 3)
         mask[0, 0, 1] = True
@@ -253,6 +272,16 @@ class TestSerialization:
         save_model(fit_restricted_var(_sim_frame(300), p=1, mask=zero_mask(1, 3)), path)
         payload = json.loads(path.read_text())
         edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="malformed model"):
+            load_model(path)
+
+    @pytest.mark.parametrize("order", ["1", 1.9, True], ids=["string", "fraction", "bool"])
+    def test_order_must_be_a_json_integer(self, tmp_path, order):
+        path = tmp_path / "m.json"
+        save_model(fit_restricted_var(_sim_frame(300), p=1, mask=zero_mask(1, 3)), path)
+        payload = json.loads(path.read_text())
+        payload["p"] = order
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError, match="malformed model"):
             load_model(path)
