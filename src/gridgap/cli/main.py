@@ -14,10 +14,8 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime as dt
-import difflib
 import io
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -47,8 +45,8 @@ from ..ingest import (
     read_wide_csv,
     write_wide_csv,
 )
-from ..ingest.schema import decode_text
-from ..ntl import load_raster, process_raster, read_metadata, write_grid
+from ..ingest.schema import REQUIRED, decode_text, parse_keys
+from ..ntl import load_raster, process_raster, write_grid
 from ..rvar import fevd, irf, irf_cumulative, load_model, run_diagnostics, save_model
 from ..search import ScoringConfig, SearchSpace, run_search, search_log_csv
 from ..transforms import difference, trend_transition
@@ -74,52 +72,15 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------- config keys
 
-REQUIRED = object()  # a default: the command cannot run without the key
-_BOOLS = {"true": True, "yes": True, "1": True, "on": True}
-_BOOLS |= {"false": False, "no": False, "0": False, "off": False}
-# how each scalar type reads a value, and what a bad one should have been
-_SCALARS = {
-    int: (int, "an integer"),
-    float: (float, "a number"),
-    bool: (lambda text: _BOOLS[text.strip().lower()], "true/false"),
-    dt.date: (dt.date.fromisoformat, "YYYY-MM-DD"),
-}
-
 
 def _missing(key: str) -> ConfigError:
     return ConfigError(f"config is missing required key '{key}'")
 
 
-def _value(kind, key: str, text: str, base=None, rec=None):
-    if kind in _SCALARS:
-        convert, expected = _SCALARS[kind]
-        try:
-            return convert(text)
-        except (KeyError, ValueError):
-            raise ConfigError(f"{key}: expected {expected}, got '{text}'") from None
-    if kind is str:
-        return text
-    if kind not in (Path, bytes):
-        return kind(key, text)
-    path = base / text
-    if not path.is_file():
-        raise ConfigError(f"{key}: file not found: {path}")
-    data = path.read_bytes() if kind is bytes else None
-    rec.record_input(path, data)
-    return path if data is None else (path, data)
-
-
 def parse_config(config: str, keys: dict, rec: RunRecorder) -> dict:
-    """Typed values of the config file ``config`` by a command's table ``keys``.
-
-    The table maps a key, or a family such as ``sign.<variable>``, to (kind,
-    default).  A family's value maps each member to its value.  A kind is a
-    type of ``_SCALARS``, ``str``, a parser ``kind(key, text)``, or a file
-    resolved against the config's directory and recorded: ``Path`` gives its
-    path, ``bytes`` (path, contents).  An absent key takes its default, is
-    left out when that is None, and fails when it is ``REQUIRED``; a key in
-    no row fails before any value is read.
-    """
+    """Typed values of the config file ``config`` by a command's table ``keys``
+    (see ``ingest.schema.parse_keys``): the config and each file it names are
+    recorded in ``rec``, and a file key's value is (path, contents)."""
     path = Path(config)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -128,33 +89,14 @@ def parse_config(config: str, keys: dict, rec: RunRecorder) -> dict:
     if not raw:
         raise ConfigError(f"{path}: config file defines no keys")
     rec.record_input(config, data)
-    patterns = {name: re.compile(re.sub(r"<\w+>", "(.+)", re.escape(name))) for name in keys}
-    found = []
-    for key in raw:
-        match = next(((n, m) for n, p in patterns.items() if (m := p.fullmatch(key))), None)
-        if match is None:
-            closest = difflib.get_close_matches(key, list(keys), n=1, cutoff=0)[0]
-            raise ConfigError(f"unknown key '{key}' (closest known key: '{closest}')")
-        found.append((key, *match))
-    values = {name: {} for name in keys if "<" in name}
-    for name, (kind, default) in keys.items():
-        if name not in raw and name not in values and default is not None:
-            if default is REQUIRED:
-                raise _missing(name)
-            values[name] = default
-    for key, name, match in found:
-        value = _value(keys[name][0], key, raw[key], path.parent, rec)
-        if match.lastindex:
-            values[name][match[1]] = value
-        else:
-            values[name] = value
-    return values
+    return parse_keys(raw, keys, path.parent, rec.record_input)
 
 
 def _resolve_jobs(args) -> int:
     jobs = args.jobs
     if jobs is None:
-        jobs = _value(int, JOBS_ENV, os.environ.get(JOBS_ENV, "1"))
+        env = {JOBS_ENV: os.environ.get(JOBS_ENV, "1")}
+        jobs = parse_keys(env, {JOBS_ENV: (int, 1)})[JOBS_ENV]
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     return jobs
@@ -195,7 +137,7 @@ def _sources(cfg: dict, prefix: str) -> dict:
     data, schemas = cfg[f"{prefix}.<label>.data"], cfg[f"{prefix}.<label>.schema"]
     for label in sorted(data.keys() ^ schemas.keys()):
         raise _missing(f"{prefix}.{label}.{'schema' if label in data else 'data'}")
-    return {label: (data[label][1], SourceSchema.from_file(schemas[label])) for label in data}
+    return {label: (data[label][1], SourceSchema.from_file(*schemas[label])) for label in data}
 
 
 def cmd_ingest(cfg: dict, rec: RunRecorder) -> int:
@@ -213,9 +155,15 @@ def cmd_ingest(cfg: dict, rec: RunRecorder) -> int:
     return EXIT_GAPS if unresolved else EXIT_OK
 
 
+def _wide(cfg: dict, key: str, kind: str):
+    """The wide table of file key ``key``, parsed from the bytes the config read."""
+    path, raw = cfg[key]
+    return read_wide_csv(path, kind, raw)
+
+
 def cmd_qc_report(cfg: dict, rec: RunRecorder) -> int:
-    table = read_wide_csv(cfg["table"], cfg["kind"])
-    backup = read_wide_csv(cfg["backup"], cfg["kind"]) if "backup" in cfg else None
+    table = _wide(cfg, "table", cfg["kind"])
+    backup = _wide(cfg, "backup", cfg["kind"]) if "backup" in cfg else None
     unresolved = _clean(rec, ("cleaned.wide.csv", "qc_report.txt"), table, backup)
     return EXIT_GAPS if unresolved else EXIT_OK
 
@@ -237,21 +185,15 @@ def _month_key(name: str, raw: str) -> tuple[int, int]:
 
 def _gdp(cfg: dict):
     """Scalar 'gdp' key, or 'gdp.YYYY-MM' step keys applied per month."""
-    steps = {}
-    for month, text in cfg["gdp.<month>"].items():
-        key = _month_key(f"gdp.{month}", month)
-        try:
-            steps[key] = float(text)
-        except ValueError:
-            raise ConfigError(f"gdp.{month}: expected gdp.YYYY-MM = value") from None
+    steps = {_month_key(f"gdp.{month}", month): v for month, v in cfg["gdp.<month>"].items()}
     if steps and "gdp" in cfg:
         raise ConfigError("give either a scalar 'gdp' or 'gdp.YYYY-MM' steps, not both")
     return steps or cfg.get("gdp", 1.0)
 
 
 def cmd_backcast(cfg: dict, rec: RunRecorder) -> int:
-    load_table = read_wide_csv(cfg["load"], "load")
-    weather = {kind: read_wide_csv(cfg[f"weather.{kind}"], kind) for kind in DEFAULT_WEATHER_KINDS}
+    load_table = _wide(cfg, "load", "load")
+    weather = {kind: _wide(cfg, f"weather.{kind}", kind) for kind in DEFAULT_WEATHER_KINDS}
     gdp = _gdp(cfg)
     eval_start, eval_end = cfg["eval_start"], cfg["eval_end"]
     years = {eval_start.year, eval_end.year}
@@ -388,7 +330,7 @@ def _space_and_scoring(cfg: dict, frame) -> tuple[SearchSpace, ScoringConfig]:
 def _sweep(cfg: dict, rec: RunRecorder):
     """Shared search body: (frame, scoring, result), or None once it has
     written the failure log because every combination was rejected."""
-    frame = read_series_csv(cfg["series"])
+    frame = read_series_csv(*cfg["series"])
     space, scoring = _space_and_scoring(cfg, frame)
     try:
         result = run_search(frame, space, scoring, jobs=rec.jobs)
@@ -502,7 +444,7 @@ def _focus(cfg: dict, model) -> str:
 
 
 def cmd_irf(cfg: dict, rec: RunRecorder) -> int:
-    model = load_model(cfg["model"])
+    model = load_model(*cfg["model"])
     shock, horizon, focus = cfg["shock"], cfg["horizon"], _focus(cfg, model)
     if cfg["cumulative"]:
         cum = irf_cumulative(model, shock, horizon)
@@ -515,7 +457,7 @@ def cmd_irf(cfg: dict, rec: RunRecorder) -> int:
 
 
 def cmd_fevd(cfg: dict, rec: RunRecorder) -> int:
-    model = load_model(cfg["model"])
+    model = load_model(*cfg["model"])
     _write_fevd_outputs(rec, model, cfg["horizon"], _focus(cfg, model), cfg.get("ordering"))
     return EXIT_OK
 
@@ -524,7 +466,7 @@ def cmd_fevd(cfg: dict, rec: RunRecorder) -> int:
 
 
 def cmd_trend(cfg: dict, rec: RunRecorder) -> int:
-    frame = read_series_csv(cfg["series"])
+    frame = read_series_csv(*cfg["series"])
     column = cfg.get("column", frame.names[0])
     period, mode = cfg["period"], cfg["mode"]
     result = trend_transition(frame, column, period, mode, cfg["tol_fraction"])
@@ -559,13 +501,8 @@ def cmd_trend(cfg: dict, rec: RunRecorder) -> int:
 
 
 def cmd_ntl(cfg: dict, rec: RunRecorder) -> int:
-    meta_path = cfg.get("metadata")
-    if meta_path is not None:
-        meta = read_metadata(meta_path)
-        for key in ("flags_grid", "lunar_angle_grid"):
-            if key in meta:
-                rec.record_input(meta_path.parent / meta[key])
-    raster = load_raster(cfg["grid"], meta_path)
+    (grid_path, grid_raw), (meta_path, meta_raw) = cfg["grid"], cfg.get("metadata", (None, None))
+    raster = load_raster(grid_path, meta_path, grid_raw, meta_raw, rec.record_input)
     floor, smooth = cfg["floor"], cfg["smooth"]
     result = process_raster(raster, floor, smooth)
     write_grid(rec.output("processed.grid.txt"), result.raster.intensity)
@@ -590,7 +527,7 @@ def cmd_ntl(cfg: dict, rec: RunRecorder) -> int:
 
 # search and analyze share one table: the demo feeds both the same file
 _SEARCH_KEYS = {
-    "series": (Path, REQUIRED), "target": (str, None),
+    "series": (bytes, REQUIRED), "target": (str, None),
     "subsets": (_parse_subsets, None), "ranges": (_parse_ranges, None),
     "orders": (_parse_ints, (1, 2, 3)), "rules": (_parse_ints, SearchSpace.rules),
     "sign.<variable>": (int, None),
@@ -605,16 +542,16 @@ _SEARCH_KEYS = {
 # each command's function, help line, and table of the keys it reads (see parse_config)
 COMMANDS = {
     "ingest": (cmd_ingest, "parse raw sources into cleaned wide tables plus QC reports", {
-        "source.<label>.data": (bytes, None), "source.<label>.schema": (Path, None),
-        "backup.<label>.data": (bytes, None), "backup.<label>.schema": (Path, None),
+        "source.<label>.data": (bytes, None), "source.<label>.schema": (bytes, None),
+        "backup.<label>.data": (bytes, None), "backup.<label>.schema": (bytes, None),
     }),
     "qc-report": (cmd_qc_report, "run outlier and gap checks over one wide table", {
-        "table": (Path, REQUIRED), "kind": (str, REQUIRED), "backup": (Path, None),
+        "table": (bytes, REQUIRED), "kind": (str, REQUIRED), "backup": (bytes, None),
     }),
     "backcast": (cmd_backcast, "train the baseline ensemble and compute daily reductions", {
-        "load": (Path, REQUIRED),
-        **{f"weather.{kind}": (Path, REQUIRED) for kind in DEFAULT_WEATHER_KINDS},
-        "gdp": (float, None), "gdp.<month>": (str, None),
+        "load": (bytes, REQUIRED),
+        **{f"weather.{kind}": (bytes, REQUIRED) for kind in DEFAULT_WEATHER_KINDS},
+        "gdp": (float, None), "gdp.<month>": (float, None),
         "train_start": (dt.date, None), "train_end": (dt.date, None),
         "eval_start": (dt.date, REQUIRED), "eval_end": (dt.date, REQUIRED),
         "ensemble": (bytes, None),
@@ -631,11 +568,11 @@ COMMANDS = {
         cmd_analyze, "model search plus diagnostics, responses, and variance shares", _SEARCH_KEYS
     ),
     "irf": (cmd_irf, "impulse responses of a saved model", {
-        "model": (Path, REQUIRED), "shock": (str, REQUIRED), "horizon": (int, 10),
+        "model": (bytes, REQUIRED), "shock": (str, REQUIRED), "horizon": (int, 10),
         "variable": (str, None), "cumulative": (bool, False),
     }),
     "fevd": (cmd_fevd, "forecast error variance shares of a saved model", {
-        "model": (Path, REQUIRED), "horizon": (int, 10),
+        "model": (bytes, REQUIRED), "horizon": (int, 10),
         "variable": (str, None), "ordering": (_parse_names, None),
     }),
     "search": (
@@ -644,11 +581,11 @@ COMMANDS = {
         _SEARCH_KEYS,
     ),
     "trend": (cmd_trend, "smoothed trend and regime-transition window of one series", {
-        "series": (Path, REQUIRED), "column": (str, None),
+        "series": (bytes, REQUIRED), "column": (str, None),
         "period": (int, 7), "mode": (str, "mean"), "tol_fraction": (float, 0.05),
     }),
     "ntl": (cmd_ntl, "repair, rescale, floor, and smooth a nighttime radiance grid", {
-        "grid": (Path, REQUIRED), "metadata": (Path, None),
+        "grid": (bytes, REQUIRED), "metadata": (bytes, None),
         "floor": (float, 10.0), "smooth": (bool, True), "colormap": (str, "viridis"),
     }),
 }

@@ -18,19 +18,24 @@ timestamp:
 ``kind`` names the wide table the source becomes.  An hourly source keeps
 the first reading of each (date, hour) cell and drops later duplicates.
 ``time_column`` (HH:MM) replaces ``hour_column`` for sub-hourly sources such
-as minute-level weather, whose readings are averaged per hour.  Keys the
-descriptor does not use are ignored.
+as minute-level weather, whose readings are averaged per hour.  The keys are
+the fields of ``SourceSchema``; any other key is refused, naming the file and
+the closest known key, as ``parse_keys`` does for every ``key = value`` file.
 """
 
 from __future__ import annotations
 
+import datetime as dt
+import difflib
 import math
-from dataclasses import dataclass
+import re
+import typing
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from ..errors import SchemaError
-from .tables import TABLE_KINDS
+from ..errors import ConfigError, SchemaError
 
+TABLE_KINDS = ("load", "temperature", "humidity", "wind", "price")
 HOUR_CONVENTIONS = ("hour-beginning", "hour-ending")
 
 
@@ -41,6 +46,11 @@ def decode_text(data: bytes, name) -> str:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{name}: not UTF-8 text (byte {exc.start})") from None
+
+
+def read_text(path, raw: bytes | None = None) -> str:
+    """``decode_text`` of file ``path``: of ``raw``, its bytes already read, when given."""
+    return decode_text(Path(path).read_bytes() if raw is None else raw, path)
 
 
 def parse_keyvalue_text(text: str) -> dict[str, str]:
@@ -55,6 +65,82 @@ def parse_keyvalue_text(text: str) -> dict[str, str]:
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out
+
+
+REQUIRED = object()  # a default: the file is refused without the key
+_BOOLS = {"true": True, "yes": True, "1": True, "on": True}
+_BOOLS |= {"false": False, "no": False, "0": False, "off": False}
+# how each scalar type reads a value, and what a bad one should have been
+_SCALARS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    bool: (lambda text: _BOOLS[text.strip().lower()], "true/false"),
+    dt.date: (dt.date.fromisoformat, "YYYY-MM-DD"),
+}
+
+
+def _value(kind, key: str, text: str, base: Path | None, record):
+    if kind in _SCALARS:
+        convert, expected = _SCALARS[kind]
+        try:
+            return convert(text)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{key}: expected {expected}, got '{text}'") from None
+    if kind is str:
+        return text
+    if kind is not bytes:
+        return kind(key, text)
+    path = base / text
+    if not path.is_file():
+        raise ConfigError(f"{key}: file not found: {path}")
+    data = path.read_bytes()
+    if record is not None:
+        record(path, data)
+    return path, data
+
+
+def parse_keys(raw: dict[str, str], keys: dict, base: Path | None = None, record=None) -> dict:
+    """Typed values of the ``key = value`` pairs ``raw`` by the table ``keys``.
+
+    The table maps a key, or a family such as ``sign.<variable>``, to (kind,
+    default).  A family's value maps each member to its value.  A kind is a
+    type of ``_SCALARS``, ``str``, a parser ``kind(key, text)``, or ``bytes``:
+    a file resolved against ``base``, read once, passed to ``record(path,
+    data)`` and given as (path, data).  An absent key takes its default, is
+    left out when that is None, and fails when it is ``REQUIRED``; a key in
+    no row fails before any value is read.  Failures are ``ConfigError``.
+    """
+    patterns = {name: re.compile(re.sub(r"<\w+>", "(.+)", re.escape(name))) for name in keys}
+    found = []
+    for key in raw:
+        match = next(((n, m) for n, p in patterns.items() if (m := p.fullmatch(key))), None)
+        if match is None:
+            closest = difflib.get_close_matches(key, list(keys), n=1, cutoff=0)[0]
+            raise ConfigError(f"unknown key '{key}' (closest known key: '{closest}')")
+        found.append((key, *match))
+    values = {name: {} for name in keys if "<" in name}
+    for name, (kind, default) in keys.items():
+        if name not in raw and name not in values and default is not None:
+            if default is REQUIRED:
+                raise ConfigError(f"missing required key '{name}'")
+            values[name] = default
+    for key, name, match in found:
+        value = _value(keys[name][0], key, raw[key], base, record)
+        if match.lastindex:
+            values[name][match[1]] = value
+        else:
+            values[name] = value
+    return values
+
+
+def read_keyfile(path, data: bytes | None, keys: dict, record=None) -> dict:
+    """``parse_keys`` of the ``key = value`` file ``path`` (see ``read_text``);
+    a refusal is a ``SchemaError`` naming the file."""
+    text = read_text(path, data)
+    try:
+        return parse_keys(parse_keyvalue_text(text), keys, Path(path).parent, record)
+    except (ConfigError, SchemaError) as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -91,33 +177,12 @@ class SourceSchema:
         return (self.date_column, time_col, self.value_column)
 
     @classmethod
-    def from_text(cls, text: str) -> "SourceSchema":
-        pairs = parse_keyvalue_text(text)
-        required = ("name", "kind", "date_column", "value_column")
-        missing = [k for k in required if k not in pairs]
-        if missing:
-            raise SchemaError(f"descriptor missing keys: {missing}")
-        kwargs = dict(
-            name=pairs["name"],
-            kind=pairs["kind"],
-            date_column=pairs["date_column"],
-            value_column=pairs["value_column"],
-        )
-        for key in ("date_format", "hour_column", "time_column", "hour_convention", "delimiter"):
-            if key in pairs:
-                kwargs[key] = pairs[key]
-        if "unit_factor" in pairs:
-            try:
-                kwargs["unit_factor"] = float(pairs["unit_factor"])
-            except ValueError:
-                raise SchemaError(f"unit_factor is not a number: {pairs['unit_factor']!r}") from None
-        if "hour_shift" in pairs:
-            try:
-                kwargs["hour_shift"] = int(pairs["hour_shift"])
-            except ValueError:
-                raise SchemaError(f"hour_shift is not an integer: {pairs['hour_shift']!r}") from None
-        return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path) -> "SourceSchema":
-        return cls.from_text(decode_text(Path(path).read_bytes(), path))
+    def from_file(cls, path, data: bytes | None = None) -> "SourceSchema":
+        """The descriptor at ``path``; ``data``, when given, holds its bytes
+        already read.  Each field is a key, typed as the field is."""
+        types = typing.get_type_hints(cls)
+        keys = {
+            f.name: (types[f.name], REQUIRED if f.default is MISSING else f.default)
+            for f in fields(cls)
+        }
+        return cls(**read_keyfile(path, data, keys))

@@ -7,21 +7,23 @@ Two layouts cover everything the pipeline exchanges on disk:
 * series CSV: header ``date,<name>[,<name>...]`` for daily frames.
 
 Floats are written with ``repr`` so a read-back reproduces the exact bits;
-golden-file tests depend on that.
+golden-file tests depend on that.  Both readers parse the file's bytes as
+UTF-8 (see ``decode_text``); a caller that has already read them passes ``raw``.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from ..errors import EmptyInputError, ParameterError, SchemaError
 from ..frames import TimeSeriesFrame
-
-TABLE_KINDS = ("load", "temperature", "humidity", "wind", "price")
+from .schema import TABLE_KINDS, decode_text
 
 
 def format_value(v: float) -> str:
@@ -101,19 +103,22 @@ def write_wide_csv(table: WideHourlyTable, path) -> None:
     _write_rows(path, WIDE_HEADER, table.dates, table.values)
 
 
-def read_wide_csv(path, kind: str) -> WideHourlyTable:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = _header(reader, path)
-        if header != WIDE_HEADER:
-            raise SchemaError(f"{path}: expected header {WIDE_HEADER[:3]}...,23 got {header[:4]}")
-        dates, values = _read_rows(reader, WIDE_COLUMNS, path)
+def read_wide_csv(path, kind: str, raw: bytes | None = None) -> WideHourlyTable:
+    reader, header = _open(path, raw)
+    if header != WIDE_HEADER:
+        raise SchemaError(f"{path}: expected header {WIDE_HEADER[:3]}...,23 got {header[:4]}")
+    dates, values = _read_rows(reader, WIDE_COLUMNS, path)
     return WideHourlyTable(tuple(dates), values, kind)
 
 
-def _header(reader, path) -> list[str]:
+def _open(path, raw: bytes | None):
+    """A csv reader over the text of ``path`` (of ``raw``, when given) and its header row;
+    the text is decoded as the reader goes, after ``decode_text`` has checked the bytes."""
+    raw = Path(path).read_bytes() if raw is None else raw
+    decode_text(raw, path)
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), "utf-8-sig", newline=""))
     try:
-        return next(reader)
+        return reader, next(reader)
     except StopIteration:
         raise EmptyInputError(f"{path} is empty") from None
 
@@ -170,15 +175,10 @@ def write_series_csv(frame: TimeSeriesFrame, path) -> None:
     _write_rows(path, ["date", *frame.names], frame.dates, frame.values)
 
 
-def read_series_csv(path, columns=None) -> TimeSeriesFrame:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = _header(reader, path)
-        if not header or header[0] != "date" or len(header) < 2:
-            raise SchemaError(f"{path}: expected header date,<name>,... got {header[:3]}")
-        names = tuple(header[1:])
-        dates, values = _read_rows(reader, [f"column {n!r}" for n in names], path)
-    frame = TimeSeriesFrame(tuple(dates), names, values)
-    if columns is not None:
-        frame = frame.select(columns)
-    return frame
+def read_series_csv(path, raw: bytes | None = None) -> TimeSeriesFrame:
+    reader, header = _open(path, raw)
+    if not header or header[0] != "date" or len(header) < 2:
+        raise SchemaError(f"{path}: expected header date,<name>,... got {header[:3]}")
+    names = tuple(header[1:])
+    dates, values = _read_rows(reader, [f"column {n!r}" for n in names], path)
+    return TimeSeriesFrame(tuple(dates), names, values)

@@ -2,7 +2,8 @@
 
 Grids travel as plain text (width/height header, row-major reals printed
 with ``repr``) so outputs round-trip bit-exactly; a sidecar key-value file
-carries the lunar metadata and colormap name.
+(``SIDECAR_KEYS``) names the flag and lunar-angle grids and carries the
+lunar illumination fraction.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, SchemaError
-from .ingest import parse_keyvalue_text
-from .ingest.schema import decode_text
+from .ingest.schema import read_keyfile, read_text
 
 
 @dataclass(frozen=True)
@@ -185,8 +185,9 @@ def write_grid(path, grid: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_grid(path) -> np.ndarray:
-    text = decode_text(Path(path).read_bytes(), path)
+def read_grid(path, raw: bytes | None = None) -> np.ndarray:
+    """A ``write_grid`` file; ``raw``, when given, holds its bytes already read."""
+    text = read_text(path, raw)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise SchemaError(f"{path}: empty grid file")
@@ -217,43 +218,28 @@ def write_metadata(path, meta: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_metadata(path) -> dict[str, str]:
-    text = decode_text(Path(path).read_bytes(), path)
-    try:
-        return parse_keyvalue_text(text)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+# the sidecar's key table (see ``ingest.schema.parse_keys``); grids resolve against its directory
+SIDECAR_KEYS = {
+    "flags_grid": (bytes, None),
+    "lunar_angle_grid": (bytes, None),
+    "lunar_fraction": (float, None),
+}
 
 
-def load_raster(grid_path, meta_path=None) -> Raster:
-    """Read an intensity grid plus optional sidecar flags/lunar metadata.
+def load_raster(grid_path, meta_path=None, grid_raw=None, meta_raw=None, record=None) -> Raster:
+    """Read an intensity grid plus optional sidecar flags and lunar metadata.
 
-    Metadata keys: ``flags_grid`` and ``lunar_angle_grid`` name companion
-    grid files (relative paths resolve against the metadata file);
-    ``lunar_fraction`` is a scalar.
+    ``grid_raw`` and ``meta_raw``, when given, hold the files' bytes already
+    read; each companion grid the sidecar names is read once and passed to
+    ``record(path, data)``.
     """
-    grid = read_grid(grid_path)
-    flags = None
-    fraction = None
-    angle = None
-    if meta_path is not None:
-        meta = read_metadata(meta_path)
-        base = Path(meta_path).parent
-        if "flags_grid" in meta:
-            flags = read_grid(base / meta["flags_grid"]).astype(int)
-        if "lunar_angle_grid" in meta:
-            angle = read_grid(base / meta["lunar_angle_grid"])
-        if "lunar_fraction" in meta:
-            try:
-                fraction = float(meta["lunar_fraction"])
-            except ValueError:
-                raise SchemaError(
-                    f"{meta_path}: lunar_fraction {meta['lunar_fraction']!r} is not a number"
-                ) from None
-        if (fraction is None) != (angle is None):
-            raise SchemaError(
-                f"{meta_path}: lunar_fraction and lunar_angle_grid must appear together"
-            )
+    grid = read_grid(grid_path, grid_raw)
+    meta = {} if meta_path is None else read_keyfile(meta_path, meta_raw, SIDECAR_KEYS, record)
+    flags = read_grid(*meta["flags_grid"]).astype(int) if "flags_grid" in meta else None
+    angle = read_grid(*meta["lunar_angle_grid"]) if "lunar_angle_grid" in meta else None
+    fraction = meta.get("lunar_fraction")
+    if (fraction is None) != (angle is None):
+        raise SchemaError(f"{meta_path}: lunar_fraction and lunar_angle_grid must appear together")
     return Raster(grid, flags, fraction, angle)
 
 

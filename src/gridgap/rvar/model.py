@@ -28,6 +28,7 @@ from ..errors import (
     SchemaError,
 )
 from ..frames import TimeSeriesFrame
+from ..ingest.schema import read_text
 from .ols import numerical_rank, ols
 
 MODEL_FORMAT = "rvar-model/1"
@@ -247,13 +248,14 @@ def save_model(model: RVarModel, path) -> None:
         fh.write("\n")
 
 
-def load_model(path) -> RVarModel:
-    """Read a ``save_model`` file; a malformed one raises ``SchemaError``."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise SchemaError(f"{path}: not a JSON file ({exc})") from None
+def load_model(path, raw: bytes | None = None) -> RVarModel:
+    """Read a ``save_model`` file (``raw``: its bytes, already read); a
+    malformed one raises ``SchemaError``."""
+    text = read_text(path, raw)
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: not a JSON file ({exc})") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise SchemaError(f"{path}: not a {MODEL_FORMAT} file")
     if type(payload.get("p")) is not int:

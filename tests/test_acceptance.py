@@ -480,7 +480,7 @@ def c12_digests(tmp_path) -> dict[str, dict[str, str]]:
             lines.append(f"{d.isoformat()},{h},{1000 + 40 * np.sin(h / 24 * 2 * np.pi):.3f}")
     (tmp_path / "raw.csv").write_text("\n".join(lines) + "\n")
     (tmp_path / "s.schema").write_text(
-        "name = demo\nkind = load\nfield = load\nlocation = all\n"
+        "name = demo\nkind = load\n"
         "date_column = day\nhour_column = h\nvalue_column = mw\n"
     )
     (tmp_path / "ingest.cfg").write_text(

@@ -2,6 +2,7 @@
 
 import ast
 import datetime as dt
+import hashlib
 import importlib
 import json
 import os
@@ -32,6 +33,7 @@ from gridgap.rvar import (
 )
 
 from conftest import make_dates
+from test_acceptance import c12_digests
 
 
 def read_manifest_outputs(out_dir):
@@ -176,7 +178,7 @@ class TestIngest:
                 lines.append(f"{d.isoformat()},{h},{v:.3f}")
         (tmp_path / "raw.csv").write_text("\n".join(lines) + "\n")
         (tmp_path / "load.schema").write_text(
-            "name = demo\nkind = load\nfield = load\nlocation = all\n"
+            "name = demo\nkind = load\n"
             "date_column = day\nhour_column = h\nvalue_column = mw\n"
         )
         cfg = "source.load.data = raw.csv\nsource.load.schema = load.schema\n"
@@ -259,7 +261,7 @@ class TestIngest:
                     lines.append(f"{d.isoformat()},{h:02d}:{minute:02d},{50 + h + minute / 10}")
         (tmp_path / "raw.csv").write_text("\n".join(lines) + "\n")
         (tmp_path / "rh.schema").write_text(
-            "name = wx\nkind = humidity\nfield = rh\nlocation = all\n"
+            "name = wx\nkind = humidity\n"
             "date_column = day\ntime_column = time\nvalue_column = rh\n"
         )
         (tmp_path / "ingest.cfg").write_text("source.rh.data = raw.csv\nsource.rh.schema = rh.schema\n")
@@ -372,6 +374,47 @@ class TestTrend:
         assert rows[0] == "date,demand,trend"
         assert len(rows) == n + 1
         assert (out / "trend.svg").read_text().startswith("<svg")
+
+
+def _trend_input(tmp_path):
+    n = 120
+    ramp = np.concatenate([np.full(50, 100.0), np.linspace(100, 60, 20), np.full(50, 60.0)])
+    frame = TimeSeriesFrame(make_dates(n), ("demand",), ramp.reshape(-1, 1))
+    write_series_csv(frame, tmp_path / "s.csv")
+    (tmp_path / "c.cfg").write_text("series = s.csv\n")
+    return tmp_path / "s.csv"
+
+
+def _qc_input(tmp_path):
+    write_wide_csv(WideHourlyTable(make_dates(6), np.full((6, 24), 500.0), "load"), tmp_path / "t.csv")
+    (tmp_path / "c.cfg").write_text("table = t.csv\nkind = load\n")
+    return tmp_path / "t.csv"
+
+
+# commands whose config names one series or wide CSV, and a writer of that input
+CSV_INPUTS = {"trend": _trend_input, "qc-report": _qc_input}
+
+
+@pytest.mark.parametrize("command", CSV_INPUTS)
+def test_csv_with_a_non_utf8_byte_exits_one_naming_the_offset(tmp_path, capsys, command):
+    path = CSV_INPUTS[command](tmp_path)
+    data = path.read_bytes()
+    offset = data.rindex(b",") + 1  # the last cell's first byte
+    path.write_bytes(data[:offset] + b"\xff" + data[offset:])
+    out = tmp_path / "out"
+    assert main([command, "--config", str(tmp_path / "c.cfg"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (byte {offset})\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", CSV_INPUTS)
+def test_csv_with_a_byte_order_mark_reads_like_plain_text(tmp_path, command):
+    path = CSV_INPUTS[command](tmp_path)
+    cfg = str(tmp_path / "c.cfg")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "plain")]) == 0
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "bom")]) == 0
+    assert read_manifest_outputs(tmp_path / "bom") == read_manifest_outputs(tmp_path / "plain")
 
 
 class TestAnalyze:
@@ -807,3 +850,44 @@ class TestBackcast:
         cfg = self.build(tmp_path)
         cfg.write_text(cfg.read_text().replace("summary_month = 2021-03", "summary_month = 2021-07"))
         assert main(["backcast", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+
+# c12's runs (output directory prefix) and the inputs each records, relative
+# to the corpus directory: the config and every file it names, the NTL
+# sidecar's two grids included
+C12_INPUTS = {
+    "in": ("ingest.cfg", "raw.csv", "s.schema"),
+    "qc": ("qc.cfg", "wide.csv"),
+    "tr": ("trend.cfg", "trend.csv"),
+    "an": ("an.cfg", "levels.csv"),
+    "se": ("an.cfg", "levels.csv"),
+    "ir": ("irf.cfg", "an_a/model.json"),
+    "fe": ("fevd.cfg", "an_a/model.json"),
+    "nt": ("ntl.cfg", "g.txt", "m.txt", "f.txt", "a.txt"),
+    "bc": ("bc.cfg", "load.csv", "temp.csv", "hum.csv", "wind.csv"),
+}
+
+
+def test_every_input_is_read_once_and_hashed_from_the_bytes_read(tmp_path, monkeypatch):
+    hashed, read = [], []
+    sha256_of_file, read_bytes = manifest_module.sha256_file, Path.read_bytes
+    monkeypatch.setattr(
+        manifest_module, "sha256_file", lambda path: hashed.append(Path(path)) or sha256_of_file(path)
+    )
+    monkeypatch.setattr(Path, "read_bytes", lambda path: read.append(path) or read_bytes(path))
+    c12_digests(tmp_path)
+    monkeypatch.undo()
+    inputs, outputs = [], []
+    for prefix, names in C12_INPUTS.items():
+        for out in (tmp_path / f"{prefix}_a", tmp_path / f"{prefix}_b"):
+            manifest = json.loads((out / MANIFEST_NAME).read_text())
+            # the digest of each file on disk, as a manifest that hashes it from disk records it
+            assert manifest["inputs"] == {
+                str(tmp_path / name): hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in names
+            }, prefix
+            inputs += [tmp_path / name for name in names]
+            outputs += [out / name for name in manifest["outputs"]]
+    # no input is hashed from disk: each output is, once, as its manifest is written
+    assert sorted(hashed) == sorted(outputs)
+    assert sorted(read) == sorted(inputs)

@@ -1,8 +1,9 @@
-"""Config key tables: each command reads only the keys its table lists.
+"""Key tables: each config, descriptor and sidecar is read by the keys its table lists.
 
 An unknown key ends the run with one ``error:`` line naming its closest
-known key; every config the repository writes parses against its command's
-table; and every key a command reads is a row of that table.
+known key; every config, descriptor and sidecar the repository writes
+parses against its table; and every key a command reads is a row of its
+command's table.
 """
 
 import importlib
@@ -16,6 +17,9 @@ from gridgap.backcast import TrainingConfig
 from gridgap.cli import RunRecorder
 from gridgap.cli.main import COMMANDS, main, parse_config
 from gridgap.errors import ConfigError
+from gridgap.ingest import SourceSchema
+from gridgap.ingest.schema import read_keyfile
+from gridgap.ntl import SIDECAR_KEYS, write_grid
 
 from test_acceptance import c12_digests
 
@@ -88,8 +92,8 @@ def test_table_gives_typed_values_and_dataclass_defaults(tmp_path):
         "weather.wind = w.csv\neval_start = 2021-03-01\neval_end = 2021-04-30\n"
         "gdp.2021-01 = 1.05\nsummary_month = 2021-04\nepochs = 7\n",
     )
-    assert values["load"] == tmp_path / "load.csv"
-    assert values["gdp.<month>"] == {"2021-01": "1.05"}
+    assert values["load"] == (tmp_path / "load.csv", b"")
+    assert values["gdp.<month>"] == {"2021-01": 1.05}
     assert values["summary_month"] == (2021, 4)
     assert values["epochs"] == 7
     assert values["candidates"] == TrainingConfig.candidates
@@ -118,10 +122,63 @@ def test_bad_value_keeps_its_message(tmp_path, capsys, text, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_gdp_steps_are_numbers_by_month(tmp_path):
+    for name in ("load.csv", "t.csv", "h.csv", "w.csv"):
+        (tmp_path / name).write_text("")
+    config = (
+        "load = load.csv\nweather.temperature = t.csv\nweather.humidity = h.csv\n"
+        "weather.wind = w.csv\neval_start = 2021-03-01\neval_end = 2021-04-30\n"
+    )
+    values = parse(tmp_path, "backcast", config + "gdp.2021-01 = 1.05\ngdp.2021-06 = -2\n")
+    assert main_module._gdp(values) == {(2021, 1): 1.05, (2021, 6): -2.0}
+    with pytest.raises(ConfigError, match="gdp.2021-01: expected a number, got 'high'"):
+        parse(tmp_path, "backcast", config + "gdp.2021-01 = high\n")
+    with pytest.raises(ConfigError, match="gdp.2021: expected YYYY-MM, got '2021'"):
+        main_module._gdp(parse(tmp_path, "backcast", config + "gdp.2021 = 1\n"))
+    with pytest.raises(ConfigError, match="not both"):
+        main_module._gdp(parse(tmp_path, "backcast", config + "gdp = 1\ngdp.2021-01 = 1\n"))
+
+
 def test_bool_key_refuses_other_words(tmp_path):
     (tmp_path / "g.txt").write_text("")
     with pytest.raises(ConfigError, match="smooth: expected true/false, got 'maybe'"):
         parse(tmp_path, "ntl", "grid = g.txt\nsmooth = maybe\n")
+
+
+@pytest.mark.parametrize(
+    "command, name, line, message",
+    [
+        ("ingest", "s.schema", "unit_facter = 2",
+         "unknown key 'unit_facter' (closest known key: 'unit_factor')"),
+        ("ingest", "s.schema", "hour_shift = 1.5", "hour_shift: expected an integer, got '1.5'"),
+        ("ingest", "s.schema", "unit_factor = much", "unit_factor: expected a number, got 'much'"),
+        ("ntl", "m.txt", "lunar_fractoin = 0.5",
+         "unknown key 'lunar_fractoin' (closest known key: 'lunar_fraction')"),
+        ("ntl", "m.txt", "colormap = magma",
+         "unknown key 'colormap' (closest known key: 'flags_grid')"),
+    ],
+    ids=["descriptor-typo", "descriptor-int", "descriptor-float", "sidecar-typo", "sidecar-config-key"],
+)
+def test_descriptor_and_sidecar_refusals_exit_one_naming_the_file(
+    tmp_path, capsys, command, name, line, message
+):
+    (tmp_path / "a.csv").write_text("day,h,mw\n2020-01-01,0,1\n")
+    (tmp_path / "s.schema").write_text(
+        "name = a\nkind = load\ndate_column = day\nhour_column = h\nvalue_column = mw\n"
+    )
+    write_grid(tmp_path / "g.txt", [[1.0] * 5] * 5)
+    (tmp_path / "m.txt").write_text("")
+    (tmp_path / "c.cfg").write_text(
+        "source.a.data = a.csv\nsource.a.schema = s.schema\n"
+        if command == "ingest"
+        else "grid = g.txt\nmetadata = m.txt\n"
+    )
+    with open(tmp_path / name, "a") as fh:
+        fh.write(line + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(tmp_path / "c.cfg"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / name}: {message}\n"
+    assert not out.exists()
 
 
 def test_ingest_missing_second_file_fails_before_any_output(tmp_path, capsys):
@@ -197,7 +254,8 @@ SYNTHETIC_CONFIGS = {
 
 
 def test_every_generated_config_parses_against_its_table(tmp_path, monkeypatch, capsys):
-    # the benchmark's configs fail its runs (run_failed) if a table loses a key
+    # the benchmark's configs fail its runs (run_failed) if a table loses a
+    # key; the descriptors and sidecars the configs name parse against theirs
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import make_synthetic
@@ -216,10 +274,18 @@ def test_every_generated_config_parses_against_its_table(tmp_path, monkeypatch, 
     # reuse's op.cfg names the ensemble its warm-up run writes
     (tmp_path / "reuse" / "warmup").mkdir()
     (tmp_path / "reuse" / "warmup" / "ensemble.json").write_text("{}")
+    descriptors = sidecars = 0
     for command, cfg in cases:
         rec = RunRecorder(command, tmp_path / "unused")
-        parse_config(str(cfg), table(command), rec)
+        values = parse_config(str(cfg), table(command), rec)
         assert str(cfg) in rec.inputs
+        for pair in values.get("source.<label>.schema", {}).values():
+            SourceSchema.from_file(*pair)
+            descriptors += 1
+        if "metadata" in values:
+            read_keyfile(*values["metadata"], SIDECAR_KEYS)
+            sidecars += 1
+    assert (descriptors, sidecars) == (1, 1)
 
 
 class _ReadTracker(dict):

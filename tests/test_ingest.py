@@ -113,24 +113,39 @@ def test_series_csv_malformed_cell_refused(tmp_path, row, message):
         read_series_csv(path)
 
 
+TOY_DESCRIPTOR = """
+# toy descriptor
+name = toy
+kind = load
+date_column = Date
+date_format = %m/%d/%Y
+hour_column = HourEnding
+hour_convention = hour-ending
+value_column = Load
+unit_factor = 0.001
+hour_shift = -1
+"""
+
+
 class TestSchema:
-    def test_descriptor_round_trip(self):
-        text = """
-        # toy descriptor
-        name = toy
-        kind = load
-        field = load  # a key the descriptor does not use is ignored
-        location = CITY
-        date_column = Date
-        date_format = %m/%d/%Y
-        hour_column = HourEnding
-        hour_convention = hour-ending
-        value_column = Load
-        unit_factor = 0.001
-        """
-        schema = SourceSchema.from_text(text)
-        assert schema.unit_factor == 0.001
-        assert schema.hour_convention == "hour-ending"
+    def test_descriptor_round_trip(self, tmp_path):
+        path = tmp_path / "toy.schema"
+        path.write_text(TOY_DESCRIPTOR)
+        schema = SourceSchema.from_file(path)
+        assert schema == SourceSchema(
+            name="toy", kind="load", date_column="Date", value_column="Load",
+            date_format="%m/%d/%Y", hour_column="HourEnding", hour_convention="hour-ending",
+            unit_factor=0.001, hour_shift=-1,
+        )
+        # a key the descriptor does not use is refused, not ignored
+        path.write_text(TOY_DESCRIPTOR + "field = load\n")
+        with pytest.raises(SchemaError) as exc:
+            SourceSchema.from_file(path)
+        assert str(exc.value) == f"{path}: unknown key 'field' (closest known key: 'kind')"
+
+    def test_given_bytes_are_parsed_without_reading_the_file(self, tmp_path):
+        schema = SourceSchema.from_file(tmp_path / "absent.schema", TOY_DESCRIPTOR.encode())
+        assert schema.hour_shift == -1
 
     @pytest.mark.parametrize("factor", [0.0, -1.0, float("inf"), float("nan")])
     def test_unit_factor_must_be_positive_and_finite(self, factor):
@@ -140,9 +155,11 @@ class TestSchema:
                 unit_factor=factor,
             )
 
-    def test_missing_keys_rejected(self):
-        with pytest.raises(SchemaError):
-            SourceSchema.from_text("name = x\nkind = load\n")
+    def test_missing_keys_rejected(self, tmp_path):
+        path = tmp_path / "x.schema"
+        path.write_text("name = x\nkind = load\n")
+        with pytest.raises(SchemaError, match="missing required key 'date_column'"):
+            SourceSchema.from_file(path)
 
     def test_bad_convention_rejected(self):
         with pytest.raises(SchemaError):

@@ -14,7 +14,6 @@ from gridgap.ntl import (
     moon_angle_grid,
     process_raster,
     read_grid,
-    read_metadata,
     repair_pixels,
     threshold_floor,
     write_grid,
@@ -279,17 +278,52 @@ class TestGridText:
             read_grid(path)
 
     def test_metadata_round_trip(self, tmp_path):
-        meta = {"lunar_fraction": "0.25", "colormap": "magma", "floor": "10"}
-        path = tmp_path / "scene.meta"
-        write_metadata(path, meta)
-        assert read_metadata(path) == meta
+        write_grid(tmp_path / "scene.txt", hand_raster_8x8())
+        write_grid(tmp_path / "scene.angle.txt", moon_angle_grid((8, 8), 60.0))
+        meta = {"lunar_fraction": 0.25, "lunar_angle_grid": "scene.angle.txt"}
+        write_metadata(tmp_path / "scene.meta", meta)
+        raster = load_raster(tmp_path / "scene.txt", tmp_path / "scene.meta")
+        assert raster.lunar_fraction == 0.25 and raster.flags is None
+        assert np.array_equal(raster.lunar_angle, moon_angle_grid((8, 8), 60.0))
 
     def test_metadata_line_without_equals_names_file_and_line(self, tmp_path):
+        write_grid(tmp_path / "scene.txt", hand_raster_8x8())
         path = tmp_path / "scene.meta"
         path.write_text("# sidecar\nlunar_fraction = 0.5\ncolormap magma\n")
         with pytest.raises(SchemaError) as exc:
-            read_metadata(path)
+            load_raster(tmp_path / "scene.txt", path)
         assert str(exc.value) == f"{path}: line 3: expected 'key = value', got 'colormap magma'"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("lunar_fraction = half", "lunar_fraction: expected a number, got 'half'"),
+            ("flags_grid = gone.txt", "flags_grid: file not found: "),
+        ],
+        ids=["bad-number", "missing-grid"],
+    )
+    def test_sidecar_refusal_names_file_and_key(self, tmp_path, line, message):
+        write_grid(tmp_path / "scene.txt", hand_raster_8x8())
+        path = tmp_path / "scene.meta"
+        path.write_text(line + "\n")
+        with pytest.raises(SchemaError) as exc:
+            load_raster(tmp_path / "scene.txt", path)
+        assert str(exc.value).startswith(f"{path}: {message}")
+
+    def test_given_bytes_are_parsed_and_companions_recorded(self, tmp_path):
+        grid = hand_raster_8x8()
+        write_grid(tmp_path / "scene.txt", grid)
+        write_grid(tmp_path / "scene.flags.txt", np.eye(8))
+        meta = b"flags_grid = scene.flags.txt\n"
+        recorded = []
+        raster = load_raster(
+            tmp_path / "absent.txt", tmp_path / "absent.meta",
+            (tmp_path / "scene.txt").read_bytes(), meta, lambda *pair: recorded.append(pair),
+        )
+        assert np.array_equal(raster.intensity, grid)
+        assert np.array_equal(raster.flags, np.eye(8, dtype=int))
+        flags = tmp_path / "scene.flags.txt"
+        assert recorded == [(flags, flags.read_bytes())]
 
     def test_load_raster_with_sidecar(self, tmp_path):
         grid = hand_raster_8x8()
