@@ -156,8 +156,9 @@ def cmd_ingest(cfg: dict, rec: RunRecorder) -> int:
 
 
 def _wide(cfg: dict, key: str, kind: str):
-    """The wide table of file key ``key``, parsed from the bytes the config read."""
-    path, raw = cfg[key]
+    """The wide table of file key ``key``, parsed from the bytes the config
+    read; the bytes leave ``cfg``, so they are freed once parsed."""
+    path, raw = cfg.pop(key)
     return read_wide_csv(path, kind, raw)
 
 
@@ -214,7 +215,7 @@ def cmd_backcast(cfg: dict, rec: RunRecorder) -> int:
         # every file save_ensemble wrote
         rec.output("ensemble.json").write_bytes(raw)
     else:
-        daily = load_table.daily_mean_frame("load", require_full_day=True)
+        daily = load_table.daily_mean_frame("load")
         daily = daily.slice_dates(train_start, train_end)
         features = feature_matrix(daily.dates, weather, gdp, holidays, feature_config)
         names = ("candidates", "keep_fraction", "split", "epochs", "learning_rate")
@@ -330,7 +331,7 @@ def _space_and_scoring(cfg: dict, frame) -> tuple[SearchSpace, ScoringConfig]:
 def _sweep(cfg: dict, rec: RunRecorder):
     """Shared search body: (frame, scoring, result), or None once it has
     written the failure log because every combination was rejected."""
-    frame = read_series_csv(*cfg["series"])
+    frame = read_series_csv(*cfg.pop("series"))
     space, scoring = _space_and_scoring(cfg, frame)
     try:
         result = run_search(frame, space, scoring, jobs=rec.jobs)
@@ -444,7 +445,7 @@ def _focus(cfg: dict, model) -> str:
 
 
 def cmd_irf(cfg: dict, rec: RunRecorder) -> int:
-    model = load_model(*cfg["model"])
+    model = load_model(*cfg.pop("model"))
     shock, horizon, focus = cfg["shock"], cfg["horizon"], _focus(cfg, model)
     if cfg["cumulative"]:
         cum = irf_cumulative(model, shock, horizon)
@@ -457,7 +458,7 @@ def cmd_irf(cfg: dict, rec: RunRecorder) -> int:
 
 
 def cmd_fevd(cfg: dict, rec: RunRecorder) -> int:
-    model = load_model(*cfg["model"])
+    model = load_model(*cfg.pop("model"))
     _write_fevd_outputs(rec, model, cfg["horizon"], _focus(cfg, model), cfg.get("ordering"))
     return EXIT_OK
 
@@ -466,7 +467,7 @@ def cmd_fevd(cfg: dict, rec: RunRecorder) -> int:
 
 
 def cmd_trend(cfg: dict, rec: RunRecorder) -> int:
-    frame = read_series_csv(*cfg["series"])
+    frame = read_series_csv(*cfg.pop("series"))
     column = cfg.get("column", frame.names[0])
     period, mode = cfg["period"], cfg["mode"]
     result = trend_transition(frame, column, period, mode, cfg["tol_fraction"])
@@ -501,7 +502,8 @@ def cmd_trend(cfg: dict, rec: RunRecorder) -> int:
 
 
 def cmd_ntl(cfg: dict, rec: RunRecorder) -> int:
-    (grid_path, grid_raw), (meta_path, meta_raw) = cfg["grid"], cfg.get("metadata", (None, None))
+    grid_path, grid_raw = cfg.pop("grid")
+    meta_path, meta_raw = cfg.pop("metadata", (None, None))
     raster = load_raster(grid_path, meta_path, grid_raw, meta_raw, rec.record_input)
     floor, smooth = cfg["floor"], cfg["smooth"]
     result = process_raster(raster, floor, smooth)

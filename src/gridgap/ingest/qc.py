@@ -22,22 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ParameterError, SchemaError
+from ..errors import ParameterError
 from .tables import WideHourlyTable, format_value
 
 OUTLIER_HIGH = 5.0
 OUTLIER_LOW = 0.2
 MIN_CELLS_FOR_DAY_RULE = 4
-
-
-# qc-report/1 record tag -> the QcReport list it fills and its cell parsers
-_RECORDS = {
-    "outlier": ("outliers", (dt.date.fromisoformat, int, float)),
-    "fill": ("fills", (dt.date.fromisoformat, int, str, float)),
-    "unresolved": ("unresolved", (dt.date.fromisoformat, int)),
-    "skipped_day": ("skipped_days", (dt.date.fromisoformat,)),
-    "reject": ("rejects", (int, str)),
-}
 
 
 @dataclass
@@ -74,32 +64,6 @@ class QcReport:
         for lineno, reason in self.rejects:
             lines.append(f"reject,{lineno},{reason}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "QcReport":
-        """Read :meth:`to_text`'s output; a malformed line raises SchemaError naming it."""
-        lines = text.splitlines()
-        if not lines or lines[0] != "# qc-report/1":
-            raise SchemaError("not a qc-report/1 file")
-        report = cls()
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            tag, _, rest = line.partition(",")
-            try:
-                if tag.startswith("duplicates_dropped"):
-                    report.duplicates_dropped = int(line.partition("=")[2])
-                    continue
-                name, parsers = _RECORDS[tag]
-                # the last cell takes the rest of the line: a reject's reason may hold commas
-                cells = rest.split(",", len(parsers) - 1)
-                record = tuple(parse(cell) for parse, cell in zip(parsers, cells, strict=True))
-            except KeyError:
-                raise SchemaError(f"line {lineno}: unknown qc record {tag!r}") from None
-            except ValueError:
-                raise SchemaError(f"line {lineno}: malformed qc record {line!r}") from None
-            getattr(report, name).append(record if len(record) > 1 else record[0])
-        return report
 
 
 def qc_outliers(table: WideHourlyTable) -> tuple[WideHourlyTable, QcReport]:

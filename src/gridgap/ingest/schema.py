@@ -179,10 +179,15 @@ class SourceSchema:
     @classmethod
     def from_file(cls, path, data: bytes | None = None) -> "SourceSchema":
         """The descriptor at ``path``; ``data``, when given, holds its bytes
-        already read.  Each field is a key, typed as the field is."""
+        already read.  Each field is a key, typed as the field is; a refusal
+        names the file."""
         types = typing.get_type_hints(cls)
         keys = {
             f.name: (types[f.name], REQUIRED if f.default is MISSING else f.default)
             for f in fields(cls)
         }
-        return cls(**read_keyfile(path, data, keys))
+        values = read_keyfile(path, data, keys)
+        try:
+            return cls(**values)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from None

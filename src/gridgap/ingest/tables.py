@@ -57,31 +57,13 @@ class WideHourlyTable:
     def __len__(self) -> int:
         return len(self.dates)
 
-    def copy(self) -> "WideHourlyTable":
-        return WideHourlyTable(self.dates, np.array(self.values), self.kind)
-
-    def daily_mean_frame(self, name: str, require_full_day: bool = False) -> TimeSeriesFrame:
-        """Daily means over non-missing cells as a one-column frame.
-
-        With ``require_full_day`` days missing any hour are dropped; otherwise
-        a day needs at least one observed hour.
-        """
-        missing = np.isnan(self.values)
-        cells = 24 - missing.sum(axis=1)
-        keep = cells == 24 if require_full_day else cells > 0
+    def daily_mean_frame(self, name: str) -> TimeSeriesFrame:
+        """Daily means as a one-column frame; a day missing any hour is dropped."""
+        keep = ~np.isnan(self.values).any(axis=1)
         if not keep.any():
             raise EmptyInputError("no usable days in table")
-        # each row's observed cells first, in their own order, so one mean per
-        # observed count sums them as a per-row mean over row[~missing] does
-        order = np.argsort(missing[keep], axis=1, kind="stable")
-        observed = np.take_along_axis(self.values[keep], order, axis=1)
-        cells = cells[keep]
-        means = np.empty(len(cells))
-        for n in np.unique(cells):
-            same = cells == n
-            means[same] = observed[same, :n].mean(axis=1)
         dates = tuple(d for d, k in zip(self.dates, keep) if k)
-        return TimeSeriesFrame(dates, (name,), means.reshape(-1, 1))
+        return TimeSeriesFrame(dates, (name,), self.values[keep].mean(axis=1).reshape(-1, 1))
 
 
 WIDE_HEADER = ["date"] + [str(h) for h in range(24)]

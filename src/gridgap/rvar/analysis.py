@@ -24,10 +24,6 @@ class IrfResult:
     shock: str
     responses: np.ndarray
 
-    @property
-    def horizon(self) -> int:
-        return self.responses.shape[0] - 1
-
 
 def irf(model: RVarModel, shock, horizon: int) -> IrfResult:
     """Propagate a unit impulse through the lag polynomial.
@@ -102,25 +98,11 @@ class FevdResult:
     """Forecast error variance shares.
 
     ``shares[h - 1, i, j]`` is the fraction of variable i's h-step forecast
-    error variance attributed to the orthogonalized shock of variable j;
-    ``mse[h - 1, i]`` is the corresponding total variance.
+    error variance attributed to the orthogonalized shock of variable j.
     """
 
     names: tuple[str, ...]
     shares: np.ndarray
-    mse: np.ndarray
-    ordering: tuple[int, ...]
-
-    @property
-    def horizon(self) -> int:
-        return self.shares.shape[0]
-
-    def share(self, h: int, variable, shock) -> float:
-        if not 1 <= h <= self.horizon:
-            raise ParameterError(f"h must be in 1..{self.horizon}, got {h}")
-        i = self.names.index(variable) if isinstance(variable, str) else int(variable)
-        j = self.names.index(shock) if isinstance(shock, str) else int(shock)
-        return float(self.shares[h - 1, i, j])
 
 
 def _resolve_ordering(model: RVarModel, ordering) -> tuple[int, ...]:
@@ -143,7 +125,7 @@ def fevd(model: RVarModel, horizon: int, ordering=None) -> FevdResult:
     """
     if horizon < 1:
         raise ParameterError(f"horizon must be >= 1, got {horizon}")
-    n, p = model.n_vars, model.p
+    n = model.n_vars
     perm = _resolve_ordering(model, ordering)
     sigma_perm = model.sigma_e[np.ix_(perm, perm)]
     try:
@@ -161,7 +143,6 @@ def fevd(model: RVarModel, horizon: int, ordering=None) -> FevdResult:
     numer = np.zeros((n, n))
     mse = np.zeros(n)
     shares = np.empty((horizon, n, n))
-    mses = np.empty((horizon, n))
     for h in range(1, horizon + 1):
         phi = power[:n, :n]
         b = phi @ s
@@ -170,6 +151,5 @@ def fevd(model: RVarModel, horizon: int, ordering=None) -> FevdResult:
         numer += b_unperm**2
         mse += (b_unperm**2).sum(axis=1)
         shares[h - 1] = numer / mse[:, None]
-        mses[h - 1] = mse
         power = power @ companion
-    return FevdResult(model.names, shares, mses, perm)
+    return FevdResult(model.names, shares)

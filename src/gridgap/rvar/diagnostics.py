@@ -75,7 +75,6 @@ def durbin_watson(series) -> float:
 class StabilityResult:
     stable: bool
     moduli: tuple[float, ...]  # eigenvalue moduli, largest first
-    strict: bool
 
     @property
     def max_modulus(self) -> float:
@@ -93,7 +92,7 @@ def stability_test(model: RVarModel, strict: bool = False) -> StabilityResult:
     moduli = tuple(sorted((abs(v) for v in eigvals), reverse=True))
     top = moduli[0]
     stable = top < 1.0 if strict else top <= 1.0
-    return StabilityResult(stable, moduli, strict)
+    return StabilityResult(stable, moduli)
 
 
 @dataclass(frozen=True)

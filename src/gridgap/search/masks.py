@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ParameterError
 from ..frames import TimeSeriesFrame
 from ..rvar import FevdResult, granger_wald, zero_mask
 
@@ -53,14 +52,8 @@ def rule_mask(p: int, n: int, rule: int, pvalues: np.ndarray | None) -> np.ndarr
     return mask
 
 
-def explainable_rate(fevd: FevdResult, target, horizon: int | None = None) -> float:
-    """Percent of the target's forecast error variance driven by other shocks.
-
-    100 x (1 - own-shock share) at ``horizon`` (default: the decomposition's
-    final step).
-    """
-    h = fevd.horizon if horizon is None else horizon
-    if not 1 <= h <= fevd.horizon:
-        raise ParameterError(f"horizon must be in 1..{fevd.horizon}, got {h}")
+def explainable_rate(fevd: FevdResult, target) -> float:
+    """Percent of the target's forecast error variance driven by other shocks:
+    100 x (1 - own-shock share) at the decomposition's final step."""
     i = fevd.names.index(target) if isinstance(target, str) else int(target)
-    return float(100.0 * (1.0 - fevd.shares[h - 1, i, i]))
+    return float(100.0 * (1.0 - fevd.shares[-1, i, i]))

@@ -12,6 +12,7 @@ the precedence tests behind rules 2 and 3 once per (window, order).
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import io
 from dataclasses import dataclass, field
@@ -79,10 +80,6 @@ class SearchSpace:
         for r in self.rules:
             if r not in (1, 2, 3):
                 raise ParameterError(f"rule {r} outside {{1,2,3}}")
-
-    @property
-    def target(self) -> str:
-        return self.variable_subsets[0][0]
 
     def combinations(self):
         """Deterministic enumeration order: subset, range, order, rule."""
@@ -335,7 +332,8 @@ def search_log_csv(result: SearchResult) -> str:
     extra = sorted({k for r in records for k in r.stats if k not in _STAT_COLUMNS})
     stat_keys = _STAT_COLUMNS + tuple(extra)
     out = io.StringIO()
-    out.write(",".join(_PARAM_COLUMNS + stat_keys) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(_PARAM_COLUMNS + stat_keys)
     for r in records:
         row = [
             str(r.index),
@@ -349,5 +347,5 @@ def search_log_csv(result: SearchResult) -> str:
         for key in stat_keys:
             v = r.stats.get(key)
             row.append("" if v is None else repr(float(v)))
-        out.write(",".join(row) + "\n")
+        writer.writerow(row)
     return out.getvalue()

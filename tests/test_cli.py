@@ -36,6 +36,13 @@ from conftest import make_dates
 from test_acceptance import c12_digests
 
 
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, for a child interpreter."""
+    src = os.path.dirname(os.path.dirname(gridgap.__file__))
+    path = [src, os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def read_manifest_outputs(out_dir):
     payload = json.loads((out_dir / MANIFEST_NAME).read_text())
     return payload["outputs"]
@@ -123,14 +130,18 @@ class TestUsage:
 
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats costs import time and resident memory; gridgap needs only scipy.special
-        src = os.path.dirname(os.path.dirname(gridgap.__file__))
-        path = [src, os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         code = "import sys, gridgap.cli.main; print('scipy.stats' in sys.modules)"
         done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True
         )
         assert done.stdout.strip() == "False"
+
+    def test_run_as_module_warns_nothing(self):
+        # importing gridgap.cli must not import main, or runpy warns that it
+        # finds the module already loaded
+        argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "gridgap.cli.main", "--help"]
+        done = subprocess.run(argv, env=_src_env(), capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
 
     def test_readme_python_blocks_run(self):
         readme = Path(__file__).resolve().parent.parent / "README.md"

@@ -197,6 +197,32 @@ def test_ingest_missing_second_file_fails_before_any_output(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "line, message",
+    [
+        ("kind = loads", "descriptor kind 'loads' not one of"),
+        ("time_column = t", "exactly one of hour_column / time_column is required"),
+    ],
+    ids=["kind", "time-column"],
+)
+def test_descriptor_field_refusal_names_the_descriptor(tmp_path, capsys, line, message):
+    # with two sources, only the path tells which descriptor is at fault
+    descriptor = "name = {0}\nkind = load\ndate_column = day\nhour_column = h\nvalue_column = mw\n"
+    for label in "ab":
+        (tmp_path / f"{label}.csv").write_text("day,h,mw\n2020-01-01,0,1\n")
+        (tmp_path / f"{label}.schema").write_text(descriptor.format(label))
+    with open(tmp_path / "b.schema", "a") as fh:
+        fh.write(line + "\n")
+    (tmp_path / "c.cfg").write_text(
+        "source.a.data = a.csv\nsource.a.schema = a.schema\n"
+        "source.b.data = b.csv\nsource.b.schema = b.schema\n"
+    )
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(tmp_path / "c.cfg"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'b.schema'}: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "keys, message",
     [
         ("backup.b.data = a.csv\nbackup.b.schema = s.schema\n", "backup.b.data: no source.b.data"),

@@ -244,5 +244,4 @@ def test_no_per_row_numpy_path(monkeypatch):
 
     monkeypatch.setattr(np, "apply_along_axis", refuse)
     assert feature_matrix(dates, tables, 1.0).shape == (40, FeatureConfig().dimension)
-    for full in (True, False):
-        tables["wind"].daily_mean_frame("wind", require_full_day=full)
+    tables["wind"].daily_mean_frame("wind")

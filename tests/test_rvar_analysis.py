@@ -134,17 +134,6 @@ class TestFevd:
         res = fevd(model, horizon=5)
         assert np.allclose(res.shares, 1.0)
 
-    def test_share_accessor_uses_one_based_horizon(self):
-        model = _random_stable_model(2)
-        res = fevd(model, horizon=6)
-        v, s = model.names[0], model.names[-1]
-        assert res.share(1, v, s) == res.shares[0, 0, model.n_vars - 1]
-        assert res.share(6, v, s) == res.shares[5, 0, model.n_vars - 1]
-        with pytest.raises(ParameterError):
-            res.share(0, v, s)
-        with pytest.raises(ParameterError):
-            res.share(7, v, s)
-
     def test_diagonal_sigma_horizon_one_shares(self):
         # with uncorrelated shocks the one-step share of a variable's own
         # shock is its noise variance over the total one-step variance

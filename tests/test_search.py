@@ -1,5 +1,6 @@
 """Restriction masks, explainable rate, and the model-space sweep."""
 
+import csv
 import datetime as dt
 import multiprocessing
 import os
@@ -184,7 +185,7 @@ class TestExplainableRate:
         shares[0, 1, 1] = 0.7
         shares[0, 1, 0] = 0.3
         shares[0, 0, 0] = 1.0
-        decomp = FevdResult(("p", "q"), shares, np.ones((1, 2)), (0, 1))
+        decomp = FevdResult(("p", "q"), shares)
         assert explainable_rate(decomp, "q") == pytest.approx(30.0)
 
     def test_bounded_for_random_models(self):
@@ -207,14 +208,6 @@ class TestExplainableRate:
             for name in model.names:
                 rate = explainable_rate(decomp, name)
                 assert 0.0 <= rate <= 100.0
-
-    def test_horizon_bounds(self):
-        decomp = fevd(_silent_model(), horizon=4)
-        assert explainable_rate(decomp, "v0", horizon=4) == pytest.approx(0.0)
-        with pytest.raises(ParameterError):
-            explainable_rate(decomp, "v0", horizon=5)
-        with pytest.raises(ParameterError):
-            explainable_rate(decomp, "v0", horizon=0)
 
 
 # ------------------------------------------------------------- search space
@@ -612,3 +605,14 @@ class TestSearchLog:
         assert float(rows[1]["bic"]) == pytest.approx(result.chosen.stats["bic"])
         # rejected-at-stability row leaves the score columns blank
         assert rows[0]["bic"] == ""
+
+    def test_status_with_a_comma_stays_one_cell(self):
+        # a 16-day window is too short for the ADF test, whose reason holds a comma
+        frame = spiky_levels(0)
+        short = (frame.dates[0], frame.dates[15])
+        space = SearchSpace((("y", "u", "v"),), (short, whole_range(frame)), (1, 2), (1,))
+        result = run_search(frame, space, ScoringConfig())
+        header, *rows = csv.reader(search_log_csv(result).splitlines())
+        assert "," in result.records[0].status
+        assert [len(row) for row in rows] == [len(header)] * space.size()
+        assert [row[header.index("status")] for row in rows] == [r.status for r in result.records]

@@ -1,7 +1,7 @@
 """Bitwise oracles for the whole-table wide-CSV paths.
 
 The ``_reference_*`` functions are frozen copies of the original per-row and
-per-cell code: a daily mean per row over its observed cells, and one
+per-cell code: a daily mean per row with no missing cell, and one
 ``format_value`` call per written cell. The whole-array paths must give the
 same bits and bytes, because the backcast's training target and every
 written table depend on them.
@@ -29,14 +29,12 @@ from conftest import make_dates
 SPECIAL = (np.nan, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e16, 3.0, -7.0, 0.1, 1 / 3)
 
 
-def _reference_daily_means(table, require_full_day):
+def _reference_daily_means(table):
     means, dates = [], []
     for i, d in enumerate(table.dates):
         row = table.values[i]
         ok = ~np.isnan(row)
-        if require_full_day and not ok.all():
-            continue
-        if not ok.any():
+        if not ok.all():
             continue
         means.append(float(np.mean(row[ok])))
         dates.append(d)
@@ -51,23 +49,23 @@ def _reference_write(path, header, dates, values):
             writer.writerow([d.isoformat()] + [format_value(v) for v in row])
 
 
-def _random_table(seed, days=120):
-    """Readings of mixed scale with 0 to 24 missing hours a day; some days
-    full, some empty."""
+def _random_table(seed, holes, days=120):
+    """Readings of mixed scale; with ``holes``, 0 to 24 missing hours a day,
+    some days full, some empty."""
     rng = np.random.default_rng(seed)
     values = rng.normal(0, 1, (days, 24)) * 10.0 ** rng.integers(-3, 6, (days, 1))
     values[rng.random((days, 24)) < 0.05] = rng.choice(SPECIAL[1:], 1)
-    for i in range(days):
+    for i in range(days if holes else 0):
         values[i, rng.permutation(24)[: rng.integers(0, 25) if i % 3 else 0]] = np.nan
     return WideHourlyTable(make_dates(days), values, "load")
 
 
-@pytest.mark.parametrize("require_full_day", [False, True])
+@pytest.mark.parametrize("holes", [False, True])
 @pytest.mark.parametrize("seed", range(20))
-def test_daily_mean_frame_matches_per_row_reference(seed, require_full_day):
-    table = _random_table(seed)
-    dates, means = _reference_daily_means(table, require_full_day)
-    frame = table.daily_mean_frame("x", require_full_day=require_full_day)
+def test_daily_mean_frame_matches_per_row_reference(seed, holes):
+    table = _random_table(seed, holes)
+    dates, means = _reference_daily_means(table)
+    frame = table.daily_mean_frame("x")
     assert frame.dates == dates
     assert frame.values[:, 0].tobytes() == means.tobytes()
 
@@ -77,7 +75,7 @@ def test_daily_mean_frame_without_usable_day():
     values[:, 4] = np.nan
     table = WideHourlyTable(make_dates(3), values, "load")
     with pytest.raises(EmptyInputError):
-        table.daily_mean_frame("x", require_full_day=True)
+        table.daily_mean_frame("x")
     values[:] = np.nan
     with pytest.raises(EmptyInputError):
         WideHourlyTable(make_dates(3), values, "load").daily_mean_frame("x")
