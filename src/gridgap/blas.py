@@ -1,11 +1,15 @@
-"""numpy's bundled OpenBLAS, reached through ctypes to read and pin its thread
-count, and the process pool that keeps every worker on one BLAS thread.
+"""The bundled OpenBLAS of numpy and of scipy, reached through ctypes to read
+and pin their thread counts, and the process pool that keeps every worker on
+one BLAS thread.
 
 Never call ``set_num_threads`` with the count OpenBLAS already has: a fork
 stops its thread server, and ``set_num_threads`` starts it again in the child
 at any count, whose helper thread spins about 0.12 s of CPU before it sleeps.
-A forked pool worker inherits the parent's one-thread pin and so keeps it
-without a call; a spawned or forkserver worker pins itself on start.
+numpy's is pinned around each pool by ``one_blas_thread``, then restored. A
+forked pool worker inherits the parent's pin and so keeps it without a call; a
+spawned or forkserver worker pins itself on start. scipy's, which runs the
+rvar least squares, is pinned once when ``gridgap.rvar.ols`` is imported,
+before any fork, and never set again, so no restore ever restarts it.
 """
 
 from __future__ import annotations
@@ -24,15 +28,15 @@ import numpy as np
 BLAS_PIN = threading.Lock()
 
 
-@functools.cache
-def openblas():
-    """``(get, set)`` for the thread count of numpy's bundled OpenBLAS, or None.
+def _bundled_openblas(package):
+    """``(get, set)`` for the thread count of the OpenBLAS bundled in ``package``'s
+    wheel, or None.
 
-    numpy wheels ship OpenBLAS in ``numpy.libs`` (``numpy/.dylibs`` on
-    macOS); opening that file again returns the library numpy already loaded.
+    Wheels ship it in ``<package>.libs`` (``<package>/.dylibs`` on macOS);
+    opening that file again returns the library the package already loaded.
     """
-    root = Path(np.__file__).parent
-    found = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
+    root = Path(package.__file__).parent
+    found = [*root.parent.glob(f"{root.name}.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
     for path in sorted(found):
         try:
             lib = ctypes.CDLL(str(path))
@@ -47,6 +51,28 @@ def openblas():
                     put.argtypes, put.restype = [ctypes.c_int], None
                     return get, put
     return None
+
+
+@functools.cache
+def openblas():
+    """``(get, set)`` for the thread count of numpy's bundled OpenBLAS, or None."""
+    return _bundled_openblas(np)
+
+
+@functools.cache
+def scipy_openblas():
+    """``(get, set)`` for the thread count of scipy's bundled OpenBLAS, or None,
+    also when it is numpy's own, whose count only ``one_blas_thread`` sets."""
+    import scipy
+
+    handle, own = _bundled_openblas(scipy), openblas()
+    if handle is None or (own is not None and _address(handle[0]) == _address(own[0])):
+        return None
+    return handle
+
+
+def _address(func) -> int:
+    return ctypes.cast(func, ctypes.c_void_p).value
 
 
 def pin_threads(blas, count: int) -> None:

@@ -133,8 +133,9 @@ def _clean(rec: RunRecorder, names, table, backup, parsed=None, label: str = "")
 
 
 def _sources(cfg: dict, prefix: str) -> dict:
-    """{label: (raw bytes, descriptor)} of the ``prefix.<label>.data|schema`` pairs."""
-    data, schemas = cfg[f"{prefix}.<label>.data"], cfg[f"{prefix}.<label>.schema"]
+    """{label: (raw bytes, descriptor)} of the ``prefix.<label>.data|schema``
+    pairs; the bytes leave ``cfg``, so each is freed once its entry is dropped."""
+    data, schemas = cfg.pop(f"{prefix}.<label>.data"), cfg[f"{prefix}.<label>.schema"]
     for label in sorted(data.keys() ^ schemas.keys()):
         raise _missing(f"{prefix}.{label}.{'schema' if label in data else 'data'}")
     return {label: (data[label][1], SourceSchema.from_file(*schemas[label])) for label in data}
@@ -147,9 +148,9 @@ def cmd_ingest(cfg: dict, rec: RunRecorder) -> int:
     for label in sorted(backups.keys() - sources.keys()):
         raise ConfigError(f"backup.{label}.data: no source.{label}.data to back up")
     unresolved = 0
-    for label, (raw, schema) in sorted(sources.items()):
-        wide, parsed = parse_source(raw, schema)
-        backup = parse_source(*backups[label])[0] if label in backups else None
+    for label in sorted(sources):
+        wide, parsed = parse_source(*sources.pop(label))
+        backup = parse_source(*backups.pop(label))[0] if label in backups else None
         names = (f"{label}.wide.csv", f"{label}.qc.txt")
         unresolved += _clean(rec, names, wide, backup, parsed, f"{label}: ")
     return EXIT_GAPS if unresolved else EXIT_OK

@@ -296,7 +296,9 @@ def run_search(
     one pool task, on ``min(jobs, units)`` workers; one worker means no pool.
     The regressions are far too small to gain from BLAS threads, whose
     spinning only takes CPU from the sweep, so the search runs with numpy's
-    OpenBLAS on one thread.
+    OpenBLAS pinned to one thread, restored afterwards, and with scipy's,
+    which runs the least squares, on the one thread that importing
+    ``gridgap.rvar`` pinned for good.
     """
     scoring = scoring or ScoringConfig()
     missing = [

@@ -1,10 +1,20 @@
 import datetime as dt
+import os
 
 import numpy as np
 import pytest
 
+import gridgap
 from gridgap import TimeSeriesFrame
 from gridgap.ingest import WideHourlyTable
+
+
+def src_env(**extra):
+    """The environment with this checkout's src/ first on PYTHONPATH, plus
+    ``extra``, for a child interpreter."""
+    src = os.path.dirname(os.path.dirname(gridgap.__file__))
+    path = [src, os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **extra)
 
 
 def make_dates(n, start="2020-01-01"):

@@ -4,7 +4,7 @@
 subclass to patch in, as ``gridgap.blas.ProcessPoolExecutor``, for the one
 ``gridgap.blas.pool_map`` starts. It runs on start method ``method``, appends
 each pool's worker count to ``started``, and after every task appends the
-worker's pid and numpy's OpenBLAS thread count to ``log``.
+worker's pid and the thread counts of numpy's and scipy's OpenBLAS to ``log``.
 The task wrapper is a module-level function, so spawned and forkserver
 workers, which import this module by name, run it too.
 """
@@ -17,11 +17,17 @@ from concurrent.futures import ProcessPoolExecutor
 from gridgap import blas
 
 
+def blas_threads() -> tuple[int | None, int | None]:
+    """The thread counts of numpy's and scipy's OpenBLAS in this process, each
+    None without a handle."""
+    handles = blas.openblas(), blas.scipy_openblas()
+    return tuple(handle[0]() if handle else None for handle in handles)
+
+
 def _probe(task, log, *args):
     result = task(*args)
-    handle = blas.openblas()
     with open(log, "a") as fh:
-        fh.write(f"{os.getpid()} {handle[0]() if handle else None}\n")
+        fh.write(" ".join(map(str, (os.getpid(), *blas_threads()))) + "\n")
     return result
 
 
@@ -39,9 +45,10 @@ def probed_pool(method: str, log, started: list):
     return ProbedPool
 
 
-def worker_reads(log) -> list[tuple[int, int | None]]:
-    """``(pid, BLAS threads)`` per task the probed pools ran, in finishing order;
-    the thread count is None in a worker without an OpenBLAS handle."""
+def worker_reads(log) -> list[tuple[int, int | None, int | None]]:
+    """``(pid, numpy's BLAS threads, scipy's BLAS threads)`` per task the probed
+    pools ran, in finishing order; a count is None in a worker without that
+    OpenBLAS handle."""
     with open(log) as fh:
         rows = [line.split() for line in fh]
-    return [(int(pid), None if threads == "None" else int(threads)) for pid, threads in rows]
+    return [tuple(None if v == "None" else int(v) for v in row) for row in rows]

@@ -623,7 +623,7 @@ def _loop_ensemble(monkeypatch, *args, **kwargs):
 def forced_pool(monkeypatch, tmp_path):
     """``force(method)`` makes any training of two candidates or more start a
     probed pool on ``method``; it returns the started pools' worker counts and
-    the log of ``(pid, BLAS threads)`` written inside the workers."""
+    the log of ``(pid, numpy's and scipy's BLAS threads)`` written inside the workers."""
 
     def force(method="fork"):
         if method not in multiprocessing.get_all_start_methods():
@@ -637,11 +637,11 @@ def forced_pool(monkeypatch, tmp_path):
 
 
 def _worker_blas(log, tasks):
-    """BLAS threads per task, after checking that ``tasks`` ran in pool workers."""
+    """numpy's BLAS threads per task, after checking that ``tasks`` ran in pool workers."""
     reads = worker_reads(log)
     assert len(reads) == tasks
-    assert os.getpid() not in {pid for pid, _ in reads}
-    return [threads for _, threads in reads]
+    assert os.getpid() not in {pid for pid, _, _ in reads}
+    return [threads for _, threads, _ in reads]
 
 
 class TestParallelTraining:

@@ -32,15 +32,8 @@ from gridgap.rvar import (
     zero_mask,
 )
 
-from conftest import make_dates
+from conftest import make_dates, src_env
 from test_acceptance import c12_digests
-
-
-def _src_env():
-    """The environment with this checkout's src/ first on PYTHONPATH, for a child interpreter."""
-    src = os.path.dirname(os.path.dirname(gridgap.__file__))
-    path = [src, os.environ.get("PYTHONPATH")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
 def read_manifest_outputs(out_dir):
@@ -132,7 +125,7 @@ class TestUsage:
         # scipy.stats costs import time and resident memory; gridgap needs only scipy.special
         code = "import sys, gridgap.cli.main; print('scipy.stats' in sys.modules)"
         done = subprocess.run(
-            [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True
         )
         assert done.stdout.strip() == "False"
 
@@ -140,7 +133,7 @@ class TestUsage:
         # importing gridgap.cli must not import main, or runpy warns that it
         # finds the module already loaded
         argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "gridgap.cli.main", "--help"]
-        done = subprocess.run(argv, env=_src_env(), capture_output=True, text=True)
+        done = subprocess.run(argv, env=src_env(), capture_output=True, text=True)
         assert (done.returncode, done.stderr) == (0, "")
 
     def test_readme_python_blocks_run(self):

@@ -1,4 +1,5 @@
-"""Oracle for the ADF lag selector, ADF, Engle-Granger and Granger statistics.
+"""Oracle for least squares, the ADF lag selector, ADF, Engle-Granger and
+Granger statistics.
 
 The ``_reference_*`` functions are frozen copies of the original
 implementation: one ``lstsq`` fit per candidate ADF lag on the common
@@ -10,19 +11,42 @@ while lag choices, row counts and collinearity verdicts match exactly.
 Where ``inv(XᵀX)`` loses definiteness the reference Wald statistic goes
 negative; the QR form cannot.  The p-value surfaces are unchanged and
 still match bit for bit.
+
+``_reference_ols`` is the first QR kernel: ``column_stack``, numpy's
+``qr(mode="r")`` and an SVD rank on every call.  ``ols`` now factors with
+LAPACK ``dgeqrf`` and proves full rank from ``dtrtri`` before any SVD; its
+verdicts, R, coefficients and residuals match the reference bit for bit.
 """
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dtrtrs
 from scipy.stats import chi2, norm
 
+from gridgap.blas import one_blas_thread
 from gridgap.errors import CollinearityError, DegenerateSeriesError
 from gridgap.rvar import adf as adf_module
 from gridgap.rvar import adf_test, engle_granger, granger_wald, ljung_box, mackinnon_pvalue
+from gridgap.rvar import ols as ols_module
 from gridgap.rvar.adf import select_adf_lag
 from gridgap.rvar.diagnostics import ljung_box_statistic, sample_autocorr
+from gridgap.rvar.ols import ols
 
 from conftest import make_frame
+
+
+def _reference_numerical_rank(r, rows):
+    s = np.linalg.svd(r, compute_uv=False)
+    return int(np.count_nonzero(s > s[0] * max(rows, r.shape[1]) * np.finfo(float).eps))
+
+
+def _reference_ols(x, y):
+    rows, m = x.shape
+    r = np.linalg.qr(np.column_stack([x, y]), mode="r")
+    if _reference_numerical_rank(r[:m, :m], rows) < m:
+        return None
+    beta = dtrtrs(r[:m, :m], r[:m, m])[0]
+    return beta, y - x @ beta, r
 
 
 def _reference_adf_fit(y, k, regression, offset):
@@ -271,3 +295,69 @@ def test_mackinnon_matches_norm_cdf(regression):
         for stat in np.linspace(-30.0, 5.0, 701):
             got = mackinnon_pvalue(float(stat), regression, nseries)
             assert _bits(got) == _bits(_reference_mackinnon_pvalue(float(stat), regression, nseries))
+
+
+def _ols_design(seed):
+    """A seeded design and response: 60–700 rows and 2–36 columns, a third of
+    them with one column a near copy of a mix of the others (noise 1e-6…1e-16)."""
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(60, 701))
+    m = int(rng.integers(2, min(37, rows)))
+    x = rng.standard_normal((rows, m)) * 10.0 ** rng.uniform(-3, 3, m)
+    x[:, 0] = 1.0
+    if seed % 3 == 0:
+        j = int(rng.integers(1, m))
+        mix = x[:, :j] @ rng.standard_normal(j)
+        x[:, j] = mix + 10.0 ** -rng.uniform(6, 16) * np.abs(mix).max() * rng.standard_normal(rows)
+    return x, x @ rng.standard_normal(m) + rng.standard_normal(rows)
+
+
+def _ols_edge_cases():
+    rng = np.random.default_rng(99)
+    x, y = rng.standard_normal((80, 4)), rng.standard_normal(80)
+    doubled = x.copy()
+    doubled[:, 3] = 2.0 * x[:, 1]
+    summed = x.copy()
+    summed[:, 2] = x[:, 0] + x[:, 1]
+    zero = x.copy()
+    zero[:, 1] = 0.0
+    cases = [(doubled, y), (summed, y), (zero, y), (x[:3], y[:3]), (x[:4], y[:4])]
+    for bad in (np.nan, np.inf):
+        hole = x.copy()
+        hole[7, 2] = bad
+        cases += [(hole, y), (x, np.where(np.arange(80) == 5, bad, y))]
+    return cases
+
+
+def _ols_fields(x, y):
+    fit = ols(x, y)
+    return None if fit is None else (fit.beta, fit.resid, fit.r)
+
+
+def _ols_outcome(fit, x, y):
+    try:
+        got = fit(x, y)
+    except Exception as exc:  # both kernels must fail alike
+        return type(exc)
+    return None if got is None else tuple(a.tobytes() for a in got)
+
+
+def test_ols_matches_column_stack_qr_svd_reference(monkeypatch):
+    fallbacks = []
+    real_rank = ols_module.numerical_rank
+
+    def counted(r, rows):
+        fallbacks.append(r.shape)
+        return real_rank(r, rows)
+
+    monkeypatch.setattr(ols_module, "numerical_rank", counted)
+    cases = [_ols_design(seed) for seed in range(330)] + _ols_edge_cases()
+    verdicts = {"fit": 0, "none": 0, "error": 0}
+    with one_blas_thread():  # the sweep's BLAS setting
+        for k, (x, y) in enumerate(cases):
+            new = _ols_outcome(_ols_fields, x, y)
+            want = _ols_outcome(_reference_ols, x, y)
+            assert new == want, k
+            verdicts["none" if new is None else "error" if isinstance(new, type) else "fit"] += 1
+    assert all(verdicts.values()), verdicts
+    assert 0 < len(fallbacks) < len(cases), "both the dtrtri bound and the SVD fallback must run"

@@ -4,12 +4,14 @@ import csv
 import datetime as dt
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import make_dates, make_frame
-from pool_probe import probed_pool, worker_reads
+from conftest import make_dates, make_frame, src_env
+from pool_probe import blas_threads, probed_pool, worker_reads
 
 from gridgap import TimeSeriesFrame
 from gridgap import blas as blas_module
@@ -422,8 +424,9 @@ class TestRunSearch:
 
         def counting(*args):
             batch = real(*args)
+            tasks = len(os.listdir("/proc/self/task"))
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {len(os.listdir('/proc/self/task'))}\n")
+                fh.write(f"{os.getpid()} {tasks} {blas_threads()[1]}\n")
             return batch
 
         monkeypatch.setattr(sweep, "_evaluate_window", counting)
@@ -439,8 +442,28 @@ class TestRunSearch:
             put(before)
         units = [line.split() for line in log.read_text().splitlines()]
         assert len(units) == len(windows)
-        assert str(os.getpid()) not in {pid for pid, _ in units}
-        assert [threads for _, threads in units] == ["1"] * len(windows)
+        assert str(os.getpid()) not in {pid for pid, _, _ in units}
+        assert [threads for _, threads, _ in units] == ["1"] * len(windows)
+        # scipy's OpenBLAS, which runs the least squares, was pinned before the fork
+        scipy_threads = "1" if blas_module.scipy_openblas() else "None"
+        assert [threads for _, _, threads in units] == [scipy_threads] * len(windows)
+
+    def test_rvar_import_pins_only_scipys_openblas(self):
+        if blas_module.openblas() is None or blas_module.scipy_openblas() is None:
+            pytest.skip("numpy or scipy has no bundled OpenBLAS of its own to pin")
+        code = (
+            "from gridgap import blas\n"
+            "before = blas.openblas()[0]()\n"
+            "import gridgap.rvar\n"
+            "print(before, blas.openblas()[0](), blas.scipy_openblas()[0]())\n"
+        )
+        env = src_env(OPENBLAS_NUM_THREADS="2")
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        numpy_before, numpy_after, scipy_after = map(int, done.stdout.split())
+        assert numpy_after == numpy_before  # numpy's count is pinned only around a pool
+        assert scipy_after == 1
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_pool_on_start_method_matches_serial(self, monkeypatch, tmp_path, method):
@@ -460,8 +483,11 @@ class TestRunSearch:
         assert started == [2]
         reads = worker_reads(log)
         assert len(reads) == len(windows)
-        assert os.getpid() not in {pid for pid, _ in reads}
-        assert [threads for _, threads in reads] == [1] * len(windows)  # a spawned worker pins itself
+        assert os.getpid() not in {pid for pid, _, _ in reads}
+        # a spawned worker pins numpy's OpenBLAS itself, and scipy's on importing the sweep
+        assert [threads for _, threads, _ in reads] == [1] * len(windows)
+        scipy_threads = 1 if blas_module.scipy_openblas() else None
+        assert [threads for _, _, threads in reads] == [scipy_threads] * len(windows)
         assert pooled.chosen_index == serial.chosen_index
         assert search_log_csv(pooled) == search_log_csv(serial)
         assert any(r.model is not None for r in serial.records)
