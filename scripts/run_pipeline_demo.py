@@ -59,8 +59,9 @@ def main() -> None:
     run("search", ["search", "--config", str(data / "analyze.cfg"), "--out", str(out / "search"), *seed])
 
     run("ntl", ["ntl", "--config", str(data / "ntl.cfg"), "--out", str(out / "ntl"), *seed])
-    for line in (out / "ntl" / "ntl_report.txt").read_text().splitlines()[6:8]:
-        print("  ", line)
+    for line in (out / "ntl" / "ntl_report.txt").read_text().splitlines():
+        if line.startswith(("repaired =", "isolated =")):
+            print("  ", line)
 
     print(f"all outputs under {out}/, one run_manifest.json per step")
 

@@ -12,7 +12,6 @@ driver, mobility included, as a prepared series column.
 __version__ = "0.1.0"
 
 from .frames import (
-    CalendarInfo,
     TimeSeriesFrame,
     TransitionPeriod,
     federal_holidays,
@@ -24,7 +23,6 @@ from .transforms import (
 )
 
 __all__ = [
-    "CalendarInfo",
     "TimeSeriesFrame",
     "TransitionPeriod",
     "__version__",

@@ -22,9 +22,8 @@ from .features import (
     MIN_WEATHER_CELLS,
     FeatureConfig,
     feature_matrix,
-    feature_names,
 )
-from .network import forward, gradient_check, init_params, loss_and_grads, train_network
+from .network import forward, init_params, loss_and_grads, train_network
 
 __all__ = [
     "BackcastEnsemble",
@@ -39,9 +38,7 @@ __all__ = [
     "ReductionSeries",
     "TrainingConfig",
     "feature_matrix",
-    "feature_names",
     "forward",
-    "gradient_check",
     "init_params",
     "load_ensemble",
     "loss_and_grads",

@@ -49,17 +49,6 @@ class FeatureConfig:
         return 21 + len(self.weather_kinds) * len(self.quantile_levels) + 1
 
 
-def feature_names(config: FeatureConfig) -> tuple[str, ...]:
-    """Column labels of the feature rows, in order."""
-    names = [f"month_{m}" for m in range(1, 13)]
-    names += [f"weekday_{w}" for w in range(7)]
-    names += ["holiday", "day_scaled"]
-    for kind in config.weather_kinds:
-        names += [f"{kind}_q{int(round(q * 100))}" for q in config.quantile_levels]
-    names.append("gdp_growth")
-    return tuple(names)
-
-
 def _encode(dates, weather, gdp, holidays, config: FeatureConfig) -> np.ndarray:
     """The (days, dimension) feature matrix of ``dates``.
 

@@ -138,46 +138,6 @@ def loss_and_grads(params, x: np.ndarray, y: np.ndarray, workspace: _Workspace |
     return loss, list(ws.grads)
 
 
-def _pattern(ws: _Workspace) -> list[bytes]:
-    """Which rectifier units the last forward pass in ``ws`` switched on."""
-    return [np.greater(out, 0.0, out=mask).tobytes() for out, mask in zip(ws.outs[:-1], ws.masks)]
-
-
-def gradient_check(params, x: np.ndarray, y: np.ndarray, samples: int = 24,
-                   eps: float = 1e-6, rng: np.random.Generator | None = None) -> float:
-    """Largest relative gap between backprop and central differences.
-
-    Probes ``samples`` randomly chosen coordinates; exhaustive checking is
-    quadratic in parameter count and only worth it on toy problems. Probes
-    whose perturbation flips a rectifier on or off are skipped: the loss has
-    a kink there and the two-sided difference measures nothing meaningful.
-    """
-    rng = rng or np.random.default_rng(0)
-    xt = np.ascontiguousarray(x.T)
-    ws = _Workspace(_sizes(params), x.shape[0])
-    loss_and_grads(params, xt.T, y, ws)
-    flat, probe = _packed(params)
-    worst = 0.0
-    chosen = rng.choice(flat.size, size=min(samples, flat.size), replace=False)
-    for c in chosen:
-        c = int(c)
-        original = flat[c]
-        flat[c] += eps
-        up = _loss(probe, xt, y, ws)
-        pattern_up = _pattern(ws)
-        flat[c] -= 2 * eps
-        down = _loss(probe, xt, y, ws)
-        pattern_down = _pattern(ws)
-        flat[c] = original
-        if pattern_up != pattern_down:
-            continue
-        numeric = (up - down) / (2 * eps)
-        analytic = ws.grad[c]  # _loss leaves the gradient buffer alone
-        scale = max(abs(numeric), abs(analytic), 1e-8)
-        worst = max(worst, abs(numeric - analytic) / scale)
-    return worst
-
-
 def train_network(
     x: np.ndarray,
     y: np.ndarray,

@@ -470,8 +470,8 @@ def cmd_fevd(cfg: dict, rec: RunRecorder) -> int:
 def cmd_trend(cfg: dict, rec: RunRecorder) -> int:
     frame = read_series_csv(*cfg.pop("series"))
     column = cfg.get("column", frame.names[0])
-    period, mode = cfg["period"], cfg["mode"]
-    result = trend_transition(frame, column, period, mode, cfg["tol_fraction"])
+    period = cfg["period"]
+    result = trend_transition(frame, column, period, cfg["tol_fraction"])
     raw = frame.column(column)
     _write_csv(
         rec,
@@ -487,7 +487,6 @@ def cmd_trend(cfg: dict, rec: RunRecorder) -> int:
         f"begin = {transition.begin.isoformat()}",
         f"end = {transition.end.isoformat()}",
         f"degenerate = {str(transition.degenerate).lower()}",
-        f"mode = {mode}",
         f"period = {period}",
     ]
     _write_text(rec, "transition.txt", "\n".join(lines))
@@ -515,7 +514,6 @@ def cmd_ntl(cfg: dict, rec: RunRecorder) -> int:
         f"width = {raster.width}",
         f"floor = {format_value(floor)}",
         f"smooth = {str(smooth).lower()}",
-        f"colormap = {cfg['colormap']}",
         f"repaired = {len(result.repaired)}",
         f"isolated = {len(result.isolated)}",
     ]
@@ -585,11 +583,11 @@ COMMANDS = {
     ),
     "trend": (cmd_trend, "smoothed trend and regime-transition window of one series", {
         "series": (bytes, REQUIRED), "column": (str, None),
-        "period": (int, 7), "mode": (str, "mean"), "tol_fraction": (float, 0.05),
+        "period": (int, 7), "tol_fraction": (float, 0.05),
     }),
     "ntl": (cmd_ntl, "repair, rescale, floor, and smooth a nighttime radiance grid", {
         "grid": (bytes, REQUIRED), "metadata": (bytes, None),
-        "floor": (float, 10.0), "smooth": (bool, True), "colormap": (str, "viridis"),
+        "floor": (float, 10.0), "smooth": (bool, True),
     }),
 }
 

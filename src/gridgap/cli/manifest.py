@@ -42,12 +42,11 @@ class RunRecorder:
     details: dict[str, object] = field(default_factory=dict)
     started: float = field(default_factory=time.perf_counter)
 
-    def record_input(self, path, data: bytes | None = None) -> None:
-        """Record ``path``'s digest: of ``data``, its bytes already read, when given."""
+    def record_input(self, path, data: bytes) -> None:
+        """Record ``path``'s digest, taken of ``data``, the bytes already read from it."""
         key = str(path)
         if key not in self.inputs:
-            digest = sha256_file(path) if data is None else hashlib.sha256(data).hexdigest()
-            self.inputs[key] = digest
+            self.inputs[key] = hashlib.sha256(data).hexdigest()
 
     def output(self, name: str) -> Path:
         """The path of output ``name``, its directory made and the file recorded."""

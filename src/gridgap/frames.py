@@ -141,31 +141,6 @@ def federal_holidays(years) -> frozenset[dt.date]:
 
 
 @dataclass(frozen=True)
-class CalendarInfo:
-    """Calendar attributes of one date as used by the feature builder."""
-
-    date: dt.date
-    month: int
-    day: int
-    weekday: int  # Monday == 0
-    holiday_flag: bool
-
-    def __post_init__(self):
-        d = _as_date(self.date)
-        object.__setattr__(self, "date", d)
-        if (self.month, self.day, self.weekday) != (d.month, d.day, d.weekday()):
-            raise ParameterError(
-                f"calendar fields inconsistent with {d}: "
-                f"month={self.month} day={self.day} weekday={self.weekday}"
-            )
-
-    @classmethod
-    def from_date(cls, d, holidays=frozenset()) -> "CalendarInfo":
-        d = _as_date(d)
-        return cls(d, d.month, d.day, d.weekday(), d in holidays)
-
-
-@dataclass(frozen=True)
 class TransitionPeriod:
     """Inclusive [begin, end] window in which a trend moves between regimes."""
 

@@ -8,7 +8,6 @@ lunar illumination fraction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -241,8 +240,3 @@ def load_raster(grid_path, meta_path=None, grid_raw=None, meta_raw=None, record=
     if (fraction is None) != (angle is None):
         raise SchemaError(f"{meta_path}: lunar_fraction and lunar_angle_grid must appear together")
     return Raster(grid, flags, fraction, angle)
-
-
-def moon_angle_grid(shape, zenith_deg: float) -> np.ndarray:
-    """Constant lunar-angle grid, convenience for scenes with one moon position."""
-    return np.full(shape, math.radians(zenith_deg), dtype=float)

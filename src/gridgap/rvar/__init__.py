@@ -24,7 +24,6 @@ from .model import (
     load_model,
     residuals,
     save_model,
-    simulate_var,
     zero_mask,
 )
 
@@ -61,7 +60,6 @@ __all__ = [
     "run_diagnostics",
     "sample_autocorr",
     "save_model",
-    "simulate_var",
     "stability_test",
     "zero_mask",
 ]

@@ -1,4 +1,4 @@
-"""Restricted vector autoregression: estimation, simulation, serialization.
+"""Restricted vector autoregression: estimation and serialization.
 
 The model is
 
@@ -21,7 +21,6 @@ import scipy.linalg
 
 from ..errors import (
     CollinearityError,
-    FactorizationError,
     GridGapError,
     InsufficientDataError,
     ParameterError,
@@ -194,41 +193,6 @@ def residuals(model: RVarModel, frame: TimeSeriesFrame) -> np.ndarray:
     for k in range(model.p):
         pred += lagged[:, k, :] @ model.coeffs[k].T
     return resp - pred
-
-
-def simulate_var(
-    coeffs: np.ndarray,
-    intercept: np.ndarray,
-    sigma_e: np.ndarray,
-    steps: int,
-    rng: np.random.Generator,
-    burn: int = 200,
-) -> np.ndarray:
-    """Draw a sample path of a VAR with Gaussian shocks.
-
-    ``sigma_e`` may be merely positive semi-definite (a zero matrix gives the
-    deterministic path), so the factor falls back to an eigendecomposition
-    when Cholesky refuses.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    p, n, _ = coeffs.shape
-    sigma = np.asarray(sigma_e, dtype=np.float64)
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(sigma)
-        if w.min() < -1e-10 * max(1.0, w.max()):
-            raise FactorizationError("shock covariance has a negative eigenvalue") from None
-        chol = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-    total = steps + burn + p
-    x = np.zeros((total, n))
-    shocks = rng.standard_normal((total, n)) @ chol.T
-    for t in range(p, total):
-        acc = intercept + shocks[t]
-        for k in range(1, p + 1):
-            acc = acc + coeffs[k - 1] @ x[t - k]
-        x[t] = acc
-    return x[burn + p :]
 
 
 def save_model(model: RVarModel, path) -> None:

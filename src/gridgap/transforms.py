@@ -74,26 +74,19 @@ def trend_transition(
     frame: TimeSeriesFrame,
     column: str,
     period: int = 7,
-    mode: str = "mean",
     tol_fraction: float = 0.05,
 ) -> TrendResult:
     """Locate the window in which a smoothed series moves between regimes.
 
-    The trend is the centered moving average of :func:`centered_trend`.  Under
-    ``mode="mean"`` the transition begins on the latest day whose trend value
-    still matches the mean of all preceding trend values, and ends on the
-    earliest later day whose trend value matches the mean of all following
-    trend values.  "Matches" means within ``tol_fraction`` of the trend range
-    of the best attainable closeness; the tolerance makes the rule robust to
-    smoothing bleed at the regime edges.
-
-    ``mode="valley"`` replaces the begin rule for series that decline in
-    steps: the transition begins on the earliest day whose trend value drops
-    below the most recent local minimum.  A constant series yields a
-    degenerate transition flagged on the first date.
+    The trend is the centered moving average of :func:`centered_trend`.  The
+    transition begins on the latest day whose trend value still matches the
+    mean of all preceding trend values, and ends on the earliest later day
+    whose trend value matches the mean of all following trend values.
+    "Matches" means within ``tol_fraction`` of the trend range of the best
+    attainable closeness; the tolerance makes the rule robust to smoothing
+    bleed at the regime edges.  A constant series yields a degenerate
+    transition flagged on the first date.
     """
-    if mode not in ("mean", "valley"):
-        raise ParameterError(f"unknown transition mode {mode!r}")
     if not 0.0 <= tol_fraction < 1.0:
         raise ParameterError("tol_fraction must lie in [0, 1)")
     series = frame.column(column)
@@ -112,14 +105,8 @@ def trend_transition(
     n = len(trend)
     prefix_mean = np.cumsum(trend)[:-1] / np.arange(1, n)
     begin_gap = np.abs(trend[1:] - prefix_mean)  # entry k-1 scores day k
-    if mode == "mean":
-        qualifying = np.flatnonzero(begin_gap <= begin_gap.min() + tol)
-        begin = int(qualifying[-1]) + 1
-    else:
-        begin = _valley_break(trend)
-        if begin is None:
-            qualifying = np.flatnonzero(begin_gap <= begin_gap.min() + tol)
-            begin = int(qualifying[-1]) + 1
+    qualifying = np.flatnonzero(begin_gap <= begin_gap.min() + tol)
+    begin = int(qualifying[-1]) + 1
     suffix_mean = (np.cumsum(trend[::-1])[:-1] / np.arange(1, n))[::-1]
     end_gap = np.abs(trend[:-1] - suffix_mean)  # entry k scores day k
     tail = end_gap[begin:] if begin < len(end_gap) else end_gap[-1:]
@@ -131,14 +118,3 @@ def trend_transition(
         trend,
         TransitionPeriod(frame.dates[begin], frame.dates[end]),
     )
-
-
-def _valley_break(trend: np.ndarray):
-    """Earliest index whose trend drops below the latest preceding local min."""
-    valley = None
-    for k in range(1, len(trend)):
-        if valley is not None and trend[k] < valley:
-            return k
-        if 0 < k < len(trend) - 1 and trend[k] < trend[k - 1] and trend[k] < trend[k + 1]:
-            valley = trend[k]
-    return None

@@ -39,7 +39,6 @@ from gridgap.rvar import (
     irf,
     ljung_box_statistic,
     run_diagnostics,
-    simulate_var,
     stability_test,
     zero_mask,
 )
@@ -48,6 +47,7 @@ from gridgap.search import ScoringConfig, SearchSpace, run_search, search_log_cs
 from gridgap.transforms import difference
 
 from conftest import make_dates, make_frame
+from helpers import simulate_var
 from test_ntl import brute_lowpass
 from test_rvar_analysis import _random_stable_model
 from test_search import SIGNS5, integrated_levels

@@ -17,9 +17,7 @@ from gridgap.backcast import (
     ReductionSeries,
     TrainingConfig,
     feature_matrix,
-    feature_names,
     forward,
-    gradient_check,
     init_params,
     load_ensemble,
     loss_and_grads,
@@ -41,6 +39,7 @@ from gridgap.errors import (
 )
 from gridgap.frames import federal_holidays
 from gridgap.ingest import WideHourlyTable
+from helpers import feature_names, gradient_check
 from pool_probe import probed_pool, worker_reads
 
 

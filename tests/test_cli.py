@@ -28,11 +28,11 @@ from gridgap.rvar import (
     fit_restricted_var,
     load_model,
     save_model,
-    simulate_var,
     zero_mask,
 )
 
 from conftest import make_dates, src_env
+from helpers import simulate_var
 from test_acceptance import c12_digests
 
 
@@ -653,7 +653,6 @@ class TestNtl:
         report = (out / "ntl_report.txt").read_text()
         assert "repaired = 1" in report
         assert "repaired,3,3" in report
-        assert "colormap = viridis" in report
 
     def test_rerun_digest_identical(self, tmp_path):
         cfg = self.build(tmp_path)

@@ -52,9 +52,18 @@ TYPOS = [
     ("trend", "series = s.csv\n", "colum = demand", "column"),
     ("ntl", "grid = g.txt\nfloor = 5\n", "smoth = false", "smooth"),
 ]
+# keys the commands once read and no longer do
+REMOVED = [
+    ("trend", "series = s.csv\n", "mode = valley", "period"),
+    ("ntl", "grid = g.txt\n", "colormap = viridis", "floor"),
+]
 
 
-@pytest.mark.parametrize("command, text, typo, closest", TYPOS, ids=[t[0] for t in TYPOS])
+@pytest.mark.parametrize(
+    "command, text, typo, closest",
+    TYPOS + REMOVED,
+    ids=[t[0] for t in TYPOS] + ["trend-mode", "ntl-colormap"],
+)
 def test_misspelled_key_exits_one_naming_the_closest_key(
     tmp_path, capsys, command, text, typo, closest
 ):

@@ -15,8 +15,10 @@ import pytest
 
 from gridgap.backcast import MIN_WEATHER_CELLS, FeatureConfig, feature_matrix
 from gridgap.errors import InsufficientDataError, ParameterError, UnknownColumnError
-from gridgap.frames import CalendarInfo, federal_holidays
+from gridgap.frames import federal_holidays
 from gridgap.ingest import WideHourlyTable
+
+from helpers import CalendarInfo
 
 KINDS = ("temperature", "humidity", "wind")
 

@@ -3,10 +3,11 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from gridgap import CalendarInfo, TimeSeriesFrame, TransitionPeriod, federal_holidays
+from gridgap import TimeSeriesFrame, TransitionPeriod, federal_holidays
 from gridgap.errors import ParameterError, UnknownColumnError
 
 from conftest import make_dates, make_frame
+from helpers import CalendarInfo
 
 
 class TestTimeSeriesFrame:

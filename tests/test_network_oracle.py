@@ -21,8 +21,10 @@ bound the drift of the layout change: one ``loss_and_grads`` call and
 import numpy as np
 import pytest
 
-from gridgap.backcast import forward, gradient_check, loss_and_grads, train_network
+from gridgap.backcast import forward, loss_and_grads, train_network
 from gridgap.backcast.network import _Workspace
+
+from helpers import gradient_check
 
 
 def _reference_init(rng, sizes):

@@ -11,7 +11,6 @@ from gridgap.ntl import (
     load_raster,
     lowpass_5x5,
     lunar_scale,
-    moon_angle_grid,
     process_raster,
     read_grid,
     repair_pixels,
@@ -19,6 +18,8 @@ from gridgap.ntl import (
     write_grid,
     write_metadata,
 )
+
+from helpers import moon_angle_grid
 
 
 def brute_lowpass(grid):

@@ -7,30 +7,41 @@ A top-level name counts as referenced by a name or an attribute of that
 spelling; a method or property only by an attribute, so that a local
 variable of the same name does not keep it alive. An import, an
 ``__all__`` entry or a config key spelled the same is not a use.
+
+A method named like an attribute of an array, a string, a container, a
+path, a file or an argparse parser (``copy``, ``write``, ``size``) cannot
+be told from that attribute by name, so it counts as reached only through
+an ``ALLOWED`` entry that says what reaches it.
 """
 
+import argparse
 import ast
+import io
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gridgap"
+PROGRAM = [ROOT / d for d in ("src", "scripts", "perfbench")]
 
-# definitions kept although only tests reach them, each with its reason
+COMMON_TYPES = (
+    np.ndarray, str, list, dict, set, tuple, Path,
+    io.TextIOWrapper, io.BufferedReader, io.BufferedWriter, argparse.ArgumentParser,
+)
+COMMON_ATTRIBUTES = frozenset(name for t in COMMON_TYPES for name in dir(t))
+
+# definitions that the name match cannot prove reached, each with what reaches it
 ALLOWED = {
-    "CalendarInfo": "the calendar row of the feature-matrix oracle; see from_date",
-    "CalendarInfo.from_date": "builds the feature-matrix oracle's calendar rows",
-    "gradient_check": "checks backprop against central differences in the network tests",
-    "simulate_var": "draws the seeded VAR systems the acceptance and CLI tests fit",
-    "feature_names": "labels the feature columns that the backcast tests look up",
-    "moon_angle_grid": "builds the lunar-angle fixtures of the NTL tests",
-    # perfbench's parser.error is argparse's own, so only argparse reaches this one
     "_Parser.error": "argparse calls it on bad usage, so main() owns the exit code",
+    "SearchSpace.size": "the search's no-model message and run_search_experiment.py print it",
+    "RunRecorder.write": "main() writes the run manifest through it after each command",
 }
 
 
-def _definitions():
+def _definitions(src=SRC):
     """(qualified name, is method, file, first line, last line) of each checked definition."""
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(src.rglob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield node.name, False, path, node.lineno, node.end_lineno
@@ -53,20 +64,22 @@ def _references(paths):
                 yield node.attr, True, path, node.lineno
 
 
-def _unreached() -> dict[str, Path]:
-    """{qualified name: file} of the definitions nothing outside tests references."""
-    paths = [p for d in ("src", "scripts", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+def _unreached(src=SRC, program=PROGRAM) -> dict[str, Path]:
+    """{qualified name: file} of the definitions in ``src`` that nothing in
+    ``program`` (directories) references."""
+    paths = [p for d in program for p in sorted(d.rglob("*.py"))]
     by_name = {}
     for name, is_attr, path, line in _references(paths):
         by_name.setdefault(name, []).append((is_attr, path, line))
     unreached = {}
-    for qualname, is_method, path, first, last in _definitions():
-        uses = by_name.get(qualname.rpartition(".")[2], ())
+    for qualname, is_method, path, first, last in _definitions(src):
+        name = qualname.rpartition(".")[2]
+        uses = () if is_method and name in COMMON_ATTRIBUTES else by_name.get(name, ())
         if not any(
             (is_attr or not is_method) and not (where == path and first <= line <= last)
             for is_attr, where, line in uses
         ):
-            unreached[qualname] = path.relative_to(ROOT)
+            unreached[qualname] = path.relative_to(src.parent)
     return unreached
 
 
@@ -79,3 +92,23 @@ def test_allowlist_names_only_live_definitions():
     # a deleted definition takes its entry with it
     defined = {qualname for qualname, *_ in _definitions()}
     assert sorted(ALLOWED.keys() - defined) == []
+
+
+def test_method_named_like_a_common_attribute_is_not_reached_by_that_attribute(tmp_path):
+    # arr.copy() and fh.write() call ndarray's and the file's methods, not Table's
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "table.py").write_text(
+        "class Table:\n"
+        "    def copy(self):\n        return Table()\n\n"
+        "    def write(self, fh):\n        fh.write('table')\n\n"
+        "    def rows(self):\n        return []\n"
+    )
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "main.py").write_text(
+        "import numpy as np\n"
+        "from pkg.table import Table\n\n"
+        "arr = np.zeros(3).copy()\n"
+        "with open('out.txt', 'w') as fh:\n    fh.write(str(Table().rows()))\n"
+    )
+    unreached = _unreached(tmp_path / "pkg", [tmp_path / "pkg", tmp_path / "run"])
+    assert sorted(unreached) == ["Table.copy", "Table.write"]

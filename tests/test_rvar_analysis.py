@@ -24,12 +24,12 @@ from gridgap.rvar import (
     residuals,
     run_diagnostics,
     sample_autocorr,
-    simulate_var,
     stability_test,
     zero_mask,
 )
 
 from conftest import make_frame
+from helpers import simulate_var
 
 
 def _random_stable_model(seed, n_max=4, p_max=3):

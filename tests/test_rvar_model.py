@@ -21,11 +21,11 @@ from gridgap.rvar import (
     load_model,
     residuals,
     save_model,
-    simulate_var,
     zero_mask,
 )
 
 from conftest import make_dates, make_frame
+from helpers import simulate_var
 
 A1 = np.array([[0.5, 0.1, 0.0], [0.0, 0.3, 0.2], [0.1, 0.0, 0.4]])
 A2 = np.array([[-0.2, 0.0, 0.05], [0.05, -0.1, 0.0], [0.0, 0.05, -0.15]])

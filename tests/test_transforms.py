@@ -4,11 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridgap import centered_trend, difference, trend_transition
-from gridgap.errors import (
-    InsufficientDataError,
-    MissingValueError,
-    ParameterError,
-)
+from gridgap.errors import InsufficientDataError, MissingValueError
 
 from conftest import make_frame
 
@@ -111,36 +107,6 @@ class TestTrendTransition:
         assert res.transition.degenerate
         assert res.transition.begin == res.transition.end == f.dates[0]
 
-    def test_valley_mode_fires_below_previous_valley(self):
-        # plateau, dip to a valley, recover, then decline through the valley
-        x = np.concatenate(
-            [
-                np.full(20, 10.0),
-                np.linspace(10.0, 8.0, 5),          # descend
-                np.linspace(8.0, 9.5, 5),           # recover: valley at 8
-                np.full(10, 9.5),
-                np.linspace(9.5, 2.0, 20),          # decline through the valley
-                np.full(10, 2.0),
-            ]
-        )
-        f = make_frame(x)
-        res = trend_transition(f, "x0", period=7, mode="valley")
-        trend = centered_trend(x, 7)
-        begin = (res.transition.begin - f.dates[0]).days
-        # the flagged day is the first whose trend undercuts the valley
-        valleys = [
-            k
-            for k in range(1, len(trend) - 1)
-            if trend[k] < trend[k - 1] and trend[k] < trend[k + 1]
-        ]
-        first_valley = valleys[0]
-        assert trend[begin] < trend[first_valley]
-        assert all(trend[k] >= trend[first_valley] for k in range(first_valley + 1, begin))
-
     def test_short_series_rejected(self):
         with pytest.raises(InsufficientDataError):
             trend_transition(make_frame(np.arange(10.0)), "x0", period=7)
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ParameterError):
-            trend_transition(make_frame(np.arange(20.0)), "x0", mode="nope")
