@@ -448,15 +448,9 @@ def _config_from(cls, block: dict):
     return cls(**block)
 
 
-def load_ensemble(path, raw: bytes | None = None) -> BackcastEnsemble:
-    """Read a ``save_ensemble`` file; a malformed one raises ``SchemaError``.
-
-    ``raw``, when given, holds the file's bytes already read, and is parsed
-    instead of reading ``path`` again.
-    """
-    if raw is None:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+def load_ensemble(path, raw: bytes) -> BackcastEnsemble:
+    """The ensemble in ``raw``, the bytes of the ``save_ensemble`` file
+    ``path``; a malformed one raises ``SchemaError``."""
     try:
         payload = json.loads(raw)
     except ValueError as exc:

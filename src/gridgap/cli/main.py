@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime as dt
+import difflib
 import io
 import os
 import sys
@@ -79,8 +80,8 @@ def _missing(key: str) -> ConfigError:
 
 def parse_config(config: str, keys: dict, rec: RunRecorder) -> dict:
     """Typed values of the config file ``config`` by a command's table ``keys``
-    (see ``ingest.schema.parse_keys``): the config and each file it names are
-    recorded in ``rec``, and a file key's value is (path, contents)."""
+    (see ``ingest.schema.parse_keys``): the config is recorded in ``rec``, and
+    each file it names is recorded there when the command reads it."""
     path = Path(config)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -133,12 +134,11 @@ def _clean(rec: RunRecorder, names, table, backup, parsed=None, label: str = "")
 
 
 def _sources(cfg: dict, prefix: str) -> dict:
-    """{label: (raw bytes, descriptor)} of the ``prefix.<label>.data|schema``
-    pairs; the bytes leave ``cfg``, so each is freed once its entry is dropped."""
-    data, schemas = cfg.pop(f"{prefix}.<label>.data"), cfg[f"{prefix}.<label>.schema"]
+    """{label: (raw file, descriptor)} of the ``prefix.<label>.data|schema`` pairs."""
+    data, schemas = cfg[f"{prefix}.<label>.data"], cfg[f"{prefix}.<label>.schema"]
     for label in sorted(data.keys() ^ schemas.keys()):
         raise _missing(f"{prefix}.{label}.{'schema' if label in data else 'data'}")
-    return {label: (data[label][1], SourceSchema.from_file(*schemas[label])) for label in data}
+    return {label: (data[label], SourceSchema.from_file(schemas[label])) for label in data}
 
 
 def cmd_ingest(cfg: dict, rec: RunRecorder) -> int:
@@ -149,23 +149,19 @@ def cmd_ingest(cfg: dict, rec: RunRecorder) -> int:
         raise ConfigError(f"backup.{label}.data: no source.{label}.data to back up")
     unresolved = 0
     for label in sorted(sources):
-        wide, parsed = parse_source(*sources.pop(label))
-        backup = parse_source(*backups.pop(label))[0] if label in backups else None
+        (data, schema), backup = sources[label], None
+        wide, parsed = parse_source(data.read_bytes(), schema)  # one raw file held at a time
+        if label in backups:
+            data, schema = backups[label]
+            backup = parse_source(data.read_bytes(), schema)[0]
         names = (f"{label}.wide.csv", f"{label}.qc.txt")
         unresolved += _clean(rec, names, wide, backup, parsed, f"{label}: ")
     return EXIT_GAPS if unresolved else EXIT_OK
 
 
-def _wide(cfg: dict, key: str, kind: str):
-    """The wide table of file key ``key``, parsed from the bytes the config
-    read; the bytes leave ``cfg``, so they are freed once parsed."""
-    path, raw = cfg.pop(key)
-    return read_wide_csv(path, kind, raw)
-
-
 def cmd_qc_report(cfg: dict, rec: RunRecorder) -> int:
-    table = _wide(cfg, "table", cfg["kind"])
-    backup = _wide(cfg, "backup", cfg["kind"]) if "backup" in cfg else None
+    table = read_wide_csv(cfg["table"], cfg["kind"])
+    backup = read_wide_csv(cfg["backup"], cfg["kind"]) if "backup" in cfg else None
     unresolved = _clean(rec, ("cleaned.wide.csv", "qc_report.txt"), table, backup)
     return EXIT_GAPS if unresolved else EXIT_OK
 
@@ -194,8 +190,8 @@ def _gdp(cfg: dict):
 
 
 def cmd_backcast(cfg: dict, rec: RunRecorder) -> int:
-    load_table = _wide(cfg, "load", "load")
-    weather = {kind: _wide(cfg, f"weather.{kind}", kind) for kind in DEFAULT_WEATHER_KINDS}
+    load_table = read_wide_csv(cfg["load"], "load")
+    weather = {kind: read_wide_csv(cfg[f"weather.{kind}"], kind) for kind in DEFAULT_WEATHER_KINDS}
     gdp = _gdp(cfg)
     eval_start, eval_end = cfg["eval_start"], cfg["eval_end"]
     years = {eval_start.year, eval_end.year}
@@ -209,8 +205,8 @@ def cmd_backcast(cfg: dict, rec: RunRecorder) -> int:
 
     feature_config = FeatureConfig()
     if "ensemble" in cfg:
-        path, raw = cfg["ensemble"]
-        ensemble = load_ensemble(path, raw)
+        raw = cfg["ensemble"].read_bytes()
+        ensemble = load_ensemble(cfg["ensemble"], raw)
         feature_config = ensemble.feature_config
         # the validated bytes, not a re-serialization: save(load(f)) == f for
         # every file save_ensemble wrote
@@ -320,6 +316,9 @@ def _space_and_scoring(cfg: dict, frame) -> tuple[SearchSpace, ScoringConfig]:
     subsets = cfg.get("subsets", ((target, *[n for n in frame.names if n != target]),))
     ranges = cfg.get("ranges", ((frame.dates[0], frame.dates[-1]),))
     space = SearchSpace(subsets, ranges, cfg["orders"], cfg["rules"])
+    for name in sorted(set(cfg["sign.<variable>"]) - set(frame.names)):
+        closest = difflib.get_close_matches(name, frame.names, n=1, cutoff=0)[0]
+        raise ConfigError(f"sign.{name}: no column '{name}' in the series (closest: '{closest}')")
     names = ("adf_alpha", "lb_alpha", "lb_lags", "irf_horizon", "fevd_horizon")
     scoring = ScoringConfig(
         **{n: cfg[n] for n in names},
@@ -332,7 +331,7 @@ def _space_and_scoring(cfg: dict, frame) -> tuple[SearchSpace, ScoringConfig]:
 def _sweep(cfg: dict, rec: RunRecorder):
     """Shared search body: (frame, scoring, result), or None once it has
     written the failure log because every combination was rejected."""
-    frame = read_series_csv(*cfg.pop("series"))
+    frame = read_series_csv(cfg["series"])
     space, scoring = _space_and_scoring(cfg, frame)
     try:
         result = run_search(frame, space, scoring, jobs=rec.jobs)
@@ -446,7 +445,7 @@ def _focus(cfg: dict, model) -> str:
 
 
 def cmd_irf(cfg: dict, rec: RunRecorder) -> int:
-    model = load_model(*cfg.pop("model"))
+    model = load_model(cfg["model"])
     shock, horizon, focus = cfg["shock"], cfg["horizon"], _focus(cfg, model)
     if cfg["cumulative"]:
         cum = irf_cumulative(model, shock, horizon)
@@ -459,7 +458,7 @@ def cmd_irf(cfg: dict, rec: RunRecorder) -> int:
 
 
 def cmd_fevd(cfg: dict, rec: RunRecorder) -> int:
-    model = load_model(*cfg.pop("model"))
+    model = load_model(cfg["model"])
     _write_fevd_outputs(rec, model, cfg["horizon"], _focus(cfg, model), cfg.get("ordering"))
     return EXIT_OK
 
@@ -468,7 +467,7 @@ def cmd_fevd(cfg: dict, rec: RunRecorder) -> int:
 
 
 def cmd_trend(cfg: dict, rec: RunRecorder) -> int:
-    frame = read_series_csv(*cfg.pop("series"))
+    frame = read_series_csv(cfg["series"])
     column = cfg.get("column", frame.names[0])
     period = cfg["period"]
     result = trend_transition(frame, column, period, cfg["tol_fraction"])
@@ -502,9 +501,7 @@ def cmd_trend(cfg: dict, rec: RunRecorder) -> int:
 
 
 def cmd_ntl(cfg: dict, rec: RunRecorder) -> int:
-    grid_path, grid_raw = cfg.pop("grid")
-    meta_path, meta_raw = cfg.pop("metadata", (None, None))
-    raster = load_raster(grid_path, meta_path, grid_raw, meta_raw, rec.record_input)
+    raster = load_raster(cfg["grid"], cfg.get("metadata"), rec.record_input)
     floor, smooth = cfg["floor"], cfg["smooth"]
     result = process_raster(raster, floor, smooth)
     write_grid(rec.output("processed.grid.txt"), result.raster.intensity)
@@ -528,7 +525,7 @@ def cmd_ntl(cfg: dict, rec: RunRecorder) -> int:
 
 # search and analyze share one table: the demo feeds both the same file
 _SEARCH_KEYS = {
-    "series": (bytes, REQUIRED), "target": (str, None),
+    "series": (Path, REQUIRED), "target": (str, None),
     "subsets": (_parse_subsets, None), "ranges": (_parse_ranges, None),
     "orders": (_parse_ints, (1, 2, 3)), "rules": (_parse_ints, SearchSpace.rules),
     "sign.<variable>": (int, None),
@@ -543,19 +540,19 @@ _SEARCH_KEYS = {
 # each command's function, help line, and table of the keys it reads (see parse_config)
 COMMANDS = {
     "ingest": (cmd_ingest, "parse raw sources into cleaned wide tables plus QC reports", {
-        "source.<label>.data": (bytes, None), "source.<label>.schema": (bytes, None),
-        "backup.<label>.data": (bytes, None), "backup.<label>.schema": (bytes, None),
+        "source.<label>.data": (Path, None), "source.<label>.schema": (Path, None),
+        "backup.<label>.data": (Path, None), "backup.<label>.schema": (Path, None),
     }),
     "qc-report": (cmd_qc_report, "run outlier and gap checks over one wide table", {
-        "table": (bytes, REQUIRED), "kind": (str, REQUIRED), "backup": (bytes, None),
+        "table": (Path, REQUIRED), "kind": (str, REQUIRED), "backup": (Path, None),
     }),
     "backcast": (cmd_backcast, "train the baseline ensemble and compute daily reductions", {
-        "load": (bytes, REQUIRED),
-        **{f"weather.{kind}": (bytes, REQUIRED) for kind in DEFAULT_WEATHER_KINDS},
+        "load": (Path, REQUIRED),
+        **{f"weather.{kind}": (Path, REQUIRED) for kind in DEFAULT_WEATHER_KINDS},
         "gdp": (float, None), "gdp.<month>": (float, None),
         "train_start": (dt.date, None), "train_end": (dt.date, None),
         "eval_start": (dt.date, REQUIRED), "eval_end": (dt.date, REQUIRED),
-        "ensemble": (bytes, None),
+        "ensemble": (Path, None),
         "summary_month": (_month_key, None), "summary_min_days": (int, 20),
         # training keys default to TrainingConfig's fields
         "candidates": (int, TrainingConfig.candidates), "epochs": (int, TrainingConfig.epochs),
@@ -569,11 +566,11 @@ COMMANDS = {
         cmd_analyze, "model search plus diagnostics, responses, and variance shares", _SEARCH_KEYS
     ),
     "irf": (cmd_irf, "impulse responses of a saved model", {
-        "model": (bytes, REQUIRED), "shock": (str, REQUIRED), "horizon": (int, 10),
+        "model": (Path, REQUIRED), "shock": (str, REQUIRED), "horizon": (int, 10),
         "variable": (str, None), "cumulative": (bool, False),
     }),
     "fevd": (cmd_fevd, "forecast error variance shares of a saved model", {
-        "model": (bytes, REQUIRED), "horizon": (int, 10),
+        "model": (Path, REQUIRED), "horizon": (int, 10),
         "variable": (str, None), "ordering": (_parse_names, None),
     }),
     "search": (
@@ -582,11 +579,11 @@ COMMANDS = {
         _SEARCH_KEYS,
     ),
     "trend": (cmd_trend, "smoothed trend and regime-transition window of one series", {
-        "series": (bytes, REQUIRED), "column": (str, None),
+        "series": (Path, REQUIRED), "column": (str, None),
         "period": (int, 7), "tol_fraction": (float, 0.05),
     }),
     "ntl": (cmd_ntl, "repair, rescale, floor, and smooth a nighttime radiance grid", {
-        "grid": (bytes, REQUIRED), "metadata": (bytes, None),
+        "grid": (Path, REQUIRED), "metadata": (Path, None),
         "floor": (float, 10.0), "smooth": (bool, True),
     }),
 }

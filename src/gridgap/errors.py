@@ -21,6 +21,8 @@ class EmptyInputError(GridGapError, ValueError):
 class UnknownColumnError(GridGapError, KeyError):
     """A named column does not exist in the frame."""
 
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
+
 
 class InsufficientDataError(GridGapError, ValueError):
     """Too few observations for the requested operation."""

@@ -15,7 +15,7 @@ from .schema import SourceSchema, decode_text
 from .tables import WideHourlyTable
 
 
-def parse_source(data, schema: SourceSchema) -> tuple[WideHourlyTable, QcReport]:
+def parse_source(data: bytes, schema: SourceSchema) -> tuple[WideHourlyTable, QcReport]:
     """Parse one raw CSV into the wide hourly table its descriptor names.
 
     Rows that fail to parse (bad date, hour or time, non-numeric or
@@ -28,7 +28,7 @@ def parse_source(data, schema: SourceSchema) -> tuple[WideHourlyTable, QcReport]
     and counts the rest as dropped duplicates; a sub-hourly source
     (``time_column``) averages each hour's readings.
     """
-    text = decode_text(data, f"source {schema.name}") if isinstance(data, bytes) else data
+    text = decode_text(data, f"source {schema.name}")
     reader = csv.reader(io.StringIO(text), delimiter=schema.delimiter)
     try:
         header = next(reader)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import datetime as dt
 import difflib
 import math
+import os
 import re
 import typing
 from dataclasses import MISSING, dataclass, fields
@@ -48,9 +49,23 @@ def decode_text(data: bytes, name) -> str:
         raise SchemaError(f"{name}: not UTF-8 text (byte {exc.start})") from None
 
 
-def read_text(path, raw: bytes | None = None) -> str:
-    """``decode_text`` of file ``path``: of ``raw``, its bytes already read, when given."""
-    return decode_text(Path(path).read_bytes() if raw is None else raw, path)
+@dataclass(frozen=True)
+class InputFile:
+    """A file a key names, read by the reader that parses it: ``read_bytes``
+    passes what it read to ``record(path, data)``.  It stands for its path."""
+
+    path: Path
+    record: typing.Callable[[Path, bytes], None]
+
+    def read_bytes(self) -> bytes:
+        data = self.path.read_bytes()
+        self.record(self.path, data)
+        return data
+
+    def __fspath__(self) -> str:
+        return str(self.path)
+
+    __str__ = __fspath__
 
 
 def parse_keyvalue_text(text: str) -> dict[str, str]:
@@ -88,15 +103,14 @@ def _value(kind, key: str, text: str, base: Path | None, record):
             raise ConfigError(f"{key}: expected {expected}, got '{text}'") from None
     if kind is str:
         return text
-    if kind is not bytes:
+    if kind is not Path:
         return kind(key, text)
     path = base / text
     if not path.is_file():
         raise ConfigError(f"{key}: file not found: {path}")
-    data = path.read_bytes()
-    if record is not None:
-        record(path, data)
-    return path, data
+    if not os.access(path, os.R_OK):
+        raise ConfigError(f"{key}: file not readable: {path}")
+    return path if record is None else InputFile(path, record)
 
 
 def parse_keys(raw: dict[str, str], keys: dict, base: Path | None = None, record=None) -> dict:
@@ -104,11 +118,11 @@ def parse_keys(raw: dict[str, str], keys: dict, base: Path | None = None, record
 
     The table maps a key, or a family such as ``sign.<variable>``, to (kind,
     default).  A family's value maps each member to its value.  A kind is a
-    type of ``_SCALARS``, ``str``, a parser ``kind(key, text)``, or ``bytes``:
-    a file resolved against ``base``, read once, passed to ``record(path,
-    data)`` and given as (path, data).  An absent key takes its default, is
-    left out when that is None, and fails when it is ``REQUIRED``; a key in
-    no row fails before any value is read.  Failures are ``ConfigError``.
+    type of ``_SCALARS``, ``str``, a parser ``kind(key, text)``, or ``Path``:
+    a readable file resolved against ``base``, given unread as an ``InputFile``
+    over ``record`` (the bare ``Path`` without one).  An absent key takes its
+    default, is left out when that is None, and fails when it is ``REQUIRED``;
+    a key in no row fails before any value is read.  Failures are ``ConfigError``.
     """
     patterns = {name: re.compile(re.sub(r"<\w+>", "(.+)", re.escape(name))) for name in keys}
     found = []
@@ -133,10 +147,10 @@ def parse_keys(raw: dict[str, str], keys: dict, base: Path | None = None, record
     return values
 
 
-def read_keyfile(path, data: bytes | None, keys: dict, record=None) -> dict:
-    """``parse_keys`` of the ``key = value`` file ``path`` (see ``read_text``);
-    a refusal is a ``SchemaError`` naming the file."""
-    text = read_text(path, data)
+def read_keyfile(path, keys: dict, record=None) -> dict:
+    """``parse_keys`` of the ``key = value`` file ``path``, a ``Path`` or an
+    ``InputFile``; a refusal is a ``SchemaError`` naming the file."""
+    text = decode_text(path.read_bytes(), path)
     try:
         return parse_keys(parse_keyvalue_text(text), keys, Path(path).parent, record)
     except (ConfigError, SchemaError) as exc:
@@ -177,16 +191,15 @@ class SourceSchema:
         return (self.date_column, time_col, self.value_column)
 
     @classmethod
-    def from_file(cls, path, data: bytes | None = None) -> "SourceSchema":
-        """The descriptor at ``path``; ``data``, when given, holds its bytes
-        already read.  Each field is a key, typed as the field is; a refusal
-        names the file."""
+    def from_file(cls, path) -> "SourceSchema":
+        """The descriptor at ``path`` (see ``read_keyfile``).  Each field is a
+        key, typed as the field is; a refusal names the file."""
         types = typing.get_type_hints(cls)
         keys = {
             f.name: (types[f.name], REQUIRED if f.default is MISSING else f.default)
             for f in fields(cls)
         }
-        values = read_keyfile(path, data, keys)
+        values = read_keyfile(path, keys)
         try:
             return cls(**values)
         except SchemaError as exc:

@@ -7,8 +7,8 @@ Two layouts cover everything the pipeline exchanges on disk:
 * series CSV: header ``date,<name>[,<name>...]`` for daily frames.
 
 Floats are written with ``repr`` so a read-back reproduces the exact bits;
-golden-file tests depend on that.  Both readers parse the file's bytes as
-UTF-8 (see ``decode_text``); a caller that has already read them passes ``raw``.
+golden-file tests depend on that.  Both readers take a ``Path`` or an
+``InputFile``, read its bytes once and parse them as UTF-8 (see ``decode_text``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import csv
 import datetime as dt
 import io
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -85,18 +84,18 @@ def write_wide_csv(table: WideHourlyTable, path) -> None:
     _write_rows(path, WIDE_HEADER, table.dates, table.values)
 
 
-def read_wide_csv(path, kind: str, raw: bytes | None = None) -> WideHourlyTable:
-    reader, header = _open(path, raw)
+def read_wide_csv(path, kind: str) -> WideHourlyTable:
+    reader, header = _open(path)
     if header != WIDE_HEADER:
         raise SchemaError(f"{path}: expected header {WIDE_HEADER[:3]}...,23 got {header[:4]}")
     dates, values = _read_rows(reader, WIDE_COLUMNS, path)
     return WideHourlyTable(tuple(dates), values, kind)
 
 
-def _open(path, raw: bytes | None):
-    """A csv reader over the text of ``path`` (of ``raw``, when given) and its header row;
-    the text is decoded as the reader goes, after ``decode_text`` has checked the bytes."""
-    raw = Path(path).read_bytes() if raw is None else raw
+def _open(path):
+    """A csv reader over the text of ``path`` and its header row; the text is
+    decoded as the reader goes, after ``decode_text`` has checked the bytes."""
+    raw = path.read_bytes()
     decode_text(raw, path)
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), "utf-8-sig", newline=""))
     try:
@@ -157,8 +156,8 @@ def write_series_csv(frame: TimeSeriesFrame, path) -> None:
     _write_rows(path, ["date", *frame.names], frame.dates, frame.values)
 
 
-def read_series_csv(path, raw: bytes | None = None) -> TimeSeriesFrame:
-    reader, header = _open(path, raw)
+def read_series_csv(path) -> TimeSeriesFrame:
+    reader, header = _open(path)
     if not header or header[0] != "date" or len(header) < 2:
         raise SchemaError(f"{path}: expected header date,<name>,... got {header[:3]}")
     names = tuple(header[1:])

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, SchemaError
-from .ingest.schema import read_keyfile, read_text
+from .ingest.schema import decode_text, read_keyfile
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,8 @@ def lunar_scale(raster: Raster) -> Raster:
 
 def threshold_floor(raster: Raster, floor: float = 10.0) -> Raster:
     """Zero out pixels strictly below ``floor``; the boundary value stays."""
-    if floor < 0:
-        raise ParameterError(f"floor must be nonnegative, got {floor}")
+    if not 0 <= floor < np.inf:
+        raise ParameterError(f"floor must be nonnegative and finite, got {floor}")
     grid = raster.intensity.copy()
     grid[grid < floor] = 0.0
     return Raster(grid, raster.flags, raster.lunar_fraction, raster.lunar_angle)
@@ -184,10 +184,9 @@ def write_grid(path, grid: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_grid(path, raw: bytes | None = None) -> np.ndarray:
-    """A ``write_grid`` file; ``raw``, when given, holds its bytes already read."""
-    text = read_text(path, raw)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def read_grid(path) -> np.ndarray:
+    """A ``write_grid`` file at ``path``, a ``Path`` or an ``InputFile``."""
+    lines = [ln for ln in decode_text(path.read_bytes(), path).splitlines() if ln.strip()]
     if not lines:
         raise SchemaError(f"{path}: empty grid file")
     header = lines[0].split()
@@ -219,24 +218,20 @@ def write_metadata(path, meta: dict) -> None:
 
 # the sidecar's key table (see ``ingest.schema.parse_keys``); grids resolve against its directory
 SIDECAR_KEYS = {
-    "flags_grid": (bytes, None),
-    "lunar_angle_grid": (bytes, None),
+    "flags_grid": (Path, None),
+    "lunar_angle_grid": (Path, None),
     "lunar_fraction": (float, None),
 }
 
 
-def load_raster(grid_path, meta_path=None, grid_raw=None, meta_raw=None, record=None) -> Raster:
-    """Read an intensity grid plus optional sidecar flags and lunar metadata.
-
-    ``grid_raw`` and ``meta_raw``, when given, hold the files' bytes already
-    read; each companion grid the sidecar names is read once and passed to
-    ``record(path, data)``.
-    """
-    grid = read_grid(grid_path, grid_raw)
-    meta = {} if meta_path is None else read_keyfile(meta_path, meta_raw, SIDECAR_KEYS, record)
-    flags = read_grid(*meta["flags_grid"]).astype(int) if "flags_grid" in meta else None
-    angle = read_grid(*meta["lunar_angle_grid"]) if "lunar_angle_grid" in meta else None
-    fraction = meta.get("lunar_fraction")
+def load_raster(grid, meta=None, record=None) -> Raster:
+    """The intensity grid ``grid`` with the flags and lunar metadata of sidecar
+    ``meta``; the companion grids it names are recorded through ``record``."""
+    intensity = read_grid(grid)
+    values = {} if meta is None else read_keyfile(meta, SIDECAR_KEYS, record)
+    flags = read_grid(values["flags_grid"]).astype(int) if "flags_grid" in values else None
+    angle = read_grid(values["lunar_angle_grid"]) if "lunar_angle_grid" in values else None
+    fraction = values.get("lunar_fraction")
     if (fraction is None) != (angle is None):
-        raise SchemaError(f"{meta_path}: lunar_fraction and lunar_angle_grid must appear together")
-    return Raster(grid, flags, fraction, angle)
+        raise SchemaError(f"{meta}: lunar_fraction and lunar_angle_grid must appear together")
+    return Raster(intensity, flags, fraction, angle)

@@ -27,7 +27,7 @@ from ..errors import (
     SchemaError,
 )
 from ..frames import TimeSeriesFrame
-from ..ingest.schema import read_text
+from ..ingest.schema import decode_text
 from .ols import numerical_rank, ols
 
 MODEL_FORMAT = "rvar-model/1"
@@ -212,10 +212,10 @@ def save_model(model: RVarModel, path) -> None:
         fh.write("\n")
 
 
-def load_model(path, raw: bytes | None = None) -> RVarModel:
-    """Read a ``save_model`` file (``raw``: its bytes, already read); a
-    malformed one raises ``SchemaError``."""
-    text = read_text(path, raw)
+def load_model(path) -> RVarModel:
+    """Read a ``save_model`` file, a ``Path`` or an ``InputFile``; a malformed
+    one raises ``SchemaError``."""
+    text = decode_text(path.read_bytes(), path)
     try:
         payload = json.loads(text)
     except ValueError as exc:

@@ -514,7 +514,7 @@ class TestSerialization:
         ens = train_ensemble(x, y, dates, TrainingConfig(candidates=3, seed=6, epochs=50))
         path = tmp_path / "ens.json"
         save_ensemble(ens, path)
-        back = load_ensemble(path)
+        back = load_ensemble(path, path.read_bytes())
         p1, q1 = predict_many(ens, x[:20])
         p2, q2 = predict_many(back, x[:20])
         assert np.array_equal(p1, p2)
@@ -538,7 +538,7 @@ class TestSerialization:
         p = tmp_path / "x.json"
         p.write_text('{"format": "other/1"}')
         with pytest.raises(SchemaError):
-            load_ensemble(p)
+            load_ensemble(p, p.read_bytes())
 
     @pytest.mark.parametrize(
         "edit",
@@ -571,14 +571,14 @@ class TestSerialization:
         edit(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError, match="malformed ensemble"):
-            load_ensemble(path)
+            load_ensemble(path, path.read_bytes())
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]", ""])
     def test_not_a_json_object_is_schema_error(self, tmp_path, text):
         path = tmp_path / "ens.json"
         path.write_text(text)
         with pytest.raises(SchemaError):
-            load_ensemble(path)
+            load_ensemble(path, path.read_bytes())
 
 
 @pytest.fixture

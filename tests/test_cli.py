@@ -35,6 +35,8 @@ from conftest import make_dates, src_env
 from helpers import simulate_var
 from test_acceptance import c12_digests
 
+main_module = importlib.import_module("gridgap.cli.main")  # gridgap.cli.main is also the function
+
 
 def read_manifest_outputs(out_dir):
     payload = json.loads((out_dir / MANIFEST_NAME).read_text())
@@ -304,6 +306,32 @@ class TestIngest:
             plain, bom = (tmp_path / out / name for out in ("plain", "bom"))
             assert bom.read_bytes() == plain.read_bytes()
 
+    def test_each_raw_file_is_read_right_before_it_is_parsed(self, tmp_path, monkeypatch):
+        cfg = self.build(tmp_path, with_backup=True)
+        (tmp_path / "raw2.csv").write_bytes((tmp_path / "raw.csv").read_bytes())
+        cfg.write_text(
+            cfg.read_text() + "source.zz.data = raw2.csv\nsource.zz.schema = load.schema\n"
+        )
+        events = []
+        read_bytes, parse_source = Path.read_bytes, main_module.parse_source
+
+        def read(path):
+            if path.suffix == ".csv":
+                events.append(f"read {path.name}")
+            return read_bytes(path)
+
+        def parse(data, schema):
+            events.append("parse")
+            return parse_source(data, schema)
+
+        monkeypatch.setattr(Path, "read_bytes", read)
+        monkeypatch.setattr(main_module, "parse_source", parse)
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        # one raw file in memory at a time: source zz is read after load and its backup are parsed
+        assert events == [
+            "read raw.csv", "parse", "read backup.csv", "parse", "read raw2.csv", "parse"
+        ]
+
     def test_missing_data_file(self, tmp_path, capsys):
         (tmp_path / "ingest.cfg").write_text("source.x.data = gone.csv\nsource.x.schema = s\n")
         assert main(["ingest", "--config", str(tmp_path / "ingest.cfg")]) == 1
@@ -378,6 +406,14 @@ class TestTrend:
         assert rows[0] == "date,demand,trend"
         assert len(rows) == n + 1
         assert (out / "trend.svg").read_text().startswith("<svg")
+
+    def test_unknown_column_message_is_printed_as_it_is(self, tmp_path, capsys):
+        _trend_input(tmp_path)
+        (tmp_path / "c.cfg").write_text("series = s.csv\ncolumn = zz\n")
+        out = tmp_path / "out"
+        assert main(["trend", "--config", str(tmp_path / "c.cfg"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: no column named 'zz'; have ('demand',)\n"
+        assert not out.exists()
 
 
 def _trend_input(tmp_path):
@@ -653,6 +689,16 @@ class TestNtl:
         report = (out / "ntl_report.txt").read_text()
         assert "repaired = 1" in report
         assert "repaired,3,3" in report
+
+    @pytest.mark.parametrize("floor", ["-1", "nan", "inf"])
+    def test_floor_outside_zero_to_infinity_exits_one(self, tmp_path, capsys, floor):
+        cfg = self.build(tmp_path)
+        cfg.write_text(cfg.read_text().replace("floor = 5", f"floor = {floor}"))
+        out = tmp_path / "out"
+        assert main(["ntl", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: floor must be nonnegative and finite, got {float(floor)}\n"
+        assert not out.exists()
 
     def test_rerun_digest_identical(self, tmp_path):
         cfg = self.build(tmp_path)

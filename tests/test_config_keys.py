@@ -6,19 +6,23 @@ parses against its table; and every key a command reads is a row of its
 command's table.
 """
 
+import datetime as dt
 import importlib
+import os
 import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gridgap.backcast import TrainingConfig
 from gridgap.cli import RunRecorder
 from gridgap.cli.main import COMMANDS, main, parse_config
 from gridgap.errors import ConfigError
-from gridgap.ingest import SourceSchema
-from gridgap.ingest.schema import read_keyfile
+from gridgap.frames import TimeSeriesFrame
+from gridgap.ingest import SourceSchema, write_series_csv
+from gridgap.ingest.schema import InputFile, read_keyfile
 from gridgap.ntl import SIDECAR_KEYS, write_grid
 
 from test_acceptance import c12_digests
@@ -101,7 +105,8 @@ def test_table_gives_typed_values_and_dataclass_defaults(tmp_path):
         "weather.wind = w.csv\neval_start = 2021-03-01\neval_end = 2021-04-30\n"
         "gdp.2021-01 = 1.05\nsummary_month = 2021-04\nepochs = 7\n",
     )
-    assert values["load"] == (tmp_path / "load.csv", b"")
+    # a file is checked here and read by its command
+    assert isinstance(values["load"], InputFile) and values["load"].path == tmp_path / "load.csv"
     assert values["gdp.<month>"] == {"2021-01": 1.05}
     assert values["summary_month"] == (2021, 4)
     assert values["epochs"] == 7
@@ -129,6 +134,42 @@ def test_bad_value_keeps_its_message(tmp_path, capsys, text, message):
     assert main(["backcast", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (tmp_path / "out").exists()
+
+
+def test_unreadable_file_exits_one_before_any_output(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "load = load.csv\nweather.temperature = t.csv\nweather.humidity = h.csv\n"
+        "weather.wind = w.csv\neval_start = 2021-03-01\neval_end = 2021-04-30\n"
+    )
+    for name in ("load.csv", "t.csv", "h.csv", "w.csv"):
+        (tmp_path / name).write_text("")
+    access = os.access  # h.csv is a regular file that this process may not read
+    monkeypatch.setattr(
+        os, "access", lambda path, mode: os.path.basename(path) != "h.csv" and access(path, mode)
+    )
+    assert main(["backcast", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: weather.humidity: file not readable: {tmp_path / 'h.csv'}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["search", "analyze"])
+def test_sign_key_naming_no_series_column_exits_one(tmp_path, capsys, command):
+    frame = TimeSeriesFrame(
+        tuple(dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(40)),
+        ("load", "mobility", "price"),
+        np.random.default_rng(0).normal(size=(40, 3)).cumsum(axis=0),
+    )
+    write_series_csv(frame, tmp_path / "s.csv")
+    cfg = tmp_path / "c.cfg"
+    # a misspelt sign key would otherwise turn the sign gate off without a word
+    cfg.write_text("series = s.csv\nsign.mobility = 1\nsign.mobilty = -1\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: sign.mobilty: no column 'mobilty' in the series (closest: 'mobility')\n"
+    assert not out.exists()
 
 
 def test_gdp_steps_are_numbers_by_month(tmp_path):
@@ -314,11 +355,11 @@ def test_every_generated_config_parses_against_its_table(tmp_path, monkeypatch, 
         rec = RunRecorder(command, tmp_path / "unused")
         values = parse_config(str(cfg), table(command), rec)
         assert str(cfg) in rec.inputs
-        for pair in values.get("source.<label>.schema", {}).values():
-            SourceSchema.from_file(*pair)
+        for descriptor in values.get("source.<label>.schema", {}).values():
+            SourceSchema.from_file(descriptor)
             descriptors += 1
         if "metadata" in values:
-            read_keyfile(*values["metadata"], SIDECAR_KEYS)
+            read_keyfile(values["metadata"], SIDECAR_KEYS)
             sidecars += 1
     assert (descriptors, sidecars) == (1, 1)
 

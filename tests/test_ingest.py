@@ -14,6 +14,7 @@ from gridgap.ingest import (
     read_wide_csv,
     write_wide_csv,
 )
+from gridgap.ingest.schema import InputFile
 
 from conftest import make_hourly_table
 
@@ -143,9 +144,13 @@ class TestSchema:
             SourceSchema.from_file(path)
         assert str(exc.value) == f"{path}: unknown key 'field' (closest known key: 'kind')"
 
-    def test_given_bytes_are_parsed_without_reading_the_file(self, tmp_path):
-        schema = SourceSchema.from_file(tmp_path / "absent.schema", TOY_DESCRIPTOR.encode())
+    def test_input_file_is_read_once_and_its_bytes_recorded(self, tmp_path):
+        path = tmp_path / "toy.schema"
+        path.write_text(TOY_DESCRIPTOR)
+        recorded = []
+        schema = SourceSchema.from_file(InputFile(path, lambda *pair: recorded.append(pair)))
         assert schema.hour_shift == -1
+        assert recorded == [(path, TOY_DESCRIPTOR.encode())]
 
     @pytest.mark.parametrize("factor", [0.0, -1.0, float("inf"), float("nan")])
     def test_unit_factor_must_be_positive_and_finite(self, factor):
@@ -180,7 +185,7 @@ class TestSchema:
 
 class TestParseSource:
     def test_hour_ending_shifts_to_zero_based(self):
-        raw = "Date,HourEnding,Load\n01/02/2020,1,55.5\n01/02/2020,24,60.0\n"
+        raw = b"Date,HourEnding,Load\n01/02/2020,1,55.5\n01/02/2020,24,60.0\n"
         wide, report = parse_source(raw, LOAD_SCHEMA)
         assert wide.dates == (dt.date(2020, 1, 2),)
         assert (wide.values[0, 0], wide.values[0, 23]) == (55.5, 60.0)
@@ -193,7 +198,7 @@ class TestParseSource:
             date_column="Date", value_column="Load", hour_column="H",
             unit_factor=0.5,
         )
-        wide, _ = parse_source("Date,H,Load\n2020-01-01,0,10\n", schema)
+        wide, _ = parse_source(b"Date,H,Load\n2020-01-01,0,10\n", schema)
         assert wide.values[0, 0] == 5.0
 
     def test_hour_shift_crosses_midnight(self):
@@ -202,18 +207,18 @@ class TestParseSource:
             date_column="Date", value_column="Load", hour_column="H",
             hour_shift=-5,
         )
-        wide, _ = parse_source("Date,H,Load\n2020-01-01,2,10\n2020-01-01,9,20\n", schema)
+        wide, _ = parse_source(b"Date,H,Load\n2020-01-01,2,10\n2020-01-01,9,20\n", schema)
         assert wide.dates == (dt.date(2019, 12, 31), dt.date(2020, 1, 1))
         assert (wide.values[0, 21], wide.values[1, 4]) == (10.0, 20.0)
         assert np.isfinite(wide.values).sum() == 2
 
     def test_malformed_rows_become_rejects_with_line_numbers(self):
         raw = (
-            "Date,HourEnding,Load\n"
-            "01/02/2020,1,55.5\n"
-            "not-a-date,2,10\n"
-            "01/02/2020,99,10\n"
-            "01/02/2020,3,notanumber\n"
+            b"Date,HourEnding,Load\n"
+            b"01/02/2020,1,55.5\n"
+            b"not-a-date,2,10\n"
+            b"01/02/2020,99,10\n"
+            b"01/02/2020,3,notanumber\n"
         )
         wide, report = parse_source(raw, LOAD_SCHEMA)
         assert np.isfinite(wide.values).sum() == 1
@@ -229,13 +234,14 @@ class TestParseSource:
             hour_column="" if time_column else "T", time_column=time_column,
         )
         first = "0:00" if time_column else "0"
-        _, report = parse_source(f"Date,T,Load\n2020-01-01,{first},1\n2020-01-01,{cell},2\n", schema)
+        raw = f"Date,T,Load\n2020-01-01,{first},1\n2020-01-01,{cell},2\n"
+        _, report = parse_source(raw.encode(), schema)
         assert report.rejects == [(3, reason)]
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "Infinity"])
     def test_non_finite_value_is_a_reject(self, cell):
         raw = f"Date,HourEnding,Load\n01/02/2020,1,55.5\n01/02/2020,2,{cell}\n"
-        wide, report = parse_source(raw, LOAD_SCHEMA)
+        wide, report = parse_source(raw.encode(), LOAD_SCHEMA)
         assert wide.values[0, 0] == 55.5
         assert np.isnan(wide.values[0, 1:]).all()
         assert report.rejects == [(3, f"bad value {cell!r}")]
@@ -246,7 +252,7 @@ class TestParseSource:
             date_column="Date", value_column="Load", hour_column="H",
             hour_shift=1,
         )
-        raw = "Date,H,Load\n9999-12-31,22,1\n9999-12-31,23,2\n"
+        raw = b"Date,H,Load\n9999-12-31,22,1\n9999-12-31,23,2\n"
         wide, report = parse_source(raw, schema)
         assert wide.dates == (dt.date(9999, 12, 31),)
         assert wide.values[0, 23] == 1.0
@@ -266,22 +272,22 @@ class TestParseSource:
 
     def test_missing_column_is_schema_error(self):
         with pytest.raises(SchemaError):
-            parse_source("Date,Load\n01/02/2020,5\n", LOAD_SCHEMA)
+            parse_source(b"Date,Load\n01/02/2020,5\n", LOAD_SCHEMA)
 
     def test_empty_file_rejected(self):
         with pytest.raises(EmptyInputError):
-            parse_source("", LOAD_SCHEMA)
+            parse_source(b"", LOAD_SCHEMA)
 
 
 class TestPivot:
     def test_duplicates_keep_first_occurrence(self):
-        raw = "Date,HourEnding,Load\n01/01/2020,4,10\n01/01/2020,4,99\n"
+        raw = b"Date,HourEnding,Load\n01/01/2020,4,10\n01/01/2020,4,99\n"
         wide, report = parse_source(raw, LOAD_SCHEMA)
         assert wide.values[0, 3] == 10.0
         assert report.duplicates_dropped == 1
 
     def test_absent_cells_missing_and_full_span(self):
-        raw = "Date,HourEnding,Load\n01/01/2020,1,1\n01/03/2020,1,3\n"
+        raw = b"Date,HourEnding,Load\n01/01/2020,1,1\n01/03/2020,1,3\n"
         wide, _ = parse_source(raw, LOAD_SCHEMA)
         assert len(wide) == 3  # includes the empty middle day
         assert np.isnan(wide.values[1]).all()
@@ -290,10 +296,10 @@ class TestPivot:
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError, match="source toy: no usable rows"):
-            parse_source("Date,HourEnding,Load\n", LOAD_SCHEMA)
+            parse_source(b"Date,HourEnding,Load\n", LOAD_SCHEMA)
 
     def test_every_row_rejected(self):
-        raw = "Date,HourEnding,Load\nnot-a-date,1,5\n01/01/2020,1,inf\n"
+        raw = b"Date,HourEnding,Load\nnot-a-date,1,5\n01/01/2020,1,inf\n"
         with pytest.raises(EmptyInputError, match="source toy: no usable rows"):
             parse_source(raw, LOAD_SCHEMA)
 
@@ -304,7 +310,7 @@ class TestResample:
             name="wx", kind="temperature",
             date_column="Date", value_column="T", time_column="Time",
         )
-        raw = "Date,Time,T\n2020-01-01,00:00,10\n2020-01-01,00:30,20\n2020-01-01,01:15,7\n"
+        raw = b"Date,Time,T\n2020-01-01,00:00,10\n2020-01-01,00:30,20\n2020-01-01,01:15,7\n"
         wide, report = parse_source(raw, schema)
         assert wide.kind == "temperature"
         assert wide.values[0, 0] == 15.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gridgap.errors import ParameterError, SchemaError
+from gridgap.ingest.schema import InputFile
 from gridgap.ntl import (
     Raster,
     load_raster,
@@ -311,20 +312,23 @@ class TestGridText:
             load_raster(tmp_path / "scene.txt", path)
         assert str(exc.value).startswith(f"{path}: {message}")
 
-    def test_given_bytes_are_parsed_and_companions_recorded(self, tmp_path):
+    def test_input_files_are_read_once_and_companions_recorded(self, tmp_path):
         grid = hand_raster_8x8()
         write_grid(tmp_path / "scene.txt", grid)
         write_grid(tmp_path / "scene.flags.txt", np.eye(8))
-        meta = b"flags_grid = scene.flags.txt\n"
+        (tmp_path / "scene.meta").write_text("flags_grid = scene.flags.txt\n")
         recorded = []
-        raster = load_raster(
-            tmp_path / "absent.txt", tmp_path / "absent.meta",
-            (tmp_path / "scene.txt").read_bytes(), meta, lambda *pair: recorded.append(pair),
-        )
+
+        def record(path, data):
+            recorded.append((path, data))
+
+        scene, meta = (InputFile(tmp_path / name, record) for name in ("scene.txt", "scene.meta"))
+        raster = load_raster(scene, meta, record)
         assert np.array_equal(raster.intensity, grid)
         assert np.array_equal(raster.flags, np.eye(8, dtype=int))
-        flags = tmp_path / "scene.flags.txt"
-        assert recorded == [(flags, flags.read_bytes())]
+        # each file once, with its bytes: the sidecar's companion grid too
+        files = [tmp_path / name for name in ("scene.txt", "scene.meta", "scene.flags.txt")]
+        assert recorded == [(path, path.read_bytes()) for path in files]
 
     def test_load_raster_with_sidecar(self, tmp_path):
         grid = hand_raster_8x8()

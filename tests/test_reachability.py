@@ -36,6 +36,7 @@ ALLOWED = {
     "_Parser.error": "argparse calls it on bad usage, so main() owns the exit code",
     "SearchSpace.size": "the search's no-model message and run_search_experiment.py print it",
     "RunRecorder.write": "main() writes the run manifest through it after each command",
+    "InputFile.read_bytes": "readers call .read_bytes() on a Path or an InputFile",
 }
 
 
