@@ -409,6 +409,9 @@ def cmd_analyze(cfg: dict, rec: RunRecorder) -> int:
 
     diffed = difference(frame.select(chosen.subset).slice_dates(*chosen.date_range))
     report = run_diagnostics(model, diffed, cointegration_ok=True, lb_lags=scoring.lb_lags)
+    passes = report.all_pass(
+        lb_alpha=scoring.lb_alpha, adf_alpha=scoring.adf_alpha, dw_range=scoring.dw_range
+    )
     rate = chosen.stats["explainable_rate"]
     lines = [
         "# diagnostics/1",
@@ -422,7 +425,7 @@ def cmd_analyze(cfg: dict, rec: RunRecorder) -> int:
         f"aic = {format_value(report.aic)}",
         f"bic = {format_value(report.bic)}",
         f"explainable_rate = {format_value(rate)}",
-        f"all_pass = {report.all_pass(lb_alpha=scoring.lb_alpha, dw_range=scoring.dw_range)}",
+        f"all_pass = {passes}",
         "variable,adf_stat,adf_p,lb_q,lb_p,dw",
     ]
     lines += [

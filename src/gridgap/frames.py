@@ -91,15 +91,10 @@ class TimeSeriesFrame:
         idx = [self.index_of(n) for n in names]
         return TimeSeriesFrame(self.dates, names, self.values[:, idx])
 
-    def slice_dates(self, start=None, end=None) -> "TimeSeriesFrame":
-        """Rows with start <= date <= end (either bound may be None)."""
-        start = _as_date(start) if start is not None else None
-        end = _as_date(end) if end is not None else None
-        keep = [
-            i
-            for i, d in enumerate(self.dates)
-            if (start is None or d >= start) and (end is None or d <= end)
-        ]
+    def slice_dates(self, start, end) -> "TimeSeriesFrame":
+        """Rows with start <= date <= end."""
+        start, end = _as_date(start), _as_date(end)
+        keep = [i for i, d in enumerate(self.dates) if start <= d <= end]
         if not keep:
             raise EmptyInputError(f"no rows between {start} and {end}")
         return TimeSeriesFrame(

@@ -61,19 +61,21 @@ class CumulativeIrf:
     converged_at: int
 
 
-def irf_cumulative(
-    model: RVarModel,
-    shock,
-    horizon: int | None = None,
-    tol: float = 1e-10,
-    max_steps: int = 100_000,
-) -> CumulativeIrf:
+# a cumulative response has converged once every increment is below
+# CUMULATIVE_TOL; it must do so within CUMULATIVE_MAX_STEPS steps
+CUMULATIVE_TOL = 1e-10
+CUMULATIVE_MAX_STEPS = 100_000
+
+
+def irf_cumulative(model: RVarModel, shock, horizon: int) -> CumulativeIrf:
     """Running sum of impulse responses, continued until increments vanish.
 
-    With ``horizon`` the path is truncated there (the long-run value is still
-    iterated to convergence).  Models whose companion spectrum touches the
-    unit circle cannot converge and are refused.
+    The path stops at ``horizon``; the long-run value is still iterated to
+    convergence.  Models whose companion spectrum touches the unit circle
+    cannot converge and are refused.
     """
+    if horizon < 0:
+        raise ParameterError(f"horizon must be >= 0, got {horizon}")
     j = model.shock_index(shock)
     if not stability_test(model, strict=True).stable:
         raise DivergenceError(
@@ -83,12 +85,12 @@ def irf_cumulative(
     total = next(steps).copy()
     path = [total.copy()]
     for t, step in enumerate(steps, start=1):
-        if t > max_steps:
-            raise DivergenceError(f"no convergence within {max_steps} steps")
+        if t > CUMULATIVE_MAX_STEPS:
+            raise DivergenceError(f"no convergence within {CUMULATIVE_MAX_STEPS} steps")
         total += step
-        if horizon is None or t <= horizon:
+        if t <= horizon:
             path.append(total.copy())
-        if np.max(np.abs(step)) < tol and t >= (horizon or 0):
+        if np.max(np.abs(step)) < CUMULATIVE_TOL and t >= horizon:
             break
     return CumulativeIrf(model.names, model.names[j], np.array(path), total, t)
 

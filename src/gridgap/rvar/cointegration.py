@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateSeriesError, DomainError, ParameterError
+from ..errors import DegenerateSeriesError, ParameterError
 from ..frames import TimeSeriesFrame
-from .adf import adf_stat_fixed_lag, adf_test, default_max_lag, mackinnon_pvalue, select_adf_lag
+from .adf import adf_stat_fixed_lag, default_max_lag, mackinnon_pvalue, select_adf_lag
 from .ols import ols
 
 
@@ -44,33 +44,16 @@ class CointegrationResult:
         return not self.cointegrated
 
 
-def engle_granger(
-    frame: TimeSeriesFrame,
-    alpha: float = 0.05,
-    max_lag: int | None = None,
-    check_inputs: bool = True,
-) -> CointegrationResult:
-    """Screen every column pair for cointegration.
+def engle_granger(frame: TimeSeriesFrame, alpha: float) -> CointegrationResult:
+    """Screen every column pair for cointegration at level ``alpha``.
 
-    The test presumes each input is integrated in levels; with
-    ``check_inputs`` a column that already rejects its unit root at ``alpha``
-    is refused.  Callers that have run their own stationarity screening (the
-    model search does) can skip the recheck.
+    The test presumes each input is integrated in levels; the caller owns
+    that screening (the model search tests each column's differences first).
+    Each residual test picks its lag by AIC up to Schwert's rule.
     """
     if frame.n_columns < 2:
         raise ParameterError("cointegration needs at least two columns")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    if check_inputs:
-        for name in frame.names:
-            result = adf_test(frame.column(name), regression="c", max_lag=max_lag)
-            if result.rejects_unit_root(alpha):
-                raise DomainError(
-                    f"column {name!r} already looks stationary in levels "
-                    f"(ADF p={result.pvalue:.4f}); cointegration is undefined"
-                )
-    lag = max_lag if max_lag is not None else default_max_lag(len(frame))
-    lag = max(0, min(lag, len(frame) - 20))
+    lag = max(0, min(default_max_lag(len(frame)), len(frame) - 20))
     pairs = []
     for i in range(frame.n_columns):
         for j in range(i + 1, frame.n_columns):
@@ -81,7 +64,6 @@ def engle_granger(
                 raise DegenerateSeriesError(f"first stage {right!r} on {left!r} is rank deficient")
             resid = fit.resid
             stat = adf_stat_fixed_lag(resid, select_adf_lag(resid, lag, "n"), regression="n")
-            pvalue = mackinnon_pvalue(stat, regression="c", nseries=2)
+            pvalue = mackinnon_pvalue(stat, nseries=2)
             pairs.append(CointegrationPair(left, right, stat, pvalue, pvalue < alpha))
     return CointegrationResult(tuple(pairs), alpha)
-

@@ -173,7 +173,7 @@ def run_diagnostics(
     lags = min(lb_lags, len(resid) - 1)
     rows = []
     for name, e in zip(model.names, resid.T):
-        adf = adf_test(e, regression="c")
+        adf = adf_test(e)
         lb = ljung_box(e, lags)
         rows.append(
             VariableDiagnostics(name, adf.stat, adf.pvalue, lb.q, lb.pvalue, durbin_watson(e))

@@ -111,6 +111,17 @@ class ScoringConfig:
     fevd_horizon: int = 10
 
     def __post_init__(self):
+        for name in ("adf_alpha", "lb_alpha"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ParameterError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
+        if self.lb_lags < 1:
+            raise ParameterError(f"lb_lags must be >= 1, got {self.lb_lags}")
+        if not self.dw_range[0] <= self.dw_range[1]:
+            raise ParameterError(f"dw_lo must not exceed dw_hi, got {self.dw_range}")
+        if self.irf_horizon < 0:
+            raise ParameterError(f"irf_horizon must be >= 0, got {self.irf_horizon}")
+        if self.fevd_horizon < 1:
+            raise ParameterError(f"fevd_horizon must be >= 1, got {self.fevd_horizon}")
         for name, sign in self.required_signs.items():
             if sign not in (-1, 1):
                 raise ParameterError(f"required sign for {name!r} must be -1 or +1")
@@ -167,20 +178,20 @@ def _window_stage(subset, date_range, frame: TimeSeriesFrame, scoring: ScoringCo
     except Exception as exc:
         return f"failed:window ({exc})", stats, None
     try:
-        diffed = difference(levels, 1)
+        diffed = difference(levels)
     except Exception as exc:
         return f"failed:difference ({exc})", stats, None
 
     for name in diffed.names:
         try:
-            res = adf_test(diffed.column(name), "c")
+            res = adf_test(diffed.column(name))
         except Exception as exc:
             return f"failed:adf:{name} ({exc})", stats, None
         stats[f"adf_p:{name}"] = res.pvalue
         if res.pvalue >= scoring.adf_alpha:
             return f"failed:adf:{name}", stats, None
 
-    coint = engle_granger(levels, alpha=scoring.adf_alpha, check_inputs=False)
+    coint = engle_granger(levels, alpha=scoring.adf_alpha)
     stats["coint_min_p"] = min(p.pvalue for p in coint.pairs)
     if not coint.screen_ok:
         return "failed:cointegration", stats, None

@@ -25,19 +25,12 @@ def _reject_missing(values: np.ndarray, what: str):
         raise MissingValueError(f"{what} contains missing values; run QC first")
 
 
-def difference(frame: TimeSeriesFrame, order: int = 1) -> TimeSeriesFrame:
-    """Apply first differencing ``order`` times; dates shift accordingly."""
-    if order < 1:
-        raise ParameterError(f"difference order must be >= 1, got {order}")
-    if len(frame) <= order:
-        raise InsufficientDataError(
-            f"need more than {order} rows to difference, have {len(frame)}"
-        )
+def difference(frame: TimeSeriesFrame) -> TimeSeriesFrame:
+    """First differences; each row is dated by the later of its two days."""
+    if len(frame) <= 1:
+        raise InsufficientDataError(f"need more than 1 rows to difference, have {len(frame)}")
     _reject_missing(frame.values, "difference input")
-    values = np.array(frame.values)
-    for _ in range(order):
-        values = values[1:] - values[:-1]
-    return TimeSeriesFrame(frame.dates[order:], frame.names, values)
+    return TimeSeriesFrame(frame.dates[1:], frame.names, np.diff(frame.values, axis=0))
 
 
 def centered_trend(series: np.ndarray, period: int = 7) -> np.ndarray:

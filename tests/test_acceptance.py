@@ -197,13 +197,13 @@ def test_c06_size_and_power():
     for seed in range(200):
         rng = np.random.default_rng(seed)
         walk = np.cumsum(rng.standard_normal(500))
-        if adf_test(walk, regression="c").pvalue < 0.05:
+        if adf_test(walk).pvalue < 0.05:
             walk_rejects += 1
         e = rng.standard_normal(500)
         ar = np.zeros(500)
         for t in range(1, 500):
             ar[t] = 0.5 * ar[t - 1] + e[t]
-        if adf_test(ar, regression="c").pvalue < 0.05:
+        if adf_test(ar).pvalue < 0.05:
             ar_rejects += 1
         dws.append(durbin_watson(rng.standard_normal(500)))
     assert walk_rejects / 200 <= 0.10

@@ -4,6 +4,7 @@ import ast
 import datetime as dt
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import re
@@ -24,6 +25,7 @@ from gridgap.frames import TimeSeriesFrame
 from gridgap.ingest import WideHourlyTable, read_wide_csv, write_series_csv, write_wide_csv
 from gridgap.ntl import read_grid, write_grid, write_metadata
 from gridgap.rvar import (
+    DiagnosticsReport,
     RVarModel,
     fit_restricted_var,
     load_model,
@@ -504,6 +506,25 @@ class TestAnalyze:
         assert float(impact["u"][3]) == 1.0 and float(impact["u"][2]) == 0.0
         assert float(impact["v"][4]) == 1.0
 
+    def test_all_pass_judges_at_the_config_thresholds(self, cfg, tmp_path, monkeypatch):
+        cfg.write_text(cfg.read_text() + "adf_alpha = 0.2\nlb_alpha = 0.01\ndw_lo = 1.2\ndw_hi = 2.8\n")
+        real = DiagnosticsReport.all_pass
+        calls = []
+
+        def spy(report, *args, **kwargs):
+            bound = inspect.signature(real).bind(report, *args, **kwargs)
+            bound.apply_defaults()
+            calls.append((bound.arguments, real(report, *args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(DiagnosticsReport, "all_pass", spy)
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+        [(arguments, passes)] = calls
+        assert (arguments["adf_alpha"], arguments["lb_alpha"]) == (0.2, 0.01)
+        assert arguments["dw_range"] == (1.2, 2.8)
+        assert f"all_pass = {passes}" in (out / "diagnostics.txt").read_text()
+
     def test_rerun_digests_identical(self, cfg, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["analyze", "--config", str(cfg), "--out", str(out_a)])
@@ -592,6 +613,16 @@ class TestIrfFevdCommands:
         rows = [r.split(",") for r in (out / "irf.csv").read_text().splitlines()[1:]]
         running = [float(r[3]) for r in rows]
         assert running == sorted(running)  # positive AR coefficients accumulate
+
+    @pytest.mark.parametrize("cumulative", ["false", "true"])
+    def test_irf_negative_horizon_exits_one(self, tmp_path, model_path, capsys, cumulative):
+        (tmp_path / "i.cfg").write_text(
+            f"model = {model_path}\nshock = x\nhorizon = -1\ncumulative = {cumulative}\n"
+        )
+        out = tmp_path / "out"
+        assert main(["irf", "--config", str(tmp_path / "i.cfg"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: horizon must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_irf_unknown_shock(self, tmp_path, model_path, capsys):
         (tmp_path / "i.cfg").write_text(f"model = {model_path}\nshock = nope\n")

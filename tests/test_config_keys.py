@@ -172,6 +172,36 @@ def test_sign_key_naming_no_series_column_exits_one(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("adf_alpha = 0", "adf_alpha"),
+        ("adf_alpha = 1", "adf_alpha"),
+        ("lb_alpha = 1.5", "lb_alpha"),
+        ("lb_alpha = nan", "lb_alpha"),
+        ("lb_lags = 0", "lb_lags"),
+        ("dw_lo = 3", "dw_lo"),
+        ("irf_horizon = -1", "irf_horizon"),
+        ("fevd_horizon = 0", "fevd_horizon"),
+    ],
+)
+def test_scoring_key_out_of_range_exits_one_before_the_sweep(tmp_path, capsys, line, key):
+    frame = TimeSeriesFrame(
+        tuple(dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(40)),
+        ("load", "mobility"),
+        np.random.default_rng(0).normal(size=(40, 2)).cumsum(axis=0),
+    )
+    write_series_csv(frame, tmp_path / "s.csv")
+    cfg = tmp_path / "c.cfg"
+    # left alone, each value would reject every combination or fail at one gate, unnamed
+    cfg.write_text(f"series = s.csv\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_gdp_steps_are_numbers_by_month(tmp_path):
     for name in ("load.csv", "t.csv", "h.csv", "w.csv"):
         (tmp_path / name).write_text("")

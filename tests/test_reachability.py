@@ -12,6 +12,12 @@ A method named like an attribute of an array, a string, a container, a
 path, a file or an argparse parser (``copy``, ``write``, ``size``) cannot
 be told from that attribute by name, so it counts as reached only through
 an ``ALLOWED`` entry that says what reaches it.
+
+Each parameter with a default must be passed, by position or by keyword,
+by some call in the program to a function of that name outside the
+function itself; a call with ``*args`` or ``**kwargs`` counts as passing
+every parameter. A default that no call overrides is a constant, not an
+option.
 """
 
 import argparse
@@ -41,18 +47,17 @@ ALLOWED = {
 
 
 def _definitions(src=SRC):
-    """(qualified name, is method, file, first line, last line) of each checked definition."""
+    """(qualified name, is method, file, node) of each checked definition."""
     for path in sorted(src.rglob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield node.name, False, path, node.lineno, node.end_lineno
+                yield node.name, False, path, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
                         item.name.startswith("__") and item.name.endswith("__")
                     ):
-                        qualname = f"{node.name}.{item.name}"
-                        yield qualname, True, path, item.lineno, item.end_lineno
+                        yield f"{node.name}.{item.name}", True, path, item
 
 
 def _references(paths):
@@ -65,6 +70,11 @@ def _references(paths):
                 yield node.attr, True, path, node.lineno
 
 
+def _inside(node, path, where, line) -> bool:
+    """Whether ``line`` of file ``where`` lies in definition ``node`` of file ``path``."""
+    return where == path and node.lineno <= line <= node.end_lineno
+
+
 def _unreached(src=SRC, program=PROGRAM) -> dict[str, Path]:
     """{qualified name: file} of the definitions in ``src`` that nothing in
     ``program`` (directories) references."""
@@ -73,20 +83,74 @@ def _unreached(src=SRC, program=PROGRAM) -> dict[str, Path]:
     for name, is_attr, path, line in _references(paths):
         by_name.setdefault(name, []).append((is_attr, path, line))
     unreached = {}
-    for qualname, is_method, path, first, last in _definitions(src):
+    for qualname, is_method, path, node in _definitions(src):
         name = qualname.rpartition(".")[2]
         uses = () if is_method and name in COMMON_ATTRIBUTES else by_name.get(name, ())
         if not any(
-            (is_attr or not is_method) and not (where == path and first <= line <= last)
+            (is_attr or not is_method) and not _inside(node, path, where, line)
             for is_attr, where, line in uses
         ):
             unreached[qualname] = path.relative_to(src.parent)
     return unreached
 
 
+def _defaulted(node, is_method):
+    """(parameter, call position or None) of each parameter of ``node`` with a default."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    if is_method:
+        positional = positional[1:]  # self or cls: a call's first argument is the next one
+    first = len(positional) - len(args.defaults)
+    for position, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, position
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _calls(paths):
+    """(called name, file, line, positional count, keywords, has star) of each call in ``paths``."""
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                keywords = {k.arg for k in node.keywords}
+                star = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+                yield name, path, node.lineno, len(node.args), keywords, star
+
+
+def _unpassed(src=SRC, program=PROGRAM) -> list[str]:
+    """``qualified name(parameter)`` of each defaulted parameter in ``src`` that
+    no call in ``program`` (directories) passes."""
+    paths = [p for d in program for p in sorted(d.rglob("*.py"))]
+    by_name = {}
+    for name, *call in _calls(paths):
+        by_name.setdefault(name, []).append(call)
+    unpassed = []
+    for qualname, is_method, path, node in _definitions(src):
+        if isinstance(node, ast.ClassDef):
+            continue
+        calls = [
+            (count, keywords, star)
+            for where, line, count, keywords, star in by_name.get(node.name, ())
+            if not _inside(node, path, where, line)
+        ]
+        for param, position in _defaulted(node, is_method):
+            if not any(
+                star or param in keywords or (position is not None and position < count)
+                for count, keywords, star in calls
+            ):
+                unpassed.append(f"{qualname}({param})")
+    return unpassed
+
+
 def test_every_definition_is_reached_outside_tests():
     unreached = _unreached()
     assert sorted(f"{unreached[n]}::{n}" for n in unreached.keys() - ALLOWED.keys()) == []
+
+
+def test_every_default_is_overridden_by_some_call():
+    assert _unpassed() == []
 
 
 def test_allowlist_names_only_live_definitions():
@@ -113,3 +177,24 @@ def test_method_named_like_a_common_attribute_is_not_reached_by_that_attribute(t
     )
     unreached = _unreached(tmp_path / "pkg", [tmp_path / "pkg", tmp_path / "run"])
     assert sorted(unreached) == ["Table.copy", "Table.write"]
+
+
+def test_default_that_no_call_passes_is_reported(tmp_path):
+    # one call passes scale by keyword and another limit by position; nothing passes tol or
+    # round, and fit's own recursive call does not count
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "fit.py").write_text(
+        "def fit(x, scale=1.0, tol=1e-8):\n    return fit(x, scale, tol) if x else x\n\n\n"
+        "class Model:\n    def predict(self, x, limit=10, *, round=False):\n        return x\n\n"
+        "    def score(self, x, weight=1.0):\n        return x\n"
+    )
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "main.py").write_text(
+        "from pkg.fit import Model, fit\n\n"
+        "fit([1.0], scale=2.0)\n"
+        "Model().predict([1.0], 5)\n"
+        "options = {'weight': 2.0}\n"
+        "Model().score([1.0], **options)\n"
+    )
+    unpassed = _unpassed(tmp_path / "pkg", [tmp_path / "pkg", tmp_path / "run"])
+    assert unpassed == ["fit(tol)", "Model.predict(round)"]

@@ -25,10 +25,9 @@ from scipy.stats import chi2, norm
 
 from gridgap.blas import one_blas_thread
 from gridgap.errors import CollinearityError, DegenerateSeriesError
-from gridgap.rvar import adf as adf_module
 from gridgap.rvar import adf_test, engle_granger, granger_wald, ljung_box, mackinnon_pvalue
 from gridgap.rvar import ols as ols_module
-from gridgap.rvar.adf import select_adf_lag
+from gridgap.rvar.adf import adf_stat_fixed_lag, default_max_lag, select_adf_lag
 from gridgap.rvar.diagnostics import ljung_box_statistic, sample_autocorr
 from gridgap.rvar.ols import ols
 
@@ -84,23 +83,38 @@ def _reference_select_adf_lag(y, max_lag, regression):
     return best[0]
 
 
+# MacKinnon (2010) surfaces of the constant-only regression for nseries 1
+# and 2, copied from the original tables with their scaling
+_REF_TAU_STAR = {"c": [-1.61, -2.62]}
+_REF_TAU_MIN = {"c": [-18.83, -18.86]}
+_REF_TAU_MAX = {"c": [2.74, 0.92]}
+_REF_TAU_SMALLP = {
+    "c": np.array([[2.1659, 1.4412, 3.8269], [2.92, 1.5012, 3.9796]])
+    * np.array([1.0, 1.0, 1e-2])
+}
+_REF_TAU_LARGEP = {
+    "c": np.array([[1.7339, 9.3202, -1.2745, -1.0368], [2.1945, 6.4695, -2.9198, -4.2377]])
+    * np.array([1.0, 1e-1, 1e-1, 1e-2])
+}
+
+
 def _reference_mackinnon_pvalue(stat, regression, nseries):
     row = nseries - 1
-    if stat > adf_module._TAU_MAX[regression][row]:
+    if stat > _REF_TAU_MAX[regression][row]:
         return 1.0
-    if stat < adf_module._TAU_MIN[regression][row]:
+    if stat < _REF_TAU_MIN[regression][row]:
         return 0.0
-    if stat <= adf_module._TAU_STAR[regression][row]:
-        coef = adf_module._TAU_SMALLP[regression][row]
+    if stat <= _REF_TAU_STAR[regression][row]:
+        coef = _REF_TAU_SMALLP[regression][row]
     else:
-        coef = adf_module._TAU_LARGEP[regression][row]
+        coef = _REF_TAU_LARGEP[regression][row]
     return float(norm.cdf(np.polyval(coef[::-1], stat)))
 
 
-def _reference_adf_test(y, regression, max_lag):
-    used_lag = _reference_select_adf_lag(y, max_lag, regression)
-    stat, _, nobs = _reference_adf_fit(y, used_lag, regression, offset=used_lag)
-    return stat, _reference_mackinnon_pvalue(stat, regression, 1), used_lag, nobs
+def _reference_adf_test(y, max_lag):
+    used_lag = _reference_select_adf_lag(y, max_lag, "c")
+    stat, _, nobs = _reference_adf_fit(y, used_lag, "c", offset=used_lag)
+    return stat, _reference_mackinnon_pvalue(stat, "c", 1), used_lag, nobs
 
 
 def _reference_engle_granger_stats(frame, lag):
@@ -179,31 +193,42 @@ def _near_collinear_frame(seed, eps):
     return make_frame(np.column_stack([x, y]), ("x", "y"))
 
 
+def _lag_bound(n, rows):
+    """Default lag bound of a length-``n`` series: Schwert's rule, leaving ``rows`` rows."""
+    return max(0, min(default_max_lag(n), n - rows))
+
+
+# series lengths over which the default lag bound of ADF (n - 21) and of
+# Engle-Granger (n - 20) takes every value 0..12
+LENGTHS = (20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 40, 60, 80, 100, 250)
+
+
 @pytest.mark.parametrize("make", [_walk, _ar1, _first_stage_residual])
-@pytest.mark.parametrize("regression", ["n", "c", "ct"])
+@pytest.mark.parametrize("regression", ["n", "c"])
 def test_adf_matches_per_lag_reference(make, regression):
+    # the lag chosen at each bound, and the statistic refitted at that lag
     for seed, n in ((0, 60), (1, 120), (2, 300)):
         y = make(np.random.default_rng(seed), n)
         for max_lag in range(13):
-            assert select_adf_lag(y, max_lag, regression) == _reference_select_adf_lag(
-                y, max_lag, regression
-            )
-            got = adf_test(y, regression=regression, max_lag=max_lag)
-            stat, pvalue, used_lag, nobs = _reference_adf_test(y, regression, max_lag)
+            used_lag = select_adf_lag(y, max_lag, regression)
+            assert used_lag == _reference_select_adf_lag(y, max_lag, regression)
+            stat, _, _ = _reference_adf_fit(y, used_lag, regression, offset=used_lag)
+            np.testing.assert_allclose(adf_stat_fixed_lag(y, used_lag, regression), stat, rtol=RTOL)
+
+
+def test_adf_default_lag_matches_reference():
+    lengths = [n for n in LENGTHS if n > 20]
+    assert {_lag_bound(n, 21) for n in lengths} == set(range(13))
+    for make in (_walk, _ar1, _first_stage_residual):
+        for seed, n in enumerate(lengths):
+            y = make(np.random.default_rng(100 + seed), n)
+            got = adf_test(y)
+            stat, pvalue, used_lag, nobs = _reference_adf_test(y, _lag_bound(n, 21))
             np.testing.assert_allclose([got.stat, got.pvalue], [stat, pvalue], rtol=RTOL)
             assert (got.used_lag, got.nobs) == (used_lag, nobs)
 
 
-def test_adf_default_lag_matches_reference():
-    for seed in range(10):
-        y = _walk(np.random.default_rng(100 + seed), 250)
-        got = adf_test(y)
-        stat, pvalue, used_lag, nobs = _reference_adf_test(y, "c", adf_module.default_max_lag(250))
-        np.testing.assert_allclose([got.stat, got.pvalue], [stat, pvalue], rtol=RTOL)
-        assert (got.used_lag, got.nobs) == (used_lag, nobs)
-
-
-@pytest.mark.parametrize("regression", ["n", "c", "ct"])
+@pytest.mark.parametrize("regression", ["n", "c"])
 def test_collinear_lag_columns_degenerate_in_both(regression):
     # period-2 differences: dy_{t-1} repeats as dy_{t-3}, and dy_{t-1} + dy_{t-2} is constant
     y = np.cumsum(np.tile([1.0, -0.5], 60))
@@ -212,23 +237,24 @@ def test_collinear_lag_columns_degenerate_in_both(regression):
     with pytest.raises(DegenerateSeriesError):
         select_adf_lag(y, 4, regression)
     with pytest.raises(DegenerateSeriesError):
-        adf_test(y, regression=regression, max_lag=4)
+        adf_stat_fixed_lag(y, 4, regression)
+    if regression == "c":
+        with pytest.raises(DegenerateSeriesError):
+            adf_test(y)
 
 
 def test_engle_granger_matches_reference():
-    for seed in range(4):
+    assert {_lag_bound(n, 20) for n in LENGTHS} == set(range(13))
+    for seed, n in enumerate(LENGTHS):
         rng = np.random.default_rng(40 + seed)
-        common = _walk(rng, 200)
+        common = _walk(rng, n)
         values = np.column_stack(
-            [common + rng.standard_normal(200), _walk(rng, 200), 0.5 * common + _walk(rng, 200)]
+            [common + rng.standard_normal(n), _walk(rng, n), 0.5 * common + _walk(rng, n)]
         )
         frame = make_frame(values, ("a", "b", "c"))
-        for lag in (0, 3, 8):
-            got = engle_granger(frame, max_lag=lag, check_inputs=False)
-            expected = _reference_engle_granger_stats(frame, lag)
-            np.testing.assert_allclose(
-                [(p.stat, p.pvalue) for p in got.pairs], expected, rtol=RTOL
-            )
+        got = engle_granger(frame, 0.05)
+        expected = _reference_engle_granger_stats(frame, _lag_bound(n, 20))
+        np.testing.assert_allclose([(p.stat, p.pvalue) for p in got.pairs], expected, rtol=RTOL)
 
 
 def test_granger_matches_reference():
@@ -289,11 +315,11 @@ def test_ljung_box_pvalue_matches_chi2_sf():
             assert _bits(got.pvalue) == _bits(float(chi2.sf(q, lags)))
 
 
-@pytest.mark.parametrize("regression", ["n", "c", "ct"])
+@pytest.mark.parametrize("regression", ["c"])
 def test_mackinnon_matches_norm_cdf(regression):
-    for nseries in range(1, 7):
+    for nseries in (1, 2):
         for stat in np.linspace(-30.0, 5.0, 701):
-            got = mackinnon_pvalue(float(stat), regression, nseries)
+            got = mackinnon_pvalue(float(stat), nseries)
             assert _bits(got) == _bits(_reference_mackinnon_pvalue(float(stat), regression, nseries))
 
 

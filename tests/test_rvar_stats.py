@@ -11,7 +11,6 @@ import pytest
 from gridgap.errors import (
     CollinearityError,
     DegenerateSeriesError,
-    DomainError,
     InsufficientDataError,
     ParameterError,
 )
@@ -23,6 +22,7 @@ from gridgap.rvar import (
     granger_wald,
     mackinnon_pvalue,
 )
+from gridgap.rvar.adf import select_adf_lag
 
 from conftest import make_frame
 
@@ -40,47 +40,43 @@ def _ar1(seed: int, phi: float = 0.5, n: int = 300) -> np.ndarray:
 
 
 class TestMacKinnonPvalue:
-    # spot values frozen against statsmodels.tsa.adfvalues.mackinnonp
+    # spot values frozen against statsmodels.tsa.adfvalues.mackinnonp(regression="c")
     @pytest.mark.parametrize(
-        "stat,reg,nseries,expected",
+        "stat,nseries,expected",
         [
-            (-3.34, "c", 2, 0.04946535878273698),
-            (-1.40, "c", 1, 0.5822761185232602),
-            (-4.10, "ct", 1, 0.006306812383570351),
-            (-2.60, "n", 1, 0.009034355825488276),
-            (-3.90, "c", 3, 0.032686733405112904),
+            (-3.34, 2, 0.04946535878273698),
+            (-1.40, 1, 0.5822761185232602),
         ],
     )
-    def test_spot_values(self, stat, reg, nseries, expected):
-        assert mackinnon_pvalue(stat, reg, nseries) == pytest.approx(expected, abs=1e-12)
+    def test_spot_values(self, stat, nseries, expected):
+        assert mackinnon_pvalue(stat, nseries) == pytest.approx(expected, abs=1e-12)
 
     def test_saturation(self):
         # outside the tabulated range the p-value pins to an endpoint
-        assert mackinnon_pvalue(-30.0, "c", 1) == 0.0
-        assert mackinnon_pvalue(10.0, "c", 1) == 1.0
+        assert mackinnon_pvalue(-30.0) == 0.0
+        assert mackinnon_pvalue(10.0) == 1.0
 
     def test_monotone_in_stat(self):
         grid = np.linspace(-5.0, 1.0, 40)
-        ps = [mackinnon_pvalue(float(s), "c", 1) for s in grid]
+        ps = [mackinnon_pvalue(float(s)) for s in grid]
         assert all(a <= b + 1e-12 for a, b in zip(ps, ps[1:]))
 
     def test_bad_args(self):
+        # only the one- and two-series surfaces are tabulated
         with pytest.raises(ParameterError):
-            mackinnon_pvalue(-2.0, "quadratic", 1)
+            mackinnon_pvalue(-2.0, 0)
         with pytest.raises(ParameterError):
-            mackinnon_pvalue(-2.0, "c", 0)
-        with pytest.raises(ParameterError):
-            mackinnon_pvalue(-2.0, "c", 7)
+            mackinnon_pvalue(-2.0, 3)
 
 
 class TestAdf:
     def test_random_walk_frozen(self):
-        res = adf_test(_walk(42), "c")
+        res = adf_test(_walk(42))
         assert res.stat == pytest.approx(-1.4110304807894942, abs=1e-10)
         assert res.pvalue == pytest.approx(0.57697669220069, abs=1e-10)
         assert res.used_lag == 3
         assert res.nobs == 296
-        assert not res.rejects_unit_root()
+        assert res.pvalue >= 0.05
 
     def test_stationary_ar_frozen(self):
         rng = np.random.default_rng(42)
@@ -89,16 +85,10 @@ class TestAdf:
         y = np.zeros(300)
         for t in range(1, 300):
             y[t] = 0.5 * y[t - 1] + z[t]
-        res = adf_test(y, "c")
+        res = adf_test(y)
         assert res.stat == pytest.approx(-9.09953999723963, abs=1e-10)
         assert res.used_lag == 0
-        assert res.rejects_unit_root()
-
-    def test_trend_regression_frozen(self):
-        res = adf_test(_walk(42), "ct")
-        assert res.stat == pytest.approx(-3.093426349160346, abs=1e-10)
-        assert res.pvalue == pytest.approx(0.10780251833298149, abs=1e-10)
-        assert res.used_lag == 1
+        assert res.pvalue < 0.05
 
     def test_schwert_default_lag(self):
         assert default_max_lag(100) == 12
@@ -108,27 +98,22 @@ class TestAdf:
         assert default_max_lag(10_000) == 12
 
     def test_fixed_lag_matches_requested(self):
-        res = adf_test(_walk(1), "c", max_lag=5)
-        assert res.used_lag <= 5
+        assert select_adf_lag(_walk(1), 5, "c") <= 5
 
     def test_constant_series_degenerate(self):
         with pytest.raises(DegenerateSeriesError):
-            adf_test(np.full(100, 3.25), "c")
+            adf_test(np.full(100, 3.25))
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
-            adf_test(np.arange(12, dtype=float), "c")
-
-    def test_bad_regression(self):
-        with pytest.raises(ParameterError):
-            adf_test(_walk(9), "ctt")
+            adf_test(np.arange(12, dtype=float))
 
     def test_no_residual_rows_at_max_lag(self):
-        # 36 points at max_lag=16: the trend design has 19 columns and 19 rows
-        with pytest.raises(InsufficientDataError, match="needs more than 19 rows, has 19"):
-            adf_test(_walk(0, 36), "ct", max_lag=16)
-        # without deterministics the same lags leave two residual rows
-        assert adf_test(_walk(0, 36), "n", max_lag=16).used_lag <= 16
+        # 36 points at max_lag=17: the design with a constant has 19 columns and 18 rows
+        with pytest.raises(InsufficientDataError, match="needs more than 19 rows, has 18"):
+            select_adf_lag(_walk(0, 36), 17, "c")
+        # without the constant the same lags leave one residual row
+        assert select_adf_lag(_walk(0, 36), 16, "n") <= 16
 
     def test_fixed_lag_stat_is_float(self):
         stat = adf_stat_fixed_lag(_walk(5), lag=2, regression="n")
@@ -199,7 +184,7 @@ class TestEngleGranger:
         x = np.cumsum(rng.standard_normal(400))
         y = 2.0 + 1.5 * x + rng.standard_normal(400) * 0.5
         frame = make_frame(np.column_stack([x, y]), ("a", "b"))
-        res = engle_granger(frame, check_inputs=False)
+        res = engle_granger(frame, 0.05)
         assert res.cointegrated
         assert not res.screen_ok
         pair = res.pairs[0]
@@ -215,14 +200,14 @@ class TestEngleGranger:
             ),
             ("a", "b"),
         )
-        res = engle_granger(frame, check_inputs=False)
+        res = engle_granger(frame, 0.05)
         assert res.screen_ok
 
     def test_one_test_per_unordered_pair(self):
         rng = np.random.default_rng(3)
         vals = np.cumsum(rng.standard_normal((300, 4)), axis=0)
         frame = make_frame(vals, ("a", "b", "c", "d"))
-        res = engle_granger(frame, check_inputs=False)
+        res = engle_granger(frame, 0.05)
         assert len(res.pairs) == 6
         seen = {(p.left, p.right) for p in res.pairs}
         assert len(seen) == 6
@@ -230,28 +215,17 @@ class TestEngleGranger:
         for left, right in seen:
             assert names.index(left) < names.index(right)
 
-    def test_stationary_input_refused(self):
-        rng = np.random.default_rng(5)
-        frame = make_frame(
-            np.column_stack([rng.standard_normal(300), np.cumsum(rng.standard_normal(300))]),
-            ("flat", "walk"),
-        )
-        with pytest.raises(DomainError):
-            engle_granger(frame)
-        # the same data is accepted once the caller owns the screening
-        engle_granger(frame, check_inputs=False)
-
     def test_needs_two_columns(self):
         frame = make_frame(np.cumsum(np.random.default_rng(1).standard_normal((50, 1)), axis=0), ("solo",))
         with pytest.raises(ParameterError):
-            engle_granger(frame)
+            engle_granger(frame, 0.05)
 
     def test_rank_deficient_first_stage_degenerate(self):
         # a constant regressor duplicates the first-stage intercept
         walk = _walk(6, 120)
         frame = make_frame(np.column_stack([np.full(120, 5.0), walk]), ("flat", "walk"))
         with pytest.raises(DegenerateSeriesError):
-            engle_granger(frame, check_inputs=False)
+            engle_granger(frame, 0.05)
 
 
 class TestStatsmodelsCrossChecks:
@@ -261,7 +235,7 @@ class TestStatsmodelsCrossChecks:
         sm = pytest.importorskip("statsmodels.tsa.stattools")
         for seed in (0, 1, 2):
             y = _walk(seed, 250)
-            mine = adf_test(y, "c")
+            mine = adf_test(y)
             stat, pvalue, lag, *_ = sm.adfuller(y, regression="c", autolag="AIC")
             assert mine.stat == pytest.approx(stat, abs=1e-8)
             assert mine.pvalue == pytest.approx(pvalue, abs=1e-8)
@@ -270,11 +244,10 @@ class TestStatsmodelsCrossChecks:
     def test_mackinnon_matches(self):
         av = pytest.importorskip("statsmodels.tsa.adfvalues")
         for stat in (-4.5, -3.0, -1.5, 0.5):
-            for reg in ("n", "c", "ct"):
-                for n in (1, 2, 3):
-                    assert mackinnon_pvalue(stat, reg, n) == pytest.approx(
-                        float(av.mackinnonp(stat, regression=reg, N=n)), abs=1e-12
-                    )
+            for n in (1, 2):
+                assert mackinnon_pvalue(stat, n) == pytest.approx(
+                    float(av.mackinnonp(stat, regression="c", N=n)), abs=1e-12
+                )
 
     def test_coint_stat_matches(self):
         sm = pytest.importorskip("statsmodels.tsa.stattools")
@@ -282,7 +255,7 @@ class TestStatsmodelsCrossChecks:
         x = np.cumsum(rng.standard_normal(350))
         y = 1.0 + 0.8 * x + rng.standard_normal(350)
         frame = make_frame(np.column_stack([x, y]), ("first", "second"))
-        res = engle_granger(frame, check_inputs=False)
+        res = engle_granger(frame, 0.05)
         stat, pvalue, _ = sm.coint(y, x, trend="c", autolag="AIC")
         assert res.pairs[0].stat == pytest.approx(stat, abs=1e-8)
         assert res.pairs[0].pvalue == pytest.approx(pvalue, abs=1e-8)
