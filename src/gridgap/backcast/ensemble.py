@@ -380,7 +380,6 @@ class MonthlySummary:
     mean: float
     low: float
     high: float
-    days: int
 
     @property
     def label(self) -> str:
@@ -408,7 +407,6 @@ def monthly_summary(
         float(series.point[idx].mean()),
         float(series.bounds[0.10][idx].mean()),
         float(series.bounds[0.90][idx].mean()),
-        len(sel),
     )
 
 

@@ -452,9 +452,9 @@ def cmd_irf(cfg: dict, rec: RunRecorder) -> int:
     shock, horizon, focus = cfg["shock"], cfg["horizon"], _focus(cfg, model)
     if cfg["cumulative"]:
         cum = irf_cumulative(model, shock, horizon)
-        series = [(name, cum.path[: horizon + 1, i]) for i, name in enumerate(model.names)]
+        series = [(name, cum.responses[:, i]) for i, name in enumerate(model.names)]
         title = f"cumulative response to a unit {cum.shock} shock"
-        _write_irf(rec, model, title, horizon, series, [(cum.shock, cum.path)])
+        _write_irf(rec, model, title, horizon, series, [(cum.shock, cum.responses)])
     else:
         _write_irf_outputs(rec, model, [shock], horizon, focus)
     return EXIT_OK

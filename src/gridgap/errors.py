@@ -49,14 +49,8 @@ class CoverageError(GridGapError, ValueError):
 
 
 class CollinearityError(GridGapError, ValueError):
-    """A regression design matrix is rank deficient.
-
-    ``columns`` names the offending regressors when they could be identified.
-    """
-
-    def __init__(self, message: str, columns: tuple[str, ...] = ()):
-        super().__init__(message)
-        self.columns = columns
+    """A regression design matrix is rank deficient; the message names the
+    offending regressors when they could be identified."""
 
 
 class FactorizationError(GridGapError, ValueError):

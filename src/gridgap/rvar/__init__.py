@@ -1,8 +1,8 @@
 """Restricted vector-autoregression engine."""
 
 from .adf import AdfResult, adf_stat_fixed_lag, adf_test, default_max_lag, mackinnon_pvalue
-from .analysis import CumulativeIrf, FevdResult, IrfResult, fevd, irf, irf_cumulative
-from .cointegration import CointegrationPair, CointegrationResult, engle_granger
+from .analysis import FevdResult, IrfResult, fevd, irf, irf_cumulative
+from .cointegration import engle_granger
 from .diagnostics import (
     DiagnosticsReport,
     InfoCriteria,
@@ -29,9 +29,6 @@ from .model import (
 
 __all__ = [
     "AdfResult",
-    "CointegrationPair",
-    "CointegrationResult",
-    "CumulativeIrf",
     "DiagnosticsReport",
     "FevdResult",
     "GrangerResult",

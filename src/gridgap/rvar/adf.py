@@ -65,8 +65,6 @@ def mackinnon_pvalue(stat: float, nseries: int = 1) -> float:
 class AdfResult:
     stat: float
     pvalue: float
-    used_lag: int
-    nobs: int
 
 
 def default_max_lag(n: int) -> int:
@@ -75,7 +73,12 @@ def default_max_lag(n: int) -> int:
 
 
 def _adf_design(y: np.ndarray, lags: int, regression: str):
-    """``[y_{t-1}, constant if "c", dy_{t-1}, ..., dy_{t-lags}]`` and ``dy_t`` for t > lags."""
+    """``[y_{t-1}, constant if "c", dy_{t-1}, ..., dy_{t-lags}]`` and ``dy_t`` for t > lags.
+
+    ``regression`` is ``"n"`` (no deterministic term) or ``"c"`` (a constant).
+    """
+    if regression not in ("n", "c"):
+        raise ParameterError(f"regression must be 'n' or 'c', got {regression!r}")
     dy = np.diff(y)
     rows = len(dy) - lags
     cols = [y[lags : lags + rows]]
@@ -138,4 +141,4 @@ def adf_test(series) -> AdfResult:
     # pick the lag on a common sample, then refit with every usable row
     used_lag = select_adf_lag(y, max_lag, "c")
     stat = adf_stat_fixed_lag(y, used_lag, "c")
-    return AdfResult(stat, mackinnon_pvalue(stat), used_lag, n - 1 - used_lag)
+    return AdfResult(stat, mackinnon_pvalue(stat))

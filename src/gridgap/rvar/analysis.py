@@ -20,12 +20,11 @@ class IrfResult:
     row 0 is the impact itself (a unit vector at the shocked variable).
     """
 
-    names: tuple[str, ...]
     shock: str
     responses: np.ndarray
 
 
-def irf(model: RVarModel, shock, horizon: int) -> IrfResult:
+def irf(model: RVarModel, shock: str, horizon: int) -> IrfResult:
     """Propagate a unit impulse through the lag polynomial.
 
     No orthogonalization is applied: the shock is one unit of the named
@@ -35,7 +34,7 @@ def irf(model: RVarModel, shock, horizon: int) -> IrfResult:
         raise ParameterError(f"horizon must be >= 0, got {horizon}")
     j = model.shock_index(shock)
     resp = np.array(list(islice(_response_steps(model, j), horizon + 1)))
-    return IrfResult(model.names, model.names[j], resp)
+    return IrfResult(model.names[j], resp)
 
 
 def _response_steps(model: RVarModel, j: int):
@@ -52,47 +51,18 @@ def _response_steps(model: RVarModel, j: int):
             step += coeff @ lagged
 
 
-@dataclass(frozen=True)
-class CumulativeIrf:
-    names: tuple[str, ...]
-    shock: str
-    path: np.ndarray  # running sums, same layout as IrfResult.responses
-    long_run: np.ndarray
-    converged_at: int
+def irf_cumulative(model: RVarModel, shock: str, horizon: int) -> IrfResult:
+    """Running sums of ``irf``'s responses, in the same layout.
 
-
-# a cumulative response has converged once every increment is below
-# CUMULATIVE_TOL; it must do so within CUMULATIVE_MAX_STEPS steps
-CUMULATIVE_TOL = 1e-10
-CUMULATIVE_MAX_STEPS = 100_000
-
-
-def irf_cumulative(model: RVarModel, shock, horizon: int) -> CumulativeIrf:
-    """Running sum of impulse responses, continued until increments vanish.
-
-    The path stops at ``horizon``; the long-run value is still iterated to
-    convergence.  Models whose companion spectrum touches the unit circle
-    cannot converge and are refused.
+    Models whose companion spectrum touches the unit circle have no finite
+    long-run response and are refused.
     """
-    if horizon < 0:
-        raise ParameterError(f"horizon must be >= 0, got {horizon}")
-    j = model.shock_index(shock)
+    response = irf(model, shock, horizon)
     if not stability_test(model, strict=True).stable:
         raise DivergenceError(
             "cumulative responses diverge: companion eigenvalue modulus >= 1"
         )
-    steps = _response_steps(model, j)
-    total = next(steps).copy()
-    path = [total.copy()]
-    for t, step in enumerate(steps, start=1):
-        if t > CUMULATIVE_MAX_STEPS:
-            raise DivergenceError(f"no convergence within {CUMULATIVE_MAX_STEPS} steps")
-        total += step
-        if t <= horizon:
-            path.append(total.copy())
-        if np.max(np.abs(step)) < CUMULATIVE_TOL and t >= horizon:
-            break
-    return CumulativeIrf(model.names, model.names[j], np.array(path), total, t)
+    return IrfResult(response.shock, np.cumsum(response.responses, axis=0))
 
 
 @dataclass(frozen=True)

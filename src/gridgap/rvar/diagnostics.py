@@ -44,8 +44,6 @@ def ljung_box_statistic(autocorr: np.ndarray, n: int) -> float:
 class LjungBoxResult:
     q: float
     pvalue: float
-    lags: int
-    nobs: int
 
 
 def ljung_box(series, lags: int = 40) -> LjungBoxResult:
@@ -57,7 +55,7 @@ def ljung_box(series, lags: int = 40) -> LjungBoxResult:
         raise ParameterError(f"need more than {lags} observations, have {len(x)}")
     rho = sample_autocorr(x, lags)
     q = ljung_box_statistic(rho, len(x))
-    return LjungBoxResult(q, float(chdtrc(lags, q)), lags, len(x))
+    return LjungBoxResult(q, float(chdtrc(lags, q)))
 
 
 def durbin_watson(series) -> float:
@@ -99,8 +97,6 @@ def stability_test(model: RVarModel, strict: bool = False) -> StabilityResult:
 class InfoCriteria:
     aic: float
     bic: float
-    free_params: int
-    nobs: int
 
 
 def criteria_from_residuals(model: RVarModel, e: np.ndarray) -> InfoCriteria:
@@ -117,7 +113,7 @@ def criteria_from_residuals(model: RVarModel, e: np.ndarray) -> InfoCriteria:
     k = model.free_coefficients
     aic = float(logdet + 2.0 * k / t_eff)
     bic = float(logdet + k * np.log(t_eff) / t_eff)
-    return InfoCriteria(aic, bic, k, t_eff)
+    return InfoCriteria(aic, bic)
 
 
 @dataclass(frozen=True)
@@ -139,7 +135,6 @@ class DiagnosticsReport:
     aic: float
     bic: float
     cointegration_ok: bool | None = None
-    lb_lags: int = 40
 
     def all_pass(
         self,
@@ -185,5 +180,4 @@ def run_diagnostics(
         info.aic,
         info.bic,
         cointegration_ok,
-        lags,
     )

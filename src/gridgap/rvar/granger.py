@@ -14,9 +14,6 @@ from .ols import ols
 
 @dataclass(frozen=True)
 class GrangerResult:
-    cause: str
-    effect: str
-    lags: int
     stat: float
     pvalue: float
 
@@ -45,10 +42,9 @@ def granger_wald(frame: TimeSeriesFrame, cause: str, effect: str, lags: int) -> 
     if fit is None:
         raise CollinearityError(
             f"regressors for {effect!r} on {cause!r} are collinear "
-            "(identical or linearly dependent columns)",
-            (cause, effect),
+            "(identical or linearly dependent columns)"
         )
     sigma2 = float(fit.resid @ fit.resid) / (rows - nparams)
     z = fit.r[1 + lags : -1, -1]  # Qᵀy of the cause lags, the trailing block
     stat = float(z @ z) / sigma2
-    return GrangerResult(cause, effect, lags, stat, float(chdtrc(lags, stat)))
+    return GrangerResult(stat, float(chdtrc(lags, stat)))

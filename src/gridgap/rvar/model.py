@@ -97,16 +97,11 @@ class RVarModel:
         lower = np.hstack([np.eye(n * (p - 1)), np.zeros((n * (p - 1), n))])
         return np.vstack([top, lower])
 
-    def shock_index(self, shock) -> int:
-        if isinstance(shock, str):
-            try:
-                return self.names.index(shock)
-            except ValueError:
-                raise ParameterError(f"no variable named {shock!r}; have {self.names}") from None
-        shock = int(shock)
-        if not 0 <= shock < self.n_vars:
-            raise ParameterError(f"shock index {shock} outside 0..{self.n_vars - 1}")
-        return shock
+    def shock_index(self, shock: str) -> int:
+        try:
+            return self.names.index(shock)
+        except ValueError:
+            raise ParameterError(f"no variable named {shock!r}; have {self.names}") from None
 
 
 def _lag_design(values: np.ndarray, p: int):
@@ -159,8 +154,7 @@ def fit_restricted_var(
             offenders = tuple(labels[k] for k in piv[numerical_rank(r, rows) :])
             raise CollinearityError(
                 f"equation {names[i]!r}: design matrix is rank deficient; "
-                f"offending columns {offenders}",
-                offenders,
+                f"offending columns {offenders}"
             )
         intercept[i] = fit.beta[0]
         coeffs[:, i, :][free] = fit.beta[1:]

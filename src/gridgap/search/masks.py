@@ -52,8 +52,8 @@ def rule_mask(p: int, n: int, rule: int, pvalues: np.ndarray | None) -> np.ndarr
     return mask
 
 
-def explainable_rate(fevd: FevdResult, target) -> float:
+def explainable_rate(fevd: FevdResult, target: str) -> float:
     """Percent of the target's forecast error variance driven by other shocks:
     100 x (1 - own-shock share) at the decomposition's final step."""
-    i = fevd.names.index(target) if isinstance(target, str) else int(target)
+    i = fevd.names.index(target)
     return float(100.0 * (1.0 - fevd.shares[-1, i, i]))

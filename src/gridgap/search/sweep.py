@@ -191,9 +191,9 @@ def _window_stage(subset, date_range, frame: TimeSeriesFrame, scoring: ScoringCo
         if res.pvalue >= scoring.adf_alpha:
             return f"failed:adf:{name}", stats, None
 
-    coint = engle_granger(levels, alpha=scoring.adf_alpha)
-    stats["coint_min_p"] = min(p.pvalue for p in coint.pairs)
-    if not coint.screen_ok:
+    pvalues = engle_granger(levels)
+    stats["coint_min_p"] = min(pvalues)
+    if any(p < scoring.adf_alpha for p in pvalues):
         return "failed:cointegration", stats, None
     return None, stats, diffed
 

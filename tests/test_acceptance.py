@@ -109,7 +109,7 @@ def test_c03_irf_equals_shocked_simulation():
         model = _random_stable_model(seed)
         n, p = model.n_vars, model.p
         j = seed % n
-        res = irf(model, shock=j, horizon=20)
+        res = irf(model, shock=model.names[j], horizon=20)
         # deterministic twin runs: identical zero history, one receives a
         # unit innovation at the impact period; intercepts cancel in the
         # difference

@@ -18,6 +18,10 @@ by some call in the program to a function of that name outside the
 function itself; a call with ``*args`` or ``**kwargs`` counts as passing
 every parameter. A default that no call overrides is a constant, not an
 option.
+
+Each field of a dataclass must be read as an attribute of that name
+somewhere in the program, its own class's methods included. A field that
+is only constructed, or read only by tests, is a result nobody uses.
 """
 
 import argparse
@@ -144,6 +148,30 @@ def _unpassed(src=SRC, program=PROGRAM) -> list[str]:
     return unpassed
 
 
+def _fields(src=SRC):
+    """(qualified name, file) of each field of each top-level dataclass in ``src``."""
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).startswith("dataclass") for d in node.decorator_list
+            ):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield f"{node.name}.{item.target.id}", path
+
+
+def _unread(src=SRC, program=PROGRAM) -> list[str]:
+    """``file::qualified name`` of each dataclass field in ``src`` that nothing
+    in ``program`` (directories) reads as an attribute."""
+    paths = [p for d in program for p in sorted(d.rglob("*.py"))]
+    read = {name for name, is_attr, *_ in _references(paths) if is_attr}
+    return [
+        f"{path.relative_to(src.parent)}::{qualname}"
+        for qualname, path in _fields(src)
+        if qualname.rpartition(".")[2] not in read
+    ]
+
+
 def test_every_definition_is_reached_outside_tests():
     unreached = _unreached()
     assert sorted(f"{unreached[n]}::{n}" for n in unreached.keys() - ALLOWED.keys()) == []
@@ -151,6 +179,10 @@ def test_every_definition_is_reached_outside_tests():
 
 def test_every_default_is_overridden_by_some_call():
     assert _unpassed() == []
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    assert _unread() == []
 
 
 def test_allowlist_names_only_live_definitions():
@@ -198,3 +230,29 @@ def test_default_that_no_call_passes_is_reported(tmp_path):
     )
     unpassed = _unpassed(tmp_path / "pkg", [tmp_path / "pkg", tmp_path / "run"])
     assert unpassed == ["fit(tol)", "Model.predict(round)"]
+
+
+def test_field_that_only_tests_read_is_reported(tmp_path):
+    # nobs is read only from a test, width only by its own class's property, and
+    # label never (a store is not a read); Plain is no dataclass, so hidden is no field
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "fit.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass Fit:\n    stat: float\n    nobs: int\n"
+        "    width: int\n    label: str = ''\n\n"
+        "    @property\n    def wide(self):\n        return self.width > 1\n\n\n"
+        "class Plain:\n    hidden: int = 0\n"
+    )
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "main.py").write_text(
+        "from pkg.fit import Fit\n\n"
+        "fit = Fit(1.0, 10, 2)\n"
+        "fit.label = 'x'\n"
+        "print(fit.stat, fit.wide)\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_fit.py").write_text(
+        "from pkg.fit import Fit\n\n\ndef test_nobs():\n    assert Fit(1.0, 10, 2).nobs == 10\n"
+    )
+    unread = _unread(tmp_path / "pkg", [tmp_path / "pkg", tmp_path / "run"])
+    assert unread == ["pkg/fit.py::Fit.nobs", "pkg/fit.py::Fit.label"]

@@ -105,7 +105,8 @@ class TestFit:
         frame = make_frame(np.column_stack([x, 3.0 * x]), ("load", "double"))
         with pytest.raises(CollinearityError) as err:
             fit_restricted_var(frame, p=1, mask=zero_mask(1, 2))
-        assert err.value.columns  # offending regressor labels are reported
+        # the pivoted QR takes the larger-norm double.l1 first, leaving load.l1 dependent
+        assert "offending columns ('load.l1',)" in str(err.value)
 
     def test_too_short(self):
         frame = _sim_frame(4)
@@ -177,12 +178,9 @@ class TestModelObject:
 
     def test_shock_index(self):
         m = RVarModel(("a", "b", "c"), 2, INTERCEPT, np.stack([A1, A2]), zero_mask(2, 3), SIGMA)
-        assert m.shock_index("b") == 1
-        assert m.shock_index(2) == 2
+        assert [m.shock_index(name) for name in ("a", "b", "c")] == [0, 1, 2]
         with pytest.raises(ParameterError):
             m.shock_index("nope")
-        with pytest.raises(ParameterError):
-            m.shock_index(3)
 
 
 class TestResiduals:

