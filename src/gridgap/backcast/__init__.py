@@ -17,10 +17,10 @@ from .ensemble import (
     training_workers,
 )
 from .features import (
-    DEFAULT_QUANTILE_LEVELS,
-    DEFAULT_WEATHER_KINDS,
+    FEATURE_DIMENSION,
     MIN_WEATHER_CELLS,
-    FeatureConfig,
+    QUANTILE_LEVELS,
+    WEATHER_KINDS,
     feature_matrix,
 )
 from .network import forward, init_params, loss_and_grads, train_network
@@ -28,15 +28,15 @@ from .network import forward, init_params, loss_and_grads, train_network
 __all__ = [
     "BackcastEnsemble",
     "BaseModel",
-    "DEFAULT_QUANTILE_LEVELS",
-    "DEFAULT_WEATHER_KINDS",
     "ENSEMBLE_FORMAT",
-    "FeatureConfig",
+    "FEATURE_DIMENSION",
     "MIN_WEATHER_CELLS",
     "MonthlySummary",
     "PREDICTION_LEVELS",
+    "QUANTILE_LEVELS",
     "ReductionSeries",
     "TrainingConfig",
+    "WEATHER_KINDS",
     "feature_matrix",
     "forward",
     "init_params",

@@ -28,11 +28,13 @@ from ..errors import (
     SchemaError,
 )
 from ..ingest import WideHourlyTable
-from .features import FeatureConfig
+from .features import QUANTILE_LEVELS, WEATHER_KINDS
 from .network import forward, train_network
 
 ENSEMBLE_FORMAT = "backcast-ensemble/1"
 PREDICTION_LEVELS = (0.10, 0.25, 0.75, 0.90)
+# every ensemble file's feature_config block: the one layout feature_matrix builds
+FEATURE_LAYOUT = {"quantile_levels": list(QUANTILE_LEVELS), "weather_kinds": list(WEATHER_KINDS)}
 
 # split redraws allowed before giving up on covering all twelve months
 _MAX_SPLIT_TRIES = 200
@@ -101,7 +103,6 @@ class BaseModel:
 @dataclass(frozen=True)
 class BackcastEnsemble:
     models: tuple[BaseModel, ...]
-    feature_config: FeatureConfig
     input_mean: np.ndarray
     input_std: np.ndarray
     target_mean: float
@@ -221,7 +222,6 @@ def train_ensemble(
     targets,
     dates,
     config: TrainingConfig | None = None,
-    feature_config: FeatureConfig | None = None,
     jobs: int = 1,
 ) -> BackcastEnsemble:
     """Train all candidates and keep the lowest-metric quarter.
@@ -235,7 +235,6 @@ def train_ensemble(
     one after another.
     """
     config = config or TrainingConfig()
-    feature_config = feature_config or FeatureConfig()
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64).ravel()
     dates = list(dates)
@@ -283,7 +282,6 @@ def train_ensemble(
     )
     return BackcastEnsemble(
         models,
-        feature_config,
         input_mean,
         input_std,
         target_mean,
@@ -416,7 +414,7 @@ def monthly_summary(
 def save_ensemble(ensemble: BackcastEnsemble, path) -> None:
     payload = {
         "format": ENSEMBLE_FORMAT,
-        "feature_config": asdict(ensemble.feature_config),
+        "feature_config": FEATURE_LAYOUT,
         "input_mean": ensemble.input_mean.tolist(),
         "input_std": ensemble.input_std.tolist(),
         "target_mean": ensemble.target_mean,
@@ -457,6 +455,9 @@ def load_ensemble(path, raw: bytes) -> BackcastEnsemble:
     if fmt != ENSEMBLE_FORMAT:
         raise SchemaError(f"expected format {ENSEMBLE_FORMAT!r}, got {fmt!r}")
     try:
+        layout = payload["feature_config"]
+        if layout != FEATURE_LAYOUT:
+            raise ValueError(f"feature layout {layout}, expected {FEATURE_LAYOUT}")
         models = tuple(
             BaseModel(
                 m["index"],
@@ -468,7 +469,6 @@ def load_ensemble(path, raw: bytes) -> BackcastEnsemble:
         )
         return BackcastEnsemble(
             models,
-            _config_from(FeatureConfig, payload["feature_config"]),
             np.array(payload["input_mean"]),
             np.array(payload["input_std"]),
             payload["target_mean"],

@@ -8,7 +8,6 @@ weather readings, and an economic scalar.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -16,57 +15,32 @@ import numpy as np
 from ..errors import InsufficientDataError, ParameterError, UnknownColumnError
 from ..ingest import WideHourlyTable
 
-DEFAULT_QUANTILE_LEVELS = (0.25, 0.50, 0.75, 1.00)
-DEFAULT_WEATHER_KINDS = ("temperature", "humidity", "wind")
+QUANTILE_LEVELS = (0.25, 0.50, 0.75, 1.00)
+WEATHER_KINDS = ("temperature", "humidity", "wind")
+# month(12) + weekday(7) + holiday + day-of-month + quantiles(3 x 4) + gdp = 34
+FEATURE_DIMENSION = 21 + len(WEATHER_KINDS) * len(QUANTILE_LEVELS) + 1
 
 # a day must retain at least this many hourly readings to yield quantiles
 MIN_WEATHER_CELLS = 12
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    quantile_levels: tuple[float, ...] = DEFAULT_QUANTILE_LEVELS
-    weather_kinds: tuple[str, ...] = DEFAULT_WEATHER_KINDS
+def _encode(dates, weather, gdp, holidays) -> np.ndarray:
+    """The (days, FEATURE_DIMENSION) feature matrix of ``dates``.
 
-    def __post_init__(self):
-        object.__setattr__(self, "quantile_levels", tuple(float(q) for q in self.quantile_levels))
-        object.__setattr__(self, "weather_kinds", tuple(self.weather_kinds))
-        if not self.quantile_levels:
-            raise ParameterError("need at least one quantile level")
-        for q in self.quantile_levels:
-            if not 0.0 < q <= 1.0:
-                raise ParameterError(f"quantile level {q} outside (0, 1]")
-        if list(self.quantile_levels) != sorted(set(self.quantile_levels)):
-            raise ParameterError("quantile levels must be strictly increasing")
-        if not self.weather_kinds:
-            raise ParameterError("need at least one weather kind")
-        if len(set(self.weather_kinds)) != len(self.weather_kinds):
-            raise ParameterError("duplicate weather kinds")
-
-    @property
-    def dimension(self) -> int:
-        # month(12) + weekday(7) + holiday + day-of-month + quantiles + gdp
-        return 21 + len(self.weather_kinds) * len(self.quantile_levels) + 1
-
-
-def _encode(dates, weather, gdp, holidays, config: FeatureConfig) -> np.ndarray:
-    """The (days, dimension) feature matrix of ``dates``.
-
-    ``weather`` maps each configured kind to its (days, 24) readings, row i
+    ``weather`` maps each weather kind to its (days, 24) readings, row i
     belonging to ``dates[i]``; ``gdp`` holds one value per date. Quantiles
     are empirical over each day's non-missing cells, linear interpolation
     between order statistics.
     """
     gdp = np.asarray(gdp, dtype=np.float64)
-    out = np.zeros((len(dates), config.dimension))
+    out = np.zeros((len(dates), FEATURE_DIMENSION))
     rows = np.arange(len(dates))
     out[rows, [d.month - 1 for d in dates]] = 1.0
     out[rows, [12 + d.weekday() for d in dates]] = 1.0
     out[:, 19] = [d in holidays for d in dates]
     out[:, 20] = np.array([d.day for d in dates]) / 31.0
-    levels = config.quantile_levels
     pos = 21
-    for kind in config.weather_kinds:
+    for kind in WEATHER_KINDS:
         table = weather[kind]
         infinite = np.isinf(table).any(axis=1)
         if infinite.any():
@@ -87,10 +61,10 @@ def _encode(dates, weather, gdp, holidays, config: FeatureConfig) -> np.ndarray:
             same = cells == n
             head, tail = table[same, :n], table[same, n:]
             head[np.isnan(head)] = tail[~np.isnan(tail)]
-            out[same, pos : pos + len(levels)] = np.quantile(
-                head, levels, axis=1, method="linear"
+            out[same, pos : pos + len(QUANTILE_LEVELS)] = np.quantile(
+                head, QUANTILE_LEVELS, axis=1, method="linear"
             ).T
-        pos += len(levels)
+        pos += len(QUANTILE_LEVELS)
     if not np.isfinite(gdp).all():
         raise ParameterError("gdp_growth must be finite")
     out[:, pos] = gdp
@@ -116,18 +90,16 @@ def feature_matrix(
     weather: Mapping[str, WideHourlyTable],
     gdp,
     holidays=frozenset(),
-    config: FeatureConfig | None = None,
 ) -> np.ndarray:
     """Feature rows for a span of dates, one per date.
 
-    ``weather`` maps each configured kind to a wide hourly table covering all
-    requested dates; ``gdp`` is a constant or a {(year, month): value} map
+    ``weather`` maps each of ``WEATHER_KINDS`` to a wide hourly table covering
+    all requested dates; ``gdp`` is a constant or a {(year, month): value} map
     applied stepwise.
     """
-    config = config or FeatureConfig()
     dates = list(dates)
     rows = {}
-    for kind in config.weather_kinds:
+    for kind in WEATHER_KINDS:
         if kind not in weather:
             raise UnknownColumnError(f"no weather table for kind {kind!r}")
         index = {d: i for i, d in enumerate(weather[kind].dates)}
@@ -137,4 +109,4 @@ def feature_matrix(
         rows[kind] = weather[kind].values[[index[d] for d in dates]]
     if not dates:
         raise ParameterError("no dates requested")
-    return _encode(dates, rows, _gdp_values(gdp, dates), holidays, config)
+    return _encode(dates, rows, _gdp_values(gdp, dates), holidays)

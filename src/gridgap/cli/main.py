@@ -21,8 +21,7 @@ import sys
 from pathlib import Path
 
 from ..backcast import (
-    DEFAULT_WEATHER_KINDS,
-    FeatureConfig,
+    WEATHER_KINDS,
     TrainingConfig,
     feature_matrix,
     load_ensemble,
@@ -191,7 +190,7 @@ def _gdp(cfg: dict):
 
 def cmd_backcast(cfg: dict, rec: RunRecorder) -> int:
     load_table = read_wide_csv(cfg["load"], "load")
-    weather = {kind: read_wide_csv(cfg[f"weather.{kind}"], kind) for kind in DEFAULT_WEATHER_KINDS}
+    weather = {kind: read_wide_csv(cfg[f"weather.{kind}"], kind) for kind in WEATHER_KINDS}
     gdp = _gdp(cfg)
     eval_start, eval_end = cfg["eval_start"], cfg["eval_end"]
     years = {eval_start.year, eval_end.year}
@@ -203,18 +202,16 @@ def cmd_backcast(cfg: dict, rec: RunRecorder) -> int:
         years |= {train_start.year, train_end.year}
     holidays = federal_holidays(range(min(years), max(years) + 1))
 
-    feature_config = FeatureConfig()
     if "ensemble" in cfg:
         raw = cfg["ensemble"].read_bytes()
         ensemble = load_ensemble(cfg["ensemble"], raw)
-        feature_config = ensemble.feature_config
         # the validated bytes, not a re-serialization: save(load(f)) == f for
         # every file save_ensemble wrote
         rec.output("ensemble.json").write_bytes(raw)
     else:
-        daily = load_table.daily_mean_frame("load")
+        daily = load_table.daily_mean_frame()
         daily = daily.slice_dates(train_start, train_end)
-        features = feature_matrix(daily.dates, weather, gdp, holidays, feature_config)
+        features = feature_matrix(daily.dates, weather, gdp, holidays)
         names = ("candidates", "keep_fraction", "split", "epochs", "learning_rate")
         training = TrainingConfig(
             **{n: cfg[n] for n in names},
@@ -224,7 +221,7 @@ def cmd_backcast(cfg: dict, rec: RunRecorder) -> int:
         workers, budget = training_workers(training.candidates, training.epochs, rec.jobs)
         rec.details.update(training_workers=workers, blas_budget=budget)
         ensemble = train_ensemble(
-            features, daily.column("load"), daily.dates, training, feature_config, jobs=rec.jobs,
+            features, daily.column("load"), daily.dates, training, jobs=rec.jobs
         )
         print(f"kept {len(ensemble.models)} of {training.candidates} candidates")
         save_ensemble(ensemble, rec.output("ensemble.json"))
@@ -232,7 +229,7 @@ def cmd_backcast(cfg: dict, rec: RunRecorder) -> int:
     eval_dates = [d for d in load_table.dates if eval_start <= d <= eval_end]
     if not eval_dates:
         raise ConfigError(f"no observed days between {eval_start} and {eval_end}")
-    eval_features = feature_matrix(eval_dates, weather, gdp, holidays, feature_config)
+    eval_features = feature_matrix(eval_dates, weather, gdp, holidays)
     series = reduction_series(ensemble, eval_features, eval_dates, load_table)
 
     levels = sorted(series.bounds)
@@ -551,7 +548,7 @@ COMMANDS = {
     }),
     "backcast": (cmd_backcast, "train the baseline ensemble and compute daily reductions", {
         "load": (Path, REQUIRED),
-        **{f"weather.{kind}": (Path, REQUIRED) for kind in DEFAULT_WEATHER_KINDS},
+        **{f"weather.{kind}": (Path, REQUIRED) for kind in WEATHER_KINDS},
         "gdp": (float, None), "gdp.<month>": (float, None),
         "train_start": (dt.date, None), "train_end": (dt.date, None),
         "eval_start": (dt.date, REQUIRED), "eval_end": (dt.date, REQUIRED),

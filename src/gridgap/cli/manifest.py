@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,8 +44,9 @@ class RunRecorder:
     started: float = field(default_factory=time.perf_counter)
 
     def record_input(self, path, data: bytes) -> None:
-        """Record ``path``'s digest, taken of ``data``, the bytes already read from it."""
-        key = str(path)
+        """Record ``path``'s digest, taken of ``data``, the bytes already read from it,
+        under its normalized path, so that two spellings of one file give one key."""
+        key = os.path.normpath(path)
         if key not in self.inputs:
             self.inputs[key] = hashlib.sha256(data).hexdigest()
 

@@ -115,17 +115,13 @@ def federal_holidays(years) -> frozenset[dt.date]:
         offset = (weekday - d.weekday()) % 7
         return d + dt.timedelta(days=offset + 7 * (n - 1))
 
-    def last_weekday(year, month, weekday):
-        d = dt.date(year, month + 1, 1) - dt.timedelta(days=1) if month < 12 else dt.date(year, 12, 31)
-        offset = (d.weekday() - weekday) % 7
-        return d - dt.timedelta(days=offset)
-
     out = set()
     for y in years:
+        may_31 = dt.date(y, 5, 31)
         out.add(dt.date(y, 1, 1))                  # New Year's Day
         out.add(nth_weekday(y, 1, 0, 3))           # Martin Luther King Jr. Day
         out.add(nth_weekday(y, 2, 0, 3))           # Washington's Birthday
-        out.add(last_weekday(y, 5, 0))             # Memorial Day
+        out.add(may_31 - dt.timedelta(days=may_31.weekday()))  # Memorial Day
         out.add(dt.date(y, 7, 4))                  # Independence Day
         out.add(nth_weekday(y, 9, 0, 1))           # Labor Day
         out.add(nth_weekday(y, 10, 0, 2))          # Columbus Day

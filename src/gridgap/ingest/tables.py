@@ -56,13 +56,14 @@ class WideHourlyTable:
     def __len__(self) -> int:
         return len(self.dates)
 
-    def daily_mean_frame(self, name: str) -> TimeSeriesFrame:
-        """Daily means as a one-column frame; a day missing any hour is dropped."""
+    def daily_mean_frame(self) -> TimeSeriesFrame:
+        """Daily means as a one-column frame named after ``kind``; a day missing
+        any hour is dropped."""
         keep = ~np.isnan(self.values).any(axis=1)
         if not keep.any():
             raise EmptyInputError("no usable days in table")
         dates = tuple(d for d, k in zip(self.dates, keep) if k)
-        return TimeSeriesFrame(dates, (name,), self.values[keep].mean(axis=1).reshape(-1, 1))
+        return TimeSeriesFrame(dates, (self.kind,), self.values[keep].mean(axis=1).reshape(-1, 1))
 
 
 WIDE_HEADER = ["date"] + [str(h) for h in range(24)]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gridgap.backcast import FeatureConfig
+from gridgap.backcast import QUANTILE_LEVELS, WEATHER_KINDS
 from gridgap.backcast.network import _loss, _packed, _sizes, _Workspace, loss_and_grads
 from gridgap.errors import FactorizationError, ParameterError
 from gridgap.frames import _as_date
@@ -44,13 +44,13 @@ class CalendarInfo:
         return cls(d, d.month, d.day, d.weekday(), d in holidays)
 
 
-def feature_names(config: FeatureConfig) -> tuple[str, ...]:
+def feature_names() -> tuple[str, ...]:
     """Column labels of the feature rows, in order."""
     names = [f"month_{m}" for m in range(1, 13)]
     names += [f"weekday_{w}" for w in range(7)]
     names += ["holiday", "day_scaled"]
-    for kind in config.weather_kinds:
-        names += [f"{kind}_q{int(round(q * 100))}" for q in config.quantile_levels]
+    for kind in WEATHER_KINDS:
+        names += [f"{kind}_q{int(round(q * 100))}" for q in QUANTILE_LEVELS]
     names.append("gdp_growth")
     return tuple(names)
 

@@ -13,7 +13,6 @@ from gridgap.backcast import ensemble as ensemble_module
 from gridgap.backcast import (
     BackcastEnsemble,
     BaseModel,
-    FeatureConfig,
     ReductionSeries,
     TrainingConfig,
     feature_matrix,
@@ -59,7 +58,7 @@ def _one_day(d, weather_row, gdp=0.0, holidays=frozenset()):
 
 def _quantiles(row, kind):
     """The ``kind`` quantile entries of a default-config feature row."""
-    names = feature_names(FeatureConfig())
+    names = feature_names()
     return tuple(float(v) for n, v in zip(names, row) if n.startswith(f"{kind}_q"))
 
 
@@ -85,7 +84,7 @@ class TestFeatures:
 
     def test_vector_layout(self):
         vec = _one_day(dt.date(2020, 11, 17), _weather_row(temp=np.arange(1.0, 25.0)), gdp=-2.5)
-        names = feature_names(FeatureConfig())
+        names = feature_names()
         assert len(vec) == len(names) == 34
         assert vec[10] == 1.0 and names[10] == "month_11"
         assert vec[:12].sum() == 1.0
@@ -117,14 +116,6 @@ class TestFeatures:
         # a day is 24 hourly values: the table refuses any other width
         with pytest.raises(ParameterError):
             _one_day(d, _weather_row(temp=np.ones(23)))
-
-    def test_config_validation(self):
-        with pytest.raises(ParameterError):
-            FeatureConfig(quantile_levels=(0.5, 0.25))
-        with pytest.raises(ParameterError):
-            FeatureConfig(quantile_levels=(0.0, 0.5))
-        with pytest.raises(ParameterError):
-            FeatureConfig(weather_kinds=("temperature", "temperature"))
 
     def test_gdp_step_map(self):
         dates = [
@@ -265,7 +256,6 @@ def _constant_ensemble(values, dim=34):
     models = tuple(_constant_member(i, dim, v) for i, v in enumerate(values))
     return BackcastEnsemble(
         models,
-        FeatureConfig(),
         np.zeros(dim),
         np.ones(dim),
         0.0,
@@ -393,7 +383,6 @@ class TestPredict:
         ens = _constant_ensemble([3.0, 1.0, 4.0, 1.5, 9.0])
         shuffled = BackcastEnsemble(
             ens.models[::-1],
-            ens.feature_config,
             ens.input_mean,
             ens.input_std,
             ens.target_mean,
@@ -521,7 +510,11 @@ class TestSerialization:
             assert np.array_equal(q1[lvl], q2[lvl])
         assert back.config == ens.config
         assert back.all_metrics == ens.all_metrics
-        assert back.feature_config == ens.feature_config
+        # the one feature layout, written as the files of earlier versions hold it
+        assert (
+            '"feature_config": {"quantile_levels": [0.25, 0.5, 0.75, 1.0], '
+            '"weather_kinds": ["temperature", "humidity", "wind"]}'
+        ) in path.read_text()
 
     def test_bytes_equal_streamed_json_dump(self, tmp_path):
         dates, x, y = _synthetic_training_data()

@@ -409,6 +409,18 @@ class TestTrend:
         assert len(rows) == n + 1
         assert (out / "trend.svg").read_text().startswith("<svg")
 
+    def test_manifest_keys_inputs_by_normalized_path(self, tmp_path, monkeypatch):
+        (tmp_path / "demo").mkdir()
+        _trend_input(tmp_path / "demo")
+        monkeypatch.chdir(tmp_path)
+        inputs = []
+        for spelling in ("demo/c.cfg", "./demo/../demo/c.cfg"):
+            out = tmp_path / f"out{len(inputs)}"
+            assert main(["trend", "--config", spelling, "--out", str(out)]) == 0
+            inputs.append(json.loads((out / MANIFEST_NAME).read_text())["inputs"])
+        assert inputs[0] == inputs[1]
+        assert sorted(inputs[0]) == [os.path.join("demo", "c.cfg"), os.path.join("demo", "s.csv")]
+
     def test_unknown_column_message_is_printed_as_it_is(self, tmp_path, capsys):
         _trend_input(tmp_path)
         (tmp_path / "c.cfg").write_text("series = s.csv\ncolumn = zz\n")
@@ -803,10 +815,12 @@ class TestBackcast:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda member: member["layers"][1]["w"].pop(),
-            lambda member: member.update(widths=[1, 2, 3]),
+            lambda payload: payload["models"][0]["layers"][1]["w"].pop(),
+            lambda payload: payload["models"][0].update(widths=[1, 2, 3]),
+            lambda payload: payload["feature_config"].update(quantile_levels=[0.5]),
+            lambda payload: payload["feature_config"]["weather_kinds"].reverse(),
         ],
-        ids=["layers_do_not_chain", "widths_not_the_layers"],
+        ids=["layers_do_not_chain", "widths_not_the_layers", "other_levels", "other_kind_order"],
     )
     def test_malformed_saved_ensemble_exits_one(self, tmp_path, capsys, edit):
         cfg = self.build(tmp_path)
@@ -815,14 +829,17 @@ class TestBackcast:
         assert main(["backcast", "--config", str(cfg), "--out", str(out)]) == 0
         saved = tmp_path / "ensemble.json"
         payload = json.loads((out / "ensemble.json").read_text())
-        edit(payload["models"][0])
+        edit(payload)
         saved.write_text(json.dumps(payload))
         cfg.write_text(cfg.read_text() + "ensemble = ensemble.json\n")
         out2 = tmp_path / "out2"
         capsys.readouterr()
         assert main(["backcast", "--config", str(cfg), "--out", str(out2)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "malformed ensemble" in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "malformed ensemble" in err
+        if payload["feature_config"] != ensemble_module.FEATURE_LAYOUT:
+            layouts = f"{payload['feature_config']}, expected {ensemble_module.FEATURE_LAYOUT}"
+            assert f"feature layout {layouts}" in err
         assert not out2.exists()
 
     def test_saved_ensemble_copied_as_it_is(self, tmp_path):

@@ -13,7 +13,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from gridgap.backcast import MIN_WEATHER_CELLS, FeatureConfig, feature_matrix
+from gridgap.backcast import FEATURE_DIMENSION, MIN_WEATHER_CELLS, QUANTILE_LEVELS, feature_matrix
 from gridgap.errors import InsufficientDataError, ParameterError, UnknownColumnError
 from gridgap.frames import federal_holidays
 from gridgap.ingest import WideHourlyTable
@@ -23,9 +23,9 @@ from helpers import CalendarInfo
 KINDS = ("temperature", "humidity", "wind")
 
 
-def _reference_row(calendar, weather_row, gdp, config):
+def _reference_row(calendar, weather_row, gdp):
     quantiles = {}
-    for kind in config.weather_kinds:
+    for kind in KINDS:
         if kind not in weather_row:
             raise UnknownColumnError(f"weather kind {kind!r} missing for {calendar.date}")
         row = np.asarray(weather_row[kind], dtype=np.float64).ravel()
@@ -38,7 +38,7 @@ def _reference_row(calendar, weather_row, gdp, config):
                 f"need >= {MIN_WEATHER_CELLS}"
             )
         quantiles[kind] = tuple(
-            float(np.quantile(cells, q, method="linear")) for q in config.quantile_levels
+            float(np.quantile(cells, q, method="linear")) for q in QUANTILE_LEVELS
         )
     for kind, vals in quantiles.items():
         if not all(np.isfinite(v) for v in vals):
@@ -46,13 +46,13 @@ def _reference_row(calendar, weather_row, gdp, config):
     gdp = float(gdp)
     if not np.isfinite(gdp):
         raise ParameterError("gdp_growth must be finite")
-    out = np.zeros(config.dimension)
+    out = np.zeros(FEATURE_DIMENSION)
     out[calendar.month - 1] = 1.0
     out[12 + calendar.weekday] = 1.0
     out[19] = 1.0 if calendar.holiday_flag else 0.0
     out[20] = calendar.day / 31.0
     pos = 21
-    for kind in config.weather_kinds:
+    for kind in KINDS:
         vals = quantiles[kind]
         out[pos : pos + len(vals)] = vals
         pos += len(vals)
@@ -74,23 +74,22 @@ def _reference_gdp(gdp, date):
     return float(gdp[chosen])
 
 
-def _reference_matrix(dates, weather, gdp, holidays=frozenset(), config=None):
-    config = config or FeatureConfig()
+def _reference_matrix(dates, weather, gdp, holidays=frozenset()):
     indices = {}
-    for kind in config.weather_kinds:
+    for kind in KINDS:
         if kind not in weather:
             raise UnknownColumnError(f"no weather table for kind {kind!r}")
         indices[kind] = {d: i for i, d in enumerate(weather[kind].dates)}
     rows = []
     for d in dates:
         row = {}
-        for kind in config.weather_kinds:
+        for kind in KINDS:
             idx = indices[kind].get(d)
             if idx is None:
                 raise InsufficientDataError(f"{kind} table has no row for {d}")
             row[kind] = weather[kind].values[idx]
         cal = CalendarInfo.from_date(d, holidays)
-        rows.append(_reference_row(cal, row, _reference_gdp(gdp, d), config))
+        rows.append(_reference_row(cal, row, _reference_gdp(gdp, d)))
     if not rows:
         raise ParameterError("no dates requested")
     return np.vstack(rows)
@@ -146,14 +145,6 @@ def test_feature_matrix_matches_per_row_reference(missing, gdp, holidays):
         got = feature_matrix(requested, tables, gdp, holidays)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
-
-
-def test_feature_matrix_matches_reference_on_other_levels_and_kinds():
-    dates, tables = _tables(days=60, seed=2)
-    config = FeatureConfig(quantile_levels=(0.1, 0.33, 0.9), weather_kinds=("wind", "temperature"))
-    expected = _reference_matrix(dates, tables, STEP_GDP, federal_holidays([2019]), config)
-    got = feature_matrix(dates, tables, STEP_GDP, federal_holidays([2019]), config)
-    assert got.tobytes() == expected.tobytes()
 
 
 def _short_day(tables):
@@ -214,8 +205,7 @@ def _zeros_and_ties_table():
     return dates, {k: WideHourlyTable(dates, values[:, rng.permutation(24)], k) for k in KINDS}
 
 
-@pytest.mark.parametrize("levels", [(0.01, 1.0), (0.25, 0.5, 0.75, 1.0), (0.5,)])
-def test_zeros_ties_and_every_usable_count(levels):
+def test_zeros_ties_and_every_usable_count():
     """Values equal the per-row reference's. Its bytes may differ in the
     sign of a zero quantile: a tie between -0.0 and 0.0 falls to the
     partition, and the reference partitions each day's cells in their own
@@ -226,12 +216,11 @@ def test_zeros_ties_and_every_usable_count(levels):
     counts = 24 - np.isnan(tables["temperature"].values).sum(axis=1)
     assert set(counts) == set(range(MIN_WEATHER_CELLS, 25))
     assert ((tables["humidity"].values == 0) & np.signbit(tables["humidity"].values)).any()
-    config = FeatureConfig(quantile_levels=levels)
-    got = feature_matrix(dates, tables, 1.0, config=config)
-    assert np.array_equal(got, _reference_matrix(dates, tables, 1.0, config=config))
+    got = feature_matrix(dates, tables, 1.0)
+    assert np.array_equal(got, _reference_matrix(dates, tables, 1.0))
     quantiles = got[:, 21:-1]
     expected = np.hstack(
-        [np.nanquantile(tables[k].values, levels, axis=1, method="linear").T for k in KINDS]
+        [np.nanquantile(tables[k].values, QUANTILE_LEVELS, axis=1, method="linear").T for k in KINDS]
     )
     assert quantiles.tobytes() == expected.tobytes()
 
@@ -245,5 +234,5 @@ def test_no_per_row_numpy_path(monkeypatch):
         raise AssertionError("per-row apply_along_axis called")
 
     monkeypatch.setattr(np, "apply_along_axis", refuse)
-    assert feature_matrix(dates, tables, 1.0).shape == (40, FeatureConfig().dimension)
-    tables["wind"].daily_mean_frame("wind")
+    assert feature_matrix(dates, tables, 1.0).shape == (40, FEATURE_DIMENSION)
+    tables["wind"].daily_mean_frame()

@@ -93,6 +93,32 @@ class TestCalendar:
             assert dt.date.fromisoformat(iso) in hol, iso
         assert len([d for d in hol if d.year == 2020]) == 10
 
+    def test_holidays_match_a_day_by_day_reference_for_1900_to_2200(self):
+        def days(year, month, weekday):
+            """Every ``weekday`` of the month, found by scanning each of its days."""
+            first = dt.date(year, month, 1)
+            month_days = (first + dt.timedelta(days=i) for i in range(31))
+            return [d for d in month_days if d.month == month and d.weekday() == weekday]
+
+        years = range(1900, 2201)
+        expected = set()
+        for y in years:
+            rules = [
+                dt.date(y, 1, 1),      # New Year's Day
+                days(y, 1, 0)[2],      # Martin Luther King Jr. Day: third Monday
+                days(y, 2, 0)[2],      # Washington's Birthday: third Monday
+                days(y, 5, 0)[-1],     # Memorial Day: last Monday
+                dt.date(y, 7, 4),      # Independence Day
+                days(y, 9, 0)[0],      # Labor Day: first Monday
+                days(y, 10, 0)[1],     # Columbus Day: second Monday
+                dt.date(y, 11, 11),    # Veterans Day
+                days(y, 11, 3)[3],     # Thanksgiving: fourth Thursday
+                dt.date(y, 12, 25),    # Christmas
+            ]
+            assert federal_holidays([y]) == set(rules), y
+            expected |= set(rules)
+        assert federal_holidays(years) == expected
+
 
 class TestTransitionPeriod:
     def test_ordering_enforced(self):

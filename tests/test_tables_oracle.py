@@ -65,7 +65,7 @@ def _random_table(seed, holes, days=120):
 def test_daily_mean_frame_matches_per_row_reference(seed, holes):
     table = _random_table(seed, holes)
     dates, means = _reference_daily_means(table)
-    frame = table.daily_mean_frame("x")
+    frame = table.daily_mean_frame()
     assert frame.dates == dates
     assert frame.values[:, 0].tobytes() == means.tobytes()
 
@@ -75,10 +75,10 @@ def test_daily_mean_frame_without_usable_day():
     values[:, 4] = np.nan
     table = WideHourlyTable(make_dates(3), values, "load")
     with pytest.raises(EmptyInputError):
-        table.daily_mean_frame("x")
+        table.daily_mean_frame()
     values[:] = np.nan
     with pytest.raises(EmptyInputError):
-        WideHourlyTable(make_dates(3), values, "load").daily_mean_frame("x")
+        WideHourlyTable(make_dates(3), values, "load").daily_mean_frame()
 
 
 def _special_values(rows, cols):
