@@ -58,6 +58,11 @@ class TrainingConfig:
             raise ParameterError(f"keep_fraction {self.keep_fraction} outside (0, 1]")
         if not 0.0 < self.split < 1.0:
             raise ParameterError(f"split {self.split} outside (0, 1)")
+        if self.epochs < 1:
+            raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
+        if not 0.0 < self.learning_rate < np.inf:
+            rate = self.learning_rate
+            raise ParameterError(f"learning_rate must be finite and positive, got {rate}")
         lo, hi = self.width_range
         if lo < 1 or hi < lo:
             raise ParameterError(f"width_range {self.width_range} must satisfy 1 <= lo <= hi")

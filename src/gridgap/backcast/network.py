@@ -161,8 +161,6 @@ def train_network(
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.ndim != 2 or x.shape[0] != len(y):
         raise ParameterError(f"x {x.shape} and y {y.shape} do not align")
-    if epochs < 1:
-        raise ParameterError(f"epochs must be >= 1, got {epochs}")
     x = np.asfortranarray(x)  # so each epoch's feature-major x.T is a view, not a copy
     sizes = (x.shape[1], *widths, 1)
     theta, params = _packed(init_params(rng, sizes))

@@ -20,6 +20,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ..backcast import (
     WEATHER_KINDS,
     TrainingConfig,
@@ -31,7 +33,7 @@ from ..backcast import (
     train_ensemble,
     training_workers,
 )
-from ..errors import ConfigError, CoverageError, GridGapError, NoModelError
+from ..errors import ConfigError, CoverageError, DomainError, GridGapError, NoModelError
 from ..frames import federal_holidays
 from ..ingest import (
     QcReport,
@@ -503,21 +505,25 @@ def cmd_trend(cfg: dict, rec: RunRecorder) -> int:
 def cmd_ntl(cfg: dict, rec: RunRecorder) -> int:
     raster = load_raster(cfg["grid"], cfg.get("metadata"), rec.record_input)
     floor, smooth = cfg["floor"], cfg["smooth"]
-    result = process_raster(raster, floor, smooth)
-    write_grid(rec.output("processed.grid.txt"), result.raster.intensity)
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
+        grid, repaired, isolated = process_raster(raster, floor, smooth)
+    if not np.isfinite(grid).all():
+        raise DomainError(f"{cfg['grid']}: processing overflowed to a non-finite intensity")
+    write_grid(rec.output("processed.grid.txt"), grid)
+    height, width = grid.shape
     lines = [
         "# ntl-report/1",
-        f"height = {raster.height}",
-        f"width = {raster.width}",
+        f"height = {height}",
+        f"width = {width}",
         f"floor = {format_value(floor)}",
         f"smooth = {str(smooth).lower()}",
-        f"repaired = {len(result.repaired)}",
-        f"isolated = {len(result.isolated)}",
+        f"repaired = {len(repaired)}",
+        f"isolated = {len(isolated)}",
     ]
-    lines += [f"repaired,{r},{c}" for r, c in result.repaired]
-    lines += [f"isolated,{r},{c}" for r, c in result.isolated]
+    lines += [f"repaired,{r},{c}" for r, c in repaired]
+    lines += [f"isolated,{r},{c}" for r, c in isolated]
     _write_text(rec, "ntl_report.txt", "\n".join(lines))
-    print(f"{raster.height}x{raster.width} grid: {len(result.repaired)} repaired, {len(result.isolated)} isolated")
+    print(f"{height}x{width} grid: {len(repaired)} repaired, {len(isolated)} isolated")
     return EXIT_OK
 
 

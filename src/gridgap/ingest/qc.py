@@ -112,41 +112,19 @@ def qc_fill_missing(
             f"backup kind {backup.kind!r} does not match table kind {table.kind!r}"
         )
     report = QcReport()
-    values = np.array(table.values)
-    flat = values.reshape(-1)
-    n = flat.shape[0]
-    backup_lookup = {}
-    if backup is not None:
-        for i, d in enumerate(backup.dates):
-            for h in range(24):
-                v = backup.values[i, h]
-                if not np.isnan(v):
-                    backup_lookup[(d, h)] = float(v)
-
-    def cell(pos: int) -> tuple[dt.date, int]:
-        return table.dates[pos // 24], pos % 24
-
-    pos = 0
-    while pos < n:
-        if not np.isnan(flat[pos]):
-            pos += 1
+    flat = np.array(table.values).reshape(-1)
+    missing = np.isnan(flat)
+    last = flat.shape[0] - 1
+    rows = {} if backup is None else dict(zip(backup.dates, backup.values))
+    for pos in np.flatnonzero(missing).tolist():
+        d, h = table.dates[pos // 24], pos % 24
+        if 0 < pos < last and not missing[pos - 1] and not missing[pos + 1]:
+            filled, method = 0.5 * (flat[pos - 1] + flat[pos + 1]), "interpolated"
+        elif d in rows and not np.isnan(rows[d][h]):
+            filled, method = float(rows[d][h]), "backup"
+        else:
+            report.unresolved.append((d, h))
             continue
-        run_end = pos
-        while run_end + 1 < n and np.isnan(flat[run_end + 1]):
-            run_end += 1
-        run_len = run_end - pos + 1
-        interpolatable = run_len == 1 and pos > 0 and run_end < n - 1
-        for p in range(pos, run_end + 1):
-            d, h = cell(p)
-            if interpolatable:
-                filled = 0.5 * (flat[p - 1] + flat[p + 1])
-                flat[p] = filled
-                report.fills.append((d, h, "interpolated", float(filled)))
-            elif (d, h) in backup_lookup:
-                filled = backup_lookup[(d, h)]
-                flat[p] = filled
-                report.fills.append((d, h, "backup", float(filled)))
-            else:
-                report.unresolved.append((d, h))
-        pos = run_end + 1
+        flat[pos] = filled
+        report.fills.append((d, h, method, float(filled)))
     return WideHourlyTable(table.dates, flat.reshape(-1, 24), table.kind), report

@@ -8,6 +8,7 @@ lunar illumination fraction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,10 +20,10 @@ from .ingest.schema import decode_text, read_keyfile
 
 @dataclass(frozen=True)
 class Raster:
-    """Intensity grid with optional quality flags and lunar metadata.
+    """A loaded intensity grid with optional quality flags and lunar metadata.
 
-    ``flags`` uses 0 for good pixels; any nonzero value marks a pixel as
-    unusable. ``lunar_angle`` is in radians, one value per pixel.
+    ``flags`` holds True for unusable pixels: any nonzero flag value marks
+    one. ``lunar_angle`` is in radians, one value per pixel.
     """
 
     intensity: np.ndarray
@@ -36,7 +37,7 @@ class Raster:
             raise ParameterError(f"intensity must be a non-empty 2-D grid, got shape {grid.shape}")
         object.__setattr__(self, "intensity", grid)
         if self.flags is not None:
-            flags = np.asarray(self.flags, dtype=int)
+            flags = np.asarray(self.flags) != 0
             if flags.shape != grid.shape:
                 raise ParameterError(
                     f"flags shape {flags.shape} != intensity shape {grid.shape}"
@@ -55,95 +56,63 @@ class Raster:
                 raise ParameterError(f"illumination fraction must lie in [0, 1], got {f}")
             object.__setattr__(self, "lunar_fraction", f)
 
-    @property
-    def height(self) -> int:
-        return self.intensity.shape[0]
 
-    @property
-    def width(self) -> int:
-        return self.intensity.shape[1]
+def _cells(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
+    return tuple(map(tuple, np.argwhere(mask).tolist()))
 
 
-@dataclass(frozen=True)
-class RepairResult:
-    raster: Raster
-    repaired: tuple[tuple[int, int], ...]
-    isolated: tuple[tuple[int, int], ...]
-
-
-def repair_pixels(raster: Raster) -> RepairResult:
+def repair_pixels(grid: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, tuple, tuple]:
     """Fill flagged pixels from their good 8-neighborhoods.
 
     A flagged pixel becomes the mean of its unflagged neighbors; a pixel
     whose whole neighborhood is flagged too has no information left and is
-    zeroed, with its coordinates reported. Output flags are all clear.
+    zeroed. Returns the repaired grid and the row-major (row, col) lists of
+    repaired and isolated pixels. The eight shifted neighbor grids are added
+    in row-major kernel order, a flagged or off-grid neighbor as 0.0: the
+    running total starts at +0.0 and so is never -0.0, and adding 0.0 leaves
+    it as the per-pixel loop that skips those neighbors would.
     """
-    grid = raster.intensity
-    if raster.flags is None:
-        clean = np.zeros(grid.shape, dtype=int)
-        out = Raster(grid.copy(), clean, raster.lunar_fraction, raster.lunar_angle)
-        return RepairResult(out, (), ())
-    bad = raster.flags != 0
-    fixed = grid.copy()
-    repaired = []
-    isolated = []
+    bad = flags != 0
     h, w = grid.shape
-    for r, c in zip(*np.nonzero(bad)):
-        total = 0.0
-        count = 0
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                if dr == 0 and dc == 0:
-                    continue
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < h and 0 <= cc < w and not bad[rr, cc]:
-                    total += grid[rr, cc]
-                    count += 1
-        if count:
-            fixed[r, c] = total / count
-            repaired.append((int(r), int(c)))
-        else:
-            fixed[r, c] = 0.0
-            isolated.append((int(r), int(c)))
-    out = Raster(fixed, np.zeros(grid.shape, dtype=int), raster.lunar_fraction, raster.lunar_angle)
-    return RepairResult(out, tuple(repaired), tuple(isolated))
+    values = np.pad(np.where(bad, 0.0, grid), 1)
+    good = np.pad(~bad, 1)
+    total = np.zeros(grid.shape)
+    count = np.zeros(grid.shape, dtype=int)
+    for dr in range(3):
+        for dc in range(3):
+            if (dr, dc) != (1, 1):
+                total = total + values[dr : dr + h, dc : dc + w]
+                count += good[dr : dr + h, dc : dc + w]
+    repaired, isolated = bad & (count > 0), bad & (count == 0)
+    fixed = grid.copy()
+    fixed[repaired] = total[repaired] / count[repaired]
+    fixed[isolated] = 0.0
+    return fixed, _cells(repaired), _cells(isolated)
 
 
-def lunar_scale(raster: Raster) -> Raster:
+def lunar_scale(grid: np.ndarray, fraction: float, angle: np.ndarray) -> np.ndarray:
     """Divide out moonlight: divisor 1 + fraction * clamp(cos angle, 0, 1).
 
     A new moon (fraction 0) or a moon below the horizon (cos <= 0) leaves
     the pixel untouched; a full moon overhead halves it.
     """
-    if raster.lunar_fraction is None or raster.lunar_angle is None:
-        raise SchemaError("raster lacks lunar metadata (fraction and per-pixel angle)")
-    factor = np.clip(np.cos(raster.lunar_angle), 0.0, 1.0)
-    divisor = 1.0 + raster.lunar_fraction * factor
-    return Raster(
-        raster.intensity / divisor,
-        raster.flags,
-        raster.lunar_fraction,
-        raster.lunar_angle,
-    )
+    return grid / (1.0 + fraction * np.clip(np.cos(angle), 0.0, 1.0))
 
 
-def threshold_floor(raster: Raster, floor: float = 10.0) -> Raster:
+def threshold_floor(grid: np.ndarray, floor: float = 10.0) -> np.ndarray:
     """Zero out pixels strictly below ``floor``; the boundary value stays."""
     if not 0 <= floor < np.inf:
         raise ParameterError(f"floor must be nonnegative and finite, got {floor}")
-    grid = raster.intensity.copy()
-    grid[grid < floor] = 0.0
-    return Raster(grid, raster.flags, raster.lunar_fraction, raster.lunar_angle)
+    return np.where(grid < floor, 0.0, grid)
 
 
-def lowpass_5x5(raster: Raster) -> Raster:
+def lowpass_5x5(grid: np.ndarray) -> np.ndarray:
     """Uniform 5x5 mean filter with edge-replication padding.
 
     The 25 neighbor adds happen in row-major kernel order for every pixel,
     so the result is bit-identical to a scalar double loop that accumulates
     the same way.
     """
-    grid = raster.intensity
     h, w = grid.shape
     if h < 5 or w < 5:
         raise ParameterError(f"5x5 filter needs at least a 5x5 grid, got {h}x{w}")
@@ -152,22 +121,25 @@ def lowpass_5x5(raster: Raster) -> Raster:
     for dr in range(5):
         for dc in range(5):
             acc = acc + padded[dr : dr + h, dc : dc + w]
-    return Raster(acc / 25.0, raster.flags, raster.lunar_fraction, raster.lunar_angle)
+    return acc / 25.0
 
 
-def process_raster(raster: Raster, floor: float = 10.0, smooth: bool = True) -> RepairResult:
+def process_raster(
+    raster: Raster, floor: float = 10.0, smooth: bool = True
+) -> tuple[np.ndarray, tuple, tuple]:
     """Repair, de-moonlight (when metadata exists), floor, then smooth.
 
-    The result holds the final raster and the repair step's pixel lists.
+    Returns the final grid and the repair step's repaired and isolated lists.
     """
-    step = repair_pixels(raster)
-    current = step.raster
-    if current.lunar_fraction is not None and current.lunar_angle is not None:
-        current = lunar_scale(current)
-    current = threshold_floor(current, floor)
+    grid = raster.intensity
+    flags = np.zeros(grid.shape, dtype=bool) if raster.flags is None else raster.flags
+    grid, repaired, isolated = repair_pixels(grid, flags)
+    if raster.lunar_fraction is not None and raster.lunar_angle is not None:
+        grid = lunar_scale(grid, raster.lunar_fraction, raster.lunar_angle)
+    grid = threshold_floor(grid, floor)
     if smooth:
-        current = lowpass_5x5(current)
-    return RepairResult(current, step.repaired, step.isolated)
+        grid = lowpass_5x5(grid)
+    return grid, repaired, isolated
 
 
 # -------------------------------------------------------------------- text
@@ -185,7 +157,8 @@ def write_grid(path, grid: np.ndarray) -> None:
 
 
 def read_grid(path) -> np.ndarray:
-    """A ``write_grid`` file at ``path``, a ``Path`` or an ``InputFile``."""
+    """A ``write_grid`` file at ``path``, a ``Path`` or an ``InputFile``; a
+    non-finite cell is refused."""
     lines = [ln for ln in decode_text(path.read_bytes(), path).splitlines() if ln.strip()]
     if not lines:
         raise SchemaError(f"{path}: empty grid file")
@@ -207,6 +180,8 @@ def read_grid(path) -> np.ndarray:
             rows.append([float(c) for c in cells])
         except ValueError:
             raise SchemaError(f"{path}: row {i} holds a non-numeric cell") from None
+        if not all(map(math.isfinite, rows[-1])):
+            raise SchemaError(f"{path}: row {i} holds a non-finite cell")
     return np.array(rows, dtype=float)
 
 
@@ -229,7 +204,7 @@ def load_raster(grid, meta=None, record=None) -> Raster:
     ``meta``; the companion grids it names are recorded through ``record``."""
     intensity = read_grid(grid)
     values = {} if meta is None else read_keyfile(meta, SIDECAR_KEYS, record)
-    flags = read_grid(values["flags_grid"]).astype(int) if "flags_grid" in values else None
+    flags = read_grid(values["flags_grid"]) if "flags_grid" in values else None
     angle = read_grid(values["lunar_angle_grid"]) if "lunar_angle_grid" in values else None
     fraction = values.get("lunar_fraction")
     if (fraction is None) != (angle is None):

@@ -17,6 +17,7 @@ from gridgap.backcast import QUANTILE_LEVELS, WEATHER_KINDS
 from gridgap.backcast.network import _loss, _packed, _sizes, _Workspace, loss_and_grads
 from gridgap.errors import FactorizationError, ParameterError
 from gridgap.frames import _as_date
+from gridgap.ingest import QcReport, WideHourlyTable
 
 
 @dataclass(frozen=True)
@@ -133,3 +134,86 @@ def simulate_var(
 def moon_angle_grid(shape, zenith_deg: float) -> np.ndarray:
     """Constant lunar-angle grid, convenience for scenes with one moon position."""
     return np.full(shape, math.radians(zenith_deg), dtype=float)
+
+
+def reference_fill_missing(table: WideHourlyTable, backup: WideHourlyTable | None = None):
+    """``qc_fill_missing`` as a scan over every cell and every run of gaps.
+
+    Each run of missing cells is found in full; a run of one with a
+    neighbour on both sides takes their midpoint, and every other cell
+    reads the backup through a lookup of all its observed cells.
+    """
+    report = QcReport()
+    flat = np.array(table.values).reshape(-1)
+    n = flat.shape[0]
+    backup_lookup = {}
+    if backup is not None:
+        for i, d in enumerate(backup.dates):
+            for h in range(24):
+                v = backup.values[i, h]
+                if not np.isnan(v):
+                    backup_lookup[(d, h)] = float(v)
+    pos = 0
+    while pos < n:
+        if not np.isnan(flat[pos]):
+            pos += 1
+            continue
+        run_end = pos
+        while run_end + 1 < n and np.isnan(flat[run_end + 1]):
+            run_end += 1
+        interpolatable = run_end == pos and pos > 0 and run_end < n - 1
+        for p in range(pos, run_end + 1):
+            d, h = table.dates[p // 24], p % 24
+            if interpolatable:
+                filled = 0.5 * (flat[p - 1] + flat[p + 1])
+                flat[p] = filled
+                report.fills.append((d, h, "interpolated", float(filled)))
+            elif (d, h) in backup_lookup:
+                filled = backup_lookup[(d, h)]
+                flat[p] = filled
+                report.fills.append((d, h, "backup", float(filled)))
+            else:
+                report.unresolved.append((d, h))
+        pos = run_end + 1
+    return WideHourlyTable(table.dates, flat.reshape(-1, 24), table.kind), report
+
+
+def reference_repair(grid: np.ndarray, flags: np.ndarray):
+    """``repair_pixels`` as a loop over flagged pixels, each summing its good
+    in-grid neighbours in row-major kernel order."""
+    bad = flags != 0
+    fixed = grid.copy()
+    repaired, isolated = [], []
+    h, w = grid.shape
+    for r, c in zip(*np.nonzero(bad)):
+        total = 0.0
+        count = 0
+        for dr in (-1, 0, 1):
+            for dc in (-1, 0, 1):
+                rr, cc = r + dr, c + dc
+                if (dr or dc) and 0 <= rr < h and 0 <= cc < w and not bad[rr, cc]:
+                    total += grid[rr, cc]
+                    count += 1
+        if count:
+            fixed[r, c] = total / count
+            repaired.append((int(r), int(c)))
+        else:
+            fixed[r, c] = 0.0
+            isolated.append((int(r), int(c)))
+    return fixed, tuple(repaired), tuple(isolated)
+
+
+def brute_lowpass(grid: np.ndarray) -> np.ndarray:
+    """Straightforward double loop; clamped indices replicate the edges."""
+    h, w = grid.shape
+    out = np.zeros_like(grid)
+    for r in range(h):
+        for c in range(w):
+            acc = 0.0
+            for dr in range(-2, 3):
+                for dc in range(-2, 3):
+                    rr = min(max(r + dr, 0), h - 1)
+                    cc = min(max(c + dc, 0), w - 1)
+                    acc += grid[rr, cc]
+            out[r, c] = acc / 25.0
+    return out

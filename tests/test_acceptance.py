@@ -28,7 +28,7 @@ from gridgap.ingest import (
     write_series_csv,
     write_wide_csv,
 )
-from gridgap.ntl import Raster, lowpass_5x5, threshold_floor, write_grid, write_metadata
+from gridgap.ntl import lowpass_5x5, threshold_floor, write_grid, write_metadata
 from gridgap.rvar import (
     RVarModel,
     adf_test,
@@ -47,8 +47,7 @@ from gridgap.search import ScoringConfig, SearchSpace, run_search, search_log_cs
 from gridgap.transforms import difference
 
 from conftest import make_dates, make_frame
-from helpers import simulate_var
-from test_ntl import brute_lowpass
+from helpers import brute_lowpass, simulate_var
 from test_rvar_analysis import _random_stable_model
 from test_search import SIGNS5, integrated_levels
 
@@ -394,7 +393,7 @@ def test_c11_ntl_bit_exact_against_brute_force():
     rng = np.random.default_rng(11)
     grid = rng.uniform(0.0, 60.0, (8, 8))
     floor = 10.0
-    thresholded = threshold_floor(Raster(grid), floor).intensity
+    thresholded = threshold_floor(grid, floor)
     brute_threshold = grid.copy()
     for r in range(8):
         for c in range(8):
@@ -402,7 +401,7 @@ def test_c11_ntl_bit_exact_against_brute_force():
                 brute_threshold[r, c] = 0.0
     assert np.array_equal(thresholded, brute_threshold)
 
-    smoothed = lowpass_5x5(Raster(grid)).intensity
+    smoothed = lowpass_5x5(grid)
     assert np.array_equal(smoothed, brute_lowpass(grid))
     _report(11, "threshold and 5x5 low-pass bit-exact vs double-loop oracle on 8x8")
 

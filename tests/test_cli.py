@@ -743,6 +743,40 @@ class TestNtl:
         assert err == f"error: floor must be nonnegative and finite, got {float(floor)}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_exits_one(self, tmp_path, capsys, cell):
+        cfg = self.build(tmp_path)
+        rows = (tmp_path / "g.txt").read_text().splitlines()
+        rows[3] = " ".join([cell, *rows[3].split()[1:]])
+        (tmp_path / "g.txt").write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        assert main(["ntl", "--config", str(cfg), "--out", str(out)]) == 1
+        path = tmp_path / "g.txt"
+        assert capsys.readouterr().err == f"error: {path}: row 3 holds a non-finite cell\n"
+        assert not out.exists()
+
+    def test_overflowing_grid_exits_one(self, tmp_path, capsys):
+        cfg = self.build(tmp_path)
+        write_grid(tmp_path / "g.txt", np.full((8, 8), 1e308))  # the 5x5 sum overflows
+        out = tmp_path / "out"
+        assert main(["ntl", "--config", str(cfg), "--out", str(out)]) == 1
+        message = "processing overflowed to a non-finite intensity"
+        assert capsys.readouterr().err == f"error: {tmp_path / 'g.txt'}: {message}\n"
+        assert not out.exists()
+
+    def test_any_nonzero_flag_marks_pixel_unusable(self, tmp_path):
+        cfg = self.build(tmp_path)
+        grid = read_grid(tmp_path / "g.txt")
+        grid[3, 3] = 999.0
+        write_grid(tmp_path / "g.txt", grid)
+        flags = np.zeros((8, 8))
+        flags[3, 3] = 0.5
+        write_grid(tmp_path / "f.txt", flags)
+        out = tmp_path / "out"
+        assert main(["ntl", "--config", str(cfg), "--out", str(out)]) == 0
+        report = (out / "ntl_report.txt").read_text()
+        assert "repaired = 1" in report and "repaired,3,3" in report
+
     def test_rerun_digest_identical(self, tmp_path):
         cfg = self.build(tmp_path)
         out_a, out_b = tmp_path / "a_out", tmp_path / "b_out"
@@ -875,6 +909,28 @@ class TestBackcast:
         assert saved not in hashed  # the output copy is still hashed, once
         inputs = json.loads((out / MANIFEST_NAME).read_text())["inputs"]
         assert inputs[str(saved)] == sha256_file(saved)
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("learning_rate = -1", "learning_rate"),
+            ("learning_rate = 0", "learning_rate"),
+            ("learning_rate = nan", "learning_rate"),
+            ("learning_rate = inf", "learning_rate"),
+            ("epochs = 0", "epochs"),
+        ],
+    )
+    def test_training_key_out_of_range_exits_one_before_training(
+        self, tmp_path, capsys, monkeypatch, line, key
+    ):
+        cfg = self.build(tmp_path)
+        cfg.write_text(cfg.read_text().replace("epochs = 100", "epochs = 5") + line + "\n")
+        monkeypatch.setattr(main_module, "train_ensemble", lambda *a, **k: pytest.fail("trained"))
+        out = tmp_path / "out"
+        assert main(["backcast", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "name, line, message",

@@ -20,23 +20,7 @@ from gridgap.ntl import (
     write_metadata,
 )
 
-from helpers import moon_angle_grid
-
-
-def brute_lowpass(grid):
-    """Straightforward double loop; clamped indices replicate the edges."""
-    h, w = grid.shape
-    out = np.zeros_like(grid)
-    for r in range(h):
-        for c in range(w):
-            acc = 0.0
-            for dr in range(-2, 3):
-                for dc in range(-2, 3):
-                    rr = min(max(r + dr, 0), h - 1)
-                    cc = min(max(c + dc, 0), w - 1)
-                    acc += grid[rr, cc]
-            out[r, c] = acc / 25.0
-    return out
+from helpers import brute_lowpass, moon_angle_grid, reference_repair
 
 
 def hand_raster_8x8():
@@ -56,20 +40,19 @@ def hand_raster_8x8():
 class TestRepair:
     def test_no_flags_is_identity(self):
         grid = hand_raster_8x8()
-        result = repair_pixels(Raster(grid))
-        assert np.array_equal(result.raster.intensity, grid)
-        assert result.repaired == ()
-        assert result.isolated == ()
-        assert not result.raster.flags.any()
+        fixed, repaired, isolated = repair_pixels(grid, np.zeros((8, 8), dtype=int))
+        assert np.array_equal(fixed, grid)
+        assert repaired == ()
+        assert isolated == ()
 
     def test_single_flagged_amid_equals(self):
         grid = np.full((3, 3), 10.0)
         grid[1, 1] = 999.0
         flags = np.zeros((3, 3), dtype=int)
         flags[1, 1] = 1
-        result = repair_pixels(Raster(grid, flags))
-        assert result.raster.intensity[1, 1] == 10.0
-        assert result.repaired == ((1, 1),)
+        fixed, repaired, _ = repair_pixels(grid, flags)
+        assert fixed[1, 1] == 10.0
+        assert repaired == ((1, 1),)
 
     def test_mixed_neighborhood_mean(self):
         grid = np.array([
@@ -79,29 +62,29 @@ class TestRepair:
         ])
         flags = np.zeros((3, 3), dtype=int)
         flags[1, 1] = 7
-        result = repair_pixels(Raster(grid, flags))
+        fixed, _, _ = repair_pixels(grid, flags)
         # neighbors (0,0,0,0,8,8,8,8) -> 4
-        assert result.raster.intensity[1, 1] == 4.0
+        assert fixed[1, 1] == 4.0
 
     def test_isolated_block_zeroed_and_reported(self):
         grid = np.full((4, 4), 5.0)
         flags = np.zeros((4, 4), dtype=int)
         flags[:2, :2] = 1  # corner pixel (0,0) has only flagged neighbors
-        result = repair_pixels(Raster(grid.copy(), flags))
-        assert result.raster.intensity[0, 0] == 0.0
-        assert (0, 0) in result.isolated
+        fixed, repaired, isolated = repair_pixels(grid.copy(), flags)
+        assert fixed[0, 0] == 0.0
+        assert (0, 0) in isolated
         # the other three have at least one good neighbor
-        assert set(result.repaired) == {(0, 1), (1, 0), (1, 1)}
-        assert result.raster.intensity[1, 1] == 5.0
+        assert set(repaired) == {(0, 1), (1, 0), (1, 1)}
+        assert fixed[1, 1] == 5.0
 
     def test_good_pixels_untouched(self):
         grid = hand_raster_8x8()
         flags = np.zeros((8, 8), dtype=int)
         flags[3, 4] = 2
-        result = repair_pixels(Raster(grid, flags))
+        fixed, _, _ = repair_pixels(grid, flags)
         mask = np.ones((8, 8), dtype=bool)
         mask[3, 4] = False
-        assert np.array_equal(result.raster.intensity[mask], grid[mask])
+        assert np.array_equal(fixed[mask], grid[mask])
 
     def test_repair_uses_original_values_not_repaired_ones(self):
         # two adjacent flagged pixels: each must average only good originals
@@ -112,42 +95,74 @@ class TestRepair:
         ])
         flags = np.zeros((3, 4), dtype=int)
         flags[1, 1] = flags[1, 2] = 1
-        result = repair_pixels(Raster(grid, flags))
-        assert result.raster.intensity[1, 1] == pytest.approx((1 + 2 + 3 + 5 + 9 + 10 + 11) / 7)
-        assert result.raster.intensity[1, 2] == pytest.approx((2 + 3 + 4 + 8 + 10 + 11 + 12) / 7)
+        fixed, _, _ = repair_pixels(grid, flags)
+        assert fixed[1, 1] == pytest.approx((1 + 2 + 3 + 5 + 9 + 10 + 11) / 7)
+        assert fixed[1, 2] == pytest.approx((2 + 3 + 4 + 8 + 10 + 11 + 12) / 7)
+
+    def test_fractional_flag_marks_pixel_unusable(self, tmp_path):
+        grid = np.full((5, 5), 10.0)
+        grid[2, 2] = 999.0
+        flags = np.zeros((5, 5))
+        flags[2, 2] = 0.5
+        write_grid(tmp_path / "scene.txt", grid)
+        write_grid(tmp_path / "scene.flags.txt", flags)
+        write_metadata(tmp_path / "scene.meta", {"flags_grid": "scene.flags.txt"})
+        raster = load_raster(tmp_path / "scene.txt", tmp_path / "scene.meta")
+        fixed, repaired, isolated = process_raster(raster, floor=0.0, smooth=False)
+        assert repaired == ((2, 2),) and isolated == ()
+        assert np.array_equal(fixed, np.full((5, 5), 10.0))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_pixel_loop_bit_exact(self, seed):
+        # 60 seeded rasters per seed: sizes 1-13, flag densities 0-80%, signed
+        # zeros, magnitudes from 1e-300 to 6e307, flags of mixed nonzero values
+        rng = np.random.default_rng([20261020, seed])
+        for _ in range(60):
+            h, w = rng.integers(1, 14, size=2)
+            scale = 10.0 ** rng.choice([-300, 0, 2, 300, 306])  # 1e306 sums overflow
+            grid = rng.uniform(-1.0, 60.0, (h, w)) * scale
+            grid[rng.random((h, w)) < 0.1] = -0.0
+            grid[rng.random((h, w)) < 0.05] = 0.0
+            flagged = rng.random((h, w)) < rng.uniform(0.0, 0.8)
+            flags = np.where(flagged, rng.choice([0.5, 1.0, 7.0], (h, w)), 0.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                fixed, repaired, isolated = repair_pixels(grid, flags)
+                want, want_repaired, want_isolated = reference_repair(grid, flags)
+            assert fixed.tobytes() == want.tobytes()
+            assert (repaired, isolated) == (want_repaired, want_isolated)
 
 
 class TestLunarScale:
     def test_new_moon_identity(self):
         grid = hand_raster_8x8()
-        r = Raster(grid, None, 0.0, moon_angle_grid((8, 8), 0.0))
-        assert np.array_equal(lunar_scale(r).intensity, grid)
+        assert np.array_equal(lunar_scale(grid, 0.0, moon_angle_grid((8, 8), 0.0)), grid)
 
     def test_full_moon_overhead_halves(self):
         grid = hand_raster_8x8()
-        r = Raster(grid, None, 1.0, moon_angle_grid((8, 8), 0.0))
-        assert np.array_equal(lunar_scale(r).intensity, grid / 2.0)
+        assert np.array_equal(lunar_scale(grid, 1.0, moon_angle_grid((8, 8), 0.0)), grid / 2.0)
 
     def test_angle_factor_clamped_below_horizon(self):
         grid = np.full((5, 5), 20.0)
-        r = Raster(grid, None, 1.0, moon_angle_grid((5, 5), 180.0))
-        assert np.array_equal(lunar_scale(r).intensity, grid)
+        assert np.array_equal(lunar_scale(grid, 1.0, moon_angle_grid((5, 5), 180.0)), grid)
 
     def test_partial_angle(self):
         grid = np.full((5, 5), 30.0)
-        r = Raster(grid, None, 0.5, moon_angle_grid((5, 5), 60.0))
         expected = 30.0 / (1.0 + 0.5 * math.cos(math.radians(60.0)))
-        assert lunar_scale(r).intensity[2, 2] == pytest.approx(expected, rel=1e-15)
+        assert lunar_scale(grid, 0.5, moon_angle_grid((5, 5), 60.0))[2, 2] == pytest.approx(
+            expected, rel=1e-15
+        )
 
     def test_zero_raster_stays_zero(self):
-        r = Raster(np.zeros((5, 5)), None, 0.9, moon_angle_grid((5, 5), 10.0))
-        assert np.array_equal(lunar_scale(r).intensity, np.zeros((5, 5)))
+        scaled = lunar_scale(np.zeros((5, 5)), 0.9, moon_angle_grid((5, 5), 10.0))
+        assert np.array_equal(scaled, np.zeros((5, 5)))
 
-    def test_missing_metadata_rejected(self):
+    def test_missing_metadata_rejected(self, tmp_path):
+        # an angle grid without its fraction is refused where the raster is loaded
+        write_grid(tmp_path / "scene.txt", hand_raster_8x8())
+        write_grid(tmp_path / "scene.angle.txt", moon_angle_grid((8, 8), 60.0))
+        write_metadata(tmp_path / "scene.meta", {"lunar_angle_grid": "scene.angle.txt"})
         with pytest.raises(SchemaError):
-            lunar_scale(Raster(np.ones((5, 5))))
-        with pytest.raises(SchemaError):
-            lunar_scale(Raster(np.ones((5, 5)), None, 0.5, None))
+            load_raster(tmp_path / "scene.txt", tmp_path / "scene.meta")
 
     def test_fraction_bounds(self):
         with pytest.raises(ParameterError):
@@ -156,37 +171,32 @@ class TestLunarScale:
 
 class TestThresholdFloor:
     def test_just_below_floor_zeroed(self):
-        r = threshold_floor(Raster(np.array([[9.99, 10.0, 10.01, 0.0, 200.0]] * 5)))
-        assert r.intensity[0, 0] == 0.0
-        assert r.intensity[0, 1] == 10.0
-        assert r.intensity[0, 2] == 10.01
+        out = threshold_floor(np.array([[9.99, 10.0, 10.01, 0.0, 200.0]] * 5))
+        assert out[0, 0] == 0.0
+        assert out[0, 1] == 10.0
+        assert out[0, 2] == 10.01
 
     def test_idempotent(self):
-        grid = hand_raster_8x8()
-        once = threshold_floor(Raster(grid))
-        twice = threshold_floor(once)
-        assert np.array_equal(once.intensity, twice.intensity)
+        once = threshold_floor(hand_raster_8x8())
+        assert np.array_equal(once, threshold_floor(once))
 
     def test_zero_raster_unchanged(self):
-        r = threshold_floor(Raster(np.zeros((5, 5))))
-        assert np.array_equal(r.intensity, np.zeros((5, 5)))
+        assert np.array_equal(threshold_floor(np.zeros((5, 5))), np.zeros((5, 5)))
 
     def test_custom_floor(self):
-        r = threshold_floor(Raster(np.full((5, 5), 3.0)), floor=2.5)
-        assert np.array_equal(r.intensity, np.full((5, 5), 3.0))
-        r = threshold_floor(Raster(np.full((5, 5), 3.0)), floor=3.5)
-        assert np.array_equal(r.intensity, np.zeros((5, 5)))
+        grid = np.full((5, 5), 3.0)
+        assert np.array_equal(threshold_floor(grid, floor=2.5), grid)
+        assert np.array_equal(threshold_floor(grid, floor=3.5), np.zeros((5, 5)))
 
 
 class TestLowpass:
     def test_constant_unchanged(self):
-        r = lowpass_5x5(Raster(np.full((6, 7), 7.0)))
-        assert np.array_equal(r.intensity, np.full((6, 7), 7.0))
+        assert np.array_equal(lowpass_5x5(np.full((6, 7), 7.0)), np.full((6, 7), 7.0))
 
     def test_center_impulse_spreads_evenly(self):
         grid = np.zeros((9, 9))
         grid[4, 4] = 1.0
-        out = lowpass_5x5(Raster(grid)).intensity
+        out = lowpass_5x5(grid)
         inside = out[2:7, 2:7]
         assert np.all(inside == 1.0 / 25.0)
         outside = out.copy()
@@ -197,19 +207,17 @@ class TestLowpass:
 
     def test_golden_8x8_matches_double_loop_bit_exact(self):
         grid = hand_raster_8x8()
-        ours = lowpass_5x5(Raster(grid)).intensity
-        oracle = brute_lowpass(grid)
-        assert np.array_equal(ours, oracle)
+        assert np.array_equal(lowpass_5x5(grid), brute_lowpass(grid))
 
     def test_too_small_rejected(self):
         with pytest.raises(ParameterError):
-            lowpass_5x5(Raster(np.ones((4, 5))))
-        lowpass_5x5(Raster(np.ones((5, 5))))  # boundary size is fine
+            lowpass_5x5(np.ones((4, 5)))
+        lowpass_5x5(np.ones((5, 5)))  # boundary size is fine
 
     def test_edge_replication_on_corner_impulse(self):
         grid = np.zeros((8, 8))
         grid[0, 0] = 25.0
-        out = lowpass_5x5(Raster(grid)).intensity
+        out = lowpass_5x5(grid)
         # corner window sees the impulse replicated 3x3 times
         assert out[0, 0] == 9.0
         assert out[2, 2] == 1.0
@@ -226,22 +234,30 @@ class TestPipeline:
 
     def test_runs_all_stages_in_order(self):
         raster = self._flagged_lunar_raster()
-        result = process_raster(raster, floor=10.0)
-        by_hand = repair_pixels(raster).raster
-        by_hand = lunar_scale(by_hand)
+        grid, repaired, _ = process_raster(raster, floor=10.0)
+        by_hand = repair_pixels(raster.intensity, raster.flags)[0]
+        by_hand = lunar_scale(by_hand, raster.lunar_fraction, raster.lunar_angle)
         by_hand = threshold_floor(by_hand, 10.0)
         by_hand = lowpass_5x5(by_hand)
-        assert np.array_equal(result.raster.intensity, by_hand.intensity)
-        assert result.repaired == ((2, 3), (6, 6))
+        assert np.array_equal(grid, by_hand)
+        assert repaired == ((2, 3), (6, 6))
 
     def test_output_nonnegative(self):
-        result = process_raster(self._flagged_lunar_raster())
-        assert np.all(result.raster.intensity >= 0.0)
+        grid, _, _ = process_raster(self._flagged_lunar_raster())
+        assert np.all(grid >= 0.0)
 
     def test_skips_lunar_without_metadata(self):
         grid = hand_raster_8x8()
-        result = process_raster(Raster(grid), floor=0.0, smooth=False)
-        assert np.array_equal(result.raster.intensity, grid)
+        out, _, _ = process_raster(Raster(grid), floor=0.0, smooth=False)
+        assert np.array_equal(out, grid)
+
+    @pytest.mark.parametrize(
+        "fraction, angle", [(0.5, None), (None, np.zeros((8, 8)))], ids=["no-angle", "no-fraction"]
+    )
+    def test_skips_lunar_with_half_the_metadata(self, fraction, angle):
+        grid = hand_raster_8x8()
+        out, _, _ = process_raster(Raster(grid, None, fraction, angle), floor=0.0, smooth=False)
+        assert np.array_equal(out, grid)
 
 
 class TestGridText:
@@ -278,6 +294,14 @@ class TestGridText:
         path.write_text("2 1\n1 oops\n")
         with pytest.raises(SchemaError):
             read_grid(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_refused_naming_file_and_row(self, tmp_path, cell):
+        path = tmp_path / "grid.txt"
+        path.write_text(f"2 2\n1.0 2.0\n3.0 {cell}\n")
+        with pytest.raises(SchemaError) as exc:
+            read_grid(path)
+        assert str(exc.value) == f"{path}: row 2 holds a non-finite cell"
 
     def test_metadata_round_trip(self, tmp_path):
         write_grid(tmp_path / "scene.txt", hand_raster_8x8())

@@ -7,6 +7,7 @@ from gridgap.ingest import QcReport, WideHourlyTable, qc_fill_missing, qc_outlie
 from gridgap.ingest.tables import format_value
 
 from conftest import make_dates, make_hourly_table, sine_day
+from helpers import reference_fill_missing
 
 
 def inject(table, day, hour, value):
@@ -116,6 +117,30 @@ class TestFillMissing:
         with pytest.raises(Exception):
             qc_fill_missing(table, backup)
 
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_run_scan_reference(self, seed):
+        # 60 seeded tables per seed: 1-30 days, gap shares up to 50% plus runs,
+        # backups on shifted date ranges with gaps of their own, or none
+        rng = np.random.default_rng([20261020, seed])
+        for _ in range(60):
+            n = int(rng.integers(1, 31))
+            values = rng.uniform(50.0, 150.0, (n, 24))
+            values[rng.random((n, 24)) < rng.uniform(0.0, 0.5)] = np.nan
+            for start, length in zip(rng.integers(0, n * 24, 3), rng.integers(1, 6, 3)):
+                values.reshape(-1)[start : start + length] = np.nan
+            table = WideHourlyTable(make_dates(n), values, "load")
+            backup = None
+            if rng.random() < 0.6:
+                days = int(rng.integers(1, 35))
+                first = dt.date(2020, 1, 1) + dt.timedelta(days=int(rng.integers(-5, 6)))
+                spare = rng.uniform(50.0, 150.0, (days, 24))
+                spare[rng.random((days, 24)) < 0.2] = np.nan
+                backup = WideHourlyTable(make_dates(days, first.isoformat()), spare, "load")
+            filled, report = qc_fill_missing(table, backup)
+            want, want_report = reference_fill_missing(table, backup)
+            assert filled.values.tobytes() == want.values.tobytes()
+            assert report.to_text() == want_report.to_text()
 
 class TestIdempotence:
     def test_second_pass_is_a_no_op(self):
