@@ -1,6 +1,7 @@
-"""Rewrite tests/data/golden_outputs.json from the nine commands of acceptance c12.
+"""Rewrite tests/data/golden_outputs.json from the runs of acceptance c12.
 
-Runs each command twice at c12's inputs and seeds, records the output digests
+Runs each of the nine commands twice at c12's inputs and seeds, and
+``qc-report`` twice more on a table it repairs; records the output digests
 (``run_manifest.json`` itself excluded) and the numeric stack they came from,
 and prints which outputs changed against the previous file.
 

@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .frames import (
     TimeSeriesFrame,
-    TransitionPeriod,
     federal_holidays,
 )
 from .transforms import (
@@ -24,7 +23,6 @@ from .transforms import (
 
 __all__ = [
     "TimeSeriesFrame",
-    "TransitionPeriod",
     "__version__",
     "centered_trend",
     "difference",

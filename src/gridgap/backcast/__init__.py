@@ -5,11 +5,9 @@ from .ensemble import (
     PREDICTION_LEVELS,
     BackcastEnsemble,
     BaseModel,
-    MonthlySummary,
-    ReductionSeries,
     TrainingConfig,
     load_ensemble,
-    monthly_summary,
+    monthly_row,
     predict_many,
     reduction_series,
     save_ensemble,
@@ -31,10 +29,8 @@ __all__ = [
     "ENSEMBLE_FORMAT",
     "FEATURE_DIMENSION",
     "MIN_WEATHER_CELLS",
-    "MonthlySummary",
     "PREDICTION_LEVELS",
     "QUANTILE_LEVELS",
-    "ReductionSeries",
     "TrainingConfig",
     "WEATHER_KINDS",
     "feature_matrix",
@@ -42,7 +38,7 @@ __all__ = [
     "init_params",
     "load_ensemble",
     "loss_and_grads",
-    "monthly_summary",
+    "monthly_row",
     "predict_many",
     "reduction_series",
     "save_ensemble",

@@ -10,11 +10,10 @@ worker; less runs in a plain loop. So the result is the same whatever
 
 from __future__ import annotations
 
-import datetime as dt
 import json
 import multiprocessing
 from calendar import month_name
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -311,46 +310,17 @@ def predict_many(ensemble: BackcastEnsemble, features: np.ndarray):
     return points, {lvl: qs[i] for i, lvl in enumerate(PREDICTION_LEVELS)}
 
 
-@dataclass(frozen=True)
-class ReductionSeries:
-    """Daily reduction points with ensemble-quantile interval bounds."""
-
-    dates: tuple[dt.date, ...]
-    point: np.ndarray
-    bounds: dict[float, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=np.float64))
-        object.__setattr__(
-            self,
-            "bounds",
-            {float(k): np.asarray(v, dtype=np.float64) for k, v in self.bounds.items()},
-        )
-        n = len(self.dates)
-        if self.point.shape != (n,):
-            raise ParameterError(f"point shape {self.point.shape} != ({n},)")
-        for lvl, arr in self.bounds.items():
-            if arr.shape != (n,):
-                raise ParameterError(f"bound {lvl} shape {arr.shape} != ({n},)")
-        levels = sorted(self.bounds)
-        for lo, hi in zip(levels, levels[1:]):
-            if (self.bounds[lo] > self.bounds[hi] + 1e-12).any():
-                raise ParameterError(f"bounds at {lo} exceed bounds at {hi}")
-
-    def __len__(self) -> int:
-        return len(self.dates)
-
-
 def reduction_series(
     ensemble: BackcastEnsemble, features: np.ndarray, dates, actual: WideHourlyTable
-) -> ReductionSeries:
-    """Daily reduction of observed consumption against the backcast.
+) -> tuple[np.ndarray, dict[float, np.ndarray]]:
+    """Daily reduction of observed consumption against the backcast:
+    (points, {level: bounds}), one value per date.
 
-    A day's rate is the percent shortfall of its observed daily mean against
-    a positive baseline. The point rate uses the ensemble mean as baseline;
-    each interval bound applies the same arithmetic to the corresponding
-    member quantile.
+    A day's rate is the percent shortfall of its observed daily mean, which
+    must not be negative, against a positive baseline. The point rate uses
+    the ensemble mean as baseline; each interval bound applies the same
+    arithmetic to the corresponding member quantile, so the bounds rise
+    with their level.
     """
     dates = list(dates)
     if len(dates) != np.atleast_2d(features).shape[0]:
@@ -363,6 +333,8 @@ def reduction_series(
     if np.isnan(observed).any():
         raise MissingValueError("actual day has missing hours; run QC first")
     daily = observed.mean(axis=1)
+    if (daily < 0).any():
+        raise DomainError(f"negative observed daily mean on {dates[int(np.argmax(daily < 0))]}")
 
     def rates(baseline):
         bad = baseline <= 0
@@ -371,46 +343,20 @@ def reduction_series(
         return (1.0 - daily / baseline) * 100.0
 
     points, quantiles = predict_many(ensemble, features)
-    return ReductionSeries(
-        tuple(dates), rates(points), {lvl: rates(b) for lvl, b in quantiles.items()}
-    )
+    return rates(points), {lvl: rates(b) for lvl, b in quantiles.items()}
 
 
-@dataclass(frozen=True)
-class MonthlySummary:
-    year: int
-    month: int
-    mean: float
-    low: float
-    high: float
-
-    @property
-    def label(self) -> str:
-        return f"Average in {month_name[self.month]}"
-
-    def row(self) -> str:
-        return f"{self.label}: {self.mean:.2f}% [{self.low:.2f}, {self.high:.2f}]"
-
-
-def monthly_summary(
-    series: ReductionSeries, year: int, month: int, min_days: int = 20
-) -> MonthlySummary:
-    """Mean daily reduction over one month, with mean 10/90 interval bounds."""
-    sel = [i for i, d in enumerate(series.dates) if (d.year, d.month) == (year, month)]
+def monthly_row(dates, points, bounds, year: int, month: int, min_days: int) -> str:
+    """The ``summary.txt`` row of one month of ``reduction_series``' output
+    on ``dates``: the mean daily reduction with the mean 10/90 bounds."""
+    sel = [i for i, d in enumerate(dates) if (d.year, d.month) == (year, month)]
     if len(sel) < min_days:
         raise CoverageError(
             f"{year}-{month:02d} has {len(sel)} reduction days; need >= {min_days}"
         )
-    if 0.10 not in series.bounds or 0.90 not in series.bounds:
-        raise ParameterError("series lacks 10/90 bounds")
     idx = np.array(sel)
-    return MonthlySummary(
-        year,
-        month,
-        float(series.point[idx].mean()),
-        float(series.bounds[0.10][idx].mean()),
-        float(series.bounds[0.90][idx].mean()),
-    )
+    mean, low, high = (float(a[idx].mean()) for a in (points, bounds[0.10], bounds[0.90]))
+    return f"Average in {month_name[month]}: {mean:.2f}% [{low:.2f}, {high:.2f}]"
 
 
 # -- serialization -------------------------------------------------------------

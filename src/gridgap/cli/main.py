@@ -27,7 +27,7 @@ from ..backcast import (
     TrainingConfig,
     feature_matrix,
     load_ensemble,
-    monthly_summary,
+    monthly_row,
     reduction_series,
     save_ensemble,
     train_ensemble,
@@ -232,28 +232,28 @@ def cmd_backcast(cfg: dict, rec: RunRecorder) -> int:
     if not eval_dates:
         raise ConfigError(f"no observed days between {eval_start} and {eval_end}")
     eval_features = feature_matrix(eval_dates, weather, gdp, holidays)
-    series = reduction_series(ensemble, eval_features, eval_dates, load_table)
+    points, bounds = reduction_series(ensemble, eval_features, eval_dates, load_table)
 
-    levels = sorted(series.bounds)
+    levels = sorted(bounds)
     _write_csv(
         rec,
         "reduction.csv",
         ["date", "point"] + [f"q{int(round(level * 100))}" for level in levels],
         (
-            [d.isoformat(), format_value(series.point[i])]
-            + [format_value(series.bounds[level][i]) for level in levels]
-            for i, d in enumerate(series.dates)
+            [d.isoformat(), format_value(points[i])]
+            + [format_value(bounds[level][i]) for level in levels]
+            for i, d in enumerate(eval_dates)
         ),
     )
 
-    months = sorted({(d.year, d.month) for d in series.dates})
+    months = sorted({(d.year, d.month) for d in eval_dates})
     if "summary_month" in cfg:
         months = [cfg["summary_month"]]
     min_days = cfg["summary_min_days"]
     rows = []
     for year, month in months:
         try:
-            rows.append(monthly_summary(series, year, month, min_days=min_days).row())
+            rows.append(monthly_row(eval_dates, points, bounds, year, month, min_days))
         except CoverageError:
             if len(months) == 1:
                 raise
@@ -264,8 +264,8 @@ def cmd_backcast(cfg: dict, rec: RunRecorder) -> int:
     line_chart(
         rec.output("reduction.svg"),
         "daily consumption reduction (%)",
-        [d.isoformat() for d in series.dates],
-        [("point", series.point), ("q10", series.bounds[0.10]), ("q90", series.bounds[0.90])],
+        [d.isoformat() for d in eval_dates],
+        [("point", points), ("q10", bounds[0.10]), ("q90", bounds[0.90])],
     )
     print("\n".join(rows))
     return EXIT_OK
@@ -371,7 +371,7 @@ def _write_irf(rec: RunRecorder, model, title: str, horizon: int, series, paths)
 
 def _write_irf_outputs(rec: RunRecorder, model, shocks, horizon: int, focus: str) -> None:
     """Responses to each shock; the chart shows the focus variable's."""
-    paths = [(r.shock, r.responses) for r in (irf(model, shock, horizon) for shock in shocks)]
+    paths = [(shock, irf(model, shock, horizon)) for shock in shocks]
     i = model.names.index(focus)
     series = [(shock, path[:, i]) for shock, path in paths]
     _write_irf(rec, model, f"response of {focus} to unit shocks", horizon, series, paths)
@@ -379,20 +379,20 @@ def _write_irf_outputs(rec: RunRecorder, model, shocks, horizon: int, focus: str
 
 def _write_fevd_outputs(rec: RunRecorder, model, horizon: int, focus: str, ordering=None) -> None:
     """fevd.csv plus a chart of the focus variable, chart first as for irf."""
-    result = fevd(model, horizon, ordering)
+    shares = fevd(model, horizon, ordering)
     focus_idx = model.names.index(focus)
     bar_chart(
         rec.output("fevd.svg"),
         f"variance shares of {focus} at horizon {horizon}",
         list(model.names),
-        result.shares[horizon - 1, focus_idx],
+        shares[horizon - 1, focus_idx],
     )
     _write_csv(
         rec,
         "fevd.csv",
         ["horizon", "variable", *(f"share:{n}" for n in model.names)],
         (
-            [h, name, *(format_value(v) for v in result.shares[h - 1, i])]
+            [h, name, *(format_value(v) for v in shares[h - 1, i])]
             for h in range(1, horizon + 1)
             for i, name in enumerate(model.names)
         ),
@@ -451,9 +451,9 @@ def cmd_irf(cfg: dict, rec: RunRecorder) -> int:
     shock, horizon, focus = cfg["shock"], cfg["horizon"], _focus(cfg, model)
     if cfg["cumulative"]:
         cum = irf_cumulative(model, shock, horizon)
-        series = [(name, cum.responses[:, i]) for i, name in enumerate(model.names)]
-        title = f"cumulative response to a unit {cum.shock} shock"
-        _write_irf(rec, model, title, horizon, series, [(cum.shock, cum.responses)])
+        series = [(name, cum[:, i]) for i, name in enumerate(model.names)]
+        title = f"cumulative response to a unit {shock} shock"
+        _write_irf(rec, model, title, horizon, series, [(shock, cum)])
     else:
         _write_irf_outputs(rec, model, [shock], horizon, focus)
     return EXIT_OK
@@ -472,33 +472,32 @@ def cmd_trend(cfg: dict, rec: RunRecorder) -> int:
     frame = read_series_csv(cfg["series"])
     column = cfg.get("column", frame.names[0])
     period = cfg["period"]
-    result = trend_transition(frame, column, period, cfg["tol_fraction"])
+    trend, begin, end, degenerate = trend_transition(frame, column, period, cfg["tol_fraction"])
     raw = frame.column(column)
     _write_csv(
         rec,
         "trend.csv",
         ["date", column, "trend"],
         (
-            [d.isoformat(), format_value(raw[i]), format_value(result.trend[i])]
-            for i, d in enumerate(result.dates)
+            [d.isoformat(), format_value(raw[i]), format_value(trend[i])]
+            for i, d in enumerate(frame.dates)
         ),
     )
-    transition = result.transition
     lines = [
-        f"begin = {transition.begin.isoformat()}",
-        f"end = {transition.end.isoformat()}",
-        f"degenerate = {str(transition.degenerate).lower()}",
+        f"begin = {begin.isoformat()}",
+        f"end = {end.isoformat()}",
+        f"degenerate = {str(degenerate).lower()}",
         f"period = {period}",
     ]
     _write_text(rec, "transition.txt", "\n".join(lines))
     line_chart(
         rec.output("trend.svg"),
         f"{column}: {period}-day trend",
-        [d.isoformat() for d in result.dates],
-        [(column, raw), ("trend", result.trend)],
+        [d.isoformat() for d in frame.dates],
+        [(column, raw), ("trend", trend)],
     )
-    flag = " (degenerate)" if transition.degenerate else ""
-    print(f"transition {transition.begin.isoformat()}..{transition.end.isoformat()}{flag}")
+    flag = " (degenerate)" if degenerate else ""
+    print(f"transition {begin.isoformat()}..{end.isoformat()}{flag}")
     return EXIT_OK
 
 

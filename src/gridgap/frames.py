@@ -129,18 +129,3 @@ def federal_holidays(years) -> frozenset[dt.date]:
         out.add(nth_weekday(y, 11, 3, 4))          # Thanksgiving
         out.add(dt.date(y, 12, 25))                # Christmas
     return frozenset(out)
-
-
-@dataclass(frozen=True)
-class TransitionPeriod:
-    """Inclusive [begin, end] window in which a trend moves between regimes."""
-
-    begin: dt.date
-    end: dt.date
-    degenerate: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "begin", _as_date(self.begin))
-        object.__setattr__(self, "end", _as_date(self.end))
-        if self.begin > self.end:
-            raise ParameterError(f"transition begin {self.begin} after end {self.end}")

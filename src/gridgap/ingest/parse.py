@@ -29,7 +29,7 @@ def parse_source(data: bytes, schema: SourceSchema) -> tuple[WideHourlyTable, Qc
     (``time_column``) averages each hour's readings.
     """
     text = decode_text(data, f"source {schema.name}")
-    reader = csv.reader(io.StringIO(text), delimiter=schema.delimiter)
+    reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:

@@ -7,9 +7,9 @@ Two passes, run in order:
    tables are exempt: spikes and negative prices are real market outcomes.
 2. :func:`qc_fill_missing` repairs missing cells.  A single missing cell
    between two observed neighbours (the previous and next hour, crossing
-   midnight if needed) is linearly interpolated; longer runs are copied from
-   a backup table when one is supplied.  Whatever remains is reported as
-   unresolved.
+   midnight into the next calendar day if needed) is linearly interpolated;
+   longer runs are copied from a backup table when one is supplied.
+   Whatever remains is reported as unresolved.
 
 Every mutation is recorded in a :class:`QcReport` that serializes to plain
 text, one record per line; ``ingest`` adds the raw rows its parser refused.
@@ -104,8 +104,9 @@ def qc_fill_missing(
     observed, crossing midnight where needed) take the neighbours' midpoint.
     Runs of two or more consecutive missing hours are copied cell-by-cell
     from the backup table where it has the same (date, hour) observed.  An
-    isolated gap at the very start or end of the table has only one
-    neighbour, so it falls back to the backup as well.
+    isolated gap at the very start or end of the table, or at midnight next
+    to a day the table lacks, has only one neighbour, so it falls back to
+    the backup as well.
     """
     if backup is not None and backup.kind != table.kind:
         raise ParameterError(
@@ -114,11 +115,16 @@ def qc_fill_missing(
     report = QcReport()
     flat = np.array(table.values).reshape(-1)
     missing = np.isnan(flat)
-    last = flat.shape[0] - 1
     rows = {} if backup is None else dict(zip(backup.dates, backup.values))
+    # joined[i]: rows i - 1 and i are consecutive days, so their midnight is one hour
+    dates, day = table.dates, dt.timedelta(days=1)
+    joined = [False, *(b - a == day for a, b in zip(dates, dates[1:])), False]
     for pos in np.flatnonzero(missing).tolist():
-        d, h = table.dates[pos // 24], pos % 24
-        if 0 < pos < last and not missing[pos - 1] and not missing[pos + 1]:
+        row, h = divmod(pos, 24)
+        d = dates[row]
+        if (h or joined[row]) and (h < 23 or joined[row + 1]) and not (
+            missing[pos - 1] or missing[pos + 1]
+        ):
             filled, method = 0.5 * (flat[pos - 1] + flat[pos + 1]), "interpolated"
         elif d in rows and not np.isnan(rows[d][h]):
             filled, method = float(rows[d][h]), "backup"

@@ -171,7 +171,6 @@ class SourceSchema:
     hour_convention: str = "hour-beginning"
     unit_factor: float = 1.0
     hour_shift: int = 0
-    delimiter: str = ","
 
     def __post_init__(self):
         if self.kind not in TABLE_KINDS:

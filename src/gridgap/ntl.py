@@ -9,8 +9,8 @@ lunar illumination fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,43 +18,18 @@ from .errors import ParameterError, SchemaError
 from .ingest.schema import decode_text, read_keyfile
 
 
-@dataclass(frozen=True)
-class Raster:
-    """A loaded intensity grid with optional quality flags and lunar metadata.
+class Raster(NamedTuple):
+    """An intensity grid with optional quality flags and lunar metadata, as
+    ``load_raster`` checks them.
 
-    ``flags`` holds True for unusable pixels: any nonzero flag value marks
-    one. ``lunar_angle`` is in radians, one value per pixel.
+    ``flags`` holds True for unusable pixels. ``lunar_angle`` is in radians,
+    one value per pixel; ``lunar_fraction`` lies in [0, 1].
     """
 
     intensity: np.ndarray
-    flags: np.ndarray | None = None
-    lunar_fraction: float | None = None
-    lunar_angle: np.ndarray | None = None
-
-    def __post_init__(self):
-        grid = np.asarray(self.intensity, dtype=float)
-        if grid.ndim != 2 or grid.size == 0:
-            raise ParameterError(f"intensity must be a non-empty 2-D grid, got shape {grid.shape}")
-        object.__setattr__(self, "intensity", grid)
-        if self.flags is not None:
-            flags = np.asarray(self.flags) != 0
-            if flags.shape != grid.shape:
-                raise ParameterError(
-                    f"flags shape {flags.shape} != intensity shape {grid.shape}"
-                )
-            object.__setattr__(self, "flags", flags)
-        if self.lunar_angle is not None:
-            angle = np.asarray(self.lunar_angle, dtype=float)
-            if angle.shape != grid.shape:
-                raise ParameterError(
-                    f"lunar angle shape {angle.shape} != intensity shape {grid.shape}"
-                )
-            object.__setattr__(self, "lunar_angle", angle)
-        if self.lunar_fraction is not None:
-            f = float(self.lunar_fraction)
-            if not 0.0 <= f <= 1.0:
-                raise ParameterError(f"illumination fraction must lie in [0, 1], got {f}")
-            object.__setattr__(self, "lunar_fraction", f)
+    flags: np.ndarray | None
+    lunar_fraction: float | None
+    lunar_angle: np.ndarray | None
 
 
 def _cells(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -201,12 +176,22 @@ SIDECAR_KEYS = {
 
 def load_raster(grid, meta=None, record=None) -> Raster:
     """The intensity grid ``grid`` with the flags and lunar metadata of sidecar
-    ``meta``; the companion grids it names are recorded through ``record``."""
+    ``meta``; the companion grids it names are recorded through ``record``.
+
+    Any nonzero flag marks its pixel. A companion grid of another shape than
+    ``grid``, or a lunar fraction outside [0, 1], is refused naming its file.
+    """
     intensity = read_grid(grid)
     values = {} if meta is None else read_keyfile(meta, SIDECAR_KEYS, record)
-    flags = read_grid(values["flags_grid"]) if "flags_grid" in values else None
-    angle = read_grid(values["lunar_angle_grid"]) if "lunar_angle_grid" in values else None
+    grids = {k: read_grid(values[k]) for k in ("flags_grid", "lunar_angle_grid") if k in values}
+    for key, side in grids.items():
+        if side.shape != intensity.shape:
+            shapes = f"shape {side.shape} differs from {grid}'s {intensity.shape}"
+            raise SchemaError(f"{values[key]}: {shapes}")
+    flags, angle = grids.get("flags_grid"), grids.get("lunar_angle_grid")
     fraction = values.get("lunar_fraction")
     if (fraction is None) != (angle is None):
         raise SchemaError(f"{meta}: lunar_fraction and lunar_angle_grid must appear together")
-    return Raster(intensity, flags, fraction, angle)
+    if fraction is not None and not 0.0 <= fraction <= 1.0:
+        raise SchemaError(f"{meta}: lunar_fraction must lie in [0, 1], got {fraction}")
+    return Raster(intensity, None if flags is None else flags != 0, fraction, angle)

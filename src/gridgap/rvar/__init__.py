@@ -1,7 +1,7 @@
 """Restricted vector-autoregression engine."""
 
 from .adf import AdfResult, adf_stat_fixed_lag, adf_test, default_max_lag, mackinnon_pvalue
-from .analysis import FevdResult, IrfResult, fevd, irf, irf_cumulative
+from .analysis import fevd, irf, irf_cumulative
 from .cointegration import engle_granger
 from .diagnostics import (
     DiagnosticsReport,
@@ -30,10 +30,8 @@ from .model import (
 __all__ = [
     "AdfResult",
     "DiagnosticsReport",
-    "FevdResult",
     "GrangerResult",
     "InfoCriteria",
-    "IrfResult",
     "LjungBoxResult",
     "RVarModel",
     "StabilityResult",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -12,29 +11,18 @@ from .diagnostics import stability_test
 from .model import RVarModel
 
 
-@dataclass(frozen=True)
-class IrfResult:
-    """Responses to a one-unit shock of one variable.
+def irf(model: RVarModel, shock: str, horizon: int) -> np.ndarray:
+    """Responses to a one-unit impulse of ``shock``, shape (horizon + 1, n).
 
-    ``responses[t, i]`` is variable i's deviation t steps after the shock;
-    row 0 is the impact itself (a unit vector at the shocked variable).
-    """
-
-    shock: str
-    responses: np.ndarray
-
-
-def irf(model: RVarModel, shock: str, horizon: int) -> IrfResult:
-    """Propagate a unit impulse through the lag polynomial.
-
-    No orthogonalization is applied: the shock is one unit of the named
+    Row t is each variable's deviation t steps after the shock; row 0 is the
+    impact itself, a unit vector at the shocked variable. No
+    orthogonalization is applied: the shock is one unit of the named
     variable itself, matching the model's reduced form.
     """
     if horizon < 0:
         raise ParameterError(f"horizon must be >= 0, got {horizon}")
     j = model.shock_index(shock)
-    resp = np.array(list(islice(_response_steps(model, j), horizon + 1)))
-    return IrfResult(model.names[j], resp)
+    return np.array(list(islice(_response_steps(model, j), horizon + 1)))
 
 
 def _response_steps(model: RVarModel, j: int):
@@ -51,7 +39,7 @@ def _response_steps(model: RVarModel, j: int):
             step += coeff @ lagged
 
 
-def irf_cumulative(model: RVarModel, shock: str, horizon: int) -> IrfResult:
+def irf_cumulative(model: RVarModel, shock: str, horizon: int) -> np.ndarray:
     """Running sums of ``irf``'s responses, in the same layout.
 
     Models whose companion spectrum touches the unit circle have no finite
@@ -62,19 +50,7 @@ def irf_cumulative(model: RVarModel, shock: str, horizon: int) -> IrfResult:
         raise DivergenceError(
             "cumulative responses diverge: companion eigenvalue modulus >= 1"
         )
-    return IrfResult(response.shock, np.cumsum(response.responses, axis=0))
-
-
-@dataclass(frozen=True)
-class FevdResult:
-    """Forecast error variance shares.
-
-    ``shares[h - 1, i, j]`` is the fraction of variable i's h-step forecast
-    error variance attributed to the orthogonalized shock of variable j.
-    """
-
-    names: tuple[str, ...]
-    shares: np.ndarray
+    return np.cumsum(response, axis=0)
 
 
 def _resolve_ordering(model: RVarModel, ordering) -> tuple[int, ...]:
@@ -88,8 +64,11 @@ def _resolve_ordering(model: RVarModel, ordering) -> tuple[int, ...]:
     return tuple(resolved)
 
 
-def fevd(model: RVarModel, horizon: int, ordering=None) -> FevdResult:
-    """Cholesky-orthogonalized variance decomposition up to ``horizon`` steps.
+def fevd(model: RVarModel, horizon: int, ordering=None) -> np.ndarray:
+    """Cholesky-orthogonalized variance shares up to ``horizon`` steps.
+
+    ``shares[h - 1, i, j]`` is the fraction of variable i's h-step forecast
+    error variance attributed to the orthogonalized shock of variable j.
 
     ``ordering`` permutes the variables before factorizing the residual
     covariance (the usual recursive identification choice) and results are
@@ -124,4 +103,4 @@ def fevd(model: RVarModel, horizon: int, ordering=None) -> FevdResult:
         mse += (b_unperm**2).sum(axis=1)
         shares[h - 1] = numer / mse[:, None]
         power = power @ companion
-    return FevdResult(model.names, shares)
+    return shares

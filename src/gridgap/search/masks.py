@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..frames import TimeSeriesFrame
-from ..rvar import FevdResult, granger_wald, zero_mask
+from ..rvar import granger_wald, zero_mask
 
 GRANGER_THRESHOLDS = {1: None, 2: 0.1, 3: 0.05}
 
@@ -52,8 +52,8 @@ def rule_mask(p: int, n: int, rule: int, pvalues: np.ndarray | None) -> np.ndarr
     return mask
 
 
-def explainable_rate(fevd: FevdResult, target: str) -> float:
+def explainable_rate(shares: np.ndarray) -> float:
     """Percent of the target's forecast error variance driven by other shocks:
-    100 x (1 - own-shock share) at the decomposition's final step."""
-    i = fevd.names.index(target)
-    return float(100.0 * (1.0 - fevd.shares[-1, i, i]))
+    100 x (1 - own-shock share) at the final step of ``fevd``'s ``shares``.
+    The target is the first variable, as in every system the sweep fits."""
+    return float(100.0 * (1.0 - shares[-1, 0, 0]))

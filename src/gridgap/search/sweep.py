@@ -232,17 +232,16 @@ def _rule_stage(record, diffed: TimeSeriesFrame, order, rule, pvalues, stats, sc
     stats["aic"] = ic.aic
     stats["bic"] = ic.bic
 
-    target = model.names[0]
     for driver in model.names[1:]:
         response = irf(model, shock=driver, horizon=scoring.irf_horizon)
-        cumulative = float(response.responses[:, 0].sum())
+        cumulative = float(response[:, 0].sum())
         stats[f"irf_cum:{driver}"] = cumulative
         required = scoring.required_signs.get(driver)
         if required is not None and np.sign(cumulative) not in (0, required):
             return record(f"failed:sign:{driver}", stats)
 
-    decomp = fevd(model, horizon=scoring.fevd_horizon)
-    stats["explainable_rate"] = explainable_rate(decomp, target)
+    shares = fevd(model, horizon=scoring.fevd_horizon)
+    stats["explainable_rate"] = explainable_rate(shares)
     return record("ok", stats, model)
 
 

@@ -8,7 +8,6 @@ the ingest layer, not here.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from .errors import (
     MissingValueError,
     ParameterError,
 )
-from .frames import TimeSeriesFrame, TransitionPeriod
+from .frames import TimeSeriesFrame
 
 
 def _reject_missing(values: np.ndarray, what: str):
@@ -54,21 +53,12 @@ def centered_trend(series: np.ndarray, period: int = 7) -> np.ndarray:
     return np.convolve(padded, kernel, mode="valid")
 
 
-@dataclass(frozen=True)
-class TrendResult:
-    """Smoothed trend plus the detected transition window."""
-
-    dates: tuple[dt.date, ...]
-    trend: np.ndarray
-    transition: TransitionPeriod
-
-
 def trend_transition(
     frame: TimeSeriesFrame,
     column: str,
     period: int = 7,
     tol_fraction: float = 0.05,
-) -> TrendResult:
+) -> tuple[np.ndarray, dt.date, dt.date, bool]:
     """Locate the window in which a smoothed series moves between regimes.
 
     The trend is the centered moving average of :func:`centered_trend`.  The
@@ -79,6 +69,9 @@ def trend_transition(
     attainable closeness; the tolerance makes the rule robust to smoothing
     bleed at the regime edges.  A constant series yields a degenerate
     transition flagged on the first date.
+
+    Returns ``(trend, begin, end, degenerate)``: the trend, one value per
+    row, and the inclusive window ``begin <= end`` with its flag.
     """
     if not 0.0 <= tol_fraction < 1.0:
         raise ParameterError("tol_fraction must lie in [0, 1)")
@@ -92,8 +85,7 @@ def trend_transition(
     span = float(np.max(trend) - np.min(trend))
     scale = max(1.0, float(np.abs(trend).max()))
     if span <= 1e-12 * scale:
-        first = frame.dates[0]
-        return TrendResult(frame.dates, trend, TransitionPeriod(first, first, degenerate=True))
+        return trend, frame.dates[0], frame.dates[0], True
     tol = tol_fraction * span
     n = len(trend)
     prefix_mean = np.cumsum(trend)[:-1] / np.arange(1, n)
@@ -106,8 +98,4 @@ def trend_transition(
     qualifying = np.flatnonzero(tail <= tail.min() + tol)
     end = min(begin, len(end_gap) - 1) + int(qualifying[0])
     end = max(end, begin)
-    return TrendResult(
-        frame.dates,
-        trend,
-        TransitionPeriod(frame.dates[begin], frame.dates[end]),
-    )
+    return trend, frame.dates[begin], frame.dates[end], False

@@ -141,7 +141,10 @@ def reference_fill_missing(table: WideHourlyTable, backup: WideHourlyTable | Non
 
     Each run of missing cells is found in full; a run of one with a
     neighbour on both sides takes their midpoint, and every other cell
-    reads the backup through a lookup of all its observed cells.
+    reads the backup through a lookup of all its observed cells. The scan
+    treats the rows as consecutive days, so it is the reference only for
+    a table without skipped days, which is all the oracle in ``test_qc.py``
+    builds; a neighbour across a skipped day is ``TestFillMissing``'s case.
     """
     report = QcReport()
     flat = np.array(table.values).reshape(-1)

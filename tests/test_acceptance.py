@@ -62,9 +62,9 @@ def test_c01_fevd_row_sums_and_nonnegativity():
     worst_share = 0.0
     for seed in range(100):
         model = _random_stable_model(seed)
-        res = fevd(model, horizon=12)
-        worst_sum = max(worst_sum, np.max(np.abs(res.shares.sum(axis=2) - 1.0)))
-        worst_share = min(worst_share, res.shares.min())
+        shares = fevd(model, horizon=12)
+        worst_sum = max(worst_sum, np.max(np.abs(shares.sum(axis=2) - 1.0)))
+        worst_share = min(worst_share, shares.min())
     elapsed = time.perf_counter() - start
     assert worst_sum <= 1e-9
     assert worst_share >= -1e-12
@@ -78,7 +78,7 @@ def test_c02_fevd_against_monte_carlo():
     sigma = np.array([[1.0, 0.4], [0.4, 2.0]])
     model = RVarModel(("a", "b"), 1, np.zeros(2), a[None], zero_mask(1, 2), sigma)
     horizons = (1, 5, 10)
-    res = fevd(model, horizon=max(horizons))
+    shares = fevd(model, horizon=max(horizons))
 
     rng = np.random.default_rng(20260815)
     chol = np.linalg.cholesky(sigma)
@@ -95,7 +95,7 @@ def test_c02_fevd_against_monte_carlo():
             err = err @ a.T + zj[:, t] @ chol.T
             contrib[t, :, j] = err.var(axis=0)
     mc_shares = contrib / contrib.sum(axis=2, keepdims=True)
-    worst = max(np.max(np.abs(res.shares[h - 1] - mc_shares[h - 1])) for h in horizons)
+    worst = max(np.max(np.abs(shares[h - 1] - mc_shares[h - 1])) for h in horizons)
     elapsed = time.perf_counter() - start
     assert worst <= 0.02
     assert elapsed < 60.0
@@ -124,7 +124,7 @@ def test_c03_irf_equals_shocked_simulation():
             if t == p:
                 shocked[t, j] += 1.0
         diff = shocked[p:] - base[p:]
-        worst = max(worst, np.max(np.abs(res.responses - diff)))
+        worst = max(worst, np.max(np.abs(res - diff)))
     assert worst <= 1e-12
     _report(3, f"50 models, t <= 20: max |irf - simulation| = {worst:.2e}")
 
@@ -465,7 +465,8 @@ def numeric_stack() -> dict:
 
 
 def c12_digests(tmp_path) -> dict[str, dict[str, str]]:
-    """Run each of the nine commands twice; their rerun-equal output digests.
+    """Run each of the nine commands twice, and ``qc-report`` twice more on a
+    table it repairs; their rerun-equal output digests.
 
     ``scripts/freeze_golden.py`` writes this map to ``GOLDEN_OUTPUTS``.
     """
@@ -495,6 +496,22 @@ def c12_digests(tmp_path) -> dict[str, dict[str, str]]:
     (tmp_path / "qc.cfg").write_text("table = wide.csv\nkind = load\n")
     digests["qc-report"] = _Determinism.run_twice(
         ["qc-report", "--config", str(tmp_path / "qc.cfg")], tmp_path / "qc_a", tmp_path / "qc_b"
+    )
+
+    # qc-report with repairs: an outlier and a lone gap interpolated, a run from the backup
+    hours = np.arange(24)
+    wide = 500 + 20 * np.sin(hours / 24 * 2 * np.pi) + 3.0 * np.arange(8)[:, None]
+    wide[1, 6] = 4000.0
+    wide[3, 0] = np.nan  # across midnight from 2020-01-03
+    wide[5, 2:6] = np.nan
+    write_wide_csv(WideHourlyTable(days, wide, "load"), tmp_path / "repairs.csv")
+    backup = 450 + 10 * np.cos(hours / 24 * 2 * np.pi) + np.zeros((8, 1))
+    write_wide_csv(WideHourlyTable(days, backup, "load"), tmp_path / "repairs_backup.csv")
+    (tmp_path / "qr.cfg").write_text(
+        "table = repairs.csv\nkind = load\nbackup = repairs_backup.csv\n"
+    )
+    digests["qc-repairs"] = _Determinism.run_twice(
+        ["qc-report", "--config", str(tmp_path / "qr.cfg")], tmp_path / "qr_a", tmp_path / "qr_b"
     )
 
     # trend
@@ -576,7 +593,7 @@ def c12_digests(tmp_path) -> dict[str, dict[str, str]]:
 
 def test_c12_cli_determinism(tmp_path):
     digests = c12_digests(tmp_path)
-    assert len(digests) == 9
+    assert len(digests) == 10  # the nine commands, and qc-report once more with repairs
     golden = json.loads(GOLDEN_OUTPUTS.read_text())
     stack = numeric_stack()
     if golden["stack"] == stack:

@@ -13,14 +13,13 @@ from gridgap.backcast import ensemble as ensemble_module
 from gridgap.backcast import (
     BackcastEnsemble,
     BaseModel,
-    ReductionSeries,
     TrainingConfig,
     feature_matrix,
     forward,
     init_params,
     load_ensemble,
     loss_and_grads,
-    monthly_summary,
+    monthly_row,
     predict_many,
     reduction_series,
     save_ensemble,
@@ -426,25 +425,26 @@ class TestPredict:
 
 
 def _day_rates(baseline, days):
-    """``reduction_series`` of observed ``days`` against a constant ``baseline``."""
+    """``reduction_series``' points of observed ``days`` against a constant ``baseline``."""
     dates = tuple(dt.date(2020, 4, 1) + dt.timedelta(days=i) for i in range(len(days)))
     actual = WideHourlyTable(dates, days, "load")
-    return reduction_series(_constant_ensemble([baseline]), np.zeros((len(days), 34)), dates, actual)
+    ens = _constant_ensemble([baseline])
+    return reduction_series(ens, np.zeros((len(days), 34)), dates, actual)[0]
 
 
 class TestReduction:
     def test_equal_means_zero(self):
-        assert _day_rates(100.0, [np.full(24, 100.0)]).point.tolist() == [0.0]
+        assert _day_rates(100.0, [np.full(24, 100.0)]).tolist() == [0.0]
 
     def test_ten_percent(self):
-        assert _day_rates(100.0, [np.full(24, 90.0)]).point[0] == pytest.approx(10.0)
+        assert _day_rates(100.0, [np.full(24, 90.0)])[0] == pytest.approx(10.0)
 
     def test_mirror_linearity(self):
         rng = np.random.default_rng(0)
         day = 80.0 + rng.uniform(-5, 5, 24)
         b = 100.0
         mirrored = 2 * b - day.mean() + (day - day.mean())
-        assert _day_rates(b, [day, mirrored]).point.sum() == pytest.approx(0.0, abs=1e-10)
+        assert _day_rates(b, [day, mirrored]).sum() == pytest.approx(0.0, abs=1e-10)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError, match="baseline must be positive"):
@@ -455,45 +455,46 @@ class TestReduction:
             _day_rates(100.0, [np.full(24, 90.0), bad])
 
     def test_series_bound_ordering_enforced(self):
-        dates = (dt.date(2020, 4, 1), dt.date(2020, 4, 2))
-        with pytest.raises(ParameterError):
-            ReductionSeries(
-                dates,
-                np.array([5.0, 5.0]),
-                {0.10: np.array([6.0, 6.0]), 0.90: np.array([4.0, 4.0])},
-            )
+        # the bounds rise with their level for any daily mean >= 0, a zero mean
+        # reading as 100%; a negative one would reverse them, so it is refused
+        ens = _constant_ensemble([80.0, 100.0, 120.0])
+        dates = tuple(dt.date(2020, 4, 1) + dt.timedelta(days=i) for i in range(3))
+        days = np.array([np.full(24, 90.0), np.zeros(24), np.full(24, 130.0)])
+
+        def rates():
+            actual = WideHourlyTable(dates, days, "load")
+            return reduction_series(ens, np.zeros((3, 34)), dates, actual)
+
+        points, bounds = rates()
+        levels = sorted(bounds)
+        assert all((bounds[lo] <= bounds[hi]).all() for lo, hi in zip(levels, levels[1:]))
+        assert points[1] == 100.0
+        days[1, :2] = -1.0
+        with pytest.raises(DomainError, match="^negative observed daily mean on 2020-04-02$"):
+            rates()
 
     def test_reduction_series_end_to_end(self):
         ens = _constant_ensemble([100.0, 100.0, 100.0])
         dates = tuple(dt.date(2020, 4, 1) + dt.timedelta(days=i) for i in range(5))
         actual = WideHourlyTable(dates, np.full((5, 24), 90.0), "load")
-        series = reduction_series(ens, np.zeros((5, 34)), dates, actual)
-        assert np.allclose(series.point, 10.0)
-        assert np.allclose(series.bounds[0.10], 10.0)
+        points, bounds = reduction_series(ens, np.zeros((5, 34)), dates, actual)
+        assert np.allclose(points, 10.0)
+        assert np.allclose(bounds[0.10], 10.0)
 
     def test_monthly_summary_trivial(self):
         dates = tuple(dt.date(2020, 4, 1) + dt.timedelta(days=i) for i in range(25))
-        series = ReductionSeries(
-            dates,
-            np.full(25, 10.0),
-            {lvl: np.full(25, 10.0) for lvl in (0.10, 0.25, 0.75, 0.90)},
-        )
-        s = monthly_summary(series, 2020, 4)
-        assert (s.mean, s.low, s.high) == (10.0, 10.0, 10.0)
-        assert s.label == "Average in April"
-        assert "Average in April" in s.row()
+        bounds = {lvl: np.full(25, 10.0) for lvl in (0.10, 0.25, 0.75, 0.90)}
+        row = monthly_row(dates, np.full(25, 10.0), bounds, 2020, 4, 20)
+        assert row == "Average in April: 10.00% [10.00, 10.00]"
 
     def test_monthly_summary_relaxed_precondition(self):
         dates = (dt.date(2020, 4, 1), dt.date(2020, 4, 2))
-        series = ReductionSeries(
-            dates,
-            np.array([8.0, 12.0]),
-            {lvl: np.array([8.0, 12.0]) for lvl in (0.10, 0.25, 0.75, 0.90)},
-        )
+        points = np.array([8.0, 12.0])
+        bounds = {lvl: np.array([8.0, 12.0]) for lvl in (0.10, 0.25, 0.75, 0.90)}
         with pytest.raises(CoverageError):
-            monthly_summary(series, 2020, 4)
-        s = monthly_summary(series, 2020, 4, min_days=2)
-        assert s.mean == 10.0
+            monthly_row(dates, points, bounds, 2020, 4, 20)
+        row = monthly_row(dates, points, bounds, 2020, 4, 2)
+        assert row == "Average in April: 10.00% [10.00, 10.00]"
 
 
 class TestSerialization:

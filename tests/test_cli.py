@@ -385,6 +385,23 @@ class TestQcReport:
         err = capsys.readouterr().err
         assert f"error: {table} line 2: hour 0 is not a number: 'abc'" in err
 
+    @pytest.mark.parametrize("backup", [False, True], ids=["unresolved", "backup"])
+    def test_gap_before_a_skipped_stretch_is_not_interpolated(self, tmp_path, backup):
+        # hour 23 of 2020-01-01 is empty and the next row is 2020-03-01
+        dates = (dt.date(2020, 1, 1), dt.date(2020, 3, 1))
+        vals = np.full((2, 24), 100.0)
+        vals[0, 23] = np.nan
+        vals[1, 0] = 300.0
+        write_wide_csv(WideHourlyTable(dates, vals, "load"), tmp_path / "t.csv")
+        write_wide_csv(WideHourlyTable(dates, np.full((2, 24), 90.0), "load"), tmp_path / "b.csv")
+        cfg = tmp_path / "qc.cfg"
+        cfg.write_text("table = t.csv\nkind = load\n" + ("backup = b.csv\n" if backup else ""))
+        out = tmp_path / "out"
+        assert main(["qc-report", "--config", str(cfg), "--out", str(out)]) == (0 if backup else 2)
+        report = (out / "qc_report.txt").read_text()
+        want = "fill,2020-01-01,23,backup,90.0" if backup else "unresolved,2020-01-01,23"
+        assert want in report.splitlines() and "interpolated" not in report
+
 
 class TestTrend:
     def test_transition_window(self, tmp_path):
@@ -764,6 +781,19 @@ class TestNtl:
         assert capsys.readouterr().err == f"error: {tmp_path / 'g.txt'}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["f.txt", "a.txt"], ids=["flags", "angle"])
+    def test_sidecar_grid_of_another_shape_exits_one_naming_both_files(
+        self, tmp_path, capsys, name
+    ):
+        cfg = self.build(tmp_path)
+        write_grid(tmp_path / name, np.zeros((4, 4)))
+        out = tmp_path / "out"
+        assert main(["ntl", "--config", str(cfg), "--out", str(out)]) == 1
+        grid = tmp_path / "g.txt"
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / name}: shape (4, 4) differs from {grid}'s (8, 8)\n"
+        assert not out.exists()
+
     def test_any_nonzero_flag_marks_pixel_unusable(self, tmp_path):
         cfg = self.build(tmp_path)
         grid = read_grid(tmp_path / "g.txt")
@@ -955,6 +985,25 @@ class TestBackcast:
         assert main(["backcast", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {path}{message}\n"
 
+    @pytest.mark.parametrize("candidates", [2, 8], ids=["one-kept", "four-kept"])
+    def test_negative_observed_daily_mean_exits_one_naming_the_date(
+        self, tmp_path, capsys, candidates
+    ):
+        # the refusal holds whatever the number of members kept
+        cfg = self.build(tmp_path)
+        cfg.write_text(
+            cfg.read_text()
+            .replace("epochs = 100", "epochs = 5")
+            .replace("candidates = 8", f"candidates = {candidates}")
+        )
+        load = read_wide_csv(tmp_path / "load.csv", "load")
+        load.values[load.dates.index(dt.date(2021, 2, 10))] = -1.0
+        write_wide_csv(load, tmp_path / "load.csv")
+        out = tmp_path / "out"
+        assert main(["backcast", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: negative observed daily mean on 2021-02-10\n"
+        assert not (out / MANIFEST_NAME).exists()
+
     def test_manifest_records_workers_and_jobs_keep_digests(self, tmp_path, monkeypatch):
         # 8 x 20 trains on the pool whatever the start method
         no_threshold = dict.fromkeys(("fork", "forkserver", "spawn"), 0)
@@ -1011,6 +1060,7 @@ class TestBackcast:
 C12_INPUTS = {
     "in": ("ingest.cfg", "raw.csv", "s.schema"),
     "qc": ("qc.cfg", "wide.csv"),
+    "qr": ("qr.cfg", "repairs.csv", "repairs_backup.csv"),
     "tr": ("trend.cfg", "trend.csv"),
     "an": ("an.cfg", "levels.csv"),
     "se": ("an.cfg", "levels.csv"),

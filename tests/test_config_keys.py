@@ -232,12 +232,18 @@ def test_bool_key_refuses_other_words(tmp_path):
          "unknown key 'unit_facter' (closest known key: 'unit_factor')"),
         ("ingest", "s.schema", "hour_shift = 1.5", "hour_shift: expected an integer, got '1.5'"),
         ("ingest", "s.schema", "unit_factor = much", "unit_factor: expected a number, got 'much'"),
+        # a descriptor key that no descriptor set: sources are comma-separated
+        ("ingest", "s.schema", "delimiter = ;",
+         "unknown key 'delimiter' (closest known key: 'date_format')"),
         ("ntl", "m.txt", "lunar_fractoin = 0.5",
          "unknown key 'lunar_fractoin' (closest known key: 'lunar_fraction')"),
         ("ntl", "m.txt", "colormap = magma",
          "unknown key 'colormap' (closest known key: 'flags_grid')"),
     ],
-    ids=["descriptor-typo", "descriptor-int", "descriptor-float", "sidecar-typo", "sidecar-config-key"],
+    ids=[
+        "descriptor-typo", "descriptor-int", "descriptor-float", "descriptor-removed-delimiter",
+        "sidecar-typo", "sidecar-config-key",
+    ],
 )
 def test_descriptor_and_sidecar_refusals_exit_one_naming_the_file(
     tmp_path, capsys, command, name, line, message

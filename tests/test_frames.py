@@ -3,7 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from gridgap import TimeSeriesFrame, TransitionPeriod, federal_holidays
+from gridgap import TimeSeriesFrame, federal_holidays
 from gridgap.errors import ParameterError, UnknownColumnError
 
 from conftest import make_dates, make_frame
@@ -118,13 +118,3 @@ class TestCalendar:
             assert federal_holidays([y]) == set(rules), y
             expected |= set(rules)
         assert federal_holidays(years) == expected
-
-
-class TestTransitionPeriod:
-    def test_ordering_enforced(self):
-        with pytest.raises(ParameterError):
-            TransitionPeriod(dt.date(2020, 3, 2), dt.date(2020, 3, 1))
-
-    def test_single_day_window_allowed(self):
-        t = TransitionPeriod(dt.date(2020, 3, 1), dt.date(2020, 3, 1))
-        assert t.begin == t.end

@@ -164,9 +164,14 @@ class TestLunarScale:
         with pytest.raises(SchemaError):
             load_raster(tmp_path / "scene.txt", tmp_path / "scene.meta")
 
-    def test_fraction_bounds(self):
-        with pytest.raises(ParameterError):
-            Raster(np.ones((5, 5)), None, 1.5, moon_angle_grid((5, 5), 0.0))
+    def test_fraction_bounds(self, tmp_path):
+        write_grid(tmp_path / "scene.txt", np.ones((5, 5)))
+        write_grid(tmp_path / "scene.angle.txt", moon_angle_grid((5, 5), 0.0))
+        meta = tmp_path / "scene.meta"
+        write_metadata(meta, {"lunar_angle_grid": "scene.angle.txt", "lunar_fraction": 1.5})
+        with pytest.raises(SchemaError) as exc:
+            load_raster(tmp_path / "scene.txt", meta)
+        assert str(exc.value) == f"{meta}: lunar_fraction must lie in [0, 1], got 1.5"
 
 
 class TestThresholdFloor:
@@ -248,7 +253,7 @@ class TestPipeline:
 
     def test_skips_lunar_without_metadata(self):
         grid = hand_raster_8x8()
-        out, _, _ = process_raster(Raster(grid), floor=0.0, smooth=False)
+        out, _, _ = process_raster(Raster(grid, None, None, None), floor=0.0, smooth=False)
         assert np.array_equal(out, grid)
 
     @pytest.mark.parametrize(
@@ -372,6 +377,16 @@ class TestGridText:
         assert raster.flags[1, 1] == 1
         assert raster.lunar_fraction == 0.75
         assert np.array_equal(raster.lunar_angle, angle)
+
+    @pytest.mark.parametrize("key", ["flags_grid", "lunar_angle_grid"])
+    def test_sidecar_grid_of_another_shape_refused_naming_both_files(self, tmp_path, key):
+        scene, side = tmp_path / "scene.txt", tmp_path / "side.txt"
+        write_grid(scene, hand_raster_8x8())
+        write_grid(side, np.zeros((8, 7)))
+        write_metadata(tmp_path / "scene.meta", {key: "side.txt", "lunar_fraction": 0.5})
+        with pytest.raises(SchemaError) as exc:
+            load_raster(scene, tmp_path / "scene.meta")
+        assert str(exc.value) == f"{side}: shape (8, 7) differs from {scene}'s (8, 8)"
 
     def test_load_raster_lunar_fields_must_pair(self, tmp_path):
         write_grid(tmp_path / "scene.txt", hand_raster_8x8())

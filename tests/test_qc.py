@@ -86,6 +86,20 @@ class TestFillMissing:
         filled, report = qc_fill_missing(table)
         assert filled.values[0, 23] == 2.0  # midpoint of 1.0 and 3.0
 
+    @pytest.mark.parametrize("row, hour", [(0, 23), (1, 0)], ids=["before", "after"])
+    def test_no_interpolation_across_a_day_the_table_lacks(self, row, hour):
+        # 2020-01-02 is not in the table, so midnight has one neighbour only
+        dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 3))
+        values = np.ones((2, 24))
+        values[row, hour] = np.nan
+        table = WideHourlyTable(dates, values, "load")
+        filled, report = qc_fill_missing(table)
+        assert np.isnan(filled.values[row, hour])
+        assert report.fills == [] and report.unresolved == [(dates[row], hour)]
+        backup = WideHourlyTable(dates, np.full((2, 24), 7.0), "load")
+        filled, report = qc_fill_missing(table, backup)
+        assert report.fills == [(dates[row], hour, "backup", 7.0)]
+
     def test_run_of_two_uses_backup_verbatim(self):
         table = make_hourly_table(1)
         table.values[0, 5] = np.nan

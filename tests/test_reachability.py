@@ -24,6 +24,9 @@
    somewhere in the program, its own class's methods included. A field
    that is only constructed, or read only by tests, is a result nobody
    uses.
+
+Rules 3 to 5 take a ``NamedTuple`` class for a dataclass: its fields are
+constructor parameters and attributes in the same way.
 5. No parameter or field may be passed as one and the same scalar literal
    (``"load"``, ``True``, ``-1``) by every call that reaches it, unless
    ``SINGLE_VALUED`` says why it stays. A value no call ever varies is a
@@ -124,8 +127,10 @@ def _parameters(node, is_method):
 
 
 def _is_dataclass(node) -> bool:
-    return isinstance(node, ast.ClassDef) and any(
-        ast.unparse(d).startswith("dataclass") for d in node.decorator_list
+    """Whether ``node`` is a dataclass or a ``NamedTuple`` class."""
+    return isinstance(node, ast.ClassDef) and (
+        any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+        or any(ast.unparse(b).endswith("NamedTuple") for b in node.bases)
     )
 
 
@@ -347,6 +352,24 @@ def test_field_that_only_tests_read_is_reported(tmp_path):
     )
     unread = _unread(tmp_path / "pkg", [tmp_path / "pkg", tmp_path / "run"])
     assert unread == ["pkg/fit.py::Fit.nobs", "pkg/fit.py::Fit.label"]
+
+
+def test_named_tuple_fields_are_checked_like_a_dataclass(tmp_path):
+    # Grid is a NamedTuple: nothing reads its scale, and no construction passes its
+    # label; Plain's base is no NamedTuple, so its hidden is no field
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "grid.py").write_text(
+        "from typing import NamedTuple\n\n\n"
+        "class Grid(NamedTuple):\n    cells: list\n    scale: float\n    label: str = ''\n\n\n"
+        "class Plain(tuple):\n    hidden: int = 0\n"
+    )
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "main.py").write_text(
+        "from pkg.grid import Grid\n\ngrid = Grid([1.0], 2.0)\nprint(grid.cells, grid.label)\n"
+    )
+    program = [tmp_path / "pkg", tmp_path / "run"]
+    assert _unread(tmp_path / "pkg", program) == ["pkg/grid.py::Grid.scale"]
+    assert _unpassed(tmp_path / "pkg", program) == ["Grid(label)"]
 
 
 def test_field_default_that_no_construction_passes_is_reported(tmp_path):

@@ -60,7 +60,7 @@ class TestIrf:
         res = irf(model, shock=model.names[1], horizon=8)
         expected = np.zeros(model.n_vars)
         expected[1] = 1.0
-        assert np.array_equal(res.responses[0], expected)
+        assert np.array_equal(res[0], expected)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_shocked_minus_unshocked_simulation(self, seed):
@@ -79,20 +79,19 @@ class TestIrf:
                 base[t] += model.coeffs[k - 1] @ base[t - k]
                 shocked[t] += model.coeffs[k - 1] @ shocked[t - k]
         diff = shocked[p:] - base[p:]
-        assert np.max(np.abs(res.responses - diff)) < 1e-12
+        assert np.max(np.abs(res - diff)) < 1e-12
 
     def test_shock_by_name_matches_index(self):
         # a name shocks the variable at that name's index in model.names
         model = _random_stable_model(3)
         for j, name in enumerate(model.names):
             res = irf(model, shock=name, horizon=10)
-            assert res.shock == name
-            assert np.array_equal(res.responses[0], np.eye(model.n_vars)[j])
+            assert np.array_equal(res[0], np.eye(model.n_vars)[j])
 
     def test_decay_for_stable_model(self):
         model = _random_stable_model(5)
         res = irf(model, shock=model.names[0], horizon=300)
-        assert np.max(np.abs(res.responses[-1])) < 1e-3
+        assert np.max(np.abs(res[-1])) < 1e-3
 
     def test_bad_horizon(self):
         model = _random_stable_model(1)
@@ -106,13 +105,13 @@ class TestCumulativeIrf:
         n = model.n_vars
         cum = irf_cumulative(model, shock=model.names[0], horizon=200)
         analytic = np.linalg.solve(np.eye(n) - model.coeffs.sum(axis=0), np.eye(n)[0])
-        assert np.allclose(cum.responses[-1], analytic, atol=1e-8)
+        assert np.allclose(cum[-1], analytic, atol=1e-8)
 
     def test_path_is_cumsum_of_irf(self):
         model = _random_stable_model(9)
         cum = irf_cumulative(model, shock=model.names[1], horizon=15)
         point = irf(model, shock=model.names[1], horizon=15)
-        assert np.array_equal(cum.responses, np.cumsum(point.responses, axis=0))
+        assert np.array_equal(cum, np.cumsum(point, axis=0))
 
     def test_unit_root_model_refused(self):
         # a pure random walk never settles, so the cumulative series diverges
@@ -126,14 +125,14 @@ class TestFevd:
         for seed in range(30):
             model = _random_stable_model(seed)
             res = fevd(model, horizon=10)
-            sums = res.shares.sum(axis=2)
+            sums = res.sum(axis=2)
             assert np.max(np.abs(sums - 1.0)) < 1e-9
-            assert res.shares.min() >= -1e-12
+            assert res.min() >= -1e-12
 
     def test_univariate_fevd_is_all_own_share(self):
         model = RVarModel(("x",), 1, np.zeros(1), np.full((1, 1, 1), 0.5), zero_mask(1, 1), np.eye(1))
         res = fevd(model, horizon=5)
-        assert np.allclose(res.shares, 1.0)
+        assert np.allclose(res, 1.0)
 
     def test_diagonal_sigma_horizon_one_shares(self):
         # with uncorrelated shocks the one-step share of a variable's own
@@ -142,15 +141,15 @@ class TestFevd:
         sigma = np.diag([4.0, 1.0])
         model = RVarModel(("a", "b"), 1, np.zeros(2), a[None], zero_mask(1, 2), sigma)
         res = fevd(model, horizon=1)
-        assert res.shares[0, 0, 0] == pytest.approx(1.0)
-        assert res.shares[0, 1, 1] == pytest.approx(1.0)
+        assert res[0, 0, 0] == pytest.approx(1.0)
+        assert res[0, 1, 1] == pytest.approx(1.0)
 
     def test_ordering_independent_when_sigma_diagonal(self):
         a = np.array([[0.5, 0.2], [0.1, 0.3]])
         model = RVarModel(("a", "b"), 1, np.zeros(2), a[None], zero_mask(1, 2), np.diag([2.0, 3.0]))
         default = fevd(model, horizon=8)
         flipped = fevd(model, horizon=8, ordering=("b", "a"))
-        assert np.allclose(default.shares, flipped.shares, atol=1e-12)
+        assert np.allclose(default, flipped, atol=1e-12)
 
     def test_ordering_shifts_shared_variance(self):
         # with correlated shocks, the first-ordered variable absorbs the
@@ -160,9 +159,9 @@ class TestFevd:
         model = RVarModel(("a", "b"), 1, np.zeros(2), a, zero_mask(1, 2), sigma)
         first_a = fevd(model, horizon=1)
         first_b = fevd(model, horizon=1, ordering=("b", "a"))
-        assert first_a.shares[0, 1, 0] == pytest.approx(0.64)  # rho^2
-        assert first_b.shares[0, 1, 0] == pytest.approx(0.0)
-        assert first_b.shares[0, 0, 1] == pytest.approx(0.64)
+        assert first_a[0, 1, 0] == pytest.approx(0.64)  # rho^2
+        assert first_b[0, 1, 0] == pytest.approx(0.0)
+        assert first_b[0, 0, 1] == pytest.approx(0.64)
 
     def test_invalid_ordering(self):
         model = _random_stable_model(4)
@@ -199,7 +198,7 @@ class TestFevd:
                 err = err @ a.T + zj[:, t] @ chol.T
             contrib[:, j] = err.var(axis=0)
         shares = contrib / contrib.sum(axis=1, keepdims=True)
-        assert np.max(np.abs(res.shares[h - 1] - shares)) < 0.02
+        assert np.max(np.abs(res[h - 1] - shares)) < 0.02
 
 
 class TestAutocorrTests:

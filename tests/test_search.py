@@ -18,7 +18,6 @@ from gridgap import blas as blas_module
 from gridgap.blas import one_blas_thread, openblas
 from gridgap.errors import NoModelError, ParameterError
 from gridgap.rvar import (
-    FevdResult,
     RVarModel,
     diagnostics,
     fevd,
@@ -178,17 +177,16 @@ def _silent_model(n=3):
 
 class TestExplainableRate:
     def test_no_dynamics_means_all_own(self):
-        decomp = fevd(_silent_model(), horizon=6)
-        for name in decomp.names:
-            assert explainable_rate(decomp, name) == pytest.approx(0.0, abs=1e-12)
+        shares = fevd(_silent_model(), horizon=6)
+        assert explainable_rate(shares) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_built_share(self):
+        # the target is the first variable
         shares = np.zeros((1, 2, 2))
-        shares[0, 1, 1] = 0.7
-        shares[0, 1, 0] = 0.3
-        shares[0, 0, 0] = 1.0
-        decomp = FevdResult(("p", "q"), shares)
-        assert explainable_rate(decomp, "q") == pytest.approx(30.0)
+        shares[0, 0, 0] = 0.7
+        shares[0, 0, 1] = 0.3
+        shares[0, 1, 1] = 1.0
+        assert explainable_rate(shares) == pytest.approx(30.0)
 
     def test_bounded_for_random_models(self):
         for seed in range(8):
@@ -206,10 +204,8 @@ class TestExplainableRate:
                 train_start=dt.date(2020, 1, 1),
                 train_end=dt.date(2020, 12, 31),
             )
-            decomp = fevd(model, horizon=8)
-            for name in model.names:
-                rate = explainable_rate(decomp, name)
-                assert 0.0 <= rate <= 100.0
+            rate = explainable_rate(fevd(model, horizon=8))
+            assert 0.0 <= rate <= 100.0
 
 
 # ------------------------------------------------------------- search space

@@ -62,17 +62,17 @@ class TestTrendTransition:
 
     def test_step_fixture_brackets_true_transition(self):
         f = make_frame(step_series())
-        res = trend_transition(f, "x0", period=7)
-        begin = (res.transition.begin - f.dates[0]).days
-        end = (res.transition.end - f.dates[0]).days
+        _, begin, end, degenerate = trend_transition(f, "x0", period=7)
+        begin = (begin - f.dates[0]).days
+        end = (end - f.dates[0]).days
         assert 28 <= begin <= 32
         assert 38 <= end <= 42
-        assert not res.transition.degenerate
+        assert not degenerate
 
     def test_step_fixture_matches_brute_force_of_rule(self):
         x = step_series()
         f = make_frame(x)
-        res = trend_transition(f, "x0", period=7, tol_fraction=0.05)
+        _, got_begin, got_end, _ = trend_transition(f, "x0", period=7, tol_fraction=0.05)
         trend = centered_trend(x, 7)
         n = len(trend)
         tol = 0.05 * (trend.max() - trend.min())
@@ -83,24 +83,24 @@ class TestTrendTransition:
         tail = end_gaps[begin:]
         best_e = min(tail)
         end = begin + min(i for i, g in enumerate(tail) if g <= best_e + tol)
-        assert (res.transition.begin - f.dates[0]).days == begin
-        assert (res.transition.end - f.dates[0]).days == end
+        assert (got_begin - f.dates[0]).days == begin
+        assert (got_end - f.dates[0]).days == end
 
     def test_pure_ramp_spans_most_of_series(self):
         # A pure ramp never settles: the rule pins begin right after the
         # smoothing edge and end right before the opposite one.
         n = 60
         f = make_frame(np.arange(float(n)))
-        res = trend_transition(f, "x0", period=7)
-        begin = (res.transition.begin - f.dates[0]).days
-        end = (res.transition.end - f.dates[0]).days
+        _, begin, end, _ = trend_transition(f, "x0", period=7)
+        begin = (begin - f.dates[0]).days
+        end = (end - f.dates[0]).days
         assert begin < n / 2 < end
 
     def test_constant_series_degenerate(self):
         f = make_frame(np.full(30, 5.0))
-        res = trend_transition(f, "x0")
-        assert res.transition.degenerate
-        assert res.transition.begin == res.transition.end == f.dates[0]
+        _, begin, end, degenerate = trend_transition(f, "x0")
+        assert degenerate
+        assert begin == end == f.dates[0]
 
     def test_short_series_rejected(self):
         with pytest.raises(InsufficientDataError):
