@@ -47,8 +47,13 @@ def write_raw_load(out: Path, rng) -> None:
     )
 
 
-def write_backcast_corpus(out: Path, rng) -> None:
-    days = daterange(851, "2019-01-01")  # through 2021-04-30
+BACKCAST_TABLES = ("load", "temperature", "humidity", "wind")
+
+
+def write_backcast_tables(out: Path, rng, days, drop_month, names=BACKCAST_TABLES) -> None:
+    """Hourly load driven by weather and calendar, with a 10% drop through
+    ``drop_month`` (year, month), and its three weather tables: one wide CSV
+    each, named ``names`` in the order of ``BACKCAST_TABLES``."""
     doy = np.array([d.timetuple().tm_yday for d in days])
     hours = np.arange(24)
     temp = (
@@ -62,15 +67,15 @@ def write_backcast_corpus(out: Path, rng) -> None:
     weekend = np.array([0.93 if d.weekday() >= 5 else 1.0 for d in days])
     load = base[:, None] * weekend[:, None] * (1 + 0.08 * np.sin(hours / 24 * 2 * np.pi))
     load = load + rng.normal(0, 4, load.shape)
-    dropped = np.array([(d.year, d.month) == (2021, 4) for d in days])
+    dropped = np.array([(d.year, d.month) == drop_month for d in days])
     load[dropped] *= 0.9
-    for name, arr, kind in (
-        ("load", load, "load"),
-        ("temperature", temp + 0 * load, "temperature"),
-        ("humidity", hum + 0 * load, "humidity"),
-        ("wind", wind + 0 * load, "wind"),
-    ):
+    arrays = (load, temp + 0 * load, hum + 0 * load, wind + 0 * load)
+    for name, arr, kind in zip(names, arrays, BACKCAST_TABLES):
         write_wide_csv(WideHourlyTable(days, np.asarray(arr, float), kind), out / f"{name}.csv")
+
+
+def write_backcast_corpus(out: Path, rng) -> None:
+    write_backcast_tables(out, rng, daterange(851, "2019-01-01"), (2021, 4))  # through 2021-04-30
     common = (
         "load = load.csv\nweather.temperature = temperature.csv\n"
         "weather.humidity = humidity.csv\nweather.wind = wind.csv\ngdp = 1.0\n"
@@ -82,23 +87,29 @@ def write_backcast_corpus(out: Path, rng) -> None:
     (out / "qc.cfg").write_text("table = load.csv\nkind = load\n")
 
 
+DRIVER_A1 = np.array([[0.3, 0.35, -0.25], [0.0, 0.4, 0.2], [0.0, 0.1, 0.3]])
+
+
+def driver_levels(rng, steps, names=("load", "mobility", "price"), start="2019-06-01"):
+    """Integrated levels whose differences follow a small VAR(1), drawn after
+    a 120-step burn-in."""
+    x = np.zeros((steps + 120, 3))
+    for t in range(1, steps + 120):
+        x[t] = DRIVER_A1 @ x[t - 1] + rng.normal(0, 1, 3)
+    levels = np.cumsum(x[120:], axis=0) + np.array([800.0, 60.0, 40.0])
+    return TimeSeriesFrame(daterange(steps, start), names, levels)
+
+
 def write_driver_system(out: Path, rng) -> None:
-    """Integrated levels whose differences follow a small VAR(1).
+    """``driver_levels`` over 480 days, and an analyze config for them.
 
     The config sweeps several nested windows: the cointegration screen
     false-rejects individual windows now and then, and multiple starting
     points keep one unlucky window from sinking the whole search.
     """
-    a1 = np.array([[0.3, 0.35, -0.25], [0.0, 0.4, 0.2], [0.0, 0.1, 0.3]])
-    steps = 480
-    x = np.zeros((steps + 120, 3))
-    for t in range(1, steps + 120):
-        x[t] = a1 @ x[t - 1] + rng.normal(0, 1, 3)
-    levels = np.cumsum(x[120:], axis=0) + np.array([800.0, 60.0, 40.0])
-    start = dt.date.fromisoformat("2019-06-01")
-    frame = TimeSeriesFrame(daterange(steps, "2019-06-01"), ("load", "mobility", "price"), levels)
+    frame = driver_levels(rng, 480)
     write_series_csv(frame, out / "drivers.csv")
-    end = start + dt.timedelta(days=steps - 1)
+    start, end = frame.dates[0], frame.dates[-1]
     windows = ";".join(
         f"{start + dt.timedelta(days=30 * k)}..{end}" for k in range(8)
     )

@@ -339,8 +339,8 @@ def _sweep(cfg: dict, rec: RunRecorder):
         print(f"error: {exc} ({space.size()} combinations rejected)", file=sys.stderr)
         return None
     _write_text(rec, "search_log.csv", search_log_csv(result))
-    save_model(result.model, rec.output("model.json"))
     chosen = result.chosen
+    save_model(chosen.model, rec.output("model.json"))
     print(
         f"chosen combination {chosen.index}: subset={'|'.join(chosen.subset)}"
         f" window={chosen.date_range[0]}..{chosen.date_range[1]}"
@@ -404,7 +404,8 @@ def cmd_analyze(cfg: dict, rec: RunRecorder) -> int:
     if swept is None:
         return EXIT_NO_MODEL
     frame, scoring, result = swept
-    chosen, model, target = result.chosen, result.model, result.chosen.subset[0]
+    chosen = result.chosen
+    model, target = chosen.model, chosen.subset[0]
 
     diffed = difference(frame.select(chosen.subset).slice_dates(*chosen.date_range))
     report = run_diagnostics(model, diffed, cointegration_ok=True, lb_lags=scoring.lb_lags)

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
-import io
 import math
 
 import numpy as np
 
 from ..errors import EmptyInputError, SchemaError
 from .qc import QcReport
-from .schema import SourceSchema, decode_text
+from .schema import SourceSchema, csv_rows
 from .tables import WideHourlyTable
 
 
@@ -28,8 +26,7 @@ def parse_source(data: bytes, schema: SourceSchema) -> tuple[WideHourlyTable, Qc
     and counts the rest as dropped duplicates; a sub-hourly source
     (``time_column``) averages each hour's readings.
     """
-    text = decode_text(data, f"source {schema.name}")
-    reader = csv.reader(io.StringIO(text))
+    reader = csv_rows(data, f"source {schema.name}")
     try:
         header = next(reader)
     except StopIteration:

@@ -25,8 +25,10 @@ the closest known key, as ``parse_keys`` does for every ``key = value`` file.
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import difflib
+import io
 import math
 import os
 import re
@@ -47,6 +49,18 @@ def decode_text(data: bytes, name) -> str:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{name}: not UTF-8 text (byte {exc.start})") from None
+
+
+def csv_rows(data: bytes, name):
+    """The rows of CSV ``data``, decoded once by ``decode_text``; LF, CRLF and
+    CR each end a line.  A row the csv module refuses, such as one with a cell
+    over its field size limit, raises ``SchemaError`` naming ``name`` and the
+    line."""
+    reader = csv.reader(io.StringIO(decode_text(data, name), newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"{name} line {reader.line_num}: {exc}") from None
 
 
 @dataclass(frozen=True)

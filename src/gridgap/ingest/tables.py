@@ -8,21 +8,20 @@ Two layouts cover everything the pipeline exchanges on disk:
 
 Floats are written with ``repr`` so a read-back reproduces the exact bits;
 golden-file tests depend on that.  Both readers take a ``Path`` or an
-``InputFile``, read its bytes once and parse them as UTF-8 (see ``decode_text``).
+``InputFile``, read its bytes once and parse them as UTF-8 (see ``csv_rows``).
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import EmptyInputError, ParameterError, SchemaError
 from ..frames import TimeSeriesFrame
-from .schema import TABLE_KINDS, decode_text
+from .schema import TABLE_KINDS, csv_rows
 
 
 def format_value(v: float) -> str:
@@ -94,11 +93,8 @@ def read_wide_csv(path, kind: str) -> WideHourlyTable:
 
 
 def _open(path):
-    """A csv reader over the text of ``path`` and its header row; the text is
-    decoded as the reader goes, after ``decode_text`` has checked the bytes."""
-    raw = path.read_bytes()
-    decode_text(raw, path)
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), "utf-8-sig", newline=""))
+    """The rows of ``path``'s bytes, read once, and its header row."""
+    reader = csv_rows(path.read_bytes(), path)
     try:
         return reader, next(reader)
     except StopIteration:

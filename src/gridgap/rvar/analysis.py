@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import islice
-
 import numpy as np
 
 from ..errors import DivergenceError, FactorizationError, ParameterError
@@ -22,21 +20,13 @@ def irf(model: RVarModel, shock: str, horizon: int) -> np.ndarray:
     if horizon < 0:
         raise ParameterError(f"horizon must be >= 0, got {horizon}")
     j = model.shock_index(shock)
-    return np.array(list(islice(_response_steps(model, j), horizon + 1)))
-
-
-def _response_steps(model: RVarModel, j: int):
-    """Responses to a unit impulse in variable ``j``: the impact, then one per step."""
-    n, p, coeffs = model.n_vars, model.p, list(model.coeffs)
-    step = np.zeros(n)
-    step[j] = 1.0
-    recent: list[np.ndarray] = []  # the last p responses, newest first
-    while True:
-        yield step
-        recent = [step] + recent[: p - 1]
-        step = np.zeros(n)
-        for coeff, lagged in zip(coeffs, recent):
-            step += coeff @ lagged
+    coeffs = model.coeffs
+    response = np.zeros((horizon + 1, model.n_vars))
+    response[0, j] = 1.0
+    for t in range(1, horizon + 1):
+        for k in range(min(model.p, t)):
+            response[t] += coeffs[k] @ response[t - 1 - k]
+    return response
 
 
 def irf_cumulative(model: RVarModel, shock: str, horizon: int) -> np.ndarray:
@@ -46,7 +36,7 @@ def irf_cumulative(model: RVarModel, shock: str, horizon: int) -> np.ndarray:
     long-run response and are refused.
     """
     response = irf(model, shock, horizon)
-    if not stability_test(model, strict=True).stable:
+    if stability_test(model).max_modulus >= 1.0:
         raise DivergenceError(
             "cumulative responses diverge: companion eigenvalue modulus >= 1"
         )
@@ -56,12 +46,10 @@ def irf_cumulative(model: RVarModel, shock: str, horizon: int) -> np.ndarray:
 def _resolve_ordering(model: RVarModel, ordering) -> tuple[int, ...]:
     if ordering is None:
         return tuple(range(model.n_vars))
-    resolved = []
-    for item in ordering:
-        resolved.append(model.shock_index(item))
+    resolved = tuple(model.shock_index(item) for item in ordering)
     if sorted(resolved) != list(range(model.n_vars)):
         raise ParameterError(f"ordering {ordering!r} is not a permutation of all variables")
-    return tuple(resolved)
+    return resolved
 
 
 def fevd(model: RVarModel, horizon: int, ordering=None) -> np.ndarray:
@@ -78,29 +66,22 @@ def fevd(model: RVarModel, horizon: int, ordering=None) -> np.ndarray:
         raise ParameterError(f"horizon must be >= 1, got {horizon}")
     n = model.n_vars
     perm = _resolve_ordering(model, ordering)
-    sigma_perm = model.sigma_e[np.ix_(perm, perm)]
     try:
-        chol = np.linalg.cholesky(sigma_perm)
+        chol = np.linalg.cholesky(model.sigma_e[np.ix_(perm, perm)])
     except np.linalg.LinAlgError:
-        raise FactorizationError(
-            "residual covariance is not positive definite"
-        ) from None
-    # impact matrix in original coordinates: un-permute rows of the factor,
-    # then un-permute shock columns so column j belongs to variable j
-    s = np.empty_like(chol)
-    s[list(perm), :] = chol
+        raise FactorizationError("residual covariance is not positive definite") from None
+    # the factor's row and shock column i belong to variable perm[i]
+    impact = np.empty_like(chol)
+    impact[np.ix_(perm, perm)] = chol
     companion = model.companion()
     power = np.eye(companion.shape[0])
     numer = np.zeros((n, n))
     mse = np.zeros(n)
     shares = np.empty((horizon, n, n))
     for h in range(1, horizon + 1):
-        phi = power[:n, :n]
-        b = phi @ s
-        b_unperm = np.empty_like(b)
-        b_unperm[:, list(perm)] = b
-        numer += b_unperm**2
-        mse += (b_unperm**2).sum(axis=1)
+        b = power[:n, :n] @ impact
+        numer += b**2
+        mse += (b**2).sum(axis=1)
         shares[h - 1] = numer / mse[:, None]
         power = power @ companion
     return shares

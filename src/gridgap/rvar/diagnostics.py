@@ -79,18 +79,11 @@ class StabilityResult:
         return self.moduli[0]
 
 
-def stability_test(model: RVarModel, strict: bool = False) -> StabilityResult:
-    """Companion-matrix eigenvalue check.
-
-    The default rule accepts moduli up to and including one; ``strict``
-    requires strictly less than one, which is the condition cumulative
-    impulse responses need to converge.
-    """
+def stability_test(model: RVarModel) -> StabilityResult:
+    """Companion-matrix eigenvalue check: stable when no modulus exceeds one."""
     eigvals = np.linalg.eigvals(model.companion())
     moduli = tuple(sorted((abs(v) for v in eigvals), reverse=True))
-    top = moduli[0]
-    stable = top < 1.0 if strict else top <= 1.0
-    return StabilityResult(stable, moduli)
+    return StabilityResult(moduli[0] <= 1.0, moduli)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import itertools
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -50,13 +50,7 @@ class SearchSpace:
     rules: tuple[int, ...] = (1, 2, 3)
 
     def __post_init__(self):
-        subsets = tuple(tuple(s) for s in self.variable_subsets)
-        object.__setattr__(self, "variable_subsets", subsets)
-        object.__setattr__(
-            self, "date_ranges", tuple((a, b) for a, b in self.date_ranges)
-        )
-        object.__setattr__(self, "orders", tuple(int(o) for o in self.orders))
-        object.__setattr__(self, "rules", tuple(int(r) for r in self.rules))
+        subsets = self.variable_subsets
         if not subsets:
             raise ParameterError("need at least one variable subset")
         target = subsets[0][0]
@@ -80,16 +74,6 @@ class SearchSpace:
         for r in self.rules:
             if r not in (1, 2, 3):
                 raise ParameterError(f"rule {r} outside {{1,2,3}}")
-
-    def combinations(self):
-        """Deterministic enumeration order: subset, range, order, rule."""
-        idx = 0
-        for s in self.variable_subsets:
-            for rng in self.date_ranges:
-                for o in self.orders:
-                    for r in self.rules:
-                        yield idx, s, rng, o, r
-                        idx += 1
 
     def size(self) -> int:
         return (
@@ -152,12 +136,7 @@ def _rank_key(record: CandidateRecord):
 @dataclass(frozen=True)
 class SearchResult:
     records: tuple[CandidateRecord, ...]
-    chosen_index: int
-    model: RVarModel
-
-    @property
-    def chosen(self) -> CandidateRecord:
-        return next(r for r in self.records if r.index == self.chosen_index)
+    chosen: CandidateRecord  # the least-BIC admissible record, its model the one returned
 
     def ranked(self) -> tuple[CandidateRecord, ...]:
         """Admissible candidates by (BIC, AIC), then rejected ones in order."""
@@ -198,23 +177,34 @@ def _window_stage(subset, date_range, frame: TimeSeriesFrame, scoring: ScoringCo
     return None, stats, diffed
 
 
-def _rule_stage(record, diffed: TimeSeriesFrame, order, rule, pvalues, stats, scoring: ScoringConfig):
-    """Mask, fit and score one (order, rule); ``record(status, stats)`` builds the verdict.
+def _rule_stage(diffed: TimeSeriesFrame, order, rule, pvalues, stats, scoring: ScoringConfig):
+    """Mask, fit and score one (order, rule); ``(status, model)``, filling ``stats``.
 
-    ``pvalues`` is the order's ``granger_pvalues`` for rules that threshold
-    precedence tests, else None. An admissible record also carries the model
-    fitted here, which is what the search returns if it is chosen.
+    ``pvalues`` caches each order's ``granger_pvalues`` for the rules that
+    threshold precedence tests, a failed test as its exception, so rules 2
+    and 3 run them once per order. ``model`` is the fit of an admissible
+    combination, which is what the search returns if it is chosen, else None.
     """
     try:
-        mask = rule_mask(order, diffed.n_columns, rule, pvalues)
+        tests = None
+        if GRANGER_THRESHOLDS[rule] is not None:
+            if order not in pvalues:
+                try:
+                    pvalues[order] = granger_pvalues(diffed, order)
+                except Exception as exc:
+                    pvalues[order] = exc
+            tests = pvalues[order]
+            if isinstance(tests, Exception):
+                raise tests
+        mask = rule_mask(order, diffed.n_columns, rule, tests)
         model = fit_restricted_var(diffed, p=order, mask=mask)
     except Exception as exc:
-        return record(f"failed:fit ({exc})", stats)
+        return f"failed:fit ({exc})", None
 
     stab = stability_test(model)
     stats["max_modulus"] = stab.max_modulus
     if not stab.stable:
-        return record("failed:stability", stats)
+        return "failed:stability", None
 
     resid = residuals(model, diffed)
     lags = min(scoring.lb_lags, len(resid) - 1)
@@ -224,9 +214,9 @@ def _rule_stage(record, diffed: TimeSeriesFrame, order, rule, pvalues, stats, sc
         stats[f"lb_p:{name}"] = lb.pvalue
         stats[f"dw:{name}"] = dw
         if lb.pvalue < scoring.lb_alpha:
-            return record(f"failed:whiteness:{name}", stats)
+            return f"failed:whiteness:{name}", None
         if not scoring.dw_range[0] <= dw <= scoring.dw_range[1]:
-            return record(f"failed:dw:{name}", stats)
+            return f"failed:dw:{name}", None
 
     ic = criteria_from_residuals(model, resid)
     stats["aic"] = ic.aic
@@ -238,11 +228,11 @@ def _rule_stage(record, diffed: TimeSeriesFrame, order, rule, pvalues, stats, sc
         stats[f"irf_cum:{driver}"] = cumulative
         required = scoring.required_signs.get(driver)
         if required is not None and np.sign(cumulative) not in (0, required):
-            return record(f"failed:sign:{driver}", stats)
+            return f"failed:sign:{driver}", None
 
     shares = fevd(model, horizon=scoring.fevd_horizon)
     stats["explainable_rate"] = explainable_rate(shares)
-    return record("ok", stats, model)
+    return "ok", model
 
 
 def _evaluate_window(unit, frame: TimeSeriesFrame, scoring: ScoringConfig):
@@ -250,41 +240,32 @@ def _evaluate_window(unit, frame: TimeSeriesFrame, scoring: ScoringConfig):
     ``(subset, date_range, combos)`` window unit.
 
     The window gates run once; a rejected window gives all its combinations
-    the same verdict. Rules 2 and 3 share one set of precedence tests per
-    order, since both test at ``lags=order``.
+    its verdict. Rules 2 and 3 share one set of precedence tests per order,
+    since both test at ``lags=order``.
     """
     subset, date_range, combos = unit
-    status, stats, diffed = _window_stage(subset, date_range, frame, scoring)
-    if status is not None:
-        return [
-            CandidateRecord(index, subset, date_range, order, rule, status, dict(stats))
-            for index, order, rule in combos
-        ]
+    window_status, window_stats, diffed = _window_stage(subset, date_range, frame, scoring)
     records = []
     pvalues: dict = {}
     for index, order, rule in combos:
-        shared = None
-        if GRANGER_THRESHOLDS[rule] is not None:
-            if order not in pvalues:
-                try:
-                    pvalues[order] = granger_pvalues(diffed, order)
-                except Exception as exc:
-                    pvalues[order] = exc
-            shared = pvalues[order]
-        record = partial(CandidateRecord, index, subset, date_range, order, rule)
-        if isinstance(shared, Exception):
-            records.append(record(f"failed:fit ({shared})", dict(stats)))
-        else:
-            records.append(_rule_stage(record, diffed, order, rule, shared, dict(stats), scoring))
+        stats, status, model = dict(window_stats), window_status, None
+        if status is None:
+            status, model = _rule_stage(diffed, order, rule, pvalues, stats, scoring)
+        records.append(CandidateRecord(index, subset, date_range, order, rule, status, stats, model))
     return records
 
 
 def _window_units(space: SearchSpace):
-    """Combinations grouped into (subset, window) units, in enumeration order."""
-    units: dict = {}
-    for index, subset, date_range, order, rule in space.combinations():
-        units.setdefault((subset, date_range), []).append((index, order, rule))
-    return [(subset, date_range, combos) for (subset, date_range), combos in units.items()]
+    """Every combination as ``(index, order, rule)``, one unit per (subset, window).
+
+    Indices run over subset, window, order, then rule, the last varying fastest.
+    """
+    per_window = [(order, rule) for order in space.orders for rule in space.rules]
+    windows = itertools.product(space.variable_subsets, space.date_ranges)
+    return [
+        (subset, date_range, [(k * len(per_window) + i, *combo) for i, combo in enumerate(per_window)])
+        for k, (subset, date_range) in enumerate(windows)
+    ]
 
 
 def run_search(
@@ -295,7 +276,7 @@ def run_search(
 ) -> SearchResult:
     """Evaluate every combination, then pick the admissible one with least BIC.
 
-    The result's model is the one the sweep fitted for the chosen record.
+    The chosen record carries the model the sweep fitted for it.
 
     Per-combination failures never abort the sweep; they are logged with the
     first gate that rejected the candidate. An empty admissible set raises a
@@ -311,14 +292,9 @@ def run_search(
     ``gridgap.rvar`` pinned for good.
     """
     scoring = scoring or ScoringConfig()
-    missing = [
-        name
-        for subset in space.variable_subsets
-        for name in subset
-        if name not in frame.names
-    ]
+    missing = {name for subset in space.variable_subsets for name in subset} - set(frame.names)
     if missing:
-        raise ParameterError(f"frame lacks columns {sorted(set(missing))}")
+        raise ParameterError(f"frame lacks columns {sorted(missing)}")
     units = _window_units(space)
     with one_blas_thread():
         batches = pool_map(_evaluate_window, units, (frame, scoring), min(jobs, len(units)))
@@ -329,8 +305,7 @@ def run_search(
             "no combination passed every gate",
             [(r.index, r.status) for r in records],
         )
-    best = min(admissible, key=_rank_key)
-    return SearchResult(tuple(records), best.index, best.model)
+    return SearchResult(tuple(records), min(admissible, key=_rank_key))
 
 
 _PARAM_COLUMNS = ("index", "subset", "start", "end", "order", "rule", "status")

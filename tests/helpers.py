@@ -8,6 +8,7 @@ independent computation, so it lives beside the tests rather than in
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -129,6 +130,49 @@ def simulate_var(
             acc = acc + coeffs[k - 1] @ x[t - k]
         x[t] = acc
     return x[burn + p :]
+
+
+def reference_irf(model, shock: str, horizon: int) -> np.ndarray:
+    """``irf`` as a generator of steps, each summing the last p responses
+    newest first; ``irf``'s array loop sums in the same order."""
+
+    def steps():
+        step = np.zeros(model.n_vars)
+        step[model.shock_index(shock)] = 1.0
+        recent: list[np.ndarray] = []  # the last p responses, newest first
+        while True:
+            yield step
+            recent = [step] + recent[: model.p - 1]
+            step = np.zeros(model.n_vars)
+            for coeff, lagged in zip(list(model.coeffs), recent):
+                step += coeff @ lagged
+
+    return np.array(list(itertools.islice(steps(), horizon + 1)))
+
+
+def reference_fevd(model, horizon: int, ordering) -> np.ndarray:
+    """``fevd`` that factors the permuted covariance, then un-permutes the
+    factor's rows once and each step's shock columns, where ``fevd`` places
+    the factor in model order once."""
+    n = model.n_vars
+    perm = [model.shock_index(name) for name in ordering]
+    chol = np.linalg.cholesky(model.sigma_e[np.ix_(perm, perm)])
+    s = np.empty_like(chol)
+    s[perm, :] = chol
+    companion = model.companion()
+    power = np.eye(companion.shape[0])
+    numer = np.zeros((n, n))
+    mse = np.zeros(n)
+    shares = np.empty((horizon, n, n))
+    for h in range(1, horizon + 1):
+        b = power[:n, :n] @ s
+        b_unperm = np.empty_like(b)
+        b_unperm[:, perm] = b
+        numer += b_unperm**2
+        mse += (b_unperm**2).sum(axis=1)
+        shares[h - 1] = numer / mse[:, None]
+        power = power @ companion
+    return shares
 
 
 def moon_angle_grid(shape, zenith_deg: float) -> np.ndarray:

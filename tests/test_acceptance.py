@@ -48,6 +48,7 @@ from gridgap.transforms import difference
 
 from conftest import make_dates, make_frame
 from helpers import brute_lowpass, simulate_var
+from make_synthetic import driver_levels, write_backcast_tables
 from test_rvar_analysis import _random_stable_model
 from test_search import SIGNS5, integrated_levels
 
@@ -230,32 +231,12 @@ SUMMARY_ROW = re.compile(r"^Average in April: -?\d+\.\d{2}% \[-?\d+\.\d{2}, -?\d
 
 
 def _write_backcast_fixture(root, days):
-    """Two years of hourly load driven by weather and calendar, with a 10%
-    drop through the final April."""
-    rng = np.random.default_rng(5)
-    doy = np.array([d.timetuple().tm_yday for d in days])
-    hours = np.arange(24)
-    temp = (
-        15
-        + 10 * np.sin((doy[:, None] - 100) / 365 * 2 * np.pi)
-        + 4 * np.sin(hours / 24 * 2 * np.pi)
-    )
-    hum = 60 + 20 * np.cos(doy[:, None] / 365 * 2 * np.pi) + 0.0 * hours
-    wind = np.abs(8 + 3 * np.sin(doy[:, None] / 23) + 0.0 * hours)
-    base = 900 + 120 * np.cos((doy - 30) / 365 * 2 * np.pi) + 3.0 * (temp.mean(axis=1) - 15)
-    weekend = np.array([0.93 if d.weekday() >= 5 else 1.0 for d in days])
-    load = base[:, None] * weekend[:, None] * (1 + 0.08 * np.sin(hours / 24 * 2 * np.pi))
-    load = load + rng.normal(0, 4, load.shape)
+    """make_synthetic's backcast tables over ``days``, with the 10% drop
+    through the final April."""
     final_april = max(d.year for d in days if d.month == 4)
-    drop = np.array([(d.year, d.month) == (final_april, 4) for d in days])
-    load[drop] *= 0.9
-    for name, arr, kind in (
-        ("load", load, "load"),
-        ("temp", temp + 0 * load, "temperature"),
-        ("hum", hum + 0 * load, "humidity"),
-        ("wind", wind + 0 * load, "wind"),
-    ):
-        write_wide_csv(WideHourlyTable(days, np.asarray(arr, float), kind), root / f"{name}.csv")
+    write_backcast_tables(
+        root, np.random.default_rng(5), days, (final_april, 4), ("load", "temp", "hum", "wind")
+    )
     return final_april
 
 
@@ -375,7 +356,7 @@ def test_c10_search_over_seeded_system():
     assert chosen.status == "ok"
     window = frame.slice_dates(*chosen.date_range)
     report = run_diagnostics(
-        result.model, difference(window), cointegration_ok=True, lb_lags=scoring.lb_lags
+        chosen.model, difference(window), cointegration_ok=True, lb_lags=scoring.lb_lags
     )
     assert report.all_pass(lb_alpha=scoring.lb_alpha, dw_range=scoring.dw_range)
     rejected = [r for r in result.records if r.status != "ok"]
@@ -527,16 +508,8 @@ def c12_digests(tmp_path) -> dict[str, dict[str, str]]:
     )
 
     # analyze / search share a fixture; analyze output feeds irf/fevd
-    rng = np.random.default_rng(3)
-    a1 = np.array([[0.3, 0.35, -0.25], [0.0, 0.4, 0.2], [0.0, 0.1, 0.3]])
-    x = np.zeros((480, 3))
-    for t in range(1, 480):
-        x[t] = a1 @ x[t - 1] + rng.normal(0, 1, 3)
-    levels = np.cumsum(x[120:], axis=0) + np.array([800.0, 60.0, 40.0])
-    write_series_csv(
-        TimeSeriesFrame(make_dates(360, "2019-01-01"), ("y", "u", "v"), levels),
-        tmp_path / "levels.csv",
-    )
+    levels = driver_levels(np.random.default_rng(3), 360, ("y", "u", "v"), "2019-01-01")
+    write_series_csv(levels, tmp_path / "levels.csv")
     (tmp_path / "an.cfg").write_text(
         "series = levels.csv\ntarget = y\norders = 1,2\nrules = 1,3\nsign.u = 1\n"
     )

@@ -35,6 +35,7 @@ from gridgap.rvar import (
 
 from conftest import make_dates, src_env
 from helpers import simulate_var
+from make_synthetic import driver_levels
 from test_acceptance import c12_digests
 
 main_module = importlib.import_module("gridgap.cli.main")  # gridgap.cli.main is also the function
@@ -47,13 +48,7 @@ def read_manifest_outputs(out_dir):
 
 def integrated_csv(path, seed=3, steps=360):
     """Three cointegration-free integrated series whose differences are VAR(1)."""
-    rng = np.random.default_rng(seed)
-    a1 = np.array([[0.3, 0.35, -0.25], [0.0, 0.4, 0.2], [0.0, 0.1, 0.3]])
-    x = np.zeros((steps + 120, 3))
-    for t in range(1, steps + 120):
-        x[t] = a1 @ x[t - 1] + rng.normal(0, 1, 3)
-    levels = np.cumsum(x[120:], axis=0) + np.array([800.0, 60.0, 40.0])
-    frame = TimeSeriesFrame(make_dates(steps, "2019-01-01"), ("y", "u", "v"), levels)
+    frame = driver_levels(np.random.default_rng(seed), steps, ("y", "u", "v"), "2019-01-01")
     write_series_csv(frame, path)
     return frame
 
@@ -298,6 +293,27 @@ class TestIngest:
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert not out.exists()
 
+    def test_cr_line_endings_ingest_like_lf(self, tmp_path):
+        cfg = self.build(tmp_path)
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "lf")]) == 0
+        raw = tmp_path / "raw.csv"
+        raw.write_bytes(raw.read_bytes().replace(b"\n", b"\r"))
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "cr")]) == 0
+        assert read_manifest_outputs(tmp_path / "cr") == read_manifest_outputs(tmp_path / "lf")
+
+    def test_cell_over_the_csv_field_limit_exits_one_naming_the_line(self, tmp_path, capsys):
+        cfg = self.build(tmp_path)
+        raw = tmp_path / "raw.csv"
+        lines = raw.read_text().splitlines()
+        lines[2] += "9" * 131_072
+        raw.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: source demo line 3: field larger than field limit (131072)\n"
+        )
+        assert not out.exists()
+
     def test_byte_order_mark_ingests_like_plain_text(self, tmp_path):
         cfg = self.build(tmp_path)
         assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "plain")]) == 0
@@ -475,6 +491,20 @@ def test_csv_with_a_non_utf8_byte_exits_one_naming_the_offset(tmp_path, capsys, 
     out = tmp_path / "out"
     assert main([command, "--config", str(tmp_path / "c.cfg"), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (byte {offset})\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", CSV_INPUTS)
+def test_csv_with_a_cell_over_the_field_limit_exits_one_naming_the_line(tmp_path, capsys, command):
+    path = CSV_INPUTS[command](tmp_path)
+    lines = path.read_text().splitlines()
+    lines[3] += "9" * 131_072  # the last cell of line 4
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(tmp_path / "c.cfg"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path} line 4: field larger than field limit (131072)\n"
+    )
     assert not out.exists()
 
 

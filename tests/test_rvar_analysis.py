@@ -29,7 +29,7 @@ from gridgap.rvar import (
 )
 
 from conftest import make_frame
-from helpers import simulate_var
+from helpers import reference_fevd, reference_irf, simulate_var
 
 
 def _random_stable_model(seed, n_max=4, p_max=3):
@@ -201,6 +201,36 @@ class TestFevd:
         assert np.max(np.abs(res[h - 1] - shares)) < 0.02
 
 
+class TestKernelOracle:
+    """``irf`` and ``fevd`` against the generator and per-step un-permuting
+    kernels they replaced, bit for bit."""
+
+    @staticmethod
+    def _cases(count=240):
+        for seed in range(count):
+            model = _random_stable_model(1000 + seed, n_max=6)
+            rng = np.random.default_rng(seed)
+            names = list(model.names)
+            ordering = tuple(names[i] for i in rng.permutation(len(names)))
+            if ordering == model.names:
+                ordering = ordering[::-1]
+            yield model, rng, ordering
+
+    def test_irf_matches_generator_reference(self):
+        for model, rng, _ in self._cases():
+            shock = model.names[int(rng.integers(model.n_vars))]
+            horizon = int(rng.integers(0, 25))
+            got = irf(model, shock, horizon)
+            assert got.tobytes() == reference_irf(model, shock, horizon).tobytes()
+
+    def test_fevd_matches_unpermuting_reference(self):
+        for model, rng, ordering in self._cases():
+            horizon = int(rng.integers(1, 25))
+            got = fevd(model, horizon, ordering)
+            assert got.tobytes() == reference_fevd(model, horizon, ordering).tobytes()
+            assert fevd(model, horizon).tobytes() == reference_fevd(model, horizon, model.names).tobytes()
+
+
 class TestAutocorrTests:
     def test_ljung_box_hand_case(self):
         # n=100 with rho = (0.1, 0.2): Q = 100*102*(0.01/99 + 0.04/98)
@@ -270,7 +300,7 @@ class TestStability:
     def test_default_rule_admits_unit_root(self):
         walk = RVarModel(("w",), 1, np.zeros(1), np.ones((1, 1, 1)), zero_mask(1, 1), np.eye(1))
         assert stability_test(walk).stable
-        assert not stability_test(walk, strict=True).stable
+        assert stability_test(walk).max_modulus >= 1.0
 
     def test_explosive_rejected(self):
         boom = RVarModel(("b",), 1, np.zeros(1), np.full((1, 1, 1), 1.1), zero_mask(1, 1), np.eye(1))

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import make_dates, make_frame, src_env
 from pool_probe import blas_threads, probed_pool, worker_reads
+from run_search_experiment import A1, A2, INTERCEPT
 
 from gridgap import TimeSeriesFrame
 from gridgap import blas as blas_module
@@ -33,26 +34,13 @@ from gridgap.transforms import difference
 
 # ---------------------------------------------------------------- generators
 
-# Five-variable system, order 2, stationary in differences.  The first
+# Five-variable system, order 2, stationary in differences, with the lag
+# coefficients and intercept of scripts/run_search_experiment.py.  The first
 # column never feeds the other equations, matching the mandatory part of
 # every restriction rule; the remaining couplings are strong enough that
 # precedence tests keep them.
 NAMES5 = ("y", "a", "b", "c", "d")
-A1_5 = np.array([
-    [0.25, 0.30, -0.15, 0.00, 0.15],
-    [0.00, 0.30, 0.15, 0.00, 0.00],
-    [0.00, 0.10, 0.25, 0.15, 0.00],
-    [0.00, 0.00, 0.20, 0.30, 0.10],
-    [0.00, 0.15, 0.00, 0.10, 0.30],
-])
-A2_5 = np.array([
-    [0.20, -0.25, -0.10, 0.15, 0.00],
-    [0.00, 0.25, -0.20, 0.10, 0.00],
-    [0.00, -0.15, 0.20, 0.00, 0.10],
-    [0.00, 0.00, -0.15, 0.20, 0.00],
-    [0.00, 0.10, 0.00, -0.15, 0.20],
-])
-INTERCEPT5 = np.array([0.05, 0.02, -0.03, 0.04, 0.00])
+# the script's SIGMA differs off the diagonal; c10's golden log was drawn with this one
 SIGMA5 = np.array([
     [1.00, 0.20, 0.10, 0.00, 0.10],
     [0.20, 0.80, 0.15, 0.10, 0.00],
@@ -71,7 +59,7 @@ def integrated_levels(seed, steps=560, start="2019-01-01"):
     burn = 200
     d = np.zeros((burn + steps, 5))
     for t in range(2, burn + steps):
-        d[t] = INTERCEPT5 + A1_5 @ d[t - 1] + A2_5 @ d[t - 2] + chol @ rng.standard_normal(5)
+        d[t] = INTERCEPT + A1 @ d[t - 1] + A2 @ d[t - 2] + chol @ rng.standard_normal(5)
     levels = np.array([1000.0, 50.0, 30.0, 40.0, 20.0]) + np.cumsum(d[burn:], axis=0)
     return make_frame(levels, NAMES5, start=start)
 
@@ -213,17 +201,15 @@ class TestExplainableRate:
 
 class TestSearchSpace:
     def test_enumeration_order_and_size(self):
-        space = SearchSpace(
-            (("y", "a"), ("y", "a", "b")),
-            ((dt.date(2020, 1, 1), dt.date(2020, 6, 30)),),
-            (1, 2),
-            (1, 3),
-        )
-        combos = list(space.combinations())
+        frame = integrated_levels(16)
+        window = whole_range(frame)
+        space = SearchSpace((("y", "a"), ("y", "a", "b")), (window,), (1, 2), (1, 3))
+        records = run_search(frame, space, ScoringConfig()).records
+        combos = [(r.index, r.subset, r.date_range, r.order, r.rule) for r in records]
         assert space.size() == len(combos) == 8
         assert [c[0] for c in combos] == list(range(8))
         # subset varies slowest, rule fastest
-        assert combos[0][1:] == (("y", "a"), (dt.date(2020, 1, 1), dt.date(2020, 6, 30)), 1, 1)
+        assert combos[0][1:] == (("y", "a"), window, 1, 1)
         assert combos[1][3:] == (1, 3)
         assert combos[4][1] == ("y", "a", "b")
 
@@ -260,9 +246,9 @@ class TestRunSearch:
         frame = integrated_levels(16)
         space = SearchSpace((NAMES5,), (whole_range(frame),), (2,), (3,))
         result = run_search(frame, space, ScoringConfig(required_signs=SIGNS5))
-        assert result.chosen_index == 0
+        assert result.chosen.index == 0
         assert result.chosen.status == "ok"
-        assert result.model.p == 2
+        assert result.chosen.model.p == 2
 
     def test_recovers_generator_order(self):
         frame = integrated_levels(16)
@@ -354,7 +340,7 @@ class TestRunSearch:
         first = run_search(frame, space, ScoringConfig())
         second = run_search(frame, space, ScoringConfig())
         parallel = run_search(frame, space, ScoringConfig(), jobs=2)
-        assert first.chosen_index == second.chosen_index == parallel.chosen_index
+        assert first.chosen.index == second.chosen.index == parallel.chosen.index
         assert search_log_csv(first) == search_log_csv(second) == search_log_csv(parallel)
         statuses = [r.status for r in first.records]
         assert all(s.startswith("failed:adf:") for s in statuses[8:])
@@ -484,7 +470,7 @@ class TestRunSearch:
         assert [threads for _, threads, _ in reads] == [1] * len(windows)
         scipy_threads = 1 if blas_module.scipy_openblas() else None
         assert [threads for _, _, threads in reads] == [scipy_threads] * len(windows)
-        assert pooled.chosen_index == serial.chosen_index
+        assert pooled.chosen.index == serial.chosen.index
         assert search_log_csv(pooled) == search_log_csv(serial)
         assert any(r.model is not None for r in serial.records)
         for a, b in zip(serial.records, pooled.records):
@@ -563,7 +549,7 @@ class TestRunSearch:
         space = SearchSpace((NAMES5,), (whole_range(frame),), (2, 3), (1, 3))
         result = run_search(frame, space, ScoringConfig(required_signs=SIGNS5))
         ranked = result.ranked()
-        assert ranked[0].index == result.chosen_index
+        assert ranked[0].index == result.chosen.index
         ok = [r for r in ranked if r.admissible]
         bics = [r.stats["bic"] for r in ok]
         assert bics == sorted(bics)
@@ -581,14 +567,13 @@ class TestRunSearch:
         chosen = result.chosen
         assert [r.index for r in result.records if r.admissible] == [0, 2, 4, 5]
         assert chosen.index == 2
-        assert result.model.mask.sum() > rule_mask(2, 5, 1, None).sum()
-        assert result.model is chosen.model
+        assert chosen.model.mask.sum() > rule_mask(2, 5, 1, None).sum()
         for r in result.records:
             assert (r.model is not None) == r.admissible
         diffed = difference(frame.select(chosen.subset).slice_dates(*chosen.date_range))
         with one_blas_thread():
             want = fit_restricted_var(diffed, chosen.order, frame_mask(diffed, chosen.order, chosen.rule))
-        got = result.model
+        got = chosen.model
         assert (got.names, got.p, got.train_start, got.train_end) == (
             want.names, want.p, want.train_start, want.train_end
         )
