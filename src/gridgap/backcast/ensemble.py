@@ -10,7 +10,9 @@ worker; less runs in a plain loop. So the result is the same whatever
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import multiprocessing
 from calendar import month_name
 from dataclasses import asdict, dataclass, fields
@@ -30,7 +32,7 @@ from ..ingest import WideHourlyTable
 from .features import QUANTILE_LEVELS, WEATHER_KINDS
 from .network import forward, train_network
 
-ENSEMBLE_FORMAT = "backcast-ensemble/1"
+ENSEMBLE_FORMAT = "backcast-ensemble/2"
 PREDICTION_LEVELS = (0.10, 0.25, 0.75, 0.90)
 # every ensemble file's feature_config block: the one layout feature_matrix builds
 FEATURE_LAYOUT = {"quantile_levels": list(QUANTILE_LEVELS), "weather_kinds": list(WEATHER_KINDS)}
@@ -126,6 +128,12 @@ class BackcastEnsemble:
                 raise ParameterError("members disagree on feature dimension")
         if self.input_mean.shape != (dim,) or self.input_std.shape != (dim,):
             raise ParameterError("normalization parameters do not match feature dimension")
+        # predictions divide by the input stds and scale by target_std: a zero,
+        # negative or non-finite value would turn them into nan, inf or a mirror
+        means = np.append(self.input_mean, self.target_mean)
+        stds = np.append(self.input_std, self.target_std)
+        if not (np.isfinite(means).all() and np.isfinite(stds).all() and (stds > 0.0).all()):
+            raise ParameterError("normalization means must be finite, and stds finite and positive")
 
     @property
     def dimension(self) -> int:
@@ -362,12 +370,32 @@ def monthly_row(dates, points, bounds, year: int, month: int, min_days: int) -> 
 # -- serialization -------------------------------------------------------------
 
 
+def _encode(a: np.ndarray) -> dict:
+    """An array as its shape and the base64 of its little-endian float64 bytes."""
+    data = a.astype("<f8", copy=False).tobytes()
+    return {"shape": list(a.shape), "f8": base64.b64encode(data).decode("ascii")}
+
+
+def _decode(block: dict) -> np.ndarray:
+    """The array ``_encode`` wrote; ValueError, TypeError or KeyError if ``block``
+    is not one."""
+    shape = block["shape"]
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise ValueError(f"shape {shape!r} is not a list of integers >= 0")
+    data = base64.b64decode(block["f8"], validate=True)
+    if len(data) != 8 * math.prod(shape):
+        raise ValueError(f"{len(data)} bytes do not hold a float64 array of shape {shape}")
+    return np.frombuffer(data, dtype="<f8").reshape(shape)
+
+
 def save_ensemble(ensemble: BackcastEnsemble, path) -> None:
+    """Write ``ensemble`` to ``path`` in format ``ENSEMBLE_FORMAT``: arrays as
+    exact float64 bytes (``_encode``), scalars and metrics as JSON numbers."""
     payload = {
         "format": ENSEMBLE_FORMAT,
         "feature_config": FEATURE_LAYOUT,
-        "input_mean": ensemble.input_mean.tolist(),
-        "input_std": ensemble.input_std.tolist(),
+        "input_mean": _encode(ensemble.input_mean),
+        "input_std": _encode(ensemble.input_std),
         "target_mean": ensemble.target_mean,
         "target_std": ensemble.target_std,
         "config": asdict(ensemble.config),
@@ -377,7 +405,7 @@ def save_ensemble(ensemble: BackcastEnsemble, path) -> None:
                 "index": m.index,
                 "widths": list(m.widths),
                 "metric": m.metric,
-                "layers": [{"w": w.tolist(), "b": b.tolist()} for w, b in m.layers],
+                "layers": [{"w": _encode(w), "b": _encode(b)} for w, b in m.layers],
             }
             for m in ensemble.models
         ],
@@ -397,14 +425,18 @@ def _config_from(cls, block: dict):
 
 def load_ensemble(path, raw: bytes) -> BackcastEnsemble:
     """The ensemble in ``raw``, the bytes of the ``save_ensemble`` file
-    ``path``; a malformed one raises ``SchemaError``."""
+    ``path``; a malformed one, or one of another format, raises ``SchemaError``.
+    Files of format ``backcast-ensemble/1`` (arrays as JSON decimals) are not
+    read: retrain the ensemble."""
     try:
         payload = json.loads(raw)
     except ValueError as exc:
         raise SchemaError(f"{path}: not a JSON file ({exc})") from None
     fmt = payload.get("format") if isinstance(payload, dict) else None
     if fmt != ENSEMBLE_FORMAT:
-        raise SchemaError(f"expected format {ENSEMBLE_FORMAT!r}, got {fmt!r}")
+        raise SchemaError(
+            f"{path}: ensemble format {fmt!r} is not read, expected {ENSEMBLE_FORMAT!r}; retrain it"
+        )
     try:
         layout = payload["feature_config"]
         if layout != FEATURE_LAYOUT:
@@ -414,14 +446,14 @@ def load_ensemble(path, raw: bytes) -> BackcastEnsemble:
                 m["index"],
                 tuple(m["widths"]),
                 m["metric"],
-                tuple((np.array(l["w"]), np.array(l["b"])) for l in m["layers"]),
+                tuple((_decode(l["w"]), _decode(l["b"])) for l in m["layers"]),
             )
             for m in payload["models"]
         )
         return BackcastEnsemble(
             models,
-            np.array(payload["input_mean"]),
-            np.array(payload["input_std"]),
+            _decode(payload["input_mean"]),
+            _decode(payload["input_std"]),
             payload["target_mean"],
             payload["target_std"],
             _config_from(TrainingConfig, payload["config"]),

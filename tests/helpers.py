@@ -7,6 +7,7 @@ independent computation, so it lives beside the tests rather than in
 
 from __future__ import annotations
 
+import base64
 import datetime as dt
 import itertools
 import math
@@ -264,3 +265,43 @@ def brute_lowpass(grid: np.ndarray) -> np.ndarray:
                     acc += grid[rr, cc]
             out[r, c] = acc / 25.0
     return out
+
+
+# -- ensemble.json array blocks: {"shape": [...], "f8": "<base64 of '<f8' bytes>"}
+
+
+def decoded_block(block) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(block["f8"]), "<f8").reshape(block["shape"])
+
+
+def encoded_block(a: np.ndarray) -> dict:
+    return {"shape": list(a.shape), "f8": base64.b64encode(a.astype("<f8").tobytes()).decode()}
+
+
+def drop_last_row(block) -> None:
+    """Shorten an array block by its last row: still a valid array, one that does not fit."""
+    block.update(encoded_block(decoded_block(block)[:-1]))
+
+
+def truncate_f8(block) -> None:
+    block["f8"] = block["f8"][:-1]
+
+
+def spoil_base64(block) -> None:
+    block["f8"] = block["f8"][:8] + "*" + block["f8"][9:]
+
+
+def negate_shape(block) -> None:
+    """Negative dimensions whose product is still the element count."""
+    block["shape"] = [-d for d in block["shape"]]
+
+
+def as_format_1(payload) -> None:
+    """Rewrite a saved ensemble as format ``backcast-ensemble/1`` held it: arrays as
+    JSON lists of decimals."""
+    payload["format"] = "backcast-ensemble/1"
+    for key in ("input_mean", "input_std"):
+        payload[key] = decoded_block(payload[key]).tolist()
+    for model in payload["models"]:
+        for layer in model["layers"]:
+            layer.update(w=decoded_block(layer["w"]).tolist(), b=decoded_block(layer["b"]).tolist())

@@ -37,7 +37,16 @@ from gridgap.errors import (
 )
 from gridgap.frames import federal_holidays
 from gridgap.ingest import WideHourlyTable
-from helpers import feature_names, gradient_check
+from helpers import (
+    as_format_1,
+    drop_last_row,
+    encoded_block,
+    feature_names,
+    gradient_check,
+    negate_shape,
+    spoil_base64,
+    truncate_f8,
+)
 from pool_probe import probed_pool, worker_reads
 
 
@@ -401,6 +410,31 @@ class TestPredict:
         with pytest.raises(SchemaError):
             predict_many(ens, np.zeros((1, 7)))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("target_std", np.nan),
+            ("target_std", np.inf),
+            ("target_std", 0.0),
+            ("target_std", -1.0),
+            ("target_mean", np.inf),
+            ("target_mean", np.nan),
+            ("input_std", 0.0),
+            ("input_std", -1.0),
+            ("input_std", np.nan),
+            ("input_mean", -np.inf),
+        ],
+    )
+    def test_normalization_must_be_finite_with_positive_stds(self, field, value):
+        ens = _constant_ensemble([1.0])
+        if field.startswith("input_"):
+            value = np.where(np.arange(34) == 5, value, getattr(ens, field))
+        names = ("input_mean", "input_std", "target_mean", "target_std")
+        kwargs = {name: getattr(ens, name) for name in names}
+        kwargs[field] = value
+        with pytest.raises(ParameterError, match="normalization"):
+            BackcastEnsemble(ens.models, config=ens.config, **kwargs)
+
     def test_features_laid_out_once_for_all_members(self, monkeypatch):
         dates, x, y = _synthetic_training_data()
         ens = train_ensemble(x, y, dates, TrainingConfig(candidates=4, seed=2, epochs=5))
@@ -504,6 +538,8 @@ class TestSerialization:
         path = tmp_path / "ens.json"
         save_ensemble(ens, path)
         back = load_ensemble(path, path.read_bytes())
+        save_ensemble(back, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
         p1, q1 = predict_many(ens, x[:20])
         p2, q2 = predict_many(back, x[:20])
         assert np.array_equal(p1, p2)
@@ -541,9 +577,19 @@ class TestSerialization:
             lambda payload: payload["config"].update(check_gradients=True),
             lambda payload: payload["feature_config"].update(extra=1),
             lambda payload: payload["models"][0].update(widths=None),
-            lambda payload: payload["models"][0]["layers"][1]["w"].pop(),
-            lambda payload: payload["models"][0]["layers"][2]["b"].pop(),
+            lambda payload: drop_last_row(payload["models"][0]["layers"][1]["w"]),
+            lambda payload: drop_last_row(payload["models"][0]["layers"][2]["b"]),
             lambda payload: payload["models"][0].update(widths=[1, 2, 3]),
+            lambda payload: truncate_f8(payload["models"][0]["layers"][0]["w"]),
+            lambda payload: spoil_base64(payload["models"][0]["layers"][0]["w"]),
+            lambda payload: payload["models"][0]["layers"][0]["w"]["shape"].__setitem__(0, 33),
+            lambda payload: negate_shape(payload["models"][0]["layers"][0]["w"]),
+            lambda payload: payload["input_std"]["shape"].__setitem__(0, 34.0),
+            lambda payload: payload["models"][0]["layers"][3].update(b=[0.5]),
+            lambda payload: payload.update(target_std=float("nan")),
+            lambda payload: payload.update(target_mean=float("inf")),
+            lambda payload: payload.update(target_std=0.0),
+            lambda payload: payload.update(input_std=encoded_block(np.zeros(34))),
         ],
         ids=[
             "missing_models",
@@ -554,6 +600,16 @@ class TestSerialization:
             "layers_do_not_chain",
             "bias_shorter_than_layer",
             "widths_not_the_layers",
+            "truncated_f8",
+            "not_base64",
+            "shape_not_the_length",
+            "negative_dimension",
+            "fractional_dimension",
+            "array_as_json_list",
+            "target_std_nan",
+            "target_mean_inf",
+            "target_std_zero",
+            "input_std_zero",
         ],
     )
     def test_malformed_payload_is_schema_error(self, tmp_path, edit):
@@ -565,6 +621,30 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError, match="malformed ensemble"):
             load_ensemble(path, path.read_bytes())
+
+    def test_format_1_file_is_refused(self, tmp_path):
+        """A file of the first format, arrays as JSON decimals, must be retrained."""
+        dates, x, y = _synthetic_training_data()
+        path = tmp_path / "ens.json"
+        save_ensemble(train_ensemble(x, y, dates, TrainingConfig(candidates=1, epochs=2)), path)
+        payload = json.loads(path.read_text())
+        as_format_1(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as err:
+            load_ensemble(path, path.read_bytes())
+        assert "'backcast-ensemble/1'" in str(err.value)
+        assert "'backcast-ensemble/2'" in str(err.value)
+
+    def test_file_spends_under_14_bytes_per_float(self, tmp_path):
+        """Arrays are stored as base64 float64 bytes (10.7 bytes per float),
+        not as JSON decimals (about 21)."""
+        dates, x, y = _synthetic_training_data()
+        ens = train_ensemble(x, y, dates, TrainingConfig(candidates=4, seed=1, epochs=5))
+        path = tmp_path / "ens.json"
+        save_ensemble(ens, path)
+        weights = sum(a.size for m in ens.models for layer in m.layers for a in layer)
+        floats = weights + 2 * ens.dimension + len(ens.all_metrics) + len(ens.models) + 2
+        assert path.stat().st_size < 14 * floats
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]", ""])
     def test_not_a_json_object_is_schema_error(self, tmp_path, text):

@@ -34,7 +34,14 @@ from gridgap.rvar import (
 )
 
 from conftest import make_dates, src_env
-from helpers import simulate_var
+from helpers import (
+    as_format_1,
+    drop_last_row,
+    negate_shape,
+    simulate_var,
+    spoil_base64,
+    truncate_f8,
+)
 from make_synthetic import driver_levels
 from test_acceptance import c12_digests
 
@@ -909,12 +916,27 @@ class TestBackcast:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda payload: payload["models"][0]["layers"][1]["w"].pop(),
+            lambda payload: drop_last_row(payload["models"][0]["layers"][1]["w"]),
             lambda payload: payload["models"][0].update(widths=[1, 2, 3]),
             lambda payload: payload["feature_config"].update(quantile_levels=[0.5]),
             lambda payload: payload["feature_config"]["weather_kinds"].reverse(),
+            lambda payload: truncate_f8(payload["models"][0]["layers"][0]["b"]),
+            lambda payload: spoil_base64(payload["input_mean"]),
+            lambda payload: payload["models"][0]["layers"][2]["w"]["shape"].append(1),
+            lambda payload: negate_shape(payload["models"][0]["layers"][1]["w"]),
+            lambda payload: payload.update(target_std=float("nan")),
         ],
-        ids=["layers_do_not_chain", "widths_not_the_layers", "other_levels", "other_kind_order"],
+        ids=[
+            "layers_do_not_chain",
+            "widths_not_the_layers",
+            "other_levels",
+            "other_kind_order",
+            "truncated_f8",
+            "not_base64",
+            "shape_not_the_length",
+            "negative_dimension",
+            "target_std_nan",
+        ],
     )
     def test_malformed_saved_ensemble_exits_one(self, tmp_path, capsys, edit):
         cfg = self.build(tmp_path)
@@ -934,6 +956,24 @@ class TestBackcast:
         if payload["feature_config"] != ensemble_module.FEATURE_LAYOUT:
             layouts = f"{payload['feature_config']}, expected {ensemble_module.FEATURE_LAYOUT}"
             assert f"feature layout {layouts}" in err
+        assert not out2.exists()
+
+    def test_format_1_ensemble_exits_one(self, tmp_path, capsys):
+        """A file of the first format, arrays as JSON decimals, must be retrained."""
+        cfg = self.build(tmp_path)
+        cfg.write_text(cfg.read_text().replace("epochs = 100", "epochs = 5"))
+        out = tmp_path / "out"
+        assert main(["backcast", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "ensemble.json").read_text())
+        as_format_1(payload)
+        (tmp_path / "ensemble.json").write_text(json.dumps(payload))
+        cfg.write_text(cfg.read_text() + "ensemble = ensemble.json\n")
+        out2 = tmp_path / "out2"
+        capsys.readouterr()
+        assert main(["backcast", "--config", str(cfg), "--out", str(out2)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'backcast-ensemble/1'" in err and "'backcast-ensemble/2'" in err
         assert not out2.exists()
 
     def test_saved_ensemble_copied_as_it_is(self, tmp_path):
