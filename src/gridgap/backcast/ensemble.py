@@ -5,15 +5,19 @@ quarter with the lowest held-out error survives. Candidate index i draws its
 private stream from (seed, i). Enough training work runs on a process pool,
 one candidate per task, with numpy's OpenBLAS pinned to one thread in every
 worker; less runs in a plain loop. So the result is the same whatever
-``jobs``, the core count and the pool's start method.
+``jobs``, the core count and the pool's start method. The best are picked as
+the candidates finish, so this process holds the weights of the kept members
+only, never all candidates'; saving writes the file one member at a time.
 """
 
 from __future__ import annotations
 
 import base64
+import heapq
 import json
 import math
 import multiprocessing
+import numbers
 from calendar import month_name
 from dataclasses import asdict, dataclass, fields
 
@@ -73,6 +77,11 @@ class TrainingConfig:
         return max(1, int(self.candidates * self.keep_fraction + 1e-9))
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a real number, NaN included; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BaseModel:
     index: int
@@ -81,6 +90,12 @@ class BaseModel:
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __post_init__(self):
+        if isinstance(self.index, bool) or not isinstance(self.index, numbers.Integral):
+            raise ParameterError(f"member index {self.index!r} is not an integer")
+        if not _is_number(self.metric):
+            raise ParameterError(f"member metric {self.metric!r} is not a number")
+        object.__setattr__(self, "index", int(self.index))
+        object.__setattr__(self, "metric", float(self.metric))
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         object.__setattr__(
             self,
@@ -114,7 +129,8 @@ class BackcastEnsemble:
     target_mean: float
     target_std: float
     config: TrainingConfig
-    all_metrics: tuple[float, ...] = ()
+    # every candidate's held-out metric in index order; None when not recorded
+    all_metrics: tuple[float, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "models", tuple(self.models))
@@ -122,6 +138,15 @@ class BackcastEnsemble:
         object.__setattr__(self, "input_std", np.asarray(self.input_std, dtype=np.float64))
         if not self.models:
             raise ParameterError("ensemble needs at least one member")
+        candidates = self.config.candidates
+        indices = {m.index for m in self.models}
+        if len(indices) != len(self.models) or not 0 <= min(indices) <= max(indices) < candidates:
+            raise ParameterError(f"member indices must be distinct and in [0, {candidates})")
+        if self.all_metrics is not None:
+            metrics = tuple(self.all_metrics)
+            if len(metrics) != candidates or not all(map(_is_number, metrics)):
+                raise ParameterError(f"all_metrics must hold {candidates} numbers, one per candidate")
+            object.__setattr__(self, "all_metrics", tuple(map(float, metrics)))
         dim = self.models[0].layers[0][0].shape[0]
         for m in self.models:
             if m.layers[0][0].shape[0] != dim:
@@ -285,22 +310,36 @@ def train_ensemble(
     with blas.one_blas_thread() as budget:
         workers = _worker_count(config.candidates, config.epochs, jobs, budget)
         results = blas.pool_map(_train_candidate, range(config.candidates), args, workers)
-    metrics = np.array([r[3] for r in results])
-    order = np.lexsort((np.arange(len(results)), metrics))
-    kept = order[: config.keep_count]
-    models = tuple(
-        BaseModel(results[i][0], results[i][1], float(metrics[i]), results[i][2])
-        for i in sorted(int(k) for k in kept)
-    )
+        kept, metrics = _keep_best(results, config.keep_count)
+    models = tuple(BaseModel(i, widths, metric, params) for i, widths, params, metric in kept)
     return BackcastEnsemble(
-        models,
-        input_mean,
-        input_std,
-        target_mean,
-        target_std,
-        config,
-        tuple(float(m) for m in metrics),
+        models, input_mean, input_std, target_mean, target_std, config, metrics
     )
+
+
+def _keep_best(results, keep_count: int):
+    """``(kept, metrics)``: the ``keep_count`` of ``_train_candidate``'s
+    ``results`` with least ``(metric, index)``, NaN last, in index order, and
+    every candidate's metric in index order.
+
+    ``results`` arrive in index order. Only the best so far are held, so
+    memory grows with ``keep_count``, not with the candidates.
+    """
+    metrics = []
+    # the kept so far on a min-heap of the negated sort key (nan, metric,
+    # index): the worst kept sits on top, to be pushed out by a better one
+    worst_first = []
+    for result in results:
+        index, metric = result[0], result[3]
+        metrics.append(metric)
+        nan = math.isnan(metric)
+        entry = ((-nan, 0.0 if nan else -metric, -index), result)
+        if len(worst_first) < keep_count:
+            heapq.heappush(worst_first, entry)
+        else:
+            heapq.heappushpop(worst_first, entry)
+    kept = sorted((result for _, result in worst_first), key=lambda r: r[0])
+    return kept, tuple(metrics)
 
 
 # -- prediction and reduction -------------------------------------------------
@@ -390,8 +429,11 @@ def _decode(block: dict) -> np.ndarray:
 
 def save_ensemble(ensemble: BackcastEnsemble, path) -> None:
     """Write ``ensemble`` to ``path`` in format ``ENSEMBLE_FORMAT``: arrays as
-    exact float64 bytes (``_encode``), scalars and metrics as JSON numbers."""
-    payload = {
+    exact float64 bytes (``_encode``), scalars and metrics as JSON numbers.
+
+    The file is written one member at a time, in the bytes ``json.dumps``
+    gives the whole payload, so memory grows with one member, not the file."""
+    head = {
         "format": ENSEMBLE_FORMAT,
         "feature_config": FEATURE_LAYOUT,
         "input_mean": _encode(ensemble.input_mean),
@@ -399,20 +441,24 @@ def save_ensemble(ensemble: BackcastEnsemble, path) -> None:
         "target_mean": ensemble.target_mean,
         "target_std": ensemble.target_std,
         "config": asdict(ensemble.config),
-        "all_metrics": list(ensemble.all_metrics),
-        "models": [
-            {
+        "all_metrics": None if ensemble.all_metrics is None else list(ensemble.all_metrics),
+    }
+    # "models" is the payload's last key, so the head's dumps less its closing
+    # brace leads the file. Each piece is a dumps call, which runs CPython's C
+    # encoder; json.dump would stream through the Python one.
+    with open(path, "w") as fh:
+        fh.write(json.dumps(head)[:-1] + ', "models": [')
+        for i, m in enumerate(ensemble.models):
+            member = {
                 "index": m.index,
                 "widths": list(m.widths),
                 "metric": m.metric,
                 "layers": [{"w": _encode(w), "b": _encode(b)} for w, b in m.layers],
             }
-            for m in ensemble.models
-        ],
-    }
-    # one-shot dumps runs CPython's C encoder; dump streams through the Python one
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload))
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps(member))
+        fh.write("]}")
 
 
 def _config_from(cls, block: dict):
@@ -457,7 +503,7 @@ def load_ensemble(path, raw: bytes) -> BackcastEnsemble:
             payload["target_mean"],
             payload["target_std"],
             _config_from(TrainingConfig, payload["config"]),
-            tuple(payload["all_metrics"]),
+            payload["all_metrics"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed ensemble ({type(exc).__name__}: {exc})") from None

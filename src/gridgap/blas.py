@@ -18,6 +18,7 @@ import contextlib
 import ctypes
 import functools
 import threading
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -118,17 +119,23 @@ def _pool_task(item):
     return fn(item, *shared)
 
 
-def pool_map(fn, items, shared: tuple, workers: int) -> list:
-    """``[fn(item, *shared) for item in items]``, on ``workers`` processes.
+def pool_map(fn, items, shared: tuple, workers: int) -> Iterator:
+    """Yield ``fn(item, *shared)`` for each of ``items``, in their order, on
+    ``workers`` processes.
 
     One worker or fewer is a plain loop in this process. Otherwise each item
     is one task on a process pool whose workers receive ``fn`` and ``shared``
-    once and run numpy's OpenBLAS on one thread; results keep the order of
-    ``items``. Call it inside ``one_blas_thread``, so the parent is pinned too
-    and forked workers inherit the pin. ``fn`` must be a module-level
-    function unless the start method is fork.
+    once and run numpy's OpenBLAS on one thread. Results are yielded lazily,
+    each as the caller asks for it, so the caller holds only those it keeps;
+    nothing runs, and no worker starts, before the first is asked for.
+    Consume it inside ``one_blas_thread``, so the parent is pinned too and
+    forked workers inherit the pin: a generator made inside the pin but read
+    after it forks its workers on the restored thread count. ``fn`` must be a
+    module-level function unless the start method is fork.
     """
     if workers <= 1:
-        return [fn(item, *shared) for item in items]
+        for item in items:
+            yield fn(item, *shared)
+        return
     with ProcessPoolExecutor(workers, initializer=_pool_initializer, initargs=(fn, shared)) as pool:
-        return list(pool.map(_pool_task, items))
+        yield from pool.map(_pool_task, items)

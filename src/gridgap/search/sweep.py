@@ -298,7 +298,7 @@ def run_search(
     units = _window_units(space)
     with one_blas_thread():
         batches = pool_map(_evaluate_window, units, (frame, scoring), min(jobs, len(units)))
-    records = sorted((r for batch in batches for r in batch), key=lambda r: r.index)
+        records = sorted((r for batch in batches for r in batch), key=lambda r: r.index)
     admissible = [r for r in records if r.admissible]
     if not admissible:
         raise NoModelError(

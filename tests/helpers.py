@@ -267,6 +267,15 @@ def brute_lowpass(grid: np.ndarray) -> np.ndarray:
     return out
 
 
+def lexsort_selection(metrics, keep_count: int) -> tuple[list[int], np.ndarray]:
+    """Which candidates ``train_ensemble`` keeps, as it once chose them after
+    collecting every candidate: the ``keep_count`` least ``(metric, index)``
+    by ``np.lexsort``, NaN last, in index order; and the metrics array."""
+    metrics = np.array([float(m) for m in metrics])
+    order = np.lexsort((np.arange(len(metrics)), metrics))
+    return sorted(int(k) for k in order[:keep_count]), metrics
+
+
 # -- ensemble.json array blocks: {"shape": [...], "f8": "<base64 of '<f8' bytes>"}
 
 

@@ -2,8 +2,10 @@
 
 import datetime as dt
 import json
+import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from helpers import (
     encoded_block,
     feature_names,
     gradient_check,
+    lexsort_selection,
     negate_shape,
     spoil_base64,
     truncate_f8,
@@ -260,6 +263,16 @@ def _constant_member(index, dim, value):
     return BaseModel(index, (1, 1, 1), 0.0, layers)
 
 
+def _traced(fn, *args):
+    """``fn(*args)`` and the peak of the bytes ``tracemalloc`` traced while it
+    ran, numpy's array data included: what ``fn`` allocated, at its most."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _constant_ensemble(values, dim=34):
     models = tuple(_constant_member(i, dim, v) for i, v in enumerate(values))
     return BackcastEnsemble(
@@ -297,6 +310,35 @@ class TestEnsembleSelection:
         assert len(ens.all_metrics) == 4
         assert ens.models[0].metric == min(ens.all_metrics)
         assert all(m > 0 for m in ens.all_metrics)
+
+    @pytest.mark.parametrize("keep_count", [1, 13, 40])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_keep_best_matches_lexsort(self, seed, keep_count):
+        """Selecting as the results stream in keeps what sorting all of them kept."""
+        # ties, both zeros, both infinities and NaN, drawn in a per-seed mix
+        pool = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1.5, 2.0, 0.25])
+        rng = np.random.default_rng(seed)
+        metrics = [float(v) for v in rng.choice(pool, 40, p=rng.dirichlet(np.ones(len(pool))))]
+        results = [(i, (8, 8, 8), f"weights of {i}", m) for i, m in enumerate(metrics)]
+        kept, all_metrics = ensemble_module._keep_best(iter(results), keep_count)
+        want, want_metrics = lexsort_selection(metrics, keep_count)
+        assert kept == [results[i] for i in want]
+        assert np.array(all_metrics).tobytes() == want_metrics.tobytes()
+
+    def test_memory_grows_with_kept_members_not_candidates(self, monkeypatch):
+        """Twice the candidates, the same 10 kept: the weights held do not grow."""
+        monkeypatch.setattr(blas_module, "ProcessPoolExecutor", _no_pool)
+        dates, x, y = _synthetic_training_data()
+
+        def config(candidates, keep_fraction=1.0):
+            return TrainingConfig(candidates, keep_fraction, width_range=(64, 64), epochs=1)
+
+        train_ensemble(x, y, dates, config(1))  # warm-up: first-call allocations
+        small, small_peak = _traced(train_ensemble, x, y, dates, config(40, 0.25))
+        large, large_peak = _traced(train_ensemble, x, y, dates, config(80, 0.125))
+        assert len(small.models) == len(large.models) == 10
+        member = sum(a.nbytes for layer in small.models[0].layers for a in layer)
+        assert large_peak - small_peak < 2 * member
 
     def test_heldout_accuracy(self):
         dates, x, y = _synthetic_training_data()
@@ -590,6 +632,13 @@ class TestSerialization:
             lambda payload: payload.update(target_mean=float("inf")),
             lambda payload: payload.update(target_std=0.0),
             lambda payload: payload.update(input_std=encoded_block(np.zeros(34))),
+            lambda payload: payload["models"][0].update(metric="x"),
+            lambda payload: payload["models"][0].update(metric=None),
+            lambda payload: payload["all_metrics"].__setitem__(0, "y"),
+            lambda payload: payload["all_metrics"].pop(),
+            lambda payload: payload["models"][0].update(index="0"),
+            lambda payload: payload["models"][0].update(index=1),
+            lambda payload: payload["models"].append(payload["models"][0]),
         ],
         ids=[
             "missing_models",
@@ -610,6 +659,13 @@ class TestSerialization:
             "target_mean_inf",
             "target_std_zero",
             "input_std_zero",
+            "metric_not_a_number",
+            "metric_null",
+            "all_metrics_entry_not_a_number",
+            "all_metrics_one_short",
+            "index_as_string",
+            "index_out_of_range",
+            "duplicate_index",
         ],
     )
     def test_malformed_payload_is_schema_error(self, tmp_path, edit):
@@ -621,6 +677,49 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError, match="malformed ensemble"):
             load_ensemble(path, path.read_bytes())
+
+    def test_nan_metric_loads(self, tmp_path):
+        """Training can write a NaN metric; such a file loads and saves back as it was."""
+        dates, x, y = _synthetic_training_data()
+        path = tmp_path / "ens.json"
+        save_ensemble(train_ensemble(x, y, dates, TrainingConfig(candidates=1, epochs=2)), path)
+        payload = json.loads(path.read_text())
+        payload["models"][0]["metric"] = payload["all_metrics"][0] = float("nan")
+        path.write_text(json.dumps(payload))
+        back = load_ensemble(path, path.read_bytes())
+        assert math.isnan(back.models[0].metric) and math.isnan(back.all_metrics[0])
+        save_ensemble(back, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_unrecorded_metrics_round_trip(self, tmp_path):
+        ens = _constant_ensemble([1.0, 2.0])
+        assert ens.all_metrics is None
+        path = tmp_path / "ens.json"
+        save_ensemble(ens, path)
+        assert '"all_metrics": null' in path.read_text()
+        assert load_ensemble(path, path.read_bytes()).all_metrics is None
+
+    def test_save_holds_one_member_at_a_time(self, tmp_path):
+        """Writing 20 members of width 64 allocates under half the file at its peak."""
+        rng = np.random.default_rng(0)
+        sizes = (34, 64, 64, 64, 1)
+
+        def member(index):
+            shapes = zip(sizes, sizes[1:])
+            layers = [(rng.standard_normal(s), rng.standard_normal(s[1])) for s in shapes]
+            return BaseModel(index, sizes[1:4], float(index), layers)
+
+        ens = BackcastEnsemble(
+            tuple(member(i) for i in range(20)),
+            np.zeros(34),
+            np.ones(34),
+            0.0,
+            1.0,
+            TrainingConfig(candidates=20, keep_fraction=1.0),
+        )
+        path = tmp_path / "ens.json"
+        _, peak = _traced(save_ensemble, ens, path)
+        assert peak < path.stat().st_size / 2
 
     def test_format_1_file_is_refused(self, tmp_path):
         """A file of the first format, arrays as JSON decimals, must be retrained."""
