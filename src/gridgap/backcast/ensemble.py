@@ -146,7 +146,22 @@ class BackcastEnsemble:
             metrics = tuple(self.all_metrics)
             if len(metrics) != candidates or not all(map(_is_number, metrics)):
                 raise ParameterError(f"all_metrics must hold {candidates} numbers, one per candidate")
-            object.__setattr__(self, "all_metrics", tuple(map(float, metrics)))
+            metrics = tuple(map(float, metrics))
+            object.__setattr__(self, "all_metrics", metrics)
+            # the members are the candidates training keeps, each with its own metric
+            for m in self.models:
+                recorded = metrics[m.index]
+                if m.metric != recorded and not (math.isnan(m.metric) and math.isnan(recorded)):
+                    raise ParameterError(
+                        f"member {m.index} has metric {m.metric}, all_metrics records {recorded}"
+                    )
+            # _keep_best reads a result's index and metric: (index, widths, params, metric)
+            keep_count = self.config.keep_count
+            best, _ = _keep_best(((i, None, None, v) for i, v in enumerate(metrics)), keep_count)
+            if indices != {result[0] for result in best}:
+                raise ParameterError(
+                    f"members are not the {keep_count} candidates of least metric in all_metrics"
+                )
         dim = self.models[0].layers[0][0].shape[0]
         for m in self.models:
             if m.layers[0][0].shape[0] != dim:

@@ -8,8 +8,9 @@ at any count, whose helper thread spins about 0.12 s of CPU before it sleeps.
 numpy's is pinned around each pool by ``one_blas_thread``, then restored. A
 forked pool worker inherits the parent's pin and so keeps it without a call; a
 spawned or forkserver worker pins itself on start. scipy's, which runs the
-rvar least squares, is pinned once when ``gridgap.rvar.ols`` is imported,
-before any fork, and never set again, so no restore ever restarts it.
+rvar least squares, loads and is pinned on the first statistic, before any
+pool forks: ``gridgap.rvar.ols.scipy_routines``, the one importer of scipy,
+pins it to one thread and never sets it again, so no restore ever restarts it.
 """
 
 from __future__ import annotations
@@ -61,11 +62,10 @@ def openblas():
 
 
 @functools.cache
-def scipy_openblas():
-    """``(get, set)`` for the thread count of scipy's bundled OpenBLAS, or None,
-    also when it is numpy's own, whose count only ``one_blas_thread`` sets."""
-    import scipy
-
+def scipy_openblas(scipy):
+    """``(get, set)`` for the thread count of the OpenBLAS bundled in the
+    imported ``scipy`` package, or None, also when it is numpy's own, whose
+    count only ``one_blas_thread`` sets."""
     handle, own = _bundled_openblas(scipy), openblas()
     if handle is None or (own is not None and _address(handle[0]) == _address(own[0])):
         return None

@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..errors import DegenerateSeriesError, InsufficientDataError, ParameterError
-from .ols import ols
+from .ols import ols, scipy_routines
 
 # MacKinnon response-surface coefficients of the constant-only regression,
 # one row per nseries (1, 2).  The small-p polynomial applies below tau_star,
@@ -58,7 +57,7 @@ def mackinnon_pvalue(stat: float, nseries: int = 1) -> float:
     if stat < _TAU_MIN[row]:
         return 0.0
     coef = _TAU_SMALLP[row] if stat <= _TAU_STAR[row] else _TAU_LARGEP[row]
-    return float(ndtr(np.polyval(coef[::-1], stat)))
+    return float(scipy_routines().ndtr(np.polyval(coef[::-1], stat)))
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from ..errors import InsufficientDataError, ParameterError
 from ..frames import TimeSeriesFrame
 from .adf import adf_test
 from .model import RVarModel, residuals
+from .ols import scipy_routines
 
 
 def sample_autocorr(series: np.ndarray, max_lag: int) -> np.ndarray:
@@ -55,7 +55,7 @@ def ljung_box(series, lags: int = 40) -> LjungBoxResult:
         raise ParameterError(f"need more than {lags} observations, have {len(x)}")
     rho = sample_autocorr(x, lags)
     q = ljung_box_statistic(rho, len(x))
-    return LjungBoxResult(q, float(chdtrc(lags, q)))
+    return LjungBoxResult(q, float(scipy_routines().chdtrc(lags, q)))
 
 
 def durbin_watson(series) -> float:

@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from ..errors import CollinearityError, InsufficientDataError, ParameterError
 from ..frames import TimeSeriesFrame
-from .ols import ols
+from .ols import ols, scipy_routines
 
 
 @dataclass(frozen=True)
@@ -47,4 +46,4 @@ def granger_wald(frame: TimeSeriesFrame, cause: str, effect: str, lags: int) -> 
     sigma2 = float(fit.resid @ fit.resid) / (rows - nparams)
     z = fit.r[1 + lags : -1, -1]  # Qᵀy of the cause lags, the trailing block
     stat = float(z @ z) / sigma2
-    return GrangerResult(stat, float(chdtrc(lags, stat)))
+    return GrangerResult(stat, float(scipy_routines().chdtrc(lags, stat)))

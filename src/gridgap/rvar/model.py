@@ -17,7 +17,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ..errors import (
     CollinearityError,
@@ -28,7 +27,7 @@ from ..errors import (
 )
 from ..frames import TimeSeriesFrame
 from ..ingest.schema import decode_text
-from .ols import numerical_rank, ols
+from .ols import numerical_rank, ols, scipy_routines
 
 MODEL_FORMAT = "rvar-model/1"
 
@@ -149,7 +148,7 @@ def fit_restricted_var(
         if fit is None:
             # pivoted QR orders columns by how much new direction they add; the
             # ones past the numerical rank are the dependent offenders
-            _, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
+            _, r, piv = scipy_routines().qr(design, mode="economic", pivoting=True)
             labels = ["const"] + [f"{names[j]}.l{k + 1}" for k, j in zip(*np.nonzero(free))]
             offenders = tuple(labels[k] for k in piv[numerical_rank(r, rows) :])
             raise CollinearityError(

@@ -36,6 +36,7 @@ from ..rvar import (
     residuals,
     stability_test,
 )
+from ..rvar.ols import scipy_routines
 from ..transforms import difference
 from .masks import GRANGER_THRESHOLDS, explainable_rate, granger_pvalues, rule_mask
 
@@ -288,14 +289,16 @@ def run_search(
     The regressions are far too small to gain from BLAS threads, whose
     spinning only takes CPU from the sweep, so the search runs with numpy's
     OpenBLAS pinned to one thread, restored afterwards, and with scipy's,
-    which runs the least squares, on the one thread that importing
-    ``gridgap.rvar`` pinned for good.
+    which runs the least squares, on one thread for good: scipy loads and is
+    pinned on the first statistic, so the search loads it before any pool
+    forks and its workers inherit the pin.
     """
     scoring = scoring or ScoringConfig()
     missing = {name for subset in space.variable_subsets for name in subset} - set(frame.names)
     if missing:
         raise ParameterError(f"frame lacks columns {sorted(missing)}")
     units = _window_units(space)
+    scipy_routines()  # loads and pins scipy here, so that forked workers inherit the pin
     with one_blas_thread():
         batches = pool_map(_evaluate_window, units, (frame, scoring), min(jobs, len(units)))
         records = sorted((r for batch in batches for r in batch), key=lambda r: r.index)

@@ -305,6 +305,12 @@ def negate_shape(block) -> None:
     block["shape"] = [-d for d in block["shape"]]
 
 
+def record_candidate(payload, metric: float) -> None:
+    """Add one candidate, with held-out ``metric``, to a saved ensemble's sweep."""
+    payload["config"]["candidates"] += 1
+    payload["all_metrics"].append(metric)
+
+
 def as_format_1(payload) -> None:
     """Rewrite a saved ensemble as format ``backcast-ensemble/1`` held it: arrays as
     JSON lists of decimals."""

@@ -12,6 +12,7 @@ workers, which import this module by name, run it too.
 import functools
 import multiprocessing
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from gridgap import blas
@@ -19,9 +20,18 @@ from gridgap import blas
 
 def blas_threads() -> tuple[int | None, int | None]:
     """The thread counts of numpy's and scipy's OpenBLAS in this process, each
-    None without a handle."""
-    handles = blas.openblas(), blas.scipy_openblas()
+    None without a handle. scipy's is None too while scipy is not loaded, so
+    that a read never loads it."""
+    scipy = sys.modules.get("scipy")
+    handles = blas.openblas(), (blas.scipy_openblas(scipy) if scipy else None)
     return tuple(handle[0]() if handle else None for handle in handles)
+
+
+def scipy_openblas():
+    """``blas.scipy_openblas`` of scipy, imported here if it is not loaded yet."""
+    import scipy
+
+    return blas.scipy_openblas(scipy)
 
 
 def _probe(task, log, *args):

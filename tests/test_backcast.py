@@ -47,6 +47,7 @@ from helpers import (
     gradient_check,
     lexsort_selection,
     negate_shape,
+    record_candidate,
     spoil_base64,
     truncate_f8,
 )
@@ -639,6 +640,16 @@ class TestSerialization:
             lambda payload: payload["models"][0].update(index="0"),
             lambda payload: payload["models"][0].update(index=1),
             lambda payload: payload["models"].append(payload["models"][0]),
+            lambda payload: payload["models"][0].update(metric=123.0),
+            lambda payload: (
+                record_candidate(payload, 123.0),
+                payload["models"][0].update(index=1, metric=123.0),
+            ),
+            lambda payload: record_candidate(payload, payload["all_metrics"][0] - 1.0),
+            lambda payload: (
+                record_candidate(payload, payload["all_metrics"][0] + 1.0),
+                payload["config"].update(keep_fraction=1.0),
+            ),
         ],
         ids=[
             "missing_models",
@@ -666,6 +677,10 @@ class TestSerialization:
             "index_as_string",
             "index_out_of_range",
             "duplicate_index",
+            "metric_not_its_all_metrics_entry",
+            "member_moved_to_the_worst_candidate",
+            "better_candidate_not_kept",
+            "fewer_members_than_kept",
         ],
     )
     def test_malformed_payload_is_schema_error(self, tmp_path, edit):

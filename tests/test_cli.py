@@ -127,13 +127,68 @@ class TestUsage:
             main(["--help"])
         assert exc.value.code == 0
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats costs import time and resident memory; gridgap needs only scipy.special
-        code = "import sys, gridgap.cli.main; print('scipy.stats' in sys.modules)"
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy costs import time and resident memory; it loads on the first statistic
+        code = (
+            "import sys, gridgap.cli.main\n"
+            "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])"
+        )
         done = subprocess.run(
             [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True
         )
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "[]"
+
+    def test_commands_without_a_statistic_load_no_scipy(self, tmp_path):
+        # only search and analyze run a statistic; the other seven never load scipy
+        scripts = Path(__file__).resolve().parent.parent / "scripts"
+        demo = tmp_path / "demo"
+        subprocess.run(
+            [sys.executable, str(scripts / "make_synthetic.py"), "--out", str(demo)],
+            env=src_env(),
+            capture_output=True,
+            check=True,
+        )
+        backcast = (demo / "backcast.cfg").read_text()
+        two = backcast.replace("candidates = 80", "candidates = 2").replace("epochs = 150", "epochs = 5")
+        assert "candidates = 2" in two and "epochs = 5" in two
+        (demo / "two.cfg").write_text(two)
+        a1 = np.array([[0.5, 0.2], [0.0, 0.3]])
+        values = simulate_var(
+            np.array([a1]), np.zeros(2), np.eye(2), 200, np.random.default_rng(11)
+        )
+        frame = TimeSeriesFrame(make_dates(200), ("y", "x"), values)
+        save_model(fit_restricted_var(frame, 1), demo / "model.json")
+        (demo / "irf.cfg").write_text("model = model.json\nshock = x\nhorizon = 6\n")
+        (demo / "fevd.cfg").write_text("model = model.json\nhorizon = 6\n")
+        runs = [
+            ("ingest", "ingest.cfg"),
+            ("qc-report", "qc.cfg"),
+            ("trend", "trend.cfg"),
+            ("ntl", "ntl.cfg"),
+            ("backcast", "two.cfg"),
+            ("irf", "irf.cfg"),
+            ("fevd", "fevd.cfg"),
+        ]
+        argvs = [
+            [command, "--config", str(demo / cfg), "--out", str(tmp_path / command)]
+            for command, cfg in runs
+        ]
+        code = (
+            "import json, sys\n"
+            "from gridgap.cli.main import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, [m for m in sys.modules if m.partition('.')[0] == 'scipy']]))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argvs)],
+            env=src_env(),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        codes, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert codes == [0] * len(runs)
+        assert loaded == []
 
     def test_run_as_module_warns_nothing(self):
         # importing gridgap.cli must not import main, or runpy warns that it
@@ -141,6 +196,35 @@ class TestUsage:
         argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "gridgap.cli.main", "--help"]
         done = subprocess.run(argv, env=src_env(), capture_output=True, text=True)
         assert (done.returncode, done.stderr) == (0, "")
+
+    def test_package_runs_as_module_without_scipy(self):
+        # -X importtime lists every import on stderr; any other line there is a warning
+        argv = [sys.executable, "-W", "error::RuntimeWarning", "-X", "importtime", "-m", "gridgap"]
+        done = subprocess.run([*argv, "--help"], env=src_env(), capture_output=True, text=True)
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: gridgap")
+        lines = done.stderr.splitlines()
+        assert all(line.startswith("import time:") for line in lines)
+        imported = {line.rpartition("|")[2].strip() for line in lines}
+        assert "gridgap.cli.main" in imported
+        assert [name for name in imported if name.partition(".")[0] == "scipy"] == []
+
+    def test_scipy_is_imported_in_one_module(self):
+        # every call into scipy goes through the loader that pins its OpenBLAS
+        # before any pool forks; an import anywhere else could load it unpinned
+        package = Path(gridgap.__file__).parent
+        importing = set()
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                if any(name.partition(".")[0] == "scipy" for name in names):
+                    importing.add(path.relative_to(package).as_posix())
+        assert importing == {"rvar/ols.py"}
 
     def test_readme_python_blocks_run(self):
         readme = Path(__file__).resolve().parent.parent / "README.md"

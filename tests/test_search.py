@@ -2,6 +2,7 @@
 
 import csv
 import datetime as dt
+import json
 import multiprocessing
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dates, make_frame, src_env
-from pool_probe import blas_threads, probed_pool, worker_reads
+from pool_probe import blas_threads, probed_pool, scipy_openblas, worker_reads
 from run_search_experiment import A1, A2, INTERCEPT
 
 from gridgap import TimeSeriesFrame
@@ -427,25 +428,77 @@ class TestRunSearch:
         assert str(os.getpid()) not in {pid for pid, _, _ in units}
         assert [threads for _, threads, _ in units] == ["1"] * len(windows)
         # scipy's OpenBLAS, which runs the least squares, was pinned before the fork
-        scipy_threads = "1" if blas_module.scipy_openblas() else "None"
+        scipy_threads = "1" if scipy_openblas() else "None"
         assert [threads for _, _, threads in units] == [scipy_threads] * len(windows)
 
-    def test_rvar_import_pins_only_scipys_openblas(self):
-        if blas_module.openblas() is None or blas_module.scipy_openblas() is None:
+    def test_first_statistic_pins_only_scipys_openblas(self):
+        if blas_module.openblas() is None or scipy_openblas() is None:
             pytest.skip("numpy or scipy has no bundled OpenBLAS of its own to pin")
         code = (
+            "import json, sys\n"
+            "import numpy as np\n"
             "from gridgap import blas\n"
+            "import gridgap.rvar, gridgap.search, gridgap.cli.main\n"
+            "loaded = [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
             "before = blas.openblas()[0]()\n"
-            "import gridgap.rvar\n"
-            "print(before, blas.openblas()[0](), blas.scipy_openblas()[0]())\n"
+            "gridgap.rvar.ljung_box(np.sin(np.arange(40.0)), 4)\n"
+            "import scipy\n"
+            "after = blas.openblas()[0](), blas.scipy_openblas(scipy)[0]()\n"
+            "print(json.dumps([loaded, before, *after]))\n"
         )
         env = src_env(OPENBLAS_NUM_THREADS="2")
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        numpy_before, numpy_after, scipy_after = map(int, done.stdout.split())
+        loaded, numpy_before, numpy_after, scipy_after = json.loads(done.stdout)
+        assert loaded == []  # importing the packages loads no scipy module
         assert numpy_after == numpy_before  # numpy's count is pinned only around a pool
         assert scipy_after == 1
+
+    def test_search_pins_scipy_before_its_pool_forks(self, tmp_path):
+        """In a fresh process whose first statistic is a pooled search, scipy is
+        loaded and pinned in the parent before the pool starts, and every
+        forked worker reads one thread."""
+        if blas_module.openblas() is None or scipy_openblas() is None:
+            pytest.skip("numpy or scipy has no bundled OpenBLAS of its own to pin")
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("this platform has no fork start method")
+        code = (
+            "import json, sys\n"
+            "from gridgap import blas\n"
+            "from gridgap.search import ScoringConfig, SearchSpace, run_search\n"
+            "from pool_probe import blas_threads, probed_pool, worker_reads\n"
+            "from test_search import spiky_levels, whole_range\n"
+            "log, started, parent = sys.argv[1], [], []\n"
+            "class Pool(probed_pool('fork', log, started)):\n"
+            "    def __init__(self, *args, **kwargs):\n"
+            "        parent.append(blas_threads()[1])\n"
+            "        super().__init__(*args, **kwargs)\n"
+            "blas.ProcessPoolExecutor = Pool\n"
+            "frame = spiky_levels(0)\n"
+            "start, end = whole_range(frame)\n"
+            "space = SearchSpace((('y', 'u', 'v'),), ((start, end),) * 2, (1, 2), (1, 2))\n"
+            "loaded = [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
+            "run_search(frame, space, ScoringConfig(), jobs=2)\n"
+            "workers = [threads for _, _, threads in worker_reads(log)]\n"
+            "print(json.dumps([loaded, started, parent, workers]))\n"
+        )
+        tests = os.path.dirname(os.path.abspath(__file__))
+        scripts = os.path.join(os.path.dirname(tests), "scripts")
+        env = src_env(OPENBLAS_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join([env["PYTHONPATH"], tests, scripts])
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "workers.txt")],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        loaded, started, parent, workers = json.loads(done.stdout)
+        assert loaded == []  # nothing loaded scipy before the search
+        assert started == [2]
+        assert parent == [1]  # scipy's OpenBLAS was pinned before the pool started
+        assert workers == [1, 1]
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_pool_on_start_method_matches_serial(self, monkeypatch, tmp_path, method):
@@ -466,9 +519,9 @@ class TestRunSearch:
         reads = worker_reads(log)
         assert len(reads) == len(windows)
         assert os.getpid() not in {pid for pid, _, _ in reads}
-        # a spawned worker pins numpy's OpenBLAS itself, and scipy's on importing the sweep
+        # a spawned worker pins numpy's OpenBLAS itself, and scipy's on its first statistic
         assert [threads for _, threads, _ in reads] == [1] * len(windows)
-        scipy_threads = 1 if blas_module.scipy_openblas() else None
+        scipy_threads = 1 if scipy_openblas() else None
         assert [threads for _, _, threads in reads] == [scipy_threads] * len(windows)
         assert pooled.chosen.index == serial.chosen.index
         assert search_log_csv(pooled) == search_log_csv(serial)
