@@ -1,7 +1,8 @@
 """Run every subcommand over the synthetic corpus and print the headlines.
 
 Expects the corpus from make_synthetic.py.  The backcast step uses the
-80-candidate test-mode config; see train_full_ensemble.py for the full run.
+80-candidate test-mode config; the full run is ``backcast`` on the corpus's
+``backcast_full.cfg``.
 """
 
 import argparse

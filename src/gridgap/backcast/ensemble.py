@@ -210,21 +210,17 @@ def training_workers(candidates: int, epochs: int, jobs: int) -> tuple[int, int 
     """Processes that ``train_ensemble`` trains on, and the BLAS budget it reads.
 
     The budget is numpy's OpenBLAS thread count (it honours
-    ``OPENBLAS_NUM_THREADS``). Training pins BLAS to one thread and spends
-    the budget on worker processes instead: ``min(candidates, max(jobs,
-    budget))`` of them, or 1, a plain loop in this process, when
+    ``OPENBLAS_NUM_THREADS``), read before the pool pins it to one thread.
+    Training spends it on worker processes instead: ``min(candidates,
+    max(jobs, budget))`` of them, or 1, a plain loop in this process, when
     ``candidates * epochs`` is below the start method's threshold. Without
     an OpenBLAS handle the budget is None and counts as one.
     """
     handle = blas.openblas()
     budget = None if handle is None else handle[0]()
-    return _worker_count(candidates, epochs, jobs, budget), budget
-
-
-def _worker_count(candidates: int, epochs: int, jobs: int, budget: int | None) -> int:
     if candidates * epochs < _POOL_MIN_WORK[multiprocessing.get_start_method()]:
-        return 1
-    return min(candidates, max(jobs, budget or 1))
+        return 1, budget
+    return min(candidates, max(jobs, budget or 1)), budget
 
 
 # -- candidate training ------------------------------------------------------
@@ -281,10 +277,10 @@ def train_ensemble(
     Requires at least a year of rows covering every calendar month, finite
     features and strictly positive, finite targets. Candidates train on
     ``training_workers(candidates, epochs, jobs)`` processes, one meaning a
-    plain loop, with numpy's OpenBLAS pinned to one thread and restored
-    afterwards, so models and metrics do not depend on ``jobs``, the core
-    count or ``OPENBLAS_NUM_THREADS``. Concurrent calls in one process train
-    one after another.
+    plain loop. The pool pins numpy's OpenBLAS to one thread while it runs
+    and restores it afterwards, so models and metrics do not depend on
+    ``jobs``, the core count or ``OPENBLAS_NUM_THREADS``. Concurrent calls
+    in one process train one after another.
     """
     config = config or TrainingConfig()
     x = np.asarray(features, dtype=np.float64)
@@ -319,13 +315,11 @@ def train_ensemble(
     yz = (y - target_mean) / target_std
 
     args = (xz, yz, y, target_mean, target_std, months, config)
-    # forked workers inherit the one-thread pin and make no BLAS call. Without
-    # an OpenBLAS handle nothing is pinned: outputs then depend on that BLAS's
-    # own threading, and its threads may oversubscribe.
-    with blas.one_blas_thread() as budget:
-        workers = _worker_count(config.candidates, config.epochs, jobs, budget)
-        results = blas.pool_map(_train_candidate, range(config.candidates), args, workers)
-        kept, metrics = _keep_best(results, config.keep_count)
+    # without an OpenBLAS handle the pool pins nothing: outputs then depend on
+    # that BLAS's own threading, and its threads may oversubscribe
+    workers, _ = training_workers(config.candidates, config.epochs, jobs)
+    results = blas.pool_map(_train_candidate, range(config.candidates), args, workers)
+    kept, metrics = _keep_best(results, config.keep_count)
     models = tuple(BaseModel(i, widths, metric, params) for i, widths, params, metric in kept)
     return BackcastEnsemble(
         models, input_mean, input_std, target_mean, target_std, config, metrics

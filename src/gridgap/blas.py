@@ -5,12 +5,13 @@ one BLAS thread.
 Never call ``set_num_threads`` with the count OpenBLAS already has: a fork
 stops its thread server, and ``set_num_threads`` starts it again in the child
 at any count, whose helper thread spins about 0.12 s of CPU before it sleeps.
-numpy's is pinned around each pool by ``one_blas_thread``, then restored. A
-forked pool worker inherits the parent's pin and so keeps it without a call; a
-spawned or forkserver worker pins itself on start. scipy's, which runs the
-rvar least squares, loads and is pinned on the first statistic, before any
-pool forks: ``gridgap.rvar.ols.scipy_routines``, the one importer of scipy,
-pins it to one thread and never sets it again, so no restore ever restarts it.
+The pool pins numpy's while it runs, plain loop or processes, then restores
+it. A forked pool worker inherits the parent's pin and so keeps it without a
+call; a spawned or forkserver worker pins itself on start. scipy's, which
+runs the rvar least squares, loads and is pinned on the first statistic,
+before any pool forks: ``gridgap.rvar.ols.scipy_routines``, the one importer
+of scipy, pins it to one thread and never sets it again, so no restore ever
+restarts it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 # held while a caller has OpenBLAS pinned, so that concurrent pins in one
-# process cannot read each other's pin as their budget or restore it early
+# process cannot restore each other's pin early
 BLAS_PIN = threading.Lock()
 
 
@@ -86,22 +87,18 @@ def pin_threads(blas, count: int) -> None:
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the body with numpy's OpenBLAS on one thread, then restore its count.
-
-    Yields the count read on entry, the budget the caller may spend on its
-    own threads. Without an OpenBLAS handle nothing is pinned and it yields
-    None.
-    """
+    Without an OpenBLAS handle nothing is pinned."""
     blas = openblas()
     if blas is None:
-        yield None
+        yield
         return
     with BLAS_PIN:
-        budget = blas[0]()
+        count = blas[0]()
         pin_threads(blas, 1)
         try:
-            yield budget
+            yield
         finally:
-            pin_threads(blas, budget)
+            pin_threads(blas, count)
 
 
 _POOL_STATE: dict = {}
@@ -125,17 +122,18 @@ def pool_map(fn, items, shared: tuple, workers: int) -> Iterator:
 
     One worker or fewer is a plain loop in this process. Otherwise each item
     is one task on a process pool whose workers receive ``fn`` and ``shared``
-    once and run numpy's OpenBLAS on one thread. Results are yielded lazily,
-    each as the caller asks for it, so the caller holds only those it keeps;
-    nothing runs, and no worker starts, before the first is asked for.
-    Consume it inside ``one_blas_thread``, so the parent is pinned too and
-    forked workers inherit the pin: a generator made inside the pin but read
-    after it forks its workers on the restored thread count. ``fn`` must be a
-    module-level function unless the start method is fork.
+    once. Results are yielded lazily, each as the caller asks for it, so the
+    caller holds only those it keeps; nothing runs, and no worker starts,
+    before the first is asked for. The pool pins numpy's OpenBLAS to one
+    thread from then until the last result, an error or ``close()``, on
+    either path, and restores it after: forked workers inherit the pin.
+    ``fn`` must be a module-level function unless the start method is fork.
     """
-    if workers <= 1:
-        for item in items:
-            yield fn(item, *shared)
-        return
-    with ProcessPoolExecutor(workers, initializer=_pool_initializer, initargs=(fn, shared)) as pool:
-        yield from pool.map(_pool_task, items)
+    with one_blas_thread():
+        if workers <= 1:
+            for item in items:
+                yield fn(item, *shared)
+            return
+        pool = ProcessPoolExecutor(workers, initializer=_pool_initializer, initargs=(fn, shared))
+        with pool:
+            yield from pool.map(_pool_task, items)

@@ -191,6 +191,9 @@ def _gdp(cfg: dict):
 
 
 def cmd_backcast(cfg: dict, rec: RunRecorder) -> int:
+    min_days = cfg["summary_min_days"]
+    if min_days < 1:
+        raise ConfigError(f"summary_min_days must be >= 1, got {min_days}")
     load_table = read_wide_csv(cfg["load"], "load")
     weather = {kind: read_wide_csv(cfg[f"weather.{kind}"], kind) for kind in WEATHER_KINDS}
     gdp = _gdp(cfg)
@@ -249,7 +252,6 @@ def cmd_backcast(cfg: dict, rec: RunRecorder) -> int:
     months = sorted({(d.year, d.month) for d in eval_dates})
     if "summary_month" in cfg:
         months = [cfg["summary_month"]]
-    min_days = cfg["summary_min_days"]
     rows = []
     for year, month in months:
         try:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..blas import one_blas_thread, pool_map
+from ..blas import pool_map
 from ..errors import NoModelError, ParameterError
 from ..frames import TimeSeriesFrame
 from ..rvar import (
@@ -287,11 +287,11 @@ def run_search(
     unit and its orders and rules reuse them. With ``jobs > 1`` each unit is
     one pool task, on ``min(jobs, units)`` workers; one worker means no pool.
     The regressions are far too small to gain from BLAS threads, whose
-    spinning only takes CPU from the sweep, so the search runs with numpy's
-    OpenBLAS pinned to one thread, restored afterwards, and with scipy's,
-    which runs the least squares, on one thread for good: scipy loads and is
-    pinned on the first statistic, so the search loads it before any pool
-    forks and its workers inherit the pin.
+    spinning only takes CPU from the sweep. The pool pins numpy's OpenBLAS to
+    one thread while it runs, then restores it; scipy's, which runs the
+    least squares, stays on one thread for good: scipy loads and is pinned
+    on the first statistic, so the search loads it before any pool forks
+    and its workers inherit the pin.
     """
     scoring = scoring or ScoringConfig()
     missing = {name for subset in space.variable_subsets for name in subset} - set(frame.names)
@@ -299,9 +299,8 @@ def run_search(
         raise ParameterError(f"frame lacks columns {sorted(missing)}")
     units = _window_units(space)
     scipy_routines()  # loads and pins scipy here, so that forked workers inherit the pin
-    with one_blas_thread():
-        batches = pool_map(_evaluate_window, units, (frame, scoring), min(jobs, len(units)))
-        records = sorted((r for batch in batches for r in batch), key=lambda r: r.index)
+    batches = pool_map(_evaluate_window, units, (frame, scoring), min(jobs, len(units)))
+    records = sorted((r for batch in batches for r in batch), key=lambda r: r.index)
     admissible = [r for r in records if r.admissible]
     if not admissible:
         raise NoModelError(

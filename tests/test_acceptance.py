@@ -412,10 +412,11 @@ class _Determinism:
 GOLDEN_OUTPUTS = Path(__file__).parent / "data" / "golden_outputs.json"
 
 
-def _openblas_core() -> str:
-    """The kernel family numpy's OpenBLAS chose for this CPU; it decides GEMM rounding."""
-    root = Path(np.__file__).parent
-    found = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
+def _openblas_core(package) -> str:
+    """The kernel family the OpenBLAS bundled in ``package``'s wheel chose for
+    this CPU; it decides GEMM rounding (numpy's) and LAPACK rounding (scipy's)."""
+    root = Path(package.__file__).parent
+    found = [*root.parent.glob(f"{root.name}.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
     for path in sorted(found):
         try:
             lib = ctypes.CDLL(str(path))
@@ -441,7 +442,8 @@ def numeric_stack() -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": blas,
-        "blas_core": _openblas_core(),
+        "blas_core": _openblas_core(np),
+        "scipy_blas_core": _openblas_core(scipy),
     }
 
 

@@ -53,6 +53,18 @@ def read_manifest_outputs(out_dir):
     return payload["outputs"]
 
 
+def modules_naming(identifier: str) -> set[str]:
+    """The modules of the package, as paths under it, whose code names
+    ``identifier``: as a name, an attribute, an import or a definition."""
+    package = Path(gridgap.__file__).parent
+    naming = set()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if identifier in {getattr(node, k, None) for k in ("id", "attr", "name")}:
+                naming.add(path.relative_to(package).as_posix())
+    return naming
+
+
 def integrated_csv(path, seed=3, steps=360):
     """Three cointegration-free integrated series whose differences are VAR(1)."""
     frame = driver_levels(np.random.default_rng(seed), steps, ("y", "u", "v"), "2019-01-01")
@@ -241,13 +253,12 @@ class TestUsage:
 
     def test_only_blas_names_a_process_pool(self):
         # a pool started anywhere else could skip the workers' one-thread BLAS pin
-        package = Path(gridgap.__file__).parent
-        naming = set()
-        for path in sorted(package.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if "ProcessPoolExecutor" in {getattr(node, k, None) for k in ("id", "attr", "name")}:
-                    naming.add(path.relative_to(package).as_posix())
-        assert naming == {"blas.py"}
+        assert modules_naming("ProcessPoolExecutor") == {"blas.py"}
+
+    def test_only_blas_names_one_blas_thread(self):
+        # the pool pins numpy's BLAS itself; a caller pinning around it again
+        # would split the rule across modules
+        assert modules_naming("one_blas_thread") == {"blas.py"}
 
     @pytest.mark.parametrize(
         "module",
@@ -1206,6 +1217,20 @@ class TestBackcast:
         cfg = self.build(tmp_path)
         cfg.write_text(cfg.read_text().replace("summary_month = 2021-03", "summary_month = 2021-07"))
         assert main(["backcast", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("min_days", [0, -2])
+    def test_summary_min_days_below_one_exits_one_before_training(
+        self, tmp_path, capsys, monkeypatch, min_days
+    ):
+        # a month without eval days once reached the summary and crashed there
+        cfg = self.build(tmp_path)
+        text = cfg.read_text().replace("summary_month = 2021-03", "summary_month = 2021-07")
+        cfg.write_text(text + f"summary_min_days = {min_days}\n")
+        monkeypatch.setattr(main_module, "train_ensemble", lambda *a, **k: pytest.fail("trained"))
+        out = tmp_path / "out"
+        assert main(["backcast", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: summary_min_days must be >= 1, got {min_days}\n"
+        assert not out.exists()
 
 
 # c12's runs (output directory prefix) and the inputs each records, relative

@@ -242,6 +242,13 @@ class TestSearchSpace:
 # ---------------------------------------------------------------- run_search
 
 
+def _numpy_blas_threads(item, fail_at=None):
+    """numpy's OpenBLAS thread count in the process that runs ``item``."""
+    if item == fail_at:
+        raise RuntimeError(f"item {item} failed")
+    return blas_threads()[0]
+
+
 class TestRunSearch:
     def test_single_admissible_combination_chosen(self):
         frame = integrated_levels(16)
@@ -382,6 +389,46 @@ class TestRunSearch:
             # a pool worker stays pinned
             blas_module._pool_initializer(sweep._evaluate_window, (frame, ScoringConfig()))
             assert get() == 1
+        finally:
+            put(before)
+
+    def test_pool_map_pins_numpy_blas_while_it_runs(self, monkeypatch, tmp_path):
+        # read outside any pin: pool_map itself pins, on the loop and the pool
+        blas = openblas()
+        if blas is None:
+            pytest.skip("numpy's BLAS is not a bundled OpenBLAS, so its thread count cannot be set")
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("this platform has no fork start method")
+        get, put = blas
+        log, started, parent = tmp_path / "workers.txt", [], []
+
+        class Pool(probed_pool("fork", log, started)):
+            def __init__(self, *args, **kwargs):
+                parent.append(get())
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(blas_module, "ProcessPoolExecutor", Pool)
+        pool_map = blas_module.pool_map
+        before = get()
+        try:
+            put(2)
+            assert list(pool_map(_numpy_blas_threads, range(3), (), 1)) == [1] * 3
+            assert get() == 2
+            assert list(pool_map(_numpy_blas_threads, range(4), (), 2)) == [1] * 4
+            assert (started, parent) == ([2], [1])  # the workers forked from a pinned parent
+            assert [threads for _, threads, _ in worker_reads(log)] == [1] * 4
+            assert get() == 2
+            for workers in (1, 2):
+                with pytest.raises(RuntimeError, match="item 1 failed"):
+                    list(pool_map(_numpy_blas_threads, range(3), (1,), workers))
+                assert get() == 2
+                results = pool_map(_numpy_blas_threads, range(3), (), workers)
+                assert next(results) == 1
+                assert get() == 1  # held between results
+                results.close()
+                assert get() == 2
+            assert not blas_module.BLAS_PIN.locked()
+            assert list(pool_map(_numpy_blas_threads, range(2), (), 1)) == [1] * 2
         finally:
             put(before)
 
