@@ -404,14 +404,13 @@ def reduction_series(
 
 def monthly_row(dates, points, bounds, year: int, month: int, min_days: int) -> str:
     """The ``summary.txt`` row of one month of ``reduction_series``' output
-    on ``dates``: the mean daily reduction with the mean 10/90 bounds."""
+    on ``dates``: the mean daily reduction with the mean 10/90 bounds. A
+    month needs at least one date, whatever ``min_days``."""
     sel = [i for i, d in enumerate(dates) if (d.year, d.month) == (year, month)]
-    if len(sel) < min_days:
-        raise CoverageError(
-            f"{year}-{month:02d} has {len(sel)} reduction days; need >= {min_days}"
-        )
-    idx = np.array(sel)
-    mean, low, high = (float(a[idx].mean()) for a in (points, bounds[0.10], bounds[0.90]))
+    need = max(min_days, 1)
+    if len(sel) < need:
+        raise CoverageError(f"{year}-{month:02d} has {len(sel)} reduction days; need >= {need}")
+    mean, low, high = (float(a[sel].mean()) for a in (points, bounds[0.10], bounds[0.90]))
     return f"Average in {month_name[month]}: {mean:.2f}% [{low:.2f}, {high:.2f}]"
 
 

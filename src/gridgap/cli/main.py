@@ -315,6 +315,9 @@ def _parse_ints(key: str, raw: str) -> tuple[int, ...]:
 def _space_and_scoring(cfg: dict, frame) -> tuple[SearchSpace, ScoringConfig]:
     target = cfg.get("target", frame.names[0])
     subsets = cfg.get("subsets", ((target, *[n for n in frame.names if n != target]),))
+    for subset in subsets:
+        if subset[0] != target:
+            raise ConfigError(f"subsets: '{','.join(subset)}' does not lead with target '{target}'")
     ranges = cfg.get("ranges", ((frame.dates[0], frame.dates[-1]),))
     space = SearchSpace(subsets, ranges, cfg["orders"], cfg["rules"])
     for name in sorted(set(cfg["sign.<variable>"]) - set(frame.names)):
@@ -625,7 +628,3 @@ def main(argv=None) -> int:
     except (GridGapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

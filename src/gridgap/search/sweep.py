@@ -6,8 +6,10 @@ the restriction mask from precedence tests, estimate, then check stability
 and residual autocorrelation. Survivors are ranked by BIC with AIC as the
 tie-breaker; response-sign requirements act as an admissibility filter.
 
-The gates that depend only on the (subset, window) run once per window, and
-the precedence tests behind rules 2 and 3 once per (window, order).
+Each (subset, window) is one unit of work that numbers and evaluates its own
+orders and rules: its gates run once, and the precedence tests behind rules
+2 and 3 once per order. Indices run over subset, window, order, then rule,
+the last varying fastest, and the records come back in that order.
 """
 
 from __future__ import annotations
@@ -178,25 +180,17 @@ def _window_stage(subset, date_range, frame: TimeSeriesFrame, scoring: ScoringCo
     return None, stats, diffed
 
 
-def _rule_stage(diffed: TimeSeriesFrame, order, rule, pvalues, stats, scoring: ScoringConfig):
+def _rule_stage(diffed: TimeSeriesFrame, order, rule, tests, stats, scoring: ScoringConfig):
     """Mask, fit and score one (order, rule); ``(status, model)``, filling ``stats``.
 
-    ``pvalues`` caches each order's ``granger_pvalues`` for the rules that
-    threshold precedence tests, a failed test as its exception, so rules 2
-    and 3 run them once per order. ``model`` is the fit of an admissible
-    combination, which is what the search returns if it is chosen, else None.
+    ``tests`` is the order's ``granger_pvalues``, or the exception they
+    raised, for a rule that thresholds precedence tests; a rule that does not
+    ignores it. ``model`` is the fit of an admissible combination, which is
+    what the search returns if it is chosen, else None.
     """
     try:
-        tests = None
-        if GRANGER_THRESHOLDS[rule] is not None:
-            if order not in pvalues:
-                try:
-                    pvalues[order] = granger_pvalues(diffed, order)
-                except Exception as exc:
-                    pvalues[order] = exc
-            tests = pvalues[order]
-            if isinstance(tests, Exception):
-                raise tests
+        if GRANGER_THRESHOLDS[rule] is not None and isinstance(tests, Exception):
+            raise tests
         mask = rule_mask(order, diffed.n_columns, rule, tests)
         model = fit_restricted_var(diffed, p=order, mask=mask)
     except Exception as exc:
@@ -236,37 +230,33 @@ def _rule_stage(diffed: TimeSeriesFrame, order, rule, pvalues, stats, scoring: S
     return "ok", model
 
 
-def _evaluate_window(unit, frame: TimeSeriesFrame, scoring: ScoringConfig):
-    """Records of every ``(index, order, rule)`` in ``combos`` for one
-    ``(subset, date_range, combos)`` window unit.
+def _evaluate_window(unit, frame: TimeSeriesFrame, space: SearchSpace, scoring: ScoringConfig):
+    """Records of every (order, rule) of ``space`` for one ``(first, subset,
+    date_range)`` unit, numbered from ``first`` with the rule varying fastest.
 
     The window gates run once; a rejected window gives all its combinations
-    its verdict. Rules 2 and 3 share one set of precedence tests per order,
-    since both test at ``lags=order``.
+    its verdict. On a passing window each order's precedence tests run once,
+    before its rules, when some rule thresholds them: rules 2 and 3 both
+    test at ``lags=order``, and a failed test fails each of them.
     """
-    subset, date_range, combos = unit
+    first, subset, date_range = unit
     window_status, window_stats, diffed = _window_stage(subset, date_range, frame, scoring)
+    tested = window_status is None and any(GRANGER_THRESHOLDS[r] is not None for r in space.rules)
     records = []
-    pvalues: dict = {}
-    for index, order, rule in combos:
-        stats, status, model = dict(window_stats), window_status, None
-        if status is None:
-            status, model = _rule_stage(diffed, order, rule, pvalues, stats, scoring)
-        records.append(CandidateRecord(index, subset, date_range, order, rule, status, stats, model))
+    for order in space.orders:
+        tests = None
+        if tested:
+            try:
+                tests = granger_pvalues(diffed, order)
+            except Exception as exc:
+                tests = exc
+        for rule in space.rules:
+            stats, status, model = dict(window_stats), window_status, None
+            if status is None:
+                status, model = _rule_stage(diffed, order, rule, tests, stats, scoring)
+            index = first + len(records)
+            records.append(CandidateRecord(index, subset, date_range, order, rule, status, stats, model))
     return records
-
-
-def _window_units(space: SearchSpace):
-    """Every combination as ``(index, order, rule)``, one unit per (subset, window).
-
-    Indices run over subset, window, order, then rule, the last varying fastest.
-    """
-    per_window = [(order, rule) for order in space.orders for rule in space.rules]
-    windows = itertools.product(space.variable_subsets, space.date_ranges)
-    return [
-        (subset, date_range, [(k * len(per_window) + i, *combo) for i, combo in enumerate(per_window)])
-        for k, (subset, date_range) in enumerate(windows)
-    ]
 
 
 def run_search(
@@ -286,6 +276,7 @@ def run_search(
     Work is split into (subset, window) units: the window gates run once per
     unit and its orders and rules reuse them. With ``jobs > 1`` each unit is
     one pool task, on ``min(jobs, units)`` workers; one worker means no pool.
+    ``pool_map`` yields the batches in unit order, so the records need no sort.
     The regressions are far too small to gain from BLAS threads, whose
     spinning only takes CPU from the sweep. The pool pins numpy's OpenBLAS to
     one thread while it runs, then restores it; scipy's, which runs the
@@ -297,10 +288,12 @@ def run_search(
     missing = {name for subset in space.variable_subsets for name in subset} - set(frame.names)
     if missing:
         raise ParameterError(f"frame lacks columns {sorted(missing)}")
-    units = _window_units(space)
+    per_window = len(space.orders) * len(space.rules)
+    windows = itertools.product(space.variable_subsets, space.date_ranges)
+    units = [(k * per_window, *window) for k, window in enumerate(windows)]
     scipy_routines()  # loads and pins scipy here, so that forked workers inherit the pin
-    batches = pool_map(_evaluate_window, units, (frame, scoring), min(jobs, len(units)))
-    records = sorted((r for batch in batches for r in batch), key=lambda r: r.index)
+    batches = pool_map(_evaluate_window, units, (frame, space, scoring), min(jobs, len(units)))
+    records = [r for batch in batches for r in batch]
     admissible = [r for r in records if r.admissible]
     if not admissible:
         raise NoModelError(

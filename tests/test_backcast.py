@@ -573,6 +573,14 @@ class TestReduction:
         row = monthly_row(dates, points, bounds, 2020, 4, 2)
         assert row == "Average in April: 10.00% [10.00, 10.00]"
 
+    @pytest.mark.parametrize("min_days", [0, -3])
+    def test_monthly_summary_refuses_a_month_without_dates(self, min_days):
+        dates = (dt.date(2020, 4, 1), dt.date(2020, 4, 2))
+        points = np.array([8.0, 12.0])
+        bounds = {lvl: points for lvl in (0.10, 0.25, 0.75, 0.90)}
+        with pytest.raises(CoverageError, match="^2020-05 has 0 reduction days; need >= 1$"):
+            monthly_row(dates, points, bounds, 2020, 5, min_days)
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):

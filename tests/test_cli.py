@@ -202,13 +202,6 @@ class TestUsage:
         assert codes == [0] * len(runs)
         assert loaded == []
 
-    def test_run_as_module_warns_nothing(self):
-        # importing gridgap.cli must not import main, or runpy warns that it
-        # finds the module already loaded
-        argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "gridgap.cli.main", "--help"]
-        done = subprocess.run(argv, env=src_env(), capture_output=True, text=True)
-        assert (done.returncode, done.stderr) == (0, "")
-
     def test_package_runs_as_module_without_scipy(self):
         # -X importtime lists every import on stderr; any other line there is a warning
         argv = [sys.executable, "-W", "error::RuntimeWarning", "-X", "importtime", "-m", "gridgap"]
@@ -729,6 +722,17 @@ class TestSearch:
         assert all(row.split(",")[1] == "failed:cointegration" for row in rows[1:])
         assert not (out / "model.json").exists()
         assert (out / MANIFEST_NAME).exists()
+
+    @pytest.mark.parametrize("subsets", ["y,u,v", "u,y;y,u,v"], ids=["all-others", "one-other"])
+    def test_subsets_not_leading_with_target_exit_one(self, tmp_path, capsys, subsets):
+        integrated_csv(tmp_path / "levels.csv")
+        (tmp_path / "s.cfg").write_text(
+            f"series = levels.csv\ntarget = u\nsubsets = {subsets}\norders = 1\nrules = 1\n"
+        )
+        out = tmp_path / "out"
+        assert main(["search", "--config", str(tmp_path / "s.cfg"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: subsets: 'y,u,v' does not lead with target 'u'\n"
+        assert not (out / MANIFEST_NAME).exists()
 
     def test_jobs_env_matches_serial(self, tmp_path, monkeypatch):
         integrated_csv(tmp_path / "levels.csv")

@@ -615,8 +615,12 @@ class TestRunSearch:
         assert sorted(calls) == sorted(r.order for r in whitened)
 
     def _count_tests(self, monkeypatch, space, frame):
-        calls = {"adf_test": 0, "engle_granger": 0, "granger_wald": 0}
-        for module, name in ((sweep, "adf_test"), (sweep, "engle_granger"), (masks, "granger_wald")):
+        calls = dict.fromkeys(("adf_test", "engle_granger", "granger_pvalues", "granger_wald"), 0)
+        counted_names = (
+            (sweep, "adf_test"), (sweep, "engle_granger"), (sweep, "granger_pvalues"),
+            (masks, "granger_wald"),
+        )
+        for module, name in counted_names:
             original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -640,9 +644,19 @@ class TestRunSearch:
         assert calls["engle_granger"] == len(past_adf)
         assert calls["adf_test"] <= len(subset) * len(windows)
 
+        # one pass of precedence tests per (passing window, order), shared by rules 2 and 3
+        window_gates = ("failed:window", "failed:difference", "failed:adf", "failed:cointegration")
+        passing = {r.date_range for r in result.records if not r.status.startswith(window_gates)}
+        assert passing
+        assert calls["granger_pvalues"] == len(passing) * len(space.orders)
+
         rule2 = SearchSpace((subset,), windows, (1, 2, 3), (2,))
         calls2, _ = self._count_tests(monkeypatch, rule2, frame)
         assert calls2["granger_wald"] == calls["granger_wald"] > 0
+
+        rule1 = SearchSpace((subset,), windows, (1, 2, 3), (1,))
+        calls1, _ = self._count_tests(monkeypatch, rule1, frame)
+        assert calls1["granger_pvalues"] == calls1["granger_wald"] == 0
 
     def test_ranked_puts_best_bic_first(self):
         frame = integrated_levels(16)
