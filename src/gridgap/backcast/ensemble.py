@@ -129,8 +129,8 @@ class BackcastEnsemble:
     target_mean: float
     target_std: float
     config: TrainingConfig
-    # every candidate's held-out metric in index order; None when not recorded
-    all_metrics: tuple[float, ...] | None = None
+    # every candidate's held-out metric in index order
+    all_metrics: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "models", tuple(self.models))
@@ -142,26 +142,24 @@ class BackcastEnsemble:
         indices = {m.index for m in self.models}
         if len(indices) != len(self.models) or not 0 <= min(indices) <= max(indices) < candidates:
             raise ParameterError(f"member indices must be distinct and in [0, {candidates})")
-        if self.all_metrics is not None:
-            metrics = tuple(self.all_metrics)
-            if len(metrics) != candidates or not all(map(_is_number, metrics)):
-                raise ParameterError(f"all_metrics must hold {candidates} numbers, one per candidate")
-            metrics = tuple(map(float, metrics))
-            object.__setattr__(self, "all_metrics", metrics)
-            # the members are the candidates training keeps, each with its own metric
-            for m in self.models:
-                recorded = metrics[m.index]
-                if m.metric != recorded and not (math.isnan(m.metric) and math.isnan(recorded)):
-                    raise ParameterError(
-                        f"member {m.index} has metric {m.metric}, all_metrics records {recorded}"
-                    )
-            # _keep_best reads a result's index and metric: (index, widths, params, metric)
-            keep_count = self.config.keep_count
-            best, _ = _keep_best(((i, None, None, v) for i, v in enumerate(metrics)), keep_count)
-            if indices != {result[0] for result in best}:
+        metrics = () if self.all_metrics is None else tuple(self.all_metrics)
+        if len(metrics) != candidates or not all(map(_is_number, metrics)):
+            raise ParameterError(f"all_metrics must hold {candidates} numbers, one per candidate")
+        metrics = tuple(map(float, metrics))
+        object.__setattr__(self, "all_metrics", metrics)
+        # the members are the candidates training keeps, each with its own metric
+        for m in self.models:
+            recorded = metrics[m.index]
+            if m.metric != recorded and not (math.isnan(m.metric) and math.isnan(recorded)):
                 raise ParameterError(
-                    f"members are not the {keep_count} candidates of least metric in all_metrics"
+                    f"member {m.index} has metric {m.metric}, all_metrics records {recorded}"
                 )
+        keep_count = self.config.keep_count
+        best, _ = _keep_best(enumerate(metrics), keep_count)
+        if indices != {index for index, _ in best}:
+            raise ParameterError(
+                f"members are not the {keep_count} candidates of least metric in all_metrics"
+            )
         dim = self.models[0].layers[0][0].shape[0]
         for m in self.models:
             if m.layers[0][0].shape[0] != dim:
@@ -252,7 +250,7 @@ def _train_candidate(index, x, y_std, y_orig, target_mean, target_std, months, c
     )
     pred_held = target_mean + target_std * forward(params, x[held])
     metric = _monthly_norm(months[held], pred_held, y_orig[held])
-    return index, widths, params, metric
+    return index, metric, widths, params
 
 
 def _monthly_norm(held_months, pred, actual) -> float:
@@ -320,16 +318,16 @@ def train_ensemble(
     workers, _ = training_workers(config.candidates, config.epochs, jobs)
     results = blas.pool_map(_train_candidate, range(config.candidates), args, workers)
     kept, metrics = _keep_best(results, config.keep_count)
-    models = tuple(BaseModel(i, widths, metric, params) for i, widths, params, metric in kept)
+    models = tuple(BaseModel(i, widths, metric, params) for i, metric, widths, params in kept)
     return BackcastEnsemble(
         models, input_mean, input_std, target_mean, target_std, config, metrics
     )
 
 
 def _keep_best(results, keep_count: int):
-    """``(kept, metrics)``: the ``keep_count`` of ``_train_candidate``'s
-    ``results`` with least ``(metric, index)``, NaN last, in index order, and
-    every candidate's metric in index order.
+    """``(kept, metrics)``: the ``keep_count`` of ``results``, each led by
+    ``(index, metric)``, with least ``(metric, index)``, NaN last, in index
+    order, and every candidate's metric in index order.
 
     ``results`` arrive in index order. Only the best so far are held, so
     memory grows with ``keep_count``, not with the candidates.
@@ -339,7 +337,7 @@ def _keep_best(results, keep_count: int):
     # index): the worst kept sits on top, to be pushed out by a better one
     worst_first = []
     for result in results:
-        index, metric = result[0], result[3]
+        index, metric = result[:2]
         metrics.append(metric)
         nan = math.isnan(metric)
         entry = ((-nan, 0.0 if nan else -metric, -index), result)
@@ -449,7 +447,7 @@ def save_ensemble(ensemble: BackcastEnsemble, path) -> None:
         "target_mean": ensemble.target_mean,
         "target_std": ensemble.target_std,
         "config": asdict(ensemble.config),
-        "all_metrics": None if ensemble.all_metrics is None else list(ensemble.all_metrics),
+        "all_metrics": list(ensemble.all_metrics),
     }
     # "models" is the payload's last key, so the head's dumps less its closing
     # brace leads the file. Each piece is a dumps call, which runs CPython's C

@@ -197,15 +197,9 @@ def cmd_backcast(cfg: dict, rec: RunRecorder) -> int:
     load_table = read_wide_csv(cfg["load"], "load")
     weather = {kind: read_wide_csv(cfg[f"weather.{kind}"], kind) for kind in WEATHER_KINDS}
     gdp = _gdp(cfg)
-    eval_start, eval_end = cfg["eval_start"], cfg["eval_end"]
-    years = {eval_start.year, eval_end.year}
-    if "ensemble" not in cfg:
-        for key in ("train_start", "train_end"):
-            if key not in cfg:
-                raise _missing(key)
-        train_start, train_end = cfg["train_start"], cfg["train_end"]
-        years |= {train_start.year, train_end.year}
-    holidays = federal_holidays(range(min(years), max(years) + 1))
+
+    def features(dates):
+        return feature_matrix(dates, weather, gdp, federal_holidays({d.year for d in dates}))
 
     if "ensemble" in cfg:
         raw = cfg["ensemble"].read_bytes()
@@ -214,9 +208,11 @@ def cmd_backcast(cfg: dict, rec: RunRecorder) -> int:
         # every file save_ensemble wrote
         rec.output("ensemble.json").write_bytes(raw)
     else:
-        daily = load_table.daily_mean_frame()
-        daily = daily.slice_dates(train_start, train_end)
-        features = feature_matrix(daily.dates, weather, gdp, holidays)
+        for key in ("train_start", "train_end"):
+            if key not in cfg:
+                raise _missing(key)
+        daily = load_table.daily_mean_frame().slice_dates(cfg["train_start"], cfg["train_end"])
+        train_features = features(daily.dates)
         names = ("candidates", "keep_fraction", "split", "epochs", "learning_rate")
         training = TrainingConfig(
             **{n: cfg[n] for n in names},
@@ -226,16 +222,16 @@ def cmd_backcast(cfg: dict, rec: RunRecorder) -> int:
         workers, budget = training_workers(training.candidates, training.epochs, rec.jobs)
         rec.details.update(training_workers=workers, blas_budget=budget)
         ensemble = train_ensemble(
-            features, daily.column("load"), daily.dates, training, jobs=rec.jobs
+            train_features, daily.column("load"), daily.dates, training, jobs=rec.jobs
         )
         print(f"kept {len(ensemble.models)} of {training.candidates} candidates")
         save_ensemble(ensemble, rec.output("ensemble.json"))
 
+    eval_start, eval_end = cfg["eval_start"], cfg["eval_end"]
     eval_dates = [d for d in load_table.dates if eval_start <= d <= eval_end]
     if not eval_dates:
         raise ConfigError(f"no observed days between {eval_start} and {eval_end}")
-    eval_features = feature_matrix(eval_dates, weather, gdp, holidays)
-    points, bounds = reduction_series(ensemble, eval_features, eval_dates, load_table)
+    points, bounds = reduction_series(ensemble, features(eval_dates), eval_dates, load_table)
 
     levels = sorted(bounds)
     _write_csv(
@@ -320,9 +316,14 @@ def _space_and_scoring(cfg: dict, frame) -> tuple[SearchSpace, ScoringConfig]:
             raise ConfigError(f"subsets: '{','.join(subset)}' does not lead with target '{target}'")
     ranges = cfg.get("ranges", ((frame.dates[0], frame.dates[-1]),))
     space = SearchSpace(subsets, ranges, cfg["orders"], cfg["rules"])
-    for name in sorted(set(cfg["sign.<variable>"]) - set(frame.names)):
-        closest = difflib.get_close_matches(name, frame.names, n=1, cutoff=0)[0]
-        raise ConfigError(f"sign.{name}: no column '{name}' in the series (closest: '{closest}')")
+    # a sign gates the target's cumulative response to a driver's shock
+    drivers = {name for subset in subsets for name in subset[1:]}
+    for name in sorted(set(cfg["sign.<variable>"]) - drivers):
+        if name not in frame.names:
+            closest = difflib.get_close_matches(name, frame.names, n=1, cutoff=0)[0]
+            raise ConfigError(f"sign.{name}: no column '{name}' in the series (closest: '{closest}')")
+        role = "the target" if name == target else "a driver in no subset"
+        raise ConfigError(f"sign.{name}: '{name}' is {role}; a sign applies to a driver")
     names = ("adf_alpha", "lb_alpha", "lb_lags", "irf_horizon", "fevd_horizon")
     scoring = ScoringConfig(
         **{n: cfg[n] for n in names},
@@ -453,6 +454,8 @@ def _focus(cfg: dict, model) -> str:
 
 
 def cmd_irf(cfg: dict, rec: RunRecorder) -> int:
+    if cfg["cumulative"] and "variable" in cfg:
+        raise ConfigError("variable: not read with cumulative = true, which charts every variable")
     model = load_model(cfg["model"])
     shock, horizon, focus = cfg["shock"], cfg["horizon"], _focus(cfg, model)
     if cfg["cumulative"]:

@@ -18,7 +18,7 @@ text, one record per line; ``ingest`` adds the raw rows its parser refused.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,14 +42,8 @@ class QcReport:
     rejects: list[tuple[int, str]] = field(default_factory=list)
 
     def merge(self, other: "QcReport") -> "QcReport":
-        return QcReport(
-            self.outliers + other.outliers,
-            self.fills + other.fills,
-            self.unresolved + other.unresolved,
-            self.skipped_days + other.skipped_days,
-            self.duplicates_dropped + other.duplicates_dropped,
-            self.rejects + other.rejects,
-        )
+        """Each field of ``self`` followed by, or added to, ``other``'s."""
+        return QcReport(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
 
     def to_text(self) -> str:
         lines = ["# qc-report/1", f"duplicates_dropped = {self.duplicates_dropped}"]

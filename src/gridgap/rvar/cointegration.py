@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DegenerateSeriesError, ParameterError
+from ..errors import DegenerateSeriesError, InsufficientDataError, ParameterError
 from ..frames import TimeSeriesFrame
 from .adf import adf_stat_fixed_lag, default_max_lag, mackinnon_pvalue, select_adf_lag
 from .ols import ols
@@ -24,15 +24,19 @@ def engle_granger(frame: TimeSeriesFrame) -> tuple[float, ...]:
 
     The test presumes each input is integrated in levels; the caller owns
     that screening (the model search tests each column's differences first).
-    Each residual test picks its lag by AIC up to Schwert's rule.
+    Each residual test picks its lag by AIC up to Schwert's rule. Like
+    ``adf_test``, it needs at least 20 observations.
     """
     if frame.n_columns < 2:
         raise ParameterError("cointegration needs at least two columns")
-    lag = max(0, min(default_max_lag(len(frame)), len(frame) - 20))
+    n = len(frame)
+    if n < 20:  # adf_test's floor, in its words
+        raise InsufficientDataError(f"need at least 20 observations for max_lag=0, have {n}")
+    lag = max(0, min(default_max_lag(n), n - 20))
     pvalues = []
     for i in range(frame.n_columns):
         for j in range(i + 1, frame.n_columns):
-            design = np.column_stack([np.ones(len(frame)), frame.values[:, i]])
+            design = np.column_stack([np.ones(n), frame.values[:, i]])
             fit = ols(design, frame.values[:, j])
             if fit is None:
                 left, right = frame.names[i], frame.names[j]

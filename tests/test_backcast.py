@@ -283,6 +283,7 @@ def _constant_ensemble(values, dim=34):
         0.0,
         1.0,
         TrainingConfig(candidates=len(models), keep_fraction=1.0),
+        tuple(m.metric for m in models),
     )
 
 
@@ -320,7 +321,7 @@ class TestEnsembleSelection:
         pool = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1.5, 2.0, 0.25])
         rng = np.random.default_rng(seed)
         metrics = [float(v) for v in rng.choice(pool, 40, p=rng.dirichlet(np.ones(len(pool))))]
-        results = [(i, (8, 8, 8), f"weights of {i}", m) for i, m in enumerate(metrics)]
+        results = [(i, m, (8, 8, 8), f"weights of {i}") for i, m in enumerate(metrics)]
         kept, all_metrics = ensemble_module._keep_best(iter(results), keep_count)
         want, want_metrics = lexsort_selection(metrics, keep_count)
         assert kept == [results[i] for i in want]
@@ -439,6 +440,7 @@ class TestPredict:
             ens.target_mean,
             ens.target_std,
             ens.config,
+            ens.all_metrics,
         )
         f = np.zeros((2, 34))
         points, quantiles = predict_many(ens, f)
@@ -476,7 +478,7 @@ class TestPredict:
         kwargs = {name: getattr(ens, name) for name in names}
         kwargs[field] = value
         with pytest.raises(ParameterError, match="normalization"):
-            BackcastEnsemble(ens.models, config=ens.config, **kwargs)
+            BackcastEnsemble(ens.models, config=ens.config, all_metrics=ens.all_metrics, **kwargs)
 
     def test_features_laid_out_once_for_all_members(self, monkeypatch):
         dates, x, y = _synthetic_training_data()
@@ -645,6 +647,7 @@ class TestSerialization:
             lambda payload: payload["models"][0].update(metric=None),
             lambda payload: payload["all_metrics"].__setitem__(0, "y"),
             lambda payload: payload["all_metrics"].pop(),
+            lambda payload: payload.update(all_metrics=None),
             lambda payload: payload["models"][0].update(index="0"),
             lambda payload: payload["models"][0].update(index=1),
             lambda payload: payload["models"].append(payload["models"][0]),
@@ -682,6 +685,7 @@ class TestSerialization:
             "metric_null",
             "all_metrics_entry_not_a_number",
             "all_metrics_one_short",
+            "all_metrics_null",
             "index_as_string",
             "index_out_of_range",
             "duplicate_index",
@@ -714,14 +718,6 @@ class TestSerialization:
         save_ensemble(back, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
-    def test_unrecorded_metrics_round_trip(self, tmp_path):
-        ens = _constant_ensemble([1.0, 2.0])
-        assert ens.all_metrics is None
-        path = tmp_path / "ens.json"
-        save_ensemble(ens, path)
-        assert '"all_metrics": null' in path.read_text()
-        assert load_ensemble(path, path.read_bytes()).all_metrics is None
-
     def test_save_holds_one_member_at_a_time(self, tmp_path):
         """Writing 20 members of width 64 allocates under half the file at its peak."""
         rng = np.random.default_rng(0)
@@ -739,6 +735,7 @@ class TestSerialization:
             0.0,
             1.0,
             TrainingConfig(candidates=20, keep_fraction=1.0),
+            tuple(float(i) for i in range(20)),
         )
         path = tmp_path / "ens.json"
         _, peak = _traced(save_ensemble, ens, path)

@@ -779,6 +779,17 @@ class TestIrfFevdCommands:
         running = [float(r[3]) for r in rows]
         assert running == sorted(running)  # positive AR coefficients accumulate
 
+    def test_irf_cumulative_refuses_variable(self, tmp_path, model_path, capsys):
+        """The cumulative chart shows every variable, so a focus variable would go unread."""
+        (tmp_path / "i.cfg").write_text(
+            f"model = {model_path}\nshock = x\nvariable = y\ncumulative = true\n"
+        )
+        out = tmp_path / "out"
+        assert main(["irf", "--config", str(tmp_path / "i.cfg"), "--out", str(out)]) == 1
+        want = "error: variable: not read with cumulative = true, which charts every variable\n"
+        assert capsys.readouterr().err == want
+        assert not out.exists()
+
     @pytest.mark.parametrize("cumulative", ["false", "true"])
     def test_irf_negative_horizon_exits_one(self, tmp_path, model_path, capsys, cumulative):
         (tmp_path / "i.cfg").write_text(

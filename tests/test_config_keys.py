@@ -172,6 +172,37 @@ def test_sign_key_naming_no_series_column_exits_one(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["search", "analyze"])
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (
+            "sign.mobility = 1\nsign.load = -1\n",
+            "sign.load: 'load' is the target; a sign applies to a driver",
+        ),
+        (
+            "subsets = load,price\nsign.price = 1\nsign.mobility = 1\n",
+            "sign.mobility: 'mobility' is a driver in no subset; a sign applies to a driver",
+        ),
+    ],
+    ids=["target", "driver_in_no_subset"],
+)
+def test_sign_key_gating_no_driver_exits_one(tmp_path, capsys, command, lines, message):
+    frame = TimeSeriesFrame(
+        tuple(dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(40)),
+        ("load", "mobility", "price"),
+        np.random.default_rng(0).normal(size=(40, 3)).cumsum(axis=0),
+    )
+    write_series_csv(frame, tmp_path / "s.csv")
+    cfg = tmp_path / "c.cfg"
+    # the sweep reads a sign only for a driver of the model it scores: any other is unread
+    cfg.write_text(f"series = s.csv\n{lines}")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "line, key",
     [

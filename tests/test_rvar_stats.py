@@ -228,6 +228,17 @@ class TestEngleGranger:
         with pytest.raises(ParameterError):
             engle_granger(frame)
 
+    @pytest.mark.parametrize("n", [8, 19])
+    def test_refuses_fewer_rows_than_adf_test(self, n):
+        """Both tests need 20 observations, and both say so in the same words."""
+        values = np.cumsum(np.random.default_rng(4).standard_normal((20, 2)), axis=0)
+        assert len(engle_granger(make_frame(values, ("a", "b")))) == 1
+        want = f"^need at least 20 observations for max_lag=0, have {n}$"
+        with pytest.raises(InsufficientDataError, match=want):
+            adf_test(values[:n, 0])
+        with pytest.raises(InsufficientDataError, match=want):
+            engle_granger(make_frame(values[:n], ("a", "b")))
+
     def test_rank_deficient_first_stage_degenerate(self):
         # a constant regressor duplicates the first-stage intercept
         walk = _walk(6, 120)
